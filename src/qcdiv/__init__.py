@@ -32,7 +32,6 @@ from .core import (
     interpolate,
     positive_ray,
     real_line,
-    separable_components,
 )
 from .jensen import extended_jensen, log_ratio_gap, qccv_jensen, qcvx_jensen
 from .means import (
@@ -48,7 +47,6 @@ from .bregman import (
     delta_averaged_qcvx_bregman,
     extended_bregman,
     qcvx_bregman,
-    qcvx_bregman_separable,
 )
 from .statdiv import (
     ExpFamily,
@@ -129,12 +127,10 @@ __all__ = [
     "qccv_jensen",
     "qcvx_bregman",
     "qcvx_bregman_from_kl",
-    "qcvx_bregman_separable",
     "qcvx_jensen",
     "r_power_bregman",
     "real_line",
     "run_suite",
-    "separable_components",
     "sweep_catalog",
     "weighted_mean",
 ]

@@ -1,9 +1,11 @@
 """Bregman divergence, its quasiconvex pseudo-divergence, and the delta-averaged repair.
 
-Branch decisions compare generator values with exact floating comparison; when
-the two values are within 1e-12 relative of each other the returned ExtReal is
-flagged ``tie_sensitive``, because the finite/infinite branch is discontinuous
-there and a one-ulp perturbation can flip the orientation.
+The three branch divergences share one kernel: Q(theta) > Q(theta_p) gives
++inf, otherwise each computes its own finite value.  Branch decisions compare
+generator values with exact floating comparison and the result carries
+``tie_sensitive`` under the tie policy in ``core``, because the finite/infinite
+branch is discontinuous there and a one-ulp perturbation can flip the
+orientation.
 
 The reverse divergence D^r(theta:theta_p) = D(theta_p:theta) is argument
 swapping, not a separate code path.
@@ -14,35 +16,43 @@ from __future__ import annotations
 import math
 
 from .core import (
-    DimensionError,
     DomainError,
     ExtReal,
     Generator,
+    _tie_sensitive,
     as_vector,
     check_same_dim,
     eval_generator,
     gradient,
 )
 
-TIE_REL_TOL = 1e-12
+
+def _values(F: Generator, theta, theta_p):
+    """Coerce both points, check their dimensions and evaluate F at each."""
+    t, tp = as_vector(theta), as_vector(theta_p)
+    check_same_dim(t, tp)
+    return t, tp, eval_generator(F, t), eval_generator(F, tp)
 
 
-def _tie_sensitive(a: float, b: float) -> bool:
-    return abs(a - b) <= TIE_REL_TOL * max(abs(a), abs(b))
+def _linear_term(F: Generator, t, tp) -> float:
+    """<theta - theta_p, grad F(theta_p)>."""
+    g = gradient(F, tp)
+    return sum((x - y) * gi for x, y, gi in zip(t, tp, g))
 
 
-def _dot(u, v) -> float:
-    return sum(x * y for x, y in zip(u, v))
+def _branch(Q: Generator, theta, theta_p, finite) -> ExtReal:
+    """+inf when Q(theta) > Q(theta_p), else ``finite(t, tp, qt, qtp)``."""
+    t, tp, qt, qtp = _values(Q, theta, theta_p)
+    tie = _tie_sensitive(qt, qtp)
+    if qt > qtp:
+        return ExtReal(math.inf, tie_sensitive=tie)
+    return ExtReal(finite(t, tp, qt, qtp), tie_sensitive=tie)
 
 
 def bregman(F: Generator, theta, theta_p) -> float:
     """F(theta) - F(theta_p) - <theta - theta_p, grad F(theta_p)>."""
-    t, tp = as_vector(theta), as_vector(theta_p)
-    check_same_dim(t, tp)
-    ft = eval_generator(F, t)
-    ftp = eval_generator(F, tp)
-    g = gradient(F, tp)
-    return ft - ftp - _dot((x - y for x, y in zip(t, tp)), g)
+    t, tp, ft, ftp = _values(F, theta, theta_p)
+    return ft - ftp - _linear_term(F, t, tp)
 
 
 def qcvx_bregman(Q: Generator, theta, theta_p) -> ExtReal:
@@ -51,45 +61,11 @@ def qcvx_bregman(Q: Generator, theta, theta_p) -> ExtReal:
     -<theta - theta_p, grad Q(theta_p)> when Q(theta) <= Q(theta_p), +inf
     otherwise.  Nonnegative on the finite branch for quasiconvex Q, but only a
     pseudo-divergence: it vanishes for theta != theta_p when the gradient at
-    theta_p does (e.g. the cubic at its inflection point).
+    theta_p does (e.g. the cubic at its inflection point).  For a separable
+    generator ({"separable": [...]}) the branch compares the total values, so
+    the divergence of the sum is not the sum of per-coordinate divergences.
     """
-    t, tp = as_vector(theta), as_vector(theta_p)
-    check_same_dim(t, tp)
-    qt = eval_generator(Q, t)
-    qtp = eval_generator(Q, tp)
-    tie = _tie_sensitive(qt, qtp)
-    if qt > qtp:
-        return ExtReal(math.inf, tie_sensitive=tie)
-    g = gradient(Q, tp)
-    return ExtReal(-_dot((x - y for x, y in zip(t, tp)), g), tie_sensitive=tie)
-
-
-def qcvx_bregman_separable(components, theta, theta_p) -> ExtReal:
-    """Quasiconvex Bregman divergence for a separable sum of 1-D generators.
-
-    The finite/infinite branch compares the TOTAL values sum Q_i(theta_i):
-    the divergence of the sum is not the sum of the per-coordinate
-    divergences (one coordinate rising is fine while the total falls).
-    """
-    comps = list(components)
-    t, tp = as_vector(theta), as_vector(theta_p)
-    check_same_dim(t, tp)
-    if len(t) != len(comps):
-        raise DimensionError(
-            f"{len(comps)} components but {len(t)}-dimensional points"
-        )
-    for g in comps:
-        if g.dim != 1:
-            raise DimensionError(f"component {g.name!r} must be 1-D")
-    qt = sum(eval_generator(g, (x,)) for g, x in zip(comps, t))
-    qtp = sum(eval_generator(g, (y,)) for g, y in zip(comps, tp))
-    tie = _tie_sensitive(qt, qtp)
-    if qt > qtp:
-        return ExtReal(math.inf, tie_sensitive=tie)
-    total = 0.0
-    for g, x, y in zip(comps, t, tp):
-        total += (x - y) * gradient(g, (y,))[0]
-    return ExtReal(-total, tie_sensitive=tie)
+    return _branch(Q, theta, theta_p, lambda t, tp, qt, qtp: -_linear_term(Q, t, tp))
 
 
 def validate_ratio(delta: float) -> float:
@@ -108,21 +84,18 @@ def delta_averaged_qcvx_bregman(Q: Generator, theta, theta_p, delta: float) -> E
     averaging length and theta_p - theta.
     """
     d = validate_ratio(delta)
-    t, tp = as_vector(theta), as_vector(theta_p)
-    check_same_dim(t, tp)
-    qt = eval_generator(Q, t)
-    qtp = eval_generator(Q, tp)
-    tie = _tie_sensitive(qt, qtp)
-    if qtp < qt:
-        return ExtReal(math.inf, tie_sensitive=tie)
-    extrap = tuple(y + d * (y - x) for x, y in zip(t, tp))
-    problem = Q.domain.violation(extrap)
-    if problem is not None:
-        raise DomainError(
-            f"delta-averaging needs the domain of {Q.name or 'generator'} to "
-            f"cover the extrapolated point {extrap}: {problem}"
-        )
-    return ExtReal((eval_generator(Q, extrap) - qtp) / d, tie_sensitive=tie)
+
+    def finite(t, tp, qt, qtp):
+        extrap = tuple(y + d * (y - x) for x, y in zip(t, tp))
+        problem = Q.domain.violation(extrap)
+        if problem is not None:
+            raise DomainError(
+                f"delta-averaging needs the domain of {Q.name or 'generator'} to "
+                f"cover the extrapolated point {extrap}: {problem}"
+            )
+        return (eval_generator(Q, extrap) - qtp) / d
+
+    return _branch(Q, theta, theta_p, finite)
 
 
 def extended_bregman(Q: Generator, theta, theta_p) -> ExtReal:
@@ -131,14 +104,5 @@ def extended_bregman(Q: Generator, theta, theta_p) -> ExtReal:
     For convex Q this collapses to the ordinary Bregman divergence; for merely
     quasiconvex Q the finite branch may be negative.
     """
-    t, tp = as_vector(theta), as_vector(theta_p)
-    check_same_dim(t, tp)
-    qt = eval_generator(Q, t)
-    qtp = eval_generator(Q, tp)
-    tie = _tie_sensitive(qt, qtp)
-    if qt > qtp:
-        return ExtReal(math.inf, tie_sensitive=tie)
-    g = gradient(Q, tp)
-    return ExtReal(
-        qt - qtp - _dot((x - y for x, y in zip(t, tp)), g), tie_sensitive=tie
-    )
+    return _branch(Q, theta, theta_p,
+                   lambda t, tp, qt, qtp: qt - qtp - _linear_term(Q, t, tp))

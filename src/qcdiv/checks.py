@@ -96,7 +96,7 @@ def suite_identities(samples: int, seed: int) -> SuiteResult:
     res = SuiteResult("identities")
     rng = random.Random(seed)
     cases = sweep_catalog()
-    negated = tuple(build_generator({"negate": _spec_of(c.generator)}) for c in cases)
+    negated = tuple(build_generator({"negate": c.generator.spec}) for c in cases)
 
     def draw(i):
         case = cases[i % len(cases)]
@@ -120,7 +120,7 @@ def suite_identities(samples: int, seed: int) -> SuiteResult:
         a = _SCALE_FACTORS[i % 3]
         b = _SCALE_OFFSETS[(i // 3) % 3]
         wrapped = build_generator(
-            {"affine": {"a": a, "b": b, "inner": _spec_of(case.generator)}}
+            {"affine": {"a": a, "b": b, "inner": case.generator.spec}}
         )
         lhs = qcvx_jensen(wrapped, t, tp, alpha)
         rhs = a * qcvx_jensen(case.generator, t, tp, alpha)
@@ -194,16 +194,6 @@ def suite_identities(samples: int, seed: int) -> SuiteResult:
             lambda: f"qcvxB-from-kl: t={t} tp={tp}: {lhs} vs {rhs}",
         )
     return res
-
-
-def _spec_of(g: Generator):
-    """Recover a buildable spec for a catalog generator (for wrapping sweeps)."""
-    name = g.name
-    if name.startswith("linear-fractional"):
-        return {"name": "linear-fractional", "a": 1, "b": 0, "c": 1, "d": 2}
-    if name in ("log-norm-sq", "neg-gauss"):
-        return {"name": name, "dim": g.dim}
-    return {"name": name}
 
 
 def _expfam_cases():

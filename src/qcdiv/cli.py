@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from typing import NamedTuple, Optional
 
 from . import checks, oracles
 from .bregman import (
@@ -91,8 +92,8 @@ def _parse_mean(text: str, flag: str) -> MeanSpec:
     )
 
 
-def _need(args, name: str, flag: str):
-    value = getattr(args, name)
+def _need(args, flag: str):
+    value = getattr(args, flag[2:].replace("-", "_"))
     if value is None:
         raise CliError(f"--div {args.div} requires {flag}")
     return value
@@ -104,77 +105,78 @@ def _scalar(vec, flag: str) -> float:
     return vec[0]
 
 
+class _Div(NamedTuple):
+    """How the CLI calls one divergence.
+
+    ``fn`` names a library function imported into this module; it is looked up
+    when the evaluator is built, so rebinding that name (in tests, or by the
+    traced benchmark) reaches the CLI.  ``flags`` pairs each required flag with
+    the keyword it fills, in the order the flags are checked, after the
+    generator has loaded.  ``points`` are the keywords of --theta and
+    --theta-prime; a unary divergence has one.  ``scalar`` divergences take
+    single reals.  ``subject`` is the leading positional argument: the
+    generator, its ExpFamily, or nothing.
+    """
+
+    fn: str
+    flags: tuple = ()
+    points: tuple = ("theta", "theta_p")
+    scalar: bool = False
+    subject: Optional[str] = "generator"
+
+
+_ALPHA = (("alpha", "--alpha"),)
+
+# The divergence catalog: argparse choices (in this order), eval and table.
+DIVERGENCES = {
+    "qcvx-jensen": _Div("qcvx_jensen", _ALPHA),
+    "qccv-jensen": _Div("qccv_jensen", _ALPHA),
+    "log-ratio": _Div("log_ratio_gap", _ALPHA),
+    "ext-jensen": _Div("extended_jensen", _ALPHA),
+    "mn-jensen": _Div("mn_jensen", _ALPHA + (("M", "--mean-m"), ("N", "--mean-n"))),
+    "power-jensen": _Div("power_mean_jensen", _ALPHA + (("delta", "--delta"),)),
+    "bregman": _Div("bregman"),
+    "qcvx-bregman": _Div("qcvx_bregman"),
+    "delta-qcvx-bregman": _Div("delta_averaged_qcvx_bregman", (("delta", "--delta"),)),
+    "ext-bregman": _Div("extended_bregman"),
+    "power-bregman": _Div("power_mean_bregman", (("delta1", "--delta1"), ("delta2", "--delta2")),
+                          points=("p", "q"), scalar=True),
+    "r-power-bregman": _Div("r_power_bregman", (("r", "--r"),), scalar=True),
+    "kl-nested-uniform": _Div("kl_nested_uniform", scalar=True, subject=None),
+    "kl-power-nested": _Div("kl_power_nested", (("alpha", "--exponent"),), scalar=True,
+                            subject=None),
+    "expfam-kl": _Div("expfam_kl", subject="family"),
+    "expfam-entropy": _Div("expfam_entropy", points=("theta",), subject="family"),
+    "expfam-cross-entropy": _Div("expfam_cross_entropy", subject="family"),
+}
+
+# limit-study --study s runs oracles.limit_<s with "-" replaced by "_">.
+STUDIES = ("scaled-jensen", "power-jensen", "r-power-bregman")
+
+
 def _build_evaluator(args):
     """Return (needs_theta_prime, fn(theta, theta_p) -> value) for --div."""
-    div = args.div
+    div = DIVERGENCES[args.div]
+    fn = globals()[div.fn]
+    lead = ()
+    if div.subject is not None:
+        g = _load_generator(args)
+        lead = (ExpFamily(g) if div.subject == "family" else g,)
+    params = {}
+    for keyword, flag in div.flags:
+        value = _need(args, flag)
+        params[keyword] = _parse_mean(value, flag) if flag.startswith("--mean-") else value
 
-    if div == "kl-nested-uniform":
-        return True, lambda t, tp: kl_nested_uniform(_scalar(t, "--theta"),
-                                                     _scalar(tp, "--theta-prime"))
-    if div == "kl-power-nested":
-        expo = _need(args, "exponent", "--exponent")
-        return True, lambda t, tp: kl_power_nested(expo, _scalar(t, "--theta"),
-                                                   _scalar(tp, "--theta-prime"))
+    def evaluate(t, tp):
+        if div.scalar:
+            t, tp = _scalar(t, "--theta"), _scalar(tp, "--theta-prime")
+        return fn(*lead, **dict(zip(div.points, (t, tp))), **params)
 
-    g = _load_generator(args)
-
-    if div in ("qcvx-jensen", "qccv-jensen", "log-ratio", "ext-jensen"):
-        alpha = _need(args, "alpha", "--alpha")
-        fn = {
-            "qcvx-jensen": qcvx_jensen,
-            "qccv-jensen": qccv_jensen,
-            "log-ratio": log_ratio_gap,
-            "ext-jensen": extended_jensen,
-        }[div]
-        return True, lambda t, tp: fn(g, t, tp, alpha)
-    if div == "mn-jensen":
-        alpha = _need(args, "alpha", "--alpha")
-        mean_m = _parse_mean(_need(args, "mean_m", "--mean-m"), "--mean-m")
-        mean_n = _parse_mean(_need(args, "mean_n", "--mean-n"), "--mean-n")
-        return True, lambda t, tp: mn_jensen(g, mean_m, mean_n, alpha, t, tp)
-    if div == "power-jensen":
-        alpha = _need(args, "alpha", "--alpha")
-        delta = _need(args, "delta", "--delta")
-        return True, lambda t, tp: power_mean_jensen(g, delta, alpha, t, tp)
-    if div == "bregman":
-        return True, lambda t, tp: bregman(g, t, tp)
-    if div == "qcvx-bregman":
-        return True, lambda t, tp: qcvx_bregman(g, t, tp)
-    if div == "delta-qcvx-bregman":
-        delta = _need(args, "delta", "--delta")
-        return True, lambda t, tp: delta_averaged_qcvx_bregman(g, t, tp, delta)
-    if div == "ext-bregman":
-        return True, lambda t, tp: extended_bregman(g, t, tp)
-    if div == "power-bregman":
-        d1 = _need(args, "delta1", "--delta1")
-        d2 = _need(args, "delta2", "--delta2")
-        return True, lambda t, tp: power_mean_bregman(
-            g, d1, d2, _scalar(t, "--theta"), _scalar(tp, "--theta-prime"))
-    if div == "r-power-bregman":
-        r = _need(args, "r", "--r")
-        return True, lambda t, tp: r_power_bregman(
-            g, r, _scalar(t, "--theta"), _scalar(tp, "--theta-prime"))
-
-    fam = ExpFamily(g)
-    if div == "expfam-kl":
-        return True, lambda t, tp: expfam_kl(fam, t, tp)
-    if div == "expfam-cross-entropy":
-        return True, lambda t, tp: expfam_cross_entropy(fam, t, tp)
-    if div == "expfam-entropy":
-        return False, lambda t, tp: expfam_entropy(fam, t)
-    raise CliError(f"unknown divergence {div!r}")
-
-
-DIV_CHOICES = (
-    "qcvx-jensen", "qccv-jensen", "log-ratio", "ext-jensen", "mn-jensen",
-    "power-jensen", "bregman", "qcvx-bregman", "delta-qcvx-bregman",
-    "ext-bregman", "power-bregman", "r-power-bregman", "kl-nested-uniform",
-    "kl-power-nested", "expfam-kl", "expfam-entropy", "expfam-cross-entropy",
-)
+    return len(div.points) == 2, evaluate
 
 
 def _add_common_div_flags(p):
-    p.add_argument("--div", required=True, choices=DIV_CHOICES, metavar="DIV")
+    p.add_argument("--div", required=True, choices=DIVERGENCES, metavar="DIV")
     p.add_argument("--gen", help="generator spec, inline JSON or built-in name")
     p.add_argument("--gen-file", help="path to a JSON generator spec")
     p.add_argument("--alpha", type=float, help="skew parameter in (0,1)")
@@ -203,8 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
 
     p_limit = sub.add_parser("limit-study", help="run a dyadic convergence study")
-    p_limit.add_argument("--study", required=True,
-                         choices=("scaled-jensen", "power-jensen", "r-power-bregman"))
+    p_limit.add_argument("--study", required=True, choices=STUDIES)
     p_limit.add_argument("--gen", help="generator spec, inline JSON or built-in name")
     p_limit.add_argument("--gen-file", help="path to a JSON generator spec")
     p_limit.add_argument("--theta", required=True)
@@ -252,11 +253,7 @@ def cmd_limit_study(args) -> int:
     g = _load_generator(args)
     theta = _parse_vector(args.theta, "--theta")
     theta_p = _parse_vector(args.theta_prime, "--theta-prime")
-    run = {
-        "scaled-jensen": oracles.limit_scaled_jensen,
-        "power-jensen": oracles.limit_power_jensen,
-        "r-power-bregman": oracles.limit_r_power_bregman,
-    }[args.study]
+    run = getattr(oracles, "limit_" + args.study.replace("-", "_"))
     study = run(g, theta, theta_p, args.k_max)
     for row in study.csv_rows():
         print(row)

@@ -59,9 +59,9 @@ class ExtReal(float):
     """A finite real or +inf; never -inf, never NaN.
 
     Divergences use this as their codomain: +inf is an answer, not an error.
-    ``tie_sensitive`` is set by branch-based divergences when the two generator
-    values being compared were within 1e-12 relative of each other, i.e. the
-    result sits on the finite/infinite discontinuity.
+    ``tie_sensitive`` is set by branch-based divergences when the two values
+    being compared were within 1e-12 relative of each other, i.e. the result
+    sits on the finite/infinite discontinuity.
     """
 
     __slots__ = ("tie_sensitive",)
@@ -86,6 +86,14 @@ class ExtReal(float):
 
 
 POS_INF = ExtReal(math.inf)
+
+# The one tie policy for every branch-based divergence: a one-ulp perturbation
+# of either compared value can flip the finite/infinite branch within this band.
+_TIE_REL_TOL = 1e-12
+
+
+def _tie_sensitive(a: float, b: float) -> bool:
+    return abs(a - b) <= _TIE_REL_TOL * max(abs(a), abs(b))
 
 
 def as_vector(theta) -> Vector:
@@ -230,7 +238,9 @@ class Generator:
 
     ``declared_class`` and ``positive`` are claims, not certificates: the first
     is checkable by ``check_quasiconvex`` (refutation only), the second is
-    propagated conservatively by ``build_generator``.
+    propagated conservatively by ``build_generator``.  ``spec`` is the
+    canonical JSON text ``build_generator`` built it from (None otherwise);
+    ``build_generator(g.spec)`` rebuilds the same function.
     """
 
     dim: int
@@ -240,6 +250,7 @@ class Generator:
     declared_class: str = "unknown"
     positive: bool = False
     name: str = ""
+    spec: Optional[str] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -408,21 +419,33 @@ def build_generator(spec) -> Generator:
       {"negate": spec}
       {"separable": [spec, ...]}                1-D components only
     """
+    spec = _parse(spec)
     g, _ = _build(spec)
+    # Generator is frozen; g was just built and is not shared yet.
+    object.__setattr__(g, "spec", _canonical_json(spec))
     return g
 
 
-def _build(spec):
-    """Returns (generator, values_nonneg)."""
+# One encoder for every spec: json.dumps would build a new one per call.
+_canonical_json = json.JSONEncoder(sort_keys=True).encode
+
+
+def _parse(spec):
+    """JSON text to a dict, a bare name to {"name": name}; anything else as is."""
     if isinstance(spec, str):
         text = spec.strip()
         if text.startswith("{"):
             try:
-                spec = json.loads(text)
+                return json.loads(text)
             except json.JSONDecodeError as e:
                 raise SpecError(f"invalid generator spec JSON: {e}") from None
-        else:
-            spec = {"name": text}
+        return {"name": text}
+    return spec
+
+
+def _build(spec):
+    """Returns (generator, values_nonneg)."""
+    spec = _parse(spec)
     if not isinstance(spec, dict):
         raise SpecError(f"generator spec must be a dict or name, got {type(spec).__name__}")
 
@@ -505,15 +528,6 @@ def _build(spec):
         "sum(" + ",".join(g.name for g in comps) + ")",
     )
     return g, all(nn for _, nn in built)
-
-
-def separable_components(specs) -> list:
-    """Build the 1-D component generators of a separable family."""
-    comps = [build_generator(s) for s in specs]
-    for g in comps:
-        if g.dim != 1:
-            raise SpecError(f"component {g.name!r} must be 1-D")
-    return comps
 
 
 # --------------------------------------------------------------------------

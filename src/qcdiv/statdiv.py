@@ -16,6 +16,7 @@ from .core import (
     ExtReal,
     Generator,
     PreconditionError,
+    _tie_sensitive,
     as_vector,
     check_same_dim,
     eval_generator,
@@ -86,9 +87,10 @@ def kl_nested_uniform(theta: float, theta_p: float) -> ExtReal:
     """
     t = _validate_positive("theta", theta)
     tp = _validate_positive("theta_p", theta_p)
+    tie = _tie_sensitive(t, tp)
     if t <= tp:
-        return ExtReal(tp - t, tie_sensitive=(t == tp))
-    return ExtReal(math.inf)
+        return ExtReal(tp - t, tie_sensitive=tie)
+    return ExtReal(math.inf, tie_sensitive=tie)
 
 
 def kl_power_nested(alpha: float, theta: float, theta_p: float) -> ExtReal:
@@ -98,9 +100,10 @@ def kl_power_nested(alpha: float, theta: float, theta_p: float) -> ExtReal:
         raise ValueError(f"power family exponent alpha must be > 1, got {a}")
     t = _validate_positive("theta", theta)
     tp = _validate_positive("theta_p", theta_p)
+    tie = _tie_sensitive(t, tp)
     if t <= tp:
-        return ExtReal(a * (tp - t), tie_sensitive=(t == tp))
-    return ExtReal(math.inf)
+        return ExtReal(a * (tp - t), tie_sensitive=tie)
+    return ExtReal(math.inf, tie_sensitive=tie)
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from qcdiv.bregman import delta_averaged_qcvx_bregman, qcvx_bregman, qcvx_bregman_separable
+from qcdiv.bregman import delta_averaged_qcvx_bregman, qcvx_bregman
 from qcdiv.checks import run_suite
-from qcdiv.core import build_generator, separable_components
+from qcdiv.core import build_generator
 from qcdiv.jensen import qcvx_jensen
 from qcdiv.means import power_mean_jensen, r_power_bregman
 from qcdiv.oracles import (
@@ -127,12 +127,13 @@ def test_criterion_07_one_sided_infinity():
 
 def test_criterion_08_non_separability_witness():
     bad = []
-    comps = separable_components([{"name": "quadratic"}, {"name": "quadratic"}])
-    total = qcvx_bregman_separable(comps, (1.0, 0.0), (0.0, 2.0))
+    quad = build_generator("quadratic")
+    whole = build_generator({"separable": [{"name": "quadratic"}, {"name": "quadratic"}]})
+    total = qcvx_bregman(whole, (1.0, 0.0), (0.0, 2.0))
     if float(total) != 8.0:
         bad.append(("total", float(total)))
-    per_coord = [qcvx_bregman(c, (x,), (y,))
-                 for c, x, y in zip(comps, (1.0, 0.0), (0.0, 2.0))]
+    per_coord = [qcvx_bregman(quad, (x,), (y,))
+                 for x, y in zip((1.0, 0.0), (0.0, 2.0))]
     if not any(v.is_inf for v in per_coord):
         bad.append(("componentwise sum unexpectedly finite", [float(v) for v in per_coord]))
     report(8, "non-separability witness", bad)

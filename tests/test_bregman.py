@@ -10,14 +10,12 @@ from qcdiv.core import (
     bounded_box,
     build_generator,
     real_line,
-    separable_components,
 )
 from qcdiv.bregman import (
     bregman,
     delta_averaged_qcvx_bregman,
     extended_bregman,
     qcvx_bregman,
-    qcvx_bregman_separable,
 )
 from qcdiv.checks import sample_point, sweep_catalog
 
@@ -108,40 +106,29 @@ class TestQcvxBregman:
 
 
 class TestSeparable:
+    """qcvx_bregman of a {"separable": [...]} generator branches on the total value."""
+
+    QUAD2 = {"separable": [{"name": "quadratic"}, {"name": "quadratic"}]}
+
     def test_basic_value(self):
-        comps = separable_components([{"name": "quadratic"}, {"name": "quadratic"}])
-        assert float(qcvx_bregman_separable(comps, (0, 0), (1, 1))) == 4.0
+        whole = build_generator(self.QUAD2)
+        assert float(qcvx_bregman(whole, (0, 0), (1, 1))) == 4.0
 
     def test_total_branch_differs_from_componentwise_sum(self):
-        comps = separable_components([{"name": "quadratic"}, {"name": "quadratic"}])
-        total = qcvx_bregman_separable(comps, (1, 0), (0, 2))
+        total = qcvx_bregman(build_generator(self.QUAD2), (1, 0), (0, 2))
         assert float(total) == 8.0
-        per_coord = [qcvx_bregman(c, (x,), (y,))
-                     for c, x, y in zip(comps, (1, 0), (0, 2))]
+        quad = build_generator("quadratic")
+        per_coord = [qcvx_bregman(quad, (x,), (y,)) for x, y in zip((1, 0), (0, 2))]
         assert any(v.is_inf for v in per_coord)  # the naive sum would be inf
 
-    def test_matches_builtin_separable_generator(self):
-        comps = separable_components([{"name": "quadratic"}, {"name": "cubic"}])
-        whole = build_generator({"separable": [{"name": "quadratic"}, {"name": "cubic"}]})
-        rng = random.Random(53)
-        for _ in range(200):
-            t = (rng.uniform(-3, 3), rng.uniform(-3, 3))
-            tp = (rng.uniform(-3, 3), rng.uniform(-3, 3))
-            a = qcvx_bregman_separable(comps, t, tp)
-            b = qcvx_bregman(whole, t, tp)
-            if a.is_inf:
-                assert b.is_inf
-            else:
-                assert float(a) == pytest.approx(float(b), abs=1e-12)
-
     def test_identity_point(self):
-        comps = separable_components([{"name": "quadratic"}, {"name": "quadratic"}])
-        assert float(qcvx_bregman_separable(comps, (2, 3), (2, 3))) == 0.0
+        whole = build_generator(self.QUAD2)
+        assert float(qcvx_bregman(whole, (2, 3), (2, 3))) == 0.0
 
     def test_dimension_mismatch(self):
-        comps = separable_components([{"name": "quadratic"}])
+        whole = build_generator({"separable": [{"name": "quadratic"}]})
         with pytest.raises(DimensionError):
-            qcvx_bregman_separable(comps, (1, 2), (3, 4))
+            qcvx_bregman(whole, (1, 2), (3, 4))
 
 
 class TestDeltaAveraged:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -235,3 +236,44 @@ def test_box_violation_message():
     box = bounded_box((0, 1))
     assert box.violation((2.0,)) is not None
     assert box.violation((0.5,)) is None
+
+
+def readme_spec_examples():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Generator spec schema", 1)[1]
+    block = section.split("```json", 1)[1].split("```", 1)[0]
+    return [line.strip() for line in block.splitlines() if line.strip()]
+
+
+SPEC_CASES = [(s, bounded_box(*[(0.5, 3.0)] * build_generator(s).dim))
+              for s in readme_spec_examples()]
+SPEC_CASES += [(case.generator.spec, case.box) for case in sweep_catalog()]
+
+
+class TestSpecRoundTrip:
+    @pytest.mark.parametrize("spec,box", SPEC_CASES, ids=lambda v: str(v)[:40])
+    def test_spec_rebuilds_the_generator(self, spec, box):
+        g = build_generator(spec)
+        again = build_generator(g.spec)
+        for field in ("name", "dim", "domain", "declared_class", "positive"):
+            assert getattr(again, field) == getattr(g, field)
+        rng = random.Random(11)
+        for _ in range(20):
+            t = sample_point(rng, box)
+            assert again.eval(t) == g.eval(t)
+        assert again.spec == g.spec  # canonical text is a fixed point
+
+    def test_canonical_text(self):
+        assert len(SPEC_CASES) >= 6 + len(sweep_catalog())
+        assert build_generator(" log ").spec == '{"name": "log"}'
+        assert build_generator({"negate": "log"}).spec == '{"negate": "log"}'
+        assert build_generator('{"d": 2, "c": 1, "name": "linear-fractional"}').spec == (
+            '{"c": 1, "d": 2, "name": "linear-fractional"}')
+
+    def test_spec_nests_as_text(self):
+        g = build_generator({"name": "neg-gauss", "dim": 2})
+        neg = build_generator({"negate": g.spec})
+        assert neg.dim == 2 and neg((0.5, 1.0)) == -g((0.5, 1.0))
+
+    def test_direct_construction_has_no_spec(self):
+        assert Generator(1, lambda t: t[0], Box((Interval(),))).spec is None

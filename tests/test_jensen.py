@@ -5,7 +5,7 @@ import pytest
 
 from qcdiv.core import GeneratorClassWarning, NonPositiveError, build_generator
 from qcdiv.jensen import extended_jensen, log_ratio_gap, qccv_jensen, qcvx_jensen
-from qcdiv.checks import sample_point, sweep_catalog, _spec_of
+from qcdiv.checks import sample_point, sweep_catalog
 
 
 def test_qcvx_jensen_cubic_inflection_example():
@@ -37,7 +37,7 @@ def test_qccv_jensen_identity_point():
 def test_qccv_equals_qcvx_of_negation():
     rng = random.Random(5)
     for case in sweep_catalog():
-        neg = build_generator({"negate": _spec_of(case.generator)})
+        neg = build_generator({"negate": case.generator.spec})
         for _ in range(200):
             t = sample_point(rng, case.box)
             tp = sample_point(rng, case.box)
@@ -133,7 +133,7 @@ def test_affine_scaling():
         for a in (0.5, 2.0, 10.0):
             for b in (-3.0, 0.0, 7.0):
                 wrapped = build_generator(
-                    {"affine": {"a": a, "b": b, "inner": _spec_of(case.generator)}}
+                    {"affine": {"a": a, "b": b, "inner": case.generator.spec}}
                 )
                 for _ in range(20):
                     t = sample_point(rng, case.box)

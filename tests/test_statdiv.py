@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -183,3 +184,20 @@ class TestQcvxBregmanFromKl:
             lhs = float(qcvx_bregman_from_kl(fam, t, tp))
             rhs = float(qcvx_bregman(fam.F, tp, t))
             assert abs(lhs - rhs) <= 1e-10 * (1 + abs(rhs))
+
+
+class TestTiePolicy:
+    """The KL closed forms flag ties exactly as identity-generator qcvx_bregman does."""
+
+    @pytest.mark.parametrize("k", list(range(9)) + [10**6])
+    def test_near_tie_flags_match_qcvx_bregman(self, k):
+        lin = build_generator("linear")
+        rng = random.Random(100 + k)
+        for _ in range(200):
+            t = rng.uniform(0.1, 4.0)
+            tp = t * (1.0 + k * sys.float_info.epsilon)
+            for a, b in ((t, tp), (tp, t)):
+                expected = qcvx_bregman(lin, a, b).tie_sensitive
+                assert expected == (k < 10**6)
+                assert kl_nested_uniform(a, b).tie_sensitive == expected
+                assert kl_power_nested(2.5, a, b).tie_sensitive == expected

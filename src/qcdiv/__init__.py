@@ -62,6 +62,7 @@ from .statdiv import (
 from .oracles import (
     InfiniteIntegrandError,
     LimitStudy,
+    NonConvergenceError,
     QuadratureResult,
     integrate,
     integrate_delta_average,
@@ -88,6 +89,7 @@ __all__ = [
     "LimitStudy",
     "MeanSpec",
     "NestedUniform",
+    "NonConvergenceError",
     "NonPositiveError",
     "POS_INF",
     "PowerNested",

@@ -10,7 +10,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .core import Box, Generator, bounded_box, build_generator
+from .core import Box, ExtReal, Generator, bounded_box, build_generator
 from .jensen import extended_jensen, qccv_jensen, qcvx_jensen
 from .bregman import delta_averaged_qcvx_bregman, qcvx_bregman
 from .means import MeanSpec, mn_jensen, weighted_mean
@@ -25,7 +25,7 @@ from .statdiv import (
     kl_power_nested,
     qcvx_bregman_from_kl,
 )
-from .oracles import integrate, kl_quadrature
+from .oracles import NonConvergenceError, integrate, kl_quadrature
 
 MAX_WITNESSES = 50
 
@@ -292,6 +292,14 @@ def suite_delta_positivity(samples: int, seed: int) -> SuiteResult:
     return res
 
 
+def _kl_quadrature_or_error(p, q):
+    """kl_quadrature(p, q), or the NonConvergenceError it raised, for a check to fail on."""
+    try:
+        return kl_quadrature(p, q)
+    except NonConvergenceError as e:
+        return e
+
+
 def suite_kl_quadrature(samples: int, seed: int) -> SuiteResult:
     """Closed-form nested-family KL against numeric quadrature, plus normalization."""
     res = SuiteResult("kl-quadrature")
@@ -301,9 +309,9 @@ def suite_kl_quadrature(samples: int, seed: int) -> SuiteResult:
         t, tp = min(a, b), max(a, b)
         p, q = NestedUniform(t), NestedUniform(tp)
         closed = kl_nested_uniform(t, tp)
-        quad = kl_quadrature(p, q)
+        quad = _kl_quadrature_or_error(p, q)
         res.check(
-            abs(float(quad) - float(closed)) <= 1e-6,
+            isinstance(quad, ExtReal) and abs(float(quad) - float(closed)) <= 1e-6,
             lambda: f"kl-uniform: t={t} tp={tp}: closed={closed} quad={quad}",
         )
         if t != tp:
@@ -311,11 +319,10 @@ def suite_kl_quadrature(samples: int, seed: int) -> SuiteResult:
                 kl_quadrature(q, p).is_inf and kl_nested_uniform(tp, t).is_inf,
                 lambda: f"kl-uniform-reverse not inf: t={t} tp={tp}",
             )
-        lo, hi = p.support()
-        mass = integrate(p.pdf, lo, hi).value
+        mass = integrate(p.pdf, *p.support())
         res.check(
-            abs(mass - 1.0) <= 1e-10,
-            lambda: f"uniform normalization: theta={t}: {mass}",
+            mass.converged and abs(mass.value - 1.0) <= 1e-10,
+            lambda: f"uniform normalization: theta={t}: {mass.value} converged={mass.converged}",
         )
 
     for _ in range(samples):
@@ -324,9 +331,9 @@ def suite_kl_quadrature(samples: int, seed: int) -> SuiteResult:
         t, tp = min(a, b), max(a, b)
         p, q = PowerNested(alpha, t), PowerNested(alpha, tp)
         closed = kl_power_nested(alpha, t, tp)
-        quad = kl_quadrature(p, q)
+        quad = _kl_quadrature_or_error(p, q)
         res.check(
-            abs(float(quad) - float(closed)) <= 1e-6,
+            isinstance(quad, ExtReal) and abs(float(quad) - float(closed)) <= 1e-6,
             lambda: f"kl-power: alpha={alpha} t={t} tp={tp}: closed={closed} quad={quad}",
         )
         if t != tp:
@@ -334,11 +341,11 @@ def suite_kl_quadrature(samples: int, seed: int) -> SuiteResult:
                 kl_quadrature(q, p).is_inf and kl_power_nested(alpha, tp, t).is_inf,
                 lambda: f"kl-power-reverse not inf: alpha={alpha} t={t} tp={tp}",
             )
-        lo, hi = p.support()
-        mass = integrate(p.pdf, lo, hi).value
+        mass = integrate(p.pdf, *p.support())
         res.check(
-            abs(mass - 1.0) <= 1e-10,
-            lambda: f"power normalization: alpha={alpha} theta={t}: {mass}",
+            mass.converged and abs(mass.value - 1.0) <= 1e-10,
+            lambda: f"power normalization: alpha={alpha} theta={t}: {mass.value} "
+                    f"converged={mass.converged}",
         )
     return res
 

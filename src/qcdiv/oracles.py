@@ -10,10 +10,10 @@ since the closed forms themselves are the targets.
 
 from __future__ import annotations
 
+import heapq
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy.polynomial.legendre as _leg
 
 from .core import ExtReal, Generator, PreconditionError, as_vector, eval_generator
 # A private alias keeps this precondition check in the oracles layer of the
@@ -22,10 +22,41 @@ from .bregman import qcvx_bregman, validate_ratio as _validate_ratio
 from .jensen import qcvx_jensen
 from .means import power_mean_jensen, r_power_bregman
 
-_nodes, _weights = _leg.leggauss(15)
-GL15_NODES = tuple(float(x) for x in _nodes)
-GL15_WEIGHTS = tuple(float(w) for w in _weights)
-del _nodes, _weights
+# The QUADPACK qk15 rule (Piessens et al., QUADPACK, 1983) on [-1, 1]: 15 Kronrod
+# abscissae in increasing order with their weights, and the weights of the
+# embedded 7-point Gauss rule, whose abscissae are GK15_NODES[1::2].
+GK15_NODES = (
+    -0.991455371120812639206854697526329, -0.949107912342758524526189684047851,
+    -0.864864423359769072789712788640926, -0.741531185599394439863864773280788,
+    -0.586087235467691130294144845693013, -0.405845151377397166906606412076961,
+    -0.207784955007898467600689403773245, 0.0,
+    0.207784955007898467600689403773245, 0.405845151377397166906606412076961,
+    0.586087235467691130294144845693013, 0.741531185599394439863864773280788,
+    0.864864423359769072789712788640926, 0.949107912342758524526189684047851,
+    0.991455371120812639206854697526329,
+)
+GK15_WEIGHTS = (
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+    0.204432940075298892414161999234649, 0.190350578064785409913256402421014,
+    0.169004726639267902826583426598550, 0.140653259715525918745189590510238,
+    0.104790010322250183839876322541518, 0.063092092629978553290700663189204,
+    0.022935322010529224963732008058970,
+)
+G7_WEIGHTS = (
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
+    0.381830050505118944950369775488975, 0.279705391489276667901467771423780,
+    0.129484966168869693270611432679082,
+)
+
+# A panel whose error estimate is within this multiple of its absolute mass
+# (the K15 value of |f|) is at the rounding floor: splitting it further only
+# resamples rounding noise.  QUADPACK's qk15 floors its estimate at the same
+# 50 * epsilon times that mass.
+_ROUNDING_FLOOR = 50.0 * sys.float_info.epsilon
 
 # A finite run cannot witness +inf; a value past this many multiples of the
 # problem scale counts as an unbounded trend.
@@ -34,47 +65,90 @@ UNBOUNDED_FACTOR = 1e6
 
 @dataclass(frozen=True)
 class QuadratureResult:
+    """``value`` with the summed panel error estimate ``error_bound``.
+
+    ``panels`` counts the leaf panels summed into ``value``; ``converged``
+    says whether ``error_bound`` met the requested ``abs_tol``.
+    """
+
     value: float
     error_bound: float
     panels: int
+    converged: bool
 
 
-def _gl15(f, a: float, b: float) -> float:
+def _gk15(f, a: float, b: float):
+    """(K15 value, |K15 - G7|, K15 value of |f|) of one panel; 15 calls of f."""
     h = 0.5 * (b - a)
     c = 0.5 * (a + b)
-    return h * math.fsum(w * f(c + h * x) for x, w in zip(GL15_NODES, GL15_WEIGHTS))
+    ys = [f(c + h * x) for x in GK15_NODES]
+    k15 = math.fsum(w * y for w, y in zip(GK15_WEIGHTS, ys))
+    g7 = math.fsum(w * y for w, y in zip(G7_WEIGHTS, ys[1::2]))
+    mass = math.fsum(w * abs(y) for w, y in zip(GK15_WEIGHTS, ys))
+    return h * k15, abs(h * (k15 - g7)), h * mass
 
 
 def integrate(f, a: float, b: float, abs_tol: float = 1e-10,
               max_depth: int = 40) -> QuadratureResult:
-    """Adaptive quadrature of f on [a, b] by recursive interval bisection.
+    """Globally adaptive Gauss-Kronrod (G7/K15) quadrature of f on [a, b].
 
-    Each panel uses a fixed 15-point Gauss-Legendre rule; a panel is split
-    until the whole-vs-halves difference drops below its share of abs_tol or
-    the depth cap is hit.  Nodes are strictly interior, so integrands that are
-    singular exactly at an endpoint (e.g. log x at 0) are never evaluated there.
+    Each panel costs 15 calls of f; its value is the Kronrod estimate and its
+    error estimate |K15 - G7|.  The panel with the largest estimate is bisected
+    until the estimates sum to at most ``abs_tol``.  A panel is final, never
+    split, once it has been bisected ``max_depth + 1`` times, i.e. its width is
+    (b - a) / 2^(max_depth + 1), or once its estimate is at the rounding floor.
+    Splitting also stops when the final panels' estimates alone exceed
+    ``abs_tol``, since no further split can then meet it.  So the work stays
+    bounded when ``abs_tol`` cannot be met, and ``converged`` reads False.
+
+    ``panels`` counts the leaf panels summed into ``value``.  Nodes are
+    strictly interior, so integrands that are singular exactly at an endpoint
+    (e.g. log x at 0) are never evaluated there.
     """
     if not a < b:
         raise ValueError(f"integration interval is empty: [{a}, {b}]")
-    value, err, panels = _adaptive(f, a, b, float(abs_tol), 0, int(max_depth))
-    return QuadratureResult(value, err, panels)
+    tol = float(abs_tol)
+    finest = int(max_depth) + 1
+    final = []  # (value, error) of panels that are never split
+    heap = []  # (-error, lo, hi, depth, value) of panels that may be split
 
+    def add(lo, hi, depth):
+        nonlocal final_err
+        value, err, mass = _gk15(f, lo, hi)
+        if depth >= finest or err <= _ROUNDING_FLOOR * mass:
+            final.append((value, err))
+            final_err += err
+        else:
+            heapq.heappush(heap, (-err, lo, hi, depth, value))
+        return err
 
-def _adaptive(f, a, b, tol, depth, max_depth):
-    whole = _gl15(f, a, b)
-    mid = 0.5 * (a + b)
-    left = _gl15(f, a, mid)
-    right = _gl15(f, mid, b)
-    diff = abs(whole - (left + right))
-    if diff <= tol or depth >= max_depth:
-        return left + right, diff, 2
-    lv, le, lp = _adaptive(f, a, mid, 0.5 * tol, depth + 1, max_depth)
-    rv, re, rp = _adaptive(f, mid, b, 0.5 * tol, depth + 1, max_depth)
-    return lv + rv, le + re, lp + rp
+    final_err = 0.0
+    total = add(a, b, 0)
+    while heap and final_err <= tol < total:
+        neg_err, lo, hi, depth, _ = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        total += add(lo, mid, depth + 1) + add(mid, hi, depth + 1) + neg_err
+    panels = final + [(p[4], -p[0]) for p in heap]
+    error_bound = math.fsum(e for _, e in panels)
+    return QuadratureResult(math.fsum(v for v, _ in panels), error_bound, len(panels),
+                            error_bound <= tol)
 
 
 class InfiniteIntegrandError(RuntimeError):
     """The pseudo-divergence hit its infinite branch inside the averaging range."""
+
+
+class NonConvergenceError(RuntimeError):
+    """The quadrature's error estimate did not reach the requested tolerance."""
+
+
+def _converged_value(result: QuadratureResult, what: str) -> float:
+    if not result.converged:
+        raise NonConvergenceError(
+            f"{what}: error estimate {result.error_bound:.3g} over "
+            f"{result.panels} panels misses the tolerance"
+        )
+    return result.value
 
 
 def integrate_delta_average(Q: Generator, theta: float, theta_p: float,
@@ -84,7 +158,8 @@ def integrate_delta_average(Q: Generator, theta: float, theta_p: float,
     Averages qcvx_bregman(theta+u : theta_p+u) over u between 0 and
     delta*(theta_p - theta) and must match the closed form for differentiable
     Q.  An infinite integrand value anywhere in the range contradicts the
-    nestedness of the shifted sublevel values and is reported, not averaged.
+    nestedness of the shifted sublevel values and is reported, not averaged;
+    an integral that misses abs_tol 1e-10 raises NonConvergenceError.
     """
     d = _validate_ratio(delta)
     t, tp = as_vector(theta), as_vector(theta_p)
@@ -112,7 +187,7 @@ def integrate_delta_average(Q: Generator, theta: float, theta_p: float,
 
     lo, hi = (0.0, span) if span > 0.0 else (span, 0.0)
     result = integrate(pointwise, lo, hi, abs_tol=1e-10)
-    return result.value / abs(span)
+    return _converged_value(result, "delta-average quadrature") / abs(span)
 
 
 def kl_quadrature(p, q, abs_tol: float = 1e-10) -> ExtReal:
@@ -120,7 +195,8 @@ def kl_quadrature(p, q, abs_tol: float = 1e-10) -> ExtReal:
 
     Integrates p(x) * (log p(x) - log q(x)) over supp(p) when supp(p) is
     contained in supp(q), else +inf.  Replaces the computer-algebra check of
-    the nested-family closed forms.
+    the nested-family closed forms.  Raises NonConvergenceError when the
+    integral misses ``abs_tol``.
     """
     plo, phi = p.support()
     qlo, qhi = q.support()
@@ -130,7 +206,7 @@ def kl_quadrature(p, q, abs_tol: float = 1e-10) -> ExtReal:
     def integrand(x: float) -> float:
         return p.pdf(x) * (p.log_pdf(x) - q.log_pdf(x))
 
-    return ExtReal(integrate(integrand, plo, phi, abs_tol=abs_tol).value)
+    return ExtReal(_converged_value(integrate(integrand, plo, phi, abs_tol=abs_tol), "KL quadrature"))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,9 @@ from qcdiv.core import PreconditionError, build_generator
 from qcdiv.bregman import delta_averaged_qcvx_bregman
 from qcdiv.jensen import qcvx_jensen
 from qcdiv.oracles import (
+    G7_WEIGHTS,
+    GK15_NODES,
+    GK15_WEIGHTS,
     InfiniteIntegrandError,
     integrate,
     integrate_delta_average,
@@ -40,6 +43,86 @@ class TestIntegrate:
         loose = integrate(f, -2, 2, abs_tol=1e-8)
         tight = integrate(f, -2, 2, abs_tol=5e-9)
         assert abs(loose.value - tight.value) <= max(loose.error_bound, 1e-14)
+
+
+class TestGaussKronrodConstants:
+    @staticmethod
+    def rule(nodes, weights, k):
+        return math.fsum(w * x**k for x, w in zip(nodes, weights))
+
+    @pytest.mark.parametrize("k", range(23))
+    def test_monomials_exact_on_reference_interval(self, k):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(self.rule(GK15_NODES, GK15_WEIGHTS, k) - exact) <= 1e-15
+        if k <= 13:
+            assert abs(self.rule(GK15_NODES[1::2], G7_WEIGHTS, k) - exact) <= 1e-15
+
+    def test_kronrod_degree_is_sharp(self):
+        # x^24 is past degree 3*7+1 = 22, so the check above can see a wrong table.
+        assert abs(self.rule(GK15_NODES, GK15_WEIGHTS, 24) - 2.0 / 25) > 1e-12
+        assert abs(self.rule(GK15_NODES[1::2], G7_WEIGHTS, 14) - 2.0 / 15) > 1e-6
+
+    def test_layout(self):
+        assert len(GK15_NODES) == len(GK15_WEIGHTS) == 15 and len(G7_WEIGHTS) == 7
+        assert list(GK15_NODES) == sorted(GK15_NODES) and -1.0 < GK15_NODES[0]
+        for i in range(15):
+            assert GK15_NODES[i] == -GK15_NODES[14 - i]
+            assert GK15_WEIGHTS[i] == GK15_WEIGHTS[14 - i]
+        assert G7_WEIGHTS == G7_WEIGHTS[::-1]
+        assert GK15_NODES[7] == 0.0
+        assert math.fsum(GK15_WEIGHTS) == pytest.approx(2.0, abs=1e-15)
+        assert math.fsum(G7_WEIGHTS) == pytest.approx(2.0, abs=1e-15)
+
+
+class TestConvergenceFlag:
+    def cases(self, rng):
+        """(label, f, a, b, exact) over x^s, log x and exp(-x^2) cos 3x."""
+        for k in range(30):
+            s = -0.9 + 0.1 * k
+            b = rng.uniform(0.5, 3.0)
+            yield f"x^{s:.1f}", (lambda x, s=s: x**s), 0.0, b, b ** (s + 1) / (s + 1)
+        for _ in range(5):
+            b = rng.uniform(0.5, 3.0)
+            yield "log", math.log, 0.0, b, b * math.log(b) - b
+        # The tails past |x| = 8 are below exp(-64).
+        yield ("gauss-cos", lambda x: math.exp(-x * x) * math.cos(3 * x), -8.0, 8.0,
+               math.sqrt(math.pi) * math.exp(-2.25))
+
+    def test_converged_implies_within_tolerance(self):
+        rng = random.Random(1909)
+        converged = 0
+        for label, f, a, b, exact in self.cases(rng):
+            for tol in (1e-6, 1e-8, 1e-10, 1e-12):
+                r = integrate(f, a, b, abs_tol=tol)
+                assert r.converged == (r.error_bound <= tol), (label, tol)
+                if r.converged:
+                    converged += 1
+                    assert abs(r.value - exact) <= tol, (label, b, tol, r)
+        assert converged >= 100
+
+    def test_strong_singularity_reports_no_convergence(self):
+        # x^-0.35 is at the edge of what a panel of width 2^-41 at the
+        # singularity resolves to 1e-10: its estimate must say it missed.
+        r = integrate(lambda x: x**-0.35, 0.0, 1.0, abs_tol=1e-10)
+        assert not r.converged
+        assert r.error_bound > 1e-10
+        # Splitting stops once the finest panel at 0 alone misses abs_tol:
+        # one bisection per level, so at most max_depth + 2 leaves.
+        assert r.panels <= 40 + 2
+
+    def test_work_stays_bounded_at_the_rounding_floor(self):
+        # |f| ~ 1e9 puts the rounding floor near 1e-6, far above abs_tol; the
+        # panels still stop splitting long before max_depth.
+        r = integrate(lambda x: 1e9 * (1.0 + math.sin(x)), -2.0, 2.3)
+        assert r.panels <= 100
+        assert r.converged == (r.error_bound <= 1e-10)
+        exact = 1e9 * (4.3 + math.cos(-2.0) - math.cos(2.3))
+        assert abs(r.value - exact) <= 1e-12 * exact
+
+    def test_max_depth_caps_the_finest_panel(self):
+        r = integrate(lambda x: x**-0.9, 0.0, 1.0, max_depth=3)
+        assert not r.converged
+        assert r.panels <= 2**4
 
 
 class TestIntegrateDeltaAverage:

@@ -19,30 +19,24 @@ from .core import (
     DomainError,
     ExtReal,
     Generator,
+    _eval,
+    _gradient,
+    _points,
     _tie_sensitive,
-    as_vector,
-    check_same_dim,
-    eval_generator,
-    gradient,
+    _values,
 )
-
-
-def _values(F: Generator, theta, theta_p):
-    """Coerce both points, check their dimensions and evaluate F at each."""
-    t, tp = as_vector(theta), as_vector(theta_p)
-    check_same_dim(t, tp)
-    return t, tp, eval_generator(F, t), eval_generator(F, tp)
 
 
 def _linear_term(F: Generator, t, tp) -> float:
     """<theta - theta_p, grad F(theta_p)>."""
-    g = gradient(F, tp)
+    g = _gradient(F, tp)
     return sum((x - y) * gi for x, y, gi in zip(t, tp, g))
 
 
 def _branch(Q: Generator, theta, theta_p, finite) -> ExtReal:
     """+inf when Q(theta) > Q(theta_p), else ``finite(t, tp, qt, qtp)``."""
-    t, tp, qt, qtp = _values(Q, theta, theta_p)
+    t, tp = _points(theta, theta_p)
+    qt, qtp = _values(Q, t, tp)
     tie = _tie_sensitive(qt, qtp)
     if qt > qtp:
         return ExtReal(math.inf, tie_sensitive=tie)
@@ -51,7 +45,8 @@ def _branch(Q: Generator, theta, theta_p, finite) -> ExtReal:
 
 def bregman(F: Generator, theta, theta_p) -> float:
     """F(theta) - F(theta_p) - <theta - theta_p, grad F(theta_p)>."""
-    t, tp, ft, ftp = _values(F, theta, theta_p)
+    t, tp = _points(theta, theta_p)
+    ft, ftp = _values(F, t, tp)
     return ft - ftp - _linear_term(F, t, tp)
 
 
@@ -93,7 +88,7 @@ def delta_averaged_qcvx_bregman(Q: Generator, theta, theta_p, delta: float) -> E
                 f"delta-averaging needs the domain of {Q.name or 'generator'} to "
                 f"cover the extrapolated point {extrap}: {problem}"
             )
-        return (eval_generator(Q, extrap) - qtp) / d
+        return (_eval(Q, extrap) - qtp) / d
 
     return _branch(Q, theta, theta_p, finite)
 

@@ -298,10 +298,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return command(args)
-    except CliError as e:
-        print(f"qcdiv: error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as e:
+    except (CliError, ValueError, KeyError, OSError, ArithmeticError) as e:
         print(f"qcdiv: error: {e}", file=sys.stderr)
         return 2
 

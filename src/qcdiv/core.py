@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import random
 import sys
 from dataclasses import dataclass
@@ -97,33 +98,44 @@ def _tie_sensitive(a: float, b: float) -> bool:
 
 
 def as_vector(theta) -> Vector:
-    """Coerce a real or a sequence of reals to a finite coordinate tuple."""
-    if isinstance(theta, (int, float)):
+    """Coerce a ``numbers.Real`` or a sequence of reals to a finite coordinate tuple."""
+    # ints, floats and tuples are decided before the slower ABC check.
+    if isinstance(theta, (int, float)) or (
+        type(theta) is not tuple and isinstance(theta, numbers.Real)
+    ):
         coords = (float(theta),)
     else:
-        coords = tuple(float(c) for c in theta)
+        coords = tuple(map(float, theta))
     if not coords:
         raise DimensionError("parameter vector must have at least one coordinate")
-    for i, c in enumerate(coords):
-        if not math.isfinite(c):
-            raise DomainError(f"coordinate {i} is not finite: {c!r}")
+    _check_finite(coords)
     return coords
 
 
-def check_same_dim(theta: Vector, theta_p: Vector) -> None:
-    if len(theta) != len(theta_p):
-        raise DimensionError(
-            f"dimension mismatch: {len(theta)} vs {len(theta_p)}"
-        )
+def _check_finite(coords: Vector) -> None:
+    if not all(map(math.isfinite, coords)):
+        i = next(i for i, c in enumerate(coords) if not math.isfinite(c))
+        raise DomainError(f"coordinate {i} is not finite: {coords[i]!r}")
+
+
+def _points(theta, theta_p):
+    """Coerce both points and check that their dimensions agree."""
+    t, tp = as_vector(theta), as_vector(theta_p)
+    if len(t) != len(tp):
+        raise DimensionError(f"dimension mismatch: {len(t)} vs {len(tp)}")
+    return t, tp
 
 
 def interpolate(theta, theta_p, alpha: float) -> Vector:
     """Weighted linear interpolation (1-alpha)*theta + alpha*theta_p."""
-    t, tp = as_vector(theta), as_vector(theta_p)
-    check_same_dim(t, tp)
+    t, tp = _points(theta, theta_p)
     a = float(alpha)
     if not 0.0 <= a <= 1.0:
         raise ValueError(f"interpolation weight must be in [0, 1], got {a}")
+    return _lerp(t, tp, a)
+
+
+def _lerp(t: Vector, tp: Vector, a: float) -> Vector:
     return tuple((1.0 - a) * x + a * y for x, y in zip(t, tp))
 
 
@@ -184,6 +196,8 @@ class Box:
         object.__setattr__(self, "intervals", tuple(self.intervals))
         if not self.intervals:
             raise ValueError("box needs at least one dimension")
+        # Plain bounds for the interior test every generator evaluation runs.
+        object.__setattr__(self, "_bounds", tuple((iv.lower, iv.upper) for iv in self.intervals))
 
     @property
     def dim(self) -> int:
@@ -193,7 +207,11 @@ class Box:
         return all(iv.contains(x) for iv, x in zip(self.intervals, theta))
 
     def contains_interior(self, theta: Vector) -> bool:
-        return all(iv.contains_interior(x) for iv, x in zip(self.intervals, theta))
+        # Strictly between the bounds also means finite.
+        for (lo, hi), x in zip(self._bounds, theta):
+            if not lo < x < hi:
+                return False
+        return True
 
     def contains_box(self, other: "Box") -> bool:
         return self.dim == other.dim and all(
@@ -206,6 +224,8 @@ class Box:
 
     def violation(self, theta: Vector) -> Optional[str]:
         """Describe the first out-of-bounds coordinate, or None."""
+        if self.contains_interior(theta):
+            return None
         for i, (iv, x) in enumerate(zip(self.intervals, theta)):
             if not iv.contains(x):
                 return f"coordinate {i} value {x} outside {iv}"
@@ -269,19 +289,8 @@ class Generator:
 def eval_generator(g: Generator, theta) -> float:
     """Evaluate g at theta with domain checking; the value must be finite."""
     t = as_vector(theta)
-    if len(t) != g.dim:
-        raise DimensionError(
-            f"generator {g.name or '?'} has dimension {g.dim}, point has {len(t)}"
-        )
-    problem = g.domain.violation(t)
-    if problem is not None:
-        raise DomainError(f"{g.name or 'generator'}: {problem}")
-    value = float(g.eval(t))
-    if not math.isfinite(value):
-        raise DomainError(
-            f"{g.name or 'generator'} evaluated to non-finite value {value} at {t}"
-        )
-    return value
+    _check_dim(g, t)
+    return _eval(g, t)
 
 
 def gradient(g: Generator, theta) -> Vector:
@@ -292,16 +301,52 @@ def gradient(g: Generator, theta) -> Vector:
     attempted.
     """
     t = as_vector(theta)
+    _check_dim(g, t)
+    return _gradient(g, t)
+
+
+# The kernels below take coordinate tuples of the generator's dimension and do
+# not coerce: public functions validate their points once, then call these.
+
+
+def _check_dim(g: Generator, t: Vector) -> None:
     if len(t) != g.dim:
         raise DimensionError(
             f"generator {g.name or '?'} has dimension {g.dim}, point has {len(t)}"
         )
+
+
+def _values(g: Generator, t: Vector, tp: Vector):
+    """(g(t), g(tp)) at two coerced points of one dimension."""
+    _check_dim(g, t)
+    return _eval(g, t), _eval(g, tp)
+
+
+def _eval(g: Generator, t: Vector) -> float:
+    """g at t, which must lie in the domain and give a finite value."""
+    # A strictly interior point is finite; any other point, such as a derived
+    # point that overflowed, gets the coordinate check of as_vector first.
+    domain = g.domain
+    if not domain.contains_interior(t):
+        _check_finite(t)
+        problem = domain.violation(t)
+        if problem is not None:
+            raise DomainError(f"{g.name or 'generator'}: {problem}")
+    value = float(g.eval(t))
+    if not math.isfinite(value):
+        raise DomainError(
+            f"{g.name or 'generator'} evaluated to non-finite value {value} at {t}"
+        )
+    return value
+
+
+def _gradient(g: Generator, t: Vector) -> Vector:
     if not g.domain.contains_interior(t):
         raise GradientError(
             f"gradient of {g.name or 'generator'} requires an interior point, got {t}"
         )
     if g.grad is not None:
-        return tuple(float(c) for c in g.grad(t))
+        return tuple(map(float, g.grad(t)))
     out = []
     for i, x in enumerate(t):
         h = FD_STEP * max(1.0, abs(x))

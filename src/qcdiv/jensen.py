@@ -10,15 +10,8 @@ from __future__ import annotations
 import math
 import warnings
 
-from .core import (
-    Generator,
-    GeneratorClassWarning,
-    NonPositiveError,
-    as_vector,
-    check_same_dim,
-    eval_generator,
-    interpolate,
-)
+from .core import (Generator, GeneratorClassWarning, NonPositiveError, _eval, _lerp,
+                   _points, _values)
 
 
 def validate_skew(alpha: float) -> float:
@@ -30,12 +23,9 @@ def validate_skew(alpha: float) -> float:
 
 
 def _three_values(Q: Generator, theta, theta_p, alpha: float):
-    t, tp = as_vector(theta), as_vector(theta_p)
-    check_same_dim(t, tp)
-    qt = eval_generator(Q, t)
-    qtp = eval_generator(Q, tp)
-    qmid = eval_generator(Q, interpolate(t, tp, alpha))
-    return qt, qtp, qmid
+    t, tp = _points(theta, theta_p)
+    qt, qtp = _values(Q, t, tp)
+    return qt, qtp, _eval(Q, _lerp(t, tp, alpha))
 
 
 def qcvx_jensen(Q: Generator, theta, theta_p, alpha: float) -> float:

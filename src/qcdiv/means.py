@@ -16,11 +16,11 @@ from .core import (
     ExtReal,
     Generator,
     NonPositiveError,
-    as_vector,
-    check_same_dim,
-    eval_generator,
-    gradient,
-    interpolate,
+    _eval,
+    _gradient,
+    _lerp,
+    _points,
+    _values,
 )
 
 _LOG_MAX = math.log(sys.float_info.max)  # ~709.78, the overflow threshold
@@ -144,8 +144,8 @@ def weighted_mean(spec: MeanSpec, x: float, y: float, alpha: float) -> float:
     if spec.kind == "power":
         value = _power_mean(x, y, a, spec.delta)
     else:
-        fx = eval_generator(spec.f, (x,))
-        fy = eval_generator(spec.f, (y,))
+        fx = _eval(spec.f, (x,))
+        fy = _eval(spec.f, (y,))
         value = _qa_inverse(spec.f, (1.0 - a) * fx + a * fy, lo, hi)
     return min(max(value, lo), hi)
 
@@ -158,20 +158,18 @@ def mn_jensen(F: Generator, M: MeanSpec, N: MeanSpec, alpha: float,
     defined on reals only, so they require 1-D parameters; the arithmetic M
     works coordinatewise in any dimension.
     """
-    t, tp = as_vector(theta), as_vector(theta_p)
-    check_same_dim(t, tp)
+    t, tp = _points(theta, theta_p)
     a = _validate_weight(alpha)
     if M.kind != "arithmetic" and len(t) != 1:
         raise DimensionError(
             f"non-arithmetic argument mean {M.kind!r} requires 1-D parameters"
         )
-    ft = eval_generator(F, t)
-    ftp = eval_generator(F, tp)
+    ft, ftp = _values(F, t, tp)
     if M.kind == "arithmetic":
-        mpoint = interpolate(t, tp, a)
+        mpoint = _lerp(t, tp, a)
     else:
         mpoint = (weighted_mean(M, t[0], tp[0], a),)
-    return weighted_mean(N, ft, ftp, a) - eval_generator(F, mpoint)
+    return weighted_mean(N, ft, ftp, a) - _eval(F, mpoint)
 
 
 def power_mean_jensen(F: Generator, delta: float, alpha: float,
@@ -181,18 +179,14 @@ def power_mean_jensen(F: Generator, delta: float, alpha: float,
     Requires F(theta) > 0 and F(theta_p) > 0.  Tends to the quasiconvex
     Jensen divergence as delta grows.
     """
-    t, tp = as_vector(theta), as_vector(theta_p)
-    check_same_dim(t, tp)
+    t, tp = _points(theta, theta_p)
     a = _validate_weight(alpha)
-    ft = eval_generator(F, t)
-    ftp = eval_generator(F, tp)
+    ft, ftp = _values(F, t, tp)
     if ft <= 0.0 or ftp <= 0.0:
         raise NonPositiveError(
             f"power_mean_jensen requires positive F values, got ({ft}, {ftp})"
         )
-    return weighted_mean(MeanSpec.power(delta), ft, ftp, a) - eval_generator(
-        F, interpolate(t, tp, a)
-    )
+    return weighted_mean(MeanSpec.power(delta), ft, ftp, a) - _eval(F, _lerp(t, tp, a))
 
 
 def _real_pow(base: float, expo: float, what: str) -> float:
@@ -218,11 +212,10 @@ def power_mean_bregman(F: Generator, delta1: float, delta2: float,
     p, q = float(p), float(q)
     if p <= 0.0 or q <= 0.0:
         raise NonPositiveError(f"power_mean_bregman requires p, q > 0, got ({p}, {q})")
-    fp = eval_generator(F, (p,))
-    fq = eval_generator(F, (q,))
+    fp, fq = _values(F, (p,), (q,))
     if fq == 0.0:
         raise ZeroDivisionError("power_mean_bregman: F(q) = 0")
-    fprime = gradient(F, (q,))[0]
+    fprime = _gradient(F, (q,))[0]
     term1 = (_real_pow(fp, d2, "F(p)^delta2") - _real_pow(fq, d2, "F(q)^delta2")) / (
         d2 * _real_pow(fq, d2 - 1.0, "F(q)^(delta2-1)")
     )
@@ -243,10 +236,8 @@ def r_power_bregman(F: Generator, r: float, theta: float, theta_p: float) -> Ext
         raise ValueError(f"r must be >= 1, got {r}")
     if F.dim != 1:
         raise DimensionError("r_power_bregman is defined for 1-D generators")
-    t, tp = as_vector(theta), as_vector(theta_p)
-    check_same_dim(t, tp)
-    ft = eval_generator(F, t)
-    ftp = eval_generator(F, tp)
+    t, tp = _points(theta, theta_p)
+    ft, ftp = _values(F, t, tp)
     if ft <= 0.0 or ftp <= 0.0:
         raise NonPositiveError(
             f"r_power_bregman requires positive F values, got ({ft}, {ftp})"
@@ -254,5 +245,5 @@ def r_power_bregman(F: Generator, r: float, theta: float, theta_p: float) -> Ext
     log_term = r * math.log(ft) - (r - 1.0) * math.log(ftp) - math.log(r)
     if log_term > _LOG_MAX:
         return ExtReal(math.inf)
-    fprime = gradient(F, tp)[0]
+    fprime = _gradient(F, tp)[0]
     return ExtReal(math.exp(log_term) - ftp / r - (t[0] - tp[0]) * fprime)

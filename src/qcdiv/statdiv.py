@@ -16,11 +16,13 @@ from .core import (
     ExtReal,
     Generator,
     PreconditionError,
+    _check_dim,
+    _eval,
+    _gradient,
+    _points,
     _tie_sensitive,
+    _values,
     as_vector,
-    check_same_dim,
-    eval_generator,
-    gradient,
     interpolate,
 )
 from .bregman import bregman
@@ -141,17 +143,18 @@ def expfam_cross_entropy(fam: ExpFamily, theta, theta_p) -> float:
     Entropies here are relative to the family's carrier measure, so negative
     values are expected (e.g. the Gaussian natural-parameter family).
     """
-    t, tp = as_vector(theta), as_vector(theta_p)
-    check_same_dim(t, tp)
-    g = gradient(fam.F, t)
-    return eval_generator(fam.F, tp) - sum(y * gi for y, gi in zip(tp, g))
+    t, tp = _points(theta, theta_p)
+    _check_dim(fam.F, t)
+    g = _gradient(fam.F, t)
+    return _eval(fam.F, tp) - sum(y * gi for y, gi in zip(tp, g))
 
 
 def expfam_entropy(fam: ExpFamily, theta) -> float:
     """Entropy h(p_theta) = F(theta) - <theta, grad F(theta)>."""
     t = as_vector(theta)
-    g = gradient(fam.F, t)
-    return eval_generator(fam.F, t) - sum(x * gi for x, gi in zip(t, g))
+    _check_dim(fam.F, t)
+    g = _gradient(fam.F, t)
+    return _eval(fam.F, t) - sum(x * gi for x, gi in zip(t, g))
 
 
 def expfam_kl(fam: ExpFamily, theta, theta_p) -> float:
@@ -166,10 +169,8 @@ def qcvx_bregman_from_kl(fam: ExpFamily, theta, theta_p) -> ExtReal:
     F(theta_p) <= F(theta); callers on the other branch should query the
     reverse orientation.
     """
-    t, tp = as_vector(theta), as_vector(theta_p)
-    check_same_dim(t, tp)
-    ft = eval_generator(fam.F, t)
-    ftp = eval_generator(fam.F, tp)
+    t, tp = _points(theta, theta_p)
+    ft, ftp = _values(fam.F, t, tp)
     if ftp > ft:
         raise PreconditionError(
             f"qcvx_bregman_from_kl needs F(theta_p) <= F(theta); "

@@ -187,3 +187,16 @@ class TestTableCommand:
                     "--gen", '{"name":"log-norm-sq","dim":2}',
                     "--grid-min", "1", "--grid-max", "2", "--grid-step", "0.5")
         assert r.returncode == 2
+
+
+class TestArithmeticErrors:
+    """Arithmetic errors from the library exit 2 like any other bad input."""
+
+    def test_overflow_and_zero_division_exit_2(self):
+        for gen, delta2, theta in (("quadratic", "2000", "10"), ("log", "2", "3")):
+            r = run_cli("eval", "--div", "power-bregman", "--gen", gen, "--delta1", "1",
+                        "--delta2", delta2, "--theta", theta, "--theta-prime", "1")
+            assert r.returncode == 2
+            assert r.stdout == b""
+            assert r.stderr.startswith(b"qcdiv: error: ")
+            assert b"Traceback" not in r.stderr

@@ -1,0 +1,251 @@
+"""Validate once: every public entry point checks its points exactly once.
+
+Public divergences coerce and check their points, then call the unchecked
+``core`` kernels.  These tests pin what that must not change: the error type,
+message and order for invalid points, the coordinate check on derived points,
+and the raw generator work per call.
+"""
+
+import dataclasses
+import math
+import re
+from fractions import Fraction
+
+import pytest
+
+from qcdiv import oracles
+from qcdiv.bregman import (
+    bregman,
+    delta_averaged_qcvx_bregman,
+    extended_bregman,
+    qcvx_bregman,
+)
+from qcdiv.core import (
+    Box,
+    DimensionError,
+    DomainError,
+    GradientError,
+    Interval,
+    as_vector,
+    build_generator,
+    eval_generator,
+)
+from qcdiv.jensen import extended_jensen, log_ratio_gap, qccv_jensen, qcvx_jensen
+from qcdiv.means import MeanSpec, mn_jensen, power_mean_jensen, r_power_bregman
+from qcdiv.statdiv import (
+    ExpFamily,
+    expfam_cross_entropy,
+    expfam_entropy,
+    expfam_kl,
+    qcvx_bregman_from_kl,
+)
+
+LOG = build_generator("log")
+FAM = ExpFamily(LOG)
+ARITH = MeanSpec.arithmetic()
+
+# name -> (call(theta, theta_p), unary, slots whose domain error is a GradientError)
+ENTRY_POINTS = {
+    "qcvx_jensen": (lambda t, tp: qcvx_jensen(LOG, t, tp, 0.5), False, ()),
+    "qccv_jensen": (lambda t, tp: qccv_jensen(LOG, t, tp, 0.5), False, ()),
+    "log_ratio_gap": (lambda t, tp: log_ratio_gap(LOG, t, tp, 0.5), False, ()),
+    "extended_jensen": (lambda t, tp: extended_jensen(LOG, t, tp, 0.5), False, ()),
+    "bregman": (lambda t, tp: bregman(LOG, t, tp), False, ()),
+    "qcvx_bregman": (lambda t, tp: qcvx_bregman(LOG, t, tp), False, ()),
+    "delta_averaged_qcvx_bregman":
+        (lambda t, tp: delta_averaged_qcvx_bregman(LOG, t, tp, 0.5), False, ()),
+    "extended_bregman": (lambda t, tp: extended_bregman(LOG, t, tp), False, ()),
+    "mn_jensen": (lambda t, tp: mn_jensen(LOG, ARITH, ARITH, 0.5, t, tp), False, ()),
+    "power_mean_jensen": (lambda t, tp: power_mean_jensen(LOG, 2.0, 0.5, t, tp), False, ()),
+    "r_power_bregman": (lambda t, tp: r_power_bregman(LOG, 2.0, t, tp), False, ()),
+    "expfam_kl": (lambda t, tp: expfam_kl(FAM, t, tp), False, ()),
+    "expfam_entropy": (lambda t, tp: expfam_entropy(FAM, t), True, (0,)),
+    "expfam_cross_entropy": (lambda t, tp: expfam_cross_entropy(FAM, t, tp), False, (0,)),
+    "qcvx_bregman_from_kl": (lambda t, tp: qcvx_bregman_from_kl(FAM, t, tp), False, ()),
+    "integrate_delta_average":
+        (lambda t, tp: oracles.integrate_delta_average(LOG, t, tp, 0.5), False, ()),
+    "limit_scaled_jensen":
+        (lambda t, tp: oracles.limit_scaled_jensen(LOG, t, tp, 4), False, ()),
+    "limit_power_jensen": (lambda t, tp: oracles.limit_power_jensen(LOG, t, tp, 4), False, ()),
+    "limit_r_power_bregman":
+        (lambda t, tp: oracles.limit_r_power_bregman(LOG, t, tp, 4), False, ()),
+}
+
+ONE_D_ONLY = "the quadrature cross-check is defined for 1-D parameters"
+# qcvx_bregman_from_kl needs F(theta_p) <= F(theta); the others accept (1.5, 2.0).
+VALID = {"qcvx_bregman_from_kl": ((2.0,), (1.5,))}
+
+
+def _raises(exc, message, call, *args):
+    with pytest.raises(exc, match="^" + re.escape(message) + "$"):
+        call(*args)
+
+
+BINARY = [name for name, (_, unary, _) in ENTRY_POINTS.items() if not unary]
+SLOTS = [(name, slot) for name in ENTRY_POINTS
+         for slot in ((0, 1) if name in BINARY else (0,))]
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_valid_points_pass(name):
+    call, _, _ = ENTRY_POINTS[name]
+    call(*VALID.get(name, ((1.5,), (2.0,))))
+
+
+@pytest.mark.parametrize("name", BINARY)
+def test_point_point_dimension_mismatch(name):
+    call, _, _ = ENTRY_POINTS[name]
+    if name == "integrate_delta_average":
+        _raises(ValueError, ONE_D_ONLY, call, (1.0,), (1.0, 2.0))
+    else:
+        # expfam_kl is the reverse Bregman divergence, so it sees theta_p first.
+        dims = "2 vs 1" if name == "expfam_kl" else "1 vs 2"
+        _raises(DimensionError, f"dimension mismatch: {dims}", call, (1.0,), (1.0, 2.0))
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_point_generator_dimension_mismatch(name):
+    call, _, _ = ENTRY_POINTS[name]
+    if name == "integrate_delta_average":
+        _raises(ValueError, ONE_D_ONLY, call, (1.0, 2.0), (2.0, 3.0))
+    else:
+        _raises(DimensionError, "generator log has dimension 1, point has 2",
+                call, (1.0, 2.0), (2.0, 3.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name,slot", SLOTS)
+def test_non_finite_coordinate(name, slot, bad):
+    call, _, _ = ENTRY_POINTS[name]
+    points = [(1.5,), (2.0,)]
+    points[slot] = (bad,)
+    _raises(DomainError, f"coordinate 0 is not finite: {bad!r}", call, *points)
+
+
+@pytest.mark.parametrize("name,slot", SLOTS)
+def test_out_of_domain_point(name, slot):
+    call, _, gradient_slots = ENTRY_POINTS[name]
+    points = [(1.5,), (2.0,)]
+    points[slot] = (-1.0,)
+    if slot in gradient_slots:
+        _raises(GradientError, "gradient of log requires an interior point, got (-1.0,)",
+                call, *points)
+    else:
+        _raises(DomainError, "log: coordinate 0 value -1.0 outside (0.0, inf)", call, *points)
+
+
+def test_overflowing_extrapolation_is_a_domain_error():
+    # tp + delta * (tp - theta) overflows to inf; sine's domain is the whole
+    # line, so only the coordinate check can reject it.
+    with pytest.raises(DomainError, match=r"^coordinate 0 is not finite: inf$"):
+        delta_averaged_qcvx_bregman(build_generator("sine"), -1e308, 1e308, 1.0)
+
+
+def test_errors_keep_their_order():
+    # The skew check precedes the point checks, the point-point dimension
+    # check precedes the generator dimension check, and theta comes first.
+    with pytest.raises(ValueError, match="skew alpha"):
+        qcvx_jensen(LOG, (math.nan,), (1.0, 2.0), 1.5)
+    with pytest.raises(DimensionError, match="dimension mismatch"):
+        qcvx_bregman(LOG, (-1.0, 1.0), (1.0,))
+    with pytest.raises(DomainError, match=r"value -1\.0 outside"):
+        qcvx_bregman(LOG, -1.0, -2.0)
+    # mn_jensen checks both points before its weight.
+    with pytest.raises(DimensionError, match="dimension mismatch"):
+        mn_jensen(LOG, ARITH, ARITH, 2.0, (1.0,), (1.0, 2.0))
+
+
+# --------------------------------------------------------------------------
+# Raw generator work per call
+# --------------------------------------------------------------------------
+
+
+def _counted(name):
+    g = build_generator(name)
+    counts = {"eval": 0, "grad": 0}
+
+    def ev(t):
+        counts["eval"] += 1
+        return g.eval(t)
+
+    def gr(t):
+        counts["grad"] += 1
+        return g.grad(t)
+
+    return dataclasses.replace(g, eval=ev, grad=gr), counts
+
+
+WORK_PER_CALL = [
+    # (label, generator, call(g), evals, grads)
+    ("qcvx_jensen", "log", lambda g: qcvx_jensen(g, 1.0, 2.0, 0.3), 3, 0),
+    ("qcvx_bregman finite", "log", lambda g: qcvx_bregman(g, 1.0, 2.0), 2, 1),
+    ("qcvx_bregman infinite", "log", lambda g: qcvx_bregman(g, 2.0, 1.0), 2, 0),
+    ("delta_averaged finite", "log",
+     lambda g: delta_averaged_qcvx_bregman(g, 1.0, 2.0, 0.5), 3, 0),
+    ("delta_averaged infinite", "log",
+     lambda g: delta_averaged_qcvx_bregman(g, 2.0, 1.0, 0.5), 2, 0),
+    ("bregman", "quadratic", lambda g: bregman(g, 1.0, 2.0), 2, 1),
+    ("extended_bregman finite", "log", lambda g: extended_bregman(g, 1.0, 2.0), 2, 1),
+    ("mn_jensen", "quadratic", lambda g: mn_jensen(g, ARITH, ARITH, 0.3, 1.0, 2.0), 3, 0),
+    ("power_mean_jensen", "quadratic", lambda g: power_mean_jensen(g, 2.0, 0.3, 1.0, 2.0), 3, 0),
+    ("r_power_bregman", "quadratic", lambda g: r_power_bregman(g, 2.0, 1.0, 2.0), 2, 1),
+    ("qcvx_bregman_from_kl", "quadratic",
+     lambda g: qcvx_bregman_from_kl(ExpFamily(g), 2.0, 1.0), 4, 1),
+]
+
+
+@pytest.mark.parametrize("label,gen,call,evals,grads", WORK_PER_CALL,
+                         ids=[case[0] for case in WORK_PER_CALL])
+def test_generator_work_per_call(label, gen, call, evals, grads):
+    g, counts = _counted(gen)
+    call(g)
+    assert counts == {"eval": evals, "grad": grads}
+
+
+# --------------------------------------------------------------------------
+# Coercion and the domain fast path
+# --------------------------------------------------------------------------
+
+
+def test_fraction_is_a_one_coordinate_point():
+    assert as_vector(Fraction(1, 3)) == (1.0 / 3.0,)
+    assert eval_generator(LOG, Fraction(1, 2)) == math.log(0.5)
+    assert float(qcvx_bregman(LOG, Fraction(1), Fraction(2))) == 0.5
+
+
+def test_numpy_scalars_are_one_coordinate_points():
+    np = pytest.importorskip("numpy")
+    assert as_vector(np.int64(3)) == (3.0,)
+    assert as_vector(np.float32(0.5)) == (0.5,)
+    assert as_vector(np.float64(0.25)) == (0.25,)
+    assert float(qcvx_bregman(LOG, np.int64(1), np.float32(2.0))) == 0.5
+    with pytest.raises(DomainError, match="not finite"):
+        as_vector(np.float32("inf"))
+
+
+@pytest.mark.parametrize("value", [1j, None])
+def test_non_real_scalars_are_still_rejected(value):
+    with pytest.raises(TypeError, match="not iterable"):
+        as_vector(value)
+
+
+BOXES = [
+    Box((Interval(),)),
+    Box((Interval(0.0, math.inf, lower_open=True),)),
+    Box((Interval(-1.0, 2.0),)),
+    Box((Interval(-1.0, 2.0, lower_open=True, upper_open=True), Interval(0.0, 1.0))),
+]
+EDGES = [-math.inf, -1.0, -0.5, 0.0, 1.0, 2.0, 3.0, math.inf, math.nan]
+
+
+@pytest.mark.parametrize("box", BOXES, ids=str)
+def test_domain_checks_match_the_intervals(box):
+    # The interior fast path must agree with the per-interval definitions on
+    # bounds, open and closed ends, infinities and NaN.
+    for x in EDGES:
+        for y in EDGES:
+            theta = (x, y)[: box.dim]
+            interior = all(iv.contains_interior(c) for iv, c in zip(box.intervals, theta))
+            assert box.contains_interior(theta) == interior
+            inside = all(iv.contains(c) for iv, c in zip(box.intervals, theta))
+            assert (box.violation(theta) is None) == inside

@@ -304,49 +304,35 @@ def suite_kl_quadrature(samples: int, seed: int) -> SuiteResult:
     """Closed-form nested-family KL against numeric quadrature, plus normalization."""
     res = SuiteResult("kl-quadrature")
     rng = random.Random(seed)
-    for _ in range(samples):
-        a, b = rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0)
-        t, tp = min(a, b), max(a, b)
-        p, q = NestedUniform(t), NestedUniform(tp)
-        closed = kl_nested_uniform(t, tp)
-        quad = _kl_quadrature_or_error(p, q)
-        res.check(
-            isinstance(quad, ExtReal) and abs(float(quad) - float(closed)) <= 1e-6,
-            lambda: f"kl-uniform: t={t} tp={tp}: closed={closed} quad={quad}",
-        )
-        if t != tp:
+    # (name, draw of the parameters before theta, density class, closed form)
+    families = (
+        ("uniform", lambda: (), NestedUniform, kl_nested_uniform),
+        ("power", lambda: (rng.uniform(1.2, 4.0),), PowerNested, kl_power_nested),
+    )
+    for name, draw, family, closed_form in families:
+        for _ in range(samples):
+            params = draw()
+            prefix = "".join(f"alpha={x} " for x in params)
+            a, b = rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0)
+            t, tp = min(a, b), max(a, b)
+            p, q = family(*params, t), family(*params, tp)
+            closed = closed_form(*params, t, tp)
+            quad = _kl_quadrature_or_error(p, q)
             res.check(
-                kl_quadrature(q, p).is_inf and kl_nested_uniform(tp, t).is_inf,
-                lambda: f"kl-uniform-reverse not inf: t={t} tp={tp}",
+                isinstance(quad, ExtReal) and abs(float(quad) - float(closed)) <= 1e-6,
+                lambda: f"kl-{name}: {prefix}t={t} tp={tp}: closed={closed} quad={quad}",
             )
-        mass = integrate(p.pdf, *p.support())
-        res.check(
-            mass.converged and abs(mass.value - 1.0) <= 1e-10,
-            lambda: f"uniform normalization: theta={t}: {mass.value} converged={mass.converged}",
-        )
-
-    for _ in range(samples):
-        alpha = rng.uniform(1.2, 4.0)
-        a, b = rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0)
-        t, tp = min(a, b), max(a, b)
-        p, q = PowerNested(alpha, t), PowerNested(alpha, tp)
-        closed = kl_power_nested(alpha, t, tp)
-        quad = _kl_quadrature_or_error(p, q)
-        res.check(
-            isinstance(quad, ExtReal) and abs(float(quad) - float(closed)) <= 1e-6,
-            lambda: f"kl-power: alpha={alpha} t={t} tp={tp}: closed={closed} quad={quad}",
-        )
-        if t != tp:
+            if t != tp:
+                res.check(
+                    kl_quadrature(q, p).is_inf and closed_form(*params, tp, t).is_inf,
+                    lambda: f"kl-{name}-reverse not inf: {prefix}t={t} tp={tp}",
+                )
+            mass = integrate(p.pdf, *p.support())
             res.check(
-                kl_quadrature(q, p).is_inf and kl_power_nested(alpha, tp, t).is_inf,
-                lambda: f"kl-power-reverse not inf: alpha={alpha} t={t} tp={tp}",
+                mass.converged and abs(mass.value - 1.0) <= 1e-10,
+                lambda: f"{name} normalization: {prefix}theta={t}: {mass.value} "
+                        f"converged={mass.converged}",
             )
-        mass = integrate(p.pdf, *p.support())
-        res.check(
-            mass.converged and abs(mass.value - 1.0) <= 1e-10,
-            lambda: f"power normalization: alpha={alpha} theta={t}: {mass.value} "
-                    f"converged={mass.converged}",
-        )
     return res
 
 

@@ -21,7 +21,7 @@ from .bregman import (
     extended_bregman,
     qcvx_bregman,
 )
-from .core import build_generator
+from .core import _fmt, build_generator
 from .jensen import extended_jensen, log_ratio_gap, qccv_jensen, qcvx_jensen
 from .means import (
     MeanSpec,
@@ -42,15 +42,6 @@ from .statdiv import (
 
 class CliError(Exception):
     """Configuration problem detected after argument parsing; exits 2."""
-
-
-def _fmt(value: float, mode: str) -> str:
-    v = float(value)
-    if math.isinf(v):
-        return "inf"
-    if v == 0.0:
-        v = 0.0  # never print -0
-    return format(v, ".6g" if mode == "plain" else ".17g")
 
 
 def _parse_vector(text: str, flag: str):
@@ -279,11 +270,12 @@ def cmd_table(args) -> int:
         raise CliError(f"--div {args.div} is unary; table needs a binary divergence")
     count = int(math.floor((args.grid_max - args.grid_min) / args.grid_step + 1e-9)) + 1
     points = [args.grid_min + i * args.grid_step for i in range(count)]
+    # Every value first, so that a grid point that raises leaves stdout empty.
+    values = iter([float(evaluate((a,), (b,))) for a in points for b in points])
     print("theta,theta_prime,value")
     for a in points:
         for b in points:
-            value = evaluate((a,), (b,))
-            print(f"{_fmt(a, 'csv')},{_fmt(b, 'csv')},{_fmt(value, 'csv')}")
+            print(f"{_fmt(a)},{_fmt(b)},{_fmt(next(values))}")
     return 0
 
 

@@ -1,11 +1,11 @@
 """Generators on box domains, extended-real values, and quasiconvexity refutation.
 
 A Generator packages a real-valued function on a box domain together with an
-optional analytic gradient, a declared convexity class, and a positivity
-claim.  The built-in catalog (``build_generator``) covers the usual unimodal
-suspects (linear, quadratic, cubic, sqrt, log, abs, neg-gauss, log-norm-sq,
-linear-fractional, sine) plus three combinators: affine-wrap ``a*Q + b`` with
-``a > 0``, negate, and separable sums of 1-D generators.
+optional analytic gradient and a declared convexity class.  The built-in
+catalog (``build_generator``) covers the usual unimodal suspects (linear,
+quadratic, cubic, sqrt, log, abs, neg-gauss, log-norm-sq, linear-fractional,
+sine) plus three combinators: affine-wrap ``a*Q + b`` with ``a > 0``, negate,
+and separable sums of 1-D generators.
 
 Generator specs are plain JSON-shaped dicts, e.g. ``{"name": "log"}`` or
 ``{"affine": {"a": 2, "b": 3, "inner": {"name": "linear"}}}``; see the README
@@ -19,7 +19,7 @@ import math
 import numbers
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from typing import Callable, Optional
 
 Vector = tuple  # tuple of floats, length >= 1
@@ -95,6 +95,17 @@ _TIE_REL_TOL = 1e-12
 
 def _tie_sensitive(a: float, b: float) -> bool:
     return abs(a - b) <= _TIE_REL_TOL * max(abs(a), abs(b))
+
+
+def _fmt(value: float, mode: str = "csv") -> str:
+    """The output rule: infinity is ``inf``, zero is never ``-0``, and plain
+    output has 6 significant digits where csv and json have 17."""
+    v = float(value)
+    if math.isinf(v):
+        return "inf"
+    if v == 0.0:
+        v = 0.0  # never print -0
+    return format(v, ".6g" if mode == "plain" else ".17g")
 
 
 def as_vector(theta) -> Vector:
@@ -247,19 +258,15 @@ def bounded_box(*bounds) -> Box:
 
 DECLARED_CLASSES = ("convex", "quasiconvex", "quasiconcave", "quasilinear", "unknown")
 
-# Declared classes that make a valid quasiconvex-Jensen generator.
-QUASICONVEX_CLASSES = frozenset({"convex", "quasiconvex", "quasilinear"})
-QUASICONCAVE_CLASSES = frozenset({"quasiconcave", "quasilinear"})
-
 
 @dataclass(frozen=True)
 class Generator:
     """A real-valued function on a box domain with optional analytic gradient.
 
-    ``declared_class`` and ``positive`` are claims, not certificates: the first
-    is checkable by ``check_quasiconvex`` (refutation only), the second is
-    propagated conservatively by ``build_generator``.  ``spec`` is the
-    canonical JSON text ``build_generator`` built it from (None otherwise);
+    ``declared_class`` is the one claim a generator makes, and it is not a
+    certificate: ``check_quasiconvex`` can refute it by sampling, never prove
+    it.  ``name`` and ``spec`` are keyword-only.  ``spec`` is the canonical
+    JSON text ``build_generator`` built it from (None otherwise);
     ``build_generator(g.spec)`` rebuilds the same function.
     """
 
@@ -268,7 +275,7 @@ class Generator:
     domain: Box
     grad: Optional[Callable[[Vector], Vector]] = None
     declared_class: str = "unknown"
-    positive: bool = False
+    _: KW_ONLY
     name: str = ""
     spec: Optional[str] = None
 
@@ -332,7 +339,10 @@ def _eval(g: Generator, t: Vector) -> float:
         problem = domain.violation(t)
         if problem is not None:
             raise DomainError(f"{g.name or 'generator'}: {problem}")
-    value = float(g.eval(t))
+    try:
+        value = float(g.eval(t))
+    except OverflowError:
+        value = math.inf
     if not math.isfinite(value):
         raise DomainError(
             f"{g.name or 'generator'} evaluated to non-finite value {value} at {t}"
@@ -345,20 +355,23 @@ def _gradient(g: Generator, t: Vector) -> Vector:
         raise GradientError(
             f"gradient of {g.name or 'generator'} requires an interior point, got {t}"
         )
-    if g.grad is not None:
-        return tuple(map(float, g.grad(t)))
-    out = []
-    for i, x in enumerate(t):
-        h = FD_STEP * max(1.0, abs(x))
-        hi = t[:i] + (x + h,) + t[i + 1 :]
-        lo = t[:i] + (x - h,) + t[i + 1 :]
-        if not (g.domain.contains(hi) and g.domain.contains(lo)):
-            raise GradientError(
-                f"finite differences for {g.name or 'generator'} need room "
-                f"{x} +/- {h} inside the domain at coordinate {i}"
-            )
-        out.append((g.eval(hi) - g.eval(lo)) / (2.0 * h))
-    return tuple(out)
+    try:
+        if g.grad is not None:
+            return tuple(map(float, g.grad(t)))
+        out = []
+        for i, x in enumerate(t):
+            h = FD_STEP * max(1.0, abs(x))
+            hi = t[:i] + (x + h,) + t[i + 1 :]
+            lo = t[:i] + (x - h,) + t[i + 1 :]
+            if not (g.domain.contains(hi) and g.domain.contains(lo)):
+                raise GradientError(
+                    f"finite differences for {g.name or 'generator'} need room "
+                    f"{x} +/- {h} inside the domain at coordinate {i}"
+                )
+            out.append((g.eval(hi) - g.eval(lo)) / (2.0 * h))
+        return tuple(out)
+    except OverflowError:
+        raise GradientError(f"gradient of {g.name or 'generator'} overflowed at {t}") from None
 
 
 # --------------------------------------------------------------------------
@@ -373,25 +386,25 @@ def _sq_norm(t: Vector) -> float:
 def _builtin(name: str, params: dict) -> Generator:
     if name == "linear":
         return Generator(1, lambda t: t[0], real_line(), lambda t: (1.0,),
-                         "quasilinear", False, "linear")
+                         "quasilinear", name="linear")
     if name == "quadratic":
         return Generator(1, lambda t: t[0] * t[0], real_line(),
-                         lambda t: (2.0 * t[0],), "convex", False, "quadratic")
+                         lambda t: (2.0 * t[0],), "convex", name="quadratic")
     if name == "cubic":
         return Generator(1, lambda t: t[0] ** 3, real_line(),
-                         lambda t: (3.0 * t[0] * t[0],), "quasilinear", False, "cubic")
+                         lambda t: (3.0 * t[0] * t[0],), "quasilinear", name="cubic")
     if name == "sqrt":
         return Generator(1, lambda t: math.sqrt(t[0]), positive_ray(),
-                         lambda t: (0.5 / math.sqrt(t[0]),), "quasilinear", True, "sqrt")
+                         lambda t: (0.5 / math.sqrt(t[0]),), "quasilinear", name="sqrt")
     if name == "log":
         return Generator(1, lambda t: math.log(t[0]), positive_ray(),
-                         lambda t: (1.0 / t[0],), "quasilinear", False, "log")
+                         lambda t: (1.0 / t[0],), "quasilinear", name="log")
     if name == "abs":
         # grad at 0 returns the subgradient 0; abs is the catalog's
         # non-differentiable case (delta-averaging does not need grad).
         return Generator(1, lambda t: abs(t[0]), real_line(),
                          lambda t: (math.copysign(1.0, t[0]) if t[0] != 0.0 else 0.0,),
-                         "convex", False, "abs")
+                         "convex", name="abs")
     if name == "neg-gauss":
         dim = int(params.get("dim", 1))
         return Generator(
@@ -399,7 +412,7 @@ def _builtin(name: str, params: dict) -> Generator:
             lambda t: -math.exp(-_sq_norm(t)),
             real_line(dim),
             lambda t: tuple(2.0 * x * math.exp(-_sq_norm(t)) for x in t),
-            "quasiconvex", False, "neg-gauss",
+            "quasiconvex", name="neg-gauss",
         )
     if name == "log-norm-sq":
         dim = int(params.get("dim", 2))
@@ -408,7 +421,7 @@ def _builtin(name: str, params: dict) -> Generator:
             lambda t: math.log(_sq_norm(t)),
             positive_ray(dim),
             lambda t: tuple(2.0 * x / _sq_norm(t) for x in t),
-            "quasiconvex", False, "log-norm-sq",
+            "quasiconvex", name="log-norm-sq",
         )
     if name == "linear-fractional":
         a = float(params.get("a", 1.0))
@@ -429,16 +442,13 @@ def _builtin(name: str, params: dict) -> Generator:
             lambda t: (a * t[0] + b) / (c * t[0] + d),
             dom,
             lambda t: (det / (c * t[0] + d) ** 2,),
-            "quasilinear", False, f"linear-fractional({a},{b},{c},{d})",
+            "quasilinear", name=f"linear-fractional({a},{b},{c},{d})",
         )
     if name == "sine":
         return Generator(1, lambda t: math.sin(t[0]), real_line(),
-                         lambda t: (math.cos(t[0]),), "unknown", False, "sine")
+                         lambda t: (math.cos(t[0]),), "unknown", name="sine")
     raise SpecError(f"unknown generator name {name!r}")
 
-
-BUILTIN_NAMES = ("linear", "quadratic", "cubic", "sqrt", "log", "abs",
-                 "neg-gauss", "log-norm-sq", "linear-fractional", "sine")
 
 _NEGATED_CLASS = {
     "convex": "quasiconcave",
@@ -447,10 +457,6 @@ _NEGATED_CLASS = {
     "quasilinear": "quasilinear",
     "unknown": "unknown",
 }
-
-# Built-ins with values known >= 0 on their whole domain (for positivity
-# propagation through affine wraps).
-_NONNEG_BUILTINS = frozenset({"quadratic", "abs", "sqrt"})
 
 
 def build_generator(spec) -> Generator:
@@ -465,7 +471,7 @@ def build_generator(spec) -> Generator:
       {"separable": [spec, ...]}                1-D components only
     """
     spec = _parse(spec)
-    g, _ = _build(spec)
+    g = _build(spec)
     # Generator is frozen; g was just built and is not shared yet.
     object.__setattr__(g, "spec", _canonical_json(spec))
     return g
@@ -488,8 +494,7 @@ def _parse(spec):
     return spec
 
 
-def _build(spec):
-    """Returns (generator, values_nonneg)."""
+def _build(spec) -> Generator:
     spec = _parse(spec)
     if not isinstance(spec, dict):
         raise SpecError(f"generator spec must be a dict or name, got {type(spec).__name__}")
@@ -502,10 +507,7 @@ def _build(spec):
     tag = tags[0]
 
     if tag == "name":
-        name = spec["name"]
-        params = {k: v for k, v in spec.items() if k != "name"}
-        g = _builtin(name, params)
-        return g, name in _NONNEG_BUILTINS
+        return _builtin(spec["name"], {k: v for k, v in spec.items() if k != "name"})
 
     if tag == "affine":
         obj = spec["affine"]
@@ -515,42 +517,24 @@ def _build(spec):
         b = float(obj.get("b", 0.0))
         if not a > 0.0:
             raise SpecError(f"affine wrap requires a > 0, got {a}")
-        inner, inner_nonneg = _build(obj["inner"])
+        inner = _build(obj["inner"])
         ie, ig = inner.eval, inner.grad
         grad = None if ig is None else (lambda t: tuple(a * c for c in ig(t)))
-        positive = (inner.positive and b >= 0.0) or (inner_nonneg and b > 0.0)
-        g = Generator(
-            inner.dim,
-            lambda t: a * ie(t) + b,
-            inner.domain,
-            grad,
-            inner.declared_class,
-            positive,
-            f"affine({a},{b},{inner.name})",
-        )
-        return g, inner_nonneg and b >= 0.0
+        return Generator(inner.dim, lambda t: a * ie(t) + b, inner.domain, grad,
+                         inner.declared_class, name=f"affine({a},{b},{inner.name})")
 
     if tag == "negate":
-        inner, _ = _build(spec["negate"])
+        inner = _build(spec["negate"])
         ie, ig = inner.eval, inner.grad
         grad = None if ig is None else (lambda t: tuple(-c for c in ig(t)))
-        g = Generator(
-            inner.dim,
-            lambda t: -ie(t),
-            inner.domain,
-            grad,
-            _NEGATED_CLASS[inner.declared_class],
-            False,
-            f"neg({inner.name})",
-        )
-        return g, False
+        return Generator(inner.dim, lambda t: -ie(t), inner.domain, grad,
+                         _NEGATED_CLASS[inner.declared_class], name=f"neg({inner.name})")
 
     # separable sum
     items = spec["separable"]
     if not isinstance(items, (list, tuple)) or not items:
         raise SpecError("separable spec needs a non-empty list of 1-D specs")
-    built = [_build(item) for item in items]
-    comps = [g for g, _ in built]
+    comps = [_build(item) for item in items]
     for g in comps:
         if g.dim != 1:
             raise SpecError(f"separable component {g.name!r} must be 1-D, has dim {g.dim}")
@@ -562,17 +546,8 @@ def _build(spec):
     if all(gr is not None for gr in grads):
         grad = lambda t: tuple(grads[i]((t[i],))[0] for i in range(dim))
     cls = "convex" if all(g.declared_class == "convex" for g in comps) else "unknown"
-    positive = all(g.positive for g in comps)
-    g = Generator(
-        dim,
-        lambda t: sum(evals[i]((t[i],)) for i in range(dim)),
-        domain,
-        grad,
-        cls,
-        positive,
-        "sum(" + ",".join(g.name for g in comps) + ")",
-    )
-    return g, all(nn for _, nn in built)
+    return Generator(dim, lambda t: sum(evals[i]((t[i],)) for i in range(dim)), domain, grad,
+                     cls, name="sum(" + ",".join(g.name for g in comps) + ")")
 
 
 # --------------------------------------------------------------------------
@@ -615,6 +590,22 @@ def check_quasiconvex(g: Generator, box: Box, n_lines: int, n_points: int,
     tolerance of 1e-12 * (1 + max |value|).  Sampling can never certify
     quasiconvexity, hence the "no-violation-found" verdict.
     """
+    witnesses = []
+    for p, q, alphas, values in _segments(g, box, n_lines, n_points, seed):
+        tol = 1e-12 * (1.0 + max(abs(v) for v in values))
+        w = _segment_violation(p, q, alphas, values, tol)
+        if w is not None:
+            witnesses.append(w)
+    verdict = "refuted" if witnesses else "no-violation-found"
+    return QuasiconvexityReport(verdict, tuple(witnesses), n_lines, n_points)
+
+
+def _segments(g: Generator, box: Box, n_lines: int, n_points: int, seed: int):
+    """Yield (p, q, alphas, values) for n_lines seeded segments p -> q in box.
+
+    ``values`` are g at ``n_points`` equally spaced points, endpoints included.
+    The box must be bounded and inside g's domain.
+    """
     if n_points < 3:
         raise ValueError("n_points must be >= 3")
     if n_lines < 1:
@@ -623,20 +614,12 @@ def check_quasiconvex(g: Generator, box: Box, n_lines: int, n_points: int,
         raise ValueError("sampling requires a bounded box")
     if not g.domain.contains_box(box):
         raise DomainError(f"box is not inside the domain of {g.name or 'generator'}")
-
     rng = random.Random(seed)
-    witnesses = []
+    alphas = [i / (n_points - 1) for i in range(n_points)]
     for _ in range(n_lines):
         p = tuple(rng.uniform(iv.lower, iv.upper) for iv in box.intervals)
         q = tuple(rng.uniform(iv.lower, iv.upper) for iv in box.intervals)
-        alphas = [i / (n_points - 1) for i in range(n_points)]
-        values = [float(g.eval(interpolate(p, q, a))) for a in alphas]
-        tol = 1e-12 * (1.0 + max(abs(v) for v in values))
-        w = _segment_violation(p, q, alphas, values, tol)
-        if w is not None:
-            witnesses.append(w)
-    verdict = "refuted" if witnesses else "no-violation-found"
-    return QuasiconvexityReport(verdict, tuple(witnesses), n_lines, n_points)
+        yield p, q, alphas, [float(g.eval(interpolate(p, q, a))) for a in alphas]
 
 
 def _segment_violation(p, q, alphas, values, tol):

@@ -94,10 +94,10 @@ def _power_mean(x: float, y: float, alpha: float, delta: float) -> float:
     return m * math.exp(math.log(s) / delta)
 
 
-def _qa_inverse(f: Generator, target: float, lo: float, hi: float) -> float:
-    """Solve f(z) = target for z in [lo, hi] by bisection to 1e-13."""
+def _qa_inverse(f: Generator, target: float, lo: float, hi: float,
+                flo: float, fhi: float) -> float:
+    """Solve f(z) = target for z in [lo, hi] by bisection to 1e-13; flo, fhi = f(lo), f(hi)."""
     fe = f.eval
-    flo, fhi = fe((lo,)), fe((hi,))
     if not flo <= fhi:
         raise NonPositiveError(
             f"quasi-arithmetic generator {f.name or '?'} is not increasing on [{lo}, {hi}]"
@@ -146,7 +146,8 @@ def weighted_mean(spec: MeanSpec, x: float, y: float, alpha: float) -> float:
     else:
         fx = _eval(spec.f, (x,))
         fy = _eval(spec.f, (y,))
-        value = _qa_inverse(spec.f, (1.0 - a) * fx + a * fy, lo, hi)
+        flo, fhi = (fx, fy) if x <= y else (fy, fx)
+        value = _qa_inverse(spec.f, (1.0 - a) * fx + a * fy, lo, hi, flo, fhi)
     return min(max(value, lo), hi)
 
 

@@ -15,7 +15,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .core import ExtReal, Generator, PreconditionError, _eval, _values, as_vector
+from .core import ExtReal, Generator, PreconditionError, _eval, _fmt, _values, as_vector
 # A private alias keeps this precondition check in the oracles layer of the
 # traced benchmark (bench/spans.py wraps public names only), as when it was inline.
 from .bregman import qcvx_bregman, validate_ratio as _validate_ratio
@@ -270,11 +270,7 @@ class LimitStudy:
     def csv_rows(self):
         yield "k,param,value,error"
         for k, p, v, e in zip(self.ks, self.params, self.values, self.errors):
-            yield f"{k},{_csv_num(p)},{_csv_num(v)},{_csv_num(e)}"
-
-
-def _csv_num(x: float) -> str:
-    return "inf" if math.isinf(x) else format(float(x), ".17g")
+            yield f"{k},{_fmt(p)},{_fmt(v)},{_fmt(e)}"
 
 
 def _dyadic_study(name, Q, theta, theta_p, k_max, *, k_min, param, value, target,

@@ -9,7 +9,6 @@ are with respect to Lebesgue measure on an interval.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 from .core import (
@@ -20,10 +19,10 @@ from .core import (
     _eval,
     _gradient,
     _points,
+    _segments,
     _tie_sensitive,
     _values,
     as_vector,
-    interpolate,
 )
 from .bregman import bregman
 
@@ -87,12 +86,7 @@ def kl_nested_uniform(theta: float, theta_p: float) -> ExtReal:
     theta <= theta_p; the closed form equals the quasiconvex Bregman
     divergence of the identity generator.
     """
-    t = _validate_positive("theta", theta)
-    tp = _validate_positive("theta_p", theta_p)
-    tie = _tie_sensitive(t, tp)
-    if t <= tp:
-        return ExtReal(tp - t, tie_sensitive=tie)
-    return ExtReal(math.inf, tie_sensitive=tie)
+    return _kl_nested(1.0, theta, theta_p)
 
 
 def kl_power_nested(alpha: float, theta: float, theta_p: float) -> ExtReal:
@@ -100,6 +94,11 @@ def kl_power_nested(alpha: float, theta: float, theta_p: float) -> ExtReal:
     a = float(alpha)
     if not a > 1.0:
         raise ValueError(f"power family exponent alpha must be > 1, got {a}")
+    return _kl_nested(a, theta, theta_p)
+
+
+def _kl_nested(a: float, theta, theta_p) -> ExtReal:
+    """a * (theta_p - theta) when theta <= theta_p, else +inf: the nested-support KL."""
     t = _validate_positive("theta", theta)
     tp = _validate_positive("theta_p", theta_p)
     tie = _tie_sensitive(t, tp)
@@ -121,14 +120,12 @@ class ExpFamily:
 
     def validate_convexity(self, box, n_lines: int = 16, n_points: int = 33,
                            seed: int = 0) -> bool:
-        rng = random.Random(seed)
-        fe = self.F.eval
-        for _ in range(n_lines):
-            p = tuple(rng.uniform(iv.lower, iv.upper) for iv in box.intervals)
-            q = tuple(rng.uniform(iv.lower, iv.upper) for iv in box.intervals)
-            if p == q:
-                continue
-            vals = [fe(interpolate(p, q, i / (n_points - 1))) for i in range(n_points)]
+        """False when a second difference of F along a seeded segment in box is negative.
+
+        The preconditions are those of ``check_quasiconvex``: ``n_points >= 3``,
+        ``n_lines >= 1``, and a bounded box inside the domain of F.
+        """
+        for _, _, _, vals in _segments(self.F, box, n_lines, n_points, seed):
             scale = 1.0 + max(abs(v) for v in vals)
             for i in range(1, n_points - 1):
                 second = vals[i - 1] - 2.0 * vals[i] + vals[i + 1]
@@ -150,11 +147,9 @@ def expfam_cross_entropy(fam: ExpFamily, theta, theta_p) -> float:
 
 
 def expfam_entropy(fam: ExpFamily, theta) -> float:
-    """Entropy h(p_theta) = F(theta) - <theta, grad F(theta)>."""
-    t = as_vector(theta)
-    _check_dim(fam.F, t)
-    g = _gradient(fam.F, t)
-    return _eval(fam.F, t) - sum(x * gi for x, gi in zip(t, g))
+    """Entropy h(p_theta) = F(theta) - <theta, grad F(theta)>, the cross-entropy at theta."""
+    t = as_vector(theta)  # once, so that an iterator is read once
+    return expfam_cross_entropy(fam, t, t)
 
 
 def expfam_kl(fam: ExpFamily, theta, theta_p) -> float:

@@ -1,6 +1,8 @@
 import pytest
 
+import qcdiv.checks
 from qcdiv.checks import SUITES, SuiteResult, run_suite
+from qcdiv.oracles import NonConvergenceError
 
 
 SMALL = {
@@ -50,3 +52,21 @@ def test_report_for_passing_suite():
     r.check(True, "unused")
     lines = list(r.report_lines())
     assert len(lines) == 1 and lines[0].endswith("PASS")
+
+
+def test_kl_quadrature_non_convergence_fails_the_check(monkeypatch):
+    """A forward quadrature that raises NonConvergenceError is a failed check, not a crash."""
+    real = qcdiv.checks.kl_quadrature
+
+    def forward_fails(p, q):
+        if p.theta < q.theta:
+            raise NonConvergenceError("KL quadrature: forced")
+        return real(p, q)
+
+    monkeypatch.setattr(qcdiv.checks, "kl_quadrature", forward_fails)
+    result = run_suite("kl-quadrature", 2, seed=7)
+    assert result.checked == 12  # three checks per sample and family
+    assert len(result.failures) == 4
+    assert result.failures[0].startswith("kl-uniform: t=")
+    assert result.failures[0].endswith("quad=KL quadrature: forced")
+    assert result.failures[2].startswith("kl-power: alpha=")

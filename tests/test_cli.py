@@ -182,6 +182,14 @@ class TestTableCommand:
                     "--grid-min", "1", "--grid-max", "2", "--grid-step", "0")
         assert r.returncode == 2
 
+    def test_error_at_a_grid_point_writes_nothing_to_stdout(self):
+        r = run_cli("table", "--div", "power-bregman", "--gen", "log", "--delta1", "2",
+                    "--delta2", "3", "--grid-min", "0.5", "--grid-max", "1.5",
+                    "--grid-step", "0.25")
+        assert r.returncode == 2
+        assert r.stdout == b""
+        assert r.stderr == b"qcdiv: error: power_mean_bregman: F(q) = 0\n"
+
     def test_multidimensional_generator_exits_2(self):
         r = run_cli("table", "--div", "qcvx-bregman",
                     "--gen", '{"name":"log-norm-sq","dim":2}',

@@ -21,8 +21,12 @@ from qcdiv.core import (
     eval_generator,
     gradient,
     interpolate,
+    real_line,
 )
+from qcdiv.core import _segment_violation
+from qcdiv.bregman import qcvx_bregman
 from qcdiv.checks import sample_point, sweep_catalog
+from qcdiv.jensen import qcvx_jensen
 
 
 class TestExtReal:
@@ -137,6 +141,45 @@ class TestGradient:
             gradient(g, 1e-9)
 
 
+class TestOverflow:
+    """A generator or gradient that overflows raises a typed error, not OverflowError."""
+
+    def test_value_overflow_is_a_domain_error(self):
+        cubic = build_generator("cubic")
+        with pytest.raises(DomainError,
+                           match=r"^cubic evaluated to non-finite value inf at \(1e\+308,\)$"):
+            eval_generator(cubic, 1e308)
+        with pytest.raises(DomainError, match="non-finite value inf"):
+            qcvx_jensen(cubic, 1e200, 1e-3, 0.5)
+
+    def test_gradient_overflow_is_a_gradient_error(self):
+        g = build_generator({"name": "linear-fractional", "c": 1, "d": 2})
+        with pytest.raises(GradientError, match="overflowed"):
+            gradient(g, 1e200)
+        with pytest.raises(GradientError, match="overflowed"):
+            qcvx_bregman(g, 1.0, 1e200)
+
+    def test_finite_difference_overflow_is_a_gradient_error(self):
+        g = Generator(1, lambda t: t[0] ** 3, real_line())
+        with pytest.raises(GradientError, match="overflowed"):
+            gradient(g, 1e200)
+
+
+class TestGeneratorFields:
+    def test_name_and_spec_are_keyword_only(self):
+        f = lambda t: t[0]
+        with pytest.raises(TypeError):
+            Generator(1, f, real_line(), None, "convex", True, "x")
+        g = Generator(1, f, real_line(), None, "convex", name="x")
+        assert (g.name, g.declared_class, g.spec) == ("x", "convex", None)
+
+    def test_replace_keeps_the_other_fields(self):
+        g = build_generator("log")
+        h = dataclasses.replace(g, eval=lambda t: 0.0, grad=None)
+        assert (h.name, h.spec, h.domain) == (g.name, g.spec, g.domain)
+        assert h.eval((2.0,)) == 0.0 and h.grad is None
+
+
 class TestBuildGenerator:
     def test_affine_wrap(self):
         g = build_generator({"affine": {"a": 2, "b": 3, "inner": {"name": "linear"}}})
@@ -175,12 +218,6 @@ class TestBuildGenerator:
         g = build_generator({"name": "neg-gauss", "dim": 3})
         assert g.dim == 3
         assert g((0, 0, 0)) == -1.0
-
-    def test_positivity_claims(self):
-        assert build_generator("sqrt").positive
-        assert not build_generator("quadratic").positive
-        wrapped = build_generator({"affine": {"a": 1, "b": 1, "inner": {"name": "quadratic"}}})
-        assert wrapped.positive  # quadratic is nonnegative, so +1 makes it positive
 
     def test_separable_needs_1d_components(self):
         with pytest.raises(SpecError):
@@ -227,6 +264,23 @@ class TestCheckQuasiconvex:
             check_quasiconvex(build_generator("log"), bounded_box((-1, 1)), 4, 11, 0)
 
 
+class TestSegmentViolation:
+    ALPHAS = [0.0, 0.25, 0.5, 0.75, 1.0]
+
+    def test_rise_before_the_minimum(self):
+        w = _segment_violation((0.0,), (1.0,), self.ALPHAS, [5, 3, 4, 1, 6], 0.0)
+        assert w.alphas == (0.25, 0.5, 0.75)
+        assert w.values == (3, 4, 1)
+
+    def test_fall_after_the_minimum(self):
+        w = _segment_violation((0.0,), (1.0,), self.ALPHAS, [6, 1, 4, 3, 5], 0.0)
+        assert w.alphas == (0.25, 0.5, 0.75)
+        assert w.values == (1, 4, 3)
+
+    def test_unimodal_has_no_witness(self):
+        assert _segment_violation((0.0,), (1.0,), self.ALPHAS, [5, 3, 1, 4, 6], 0.0) is None
+
+
 def test_degenerate_interval_rejected():
     with pytest.raises(ValueError):
         Interval(1.0, 1.0)
@@ -255,7 +309,7 @@ class TestSpecRoundTrip:
     def test_spec_rebuilds_the_generator(self, spec, box):
         g = build_generator(spec)
         again = build_generator(g.spec)
-        for field in ("name", "dim", "domain", "declared_class", "positive"):
+        for field in ("name", "dim", "domain", "declared_class"):
             assert getattr(again, field) == getattr(g, field)
         rng = random.Random(11)
         for _ in range(20):

@@ -1,0 +1,53 @@
+"""Every public module-level name in qcdiv is exported or used somewhere.
+
+A function, class or constant that is neither in ``qcdiv.__all__`` nor
+referenced from ``src/``, ``tests/`` or ``bench/`` is a dead or parallel list;
+this guard keeps new ones from landing.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import qcdiv
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "qcdiv"
+
+
+def _definitions(tree):
+    """Public names bound by the top-level statements of one module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names if not name.startswith("_"))
+
+
+def _uses(tree):
+    """Names read, attributes accessed and names imported anywhere in one file."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+
+
+def test_no_unused_public_module_names():
+    uses = Counter()
+    for folder in ("src", "tests", "bench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            uses.update(_uses(ast.parse(path.read_text(), str(path))))
+    dead = [
+        f"{path.name}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in _definitions(ast.parse(path.read_text(), str(path)))
+        if name not in qcdiv.__all__ and not uses[name]
+    ]
+    assert dead == []

@@ -1,8 +1,11 @@
 import math
 import random
 
+import dataclasses
+
 import pytest
 
+import qcdiv.oracles
 from qcdiv.core import PreconditionError, build_generator
 from qcdiv.bregman import delta_averaged_qcvx_bregman
 from qcdiv.jensen import qcvx_jensen
@@ -11,13 +14,16 @@ from qcdiv.oracles import (
     GK15_NODES,
     GK15_WEIGHTS,
     InfiniteIntegrandError,
+    NonConvergenceError,
     integrate,
     integrate_delta_average,
+    kl_quadrature,
     limit_power_jensen,
     limit_r_power_bregman,
     limit_scaled_jensen,
 )
 from qcdiv.checks import sample_point, sweep_catalog
+from qcdiv.statdiv import PowerNested
 
 
 class TestIntegrate:
@@ -123,6 +129,22 @@ class TestConvergenceFlag:
         r = integrate(lambda x: x**-0.9, 0.0, 1.0, max_depth=3)
         assert not r.converged
         assert r.panels <= 2**4
+
+
+class TestNonConvergenceRaises:
+    """An oracle whose integral misses its tolerance raises instead of returning it."""
+
+    def test_kl_quadrature(self):
+        with pytest.raises(NonConvergenceError, match="^KL quadrature: error estimate"):
+            kl_quadrature(PowerNested(2.5, 1.0), PowerNested(2.5, 2.0), abs_tol=0.0)
+
+    def test_integrate_delta_average(self, monkeypatch):
+        def unconverged(*args, **kwargs):
+            return dataclasses.replace(integrate(*args, **kwargs), converged=False)
+
+        monkeypatch.setattr(qcdiv.oracles, "integrate", unconverged)
+        with pytest.raises(NonConvergenceError, match="^delta-average quadrature: error"):
+            integrate_delta_average(build_generator("quadratic"), 1, 2, 0.5)
 
 
 class TestIntegrateDeltaAverage:

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from qcdiv.core import PreconditionError, bounded_box, build_generator
+from qcdiv.core import DomainError, PreconditionError, bounded_box, build_generator, real_line
 from qcdiv.bregman import qcvx_bregman
 from qcdiv.oracles import integrate, kl_quadrature
 from qcdiv.statdiv import (
@@ -158,6 +158,15 @@ class TestExpFamily:
         assert gaussian_family().validate_convexity(bounded_box((-4, 4)))
         wiggly = ExpFamily(build_generator("sine"))
         assert not wiggly.validate_convexity(bounded_box((0, 2 * math.pi)))
+
+    def test_convexity_validation_preconditions(self):
+        # The same preconditions as check_quasiconvex.
+        with pytest.raises(ValueError, match="bounded box"):
+            ExpFamily(build_generator("quadratic")).validate_convexity(real_line())
+        with pytest.raises(DomainError, match="box is not inside the domain of log"):
+            ExpFamily(build_generator("log")).validate_convexity(bounded_box((-1, 1)))
+        with pytest.raises(ValueError, match="n_points"):
+            gaussian_family().validate_convexity(bounded_box((-4, 4)), n_points=2)
 
 
 class TestQcvxBregmanFromKl:

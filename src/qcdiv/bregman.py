@@ -23,6 +23,7 @@ from .core import (
     _gradient,
     _points,
     _tie_sensitive,
+    _validate_positive,
     _values,
 )
 
@@ -63,13 +64,6 @@ def qcvx_bregman(Q: Generator, theta, theta_p) -> ExtReal:
     return _branch(Q, theta, theta_p, lambda t, tp, qt, qtp: -_linear_term(Q, t, tp))
 
 
-def validate_ratio(delta: float) -> float:
-    d = float(delta)
-    if not d > 0.0:
-        raise ValueError(f"averaging ratio delta must be > 0, got {d}")
-    return d
-
-
 def delta_averaged_qcvx_bregman(Q: Generator, theta, theta_p, delta: float) -> ExtReal:
     """(1/delta) * (Q(theta_p + delta*(theta_p - theta)) - Q(theta_p)) on the finite branch.
 
@@ -78,7 +72,7 @@ def delta_averaged_qcvx_bregman(Q: Generator, theta, theta_p, delta: float) -> E
     Q(theta_p) >= Q(theta), +inf otherwise.  delta is the ratio between the
     averaging length and theta_p - theta.
     """
-    d = validate_ratio(delta)
+    d = _validate_positive("averaging ratio delta", delta)
 
     def finite(t, tp, qt, qtp):
         extrap = tuple(y + d * (y - x) for x, y in zip(t, tp))

@@ -10,7 +10,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .core import Box, ExtReal, Generator, bounded_box, build_generator
+from .core import Box, ExtReal, Generator, bounded_box, build_generator, sample_point
 from .jensen import extended_jensen, qccv_jensen, qcvx_jensen
 from .bregman import delta_averaged_qcvx_bregman, qcvx_bregman
 from .means import MeanSpec, mn_jensen, weighted_mean
@@ -77,10 +77,6 @@ def sweep_catalog():
             bounded_box((-1.5, 10)),
         ),
     )
-
-
-def sample_point(rng: random.Random, box: Box):
-    return tuple(rng.uniform(iv.lower, iv.upper) for iv in box.intervals)
 
 
 def _close(a: float, b: float, rel: float) -> bool:

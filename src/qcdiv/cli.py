@@ -260,6 +260,10 @@ def cmd_check(args) -> int:
     return 0 if result.passed else 1
 
 
+# table rows are the square of this, so a bad --grid-step cannot exhaust memory.
+_MAX_GRID_POINTS = 1001
+
+
 def cmd_table(args) -> int:
     if not args.grid_step > 0.0:
         raise CliError(f"--grid-step must be > 0, got {args.grid_step}")
@@ -268,7 +272,10 @@ def cmd_table(args) -> int:
     needs_tp, evaluate = _build_evaluator(args)
     if not needs_tp:
         raise CliError(f"--div {args.div} is unary; table needs a binary divergence")
-    count = int(math.floor((args.grid_max - args.grid_min) / args.grid_step + 1e-9)) + 1
+    steps = (args.grid_max - args.grid_min) / args.grid_step + 1e-9
+    if not steps < _MAX_GRID_POINTS:
+        raise CliError(f"the grid has more than {_MAX_GRID_POINTS} points per axis")
+    count = int(math.floor(steps)) + 1
     points = [args.grid_min + i * args.grid_step for i in range(count)]
     # Every value first, so that a grid point that raises leaves stdout empty.
     values = iter([float(evaluate((a,), (b,))) for a in points for b in points])

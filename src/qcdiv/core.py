@@ -116,7 +116,14 @@ def as_vector(theta) -> Vector:
     ):
         coords = (float(theta),)
     else:
-        coords = tuple(map(float, theta))
+        try:
+            coords = tuple(map(float, theta))
+        except TypeError:
+            # A 0-d array (numpy) is a scalar that neither iterates nor
+            # registers as numbers.Real.
+            if getattr(theta, "shape", None) != ():
+                raise
+            coords = (float(theta),)
     if not coords:
         raise DimensionError("parameter vector must have at least one coordinate")
     _check_finite(coords)
@@ -127,6 +134,13 @@ def _check_finite(coords: Vector) -> None:
     if not all(map(math.isfinite, coords)):
         i = next(i for i, c in enumerate(coords) if not math.isfinite(c))
         raise DomainError(f"coordinate {i} is not finite: {coords[i]!r}")
+
+
+def _validate_positive(name: str, value: float) -> float:
+    v = float(value)
+    if not v > 0.0:
+        raise ValueError(f"{name} must be > 0, got {v}")
+    return v
 
 
 def _points(theta, theta_p):
@@ -172,9 +186,6 @@ class Interval:
         if self.upper_open:
             return x < self.upper
         return x <= self.upper
-
-    def contains_interior(self, x: float) -> bool:
-        return self.lower < x < self.upper
 
     def contains_interval(self, other: "Interval") -> bool:
         if other.lower < self.lower or (
@@ -256,7 +267,19 @@ def bounded_box(*bounds) -> Box:
     return Box(tuple(Interval(float(lo), float(hi)) for lo, hi in bounds))
 
 
-DECLARED_CLASSES = ("convex", "quasiconvex", "quasiconcave", "quasilinear", "unknown")
+def sample_point(rng: random.Random, box: Box) -> Vector:
+    """A uniform point of a bounded box: one ``rng.uniform`` per coordinate, in order."""
+    return tuple(rng.uniform(iv.lower, iv.upper) for iv in box.intervals)
+
+
+# The declared classes, each mapped to the class of the negated generator.
+_NEGATED_CLASS = {
+    "convex": "quasiconcave",
+    "quasiconvex": "quasiconcave",
+    "quasiconcave": "quasiconvex",
+    "quasilinear": "quasilinear",
+    "unknown": "unknown",
+}
 
 
 @dataclass(frozen=True)
@@ -286,7 +309,7 @@ class Generator:
             raise DimensionError(
                 f"domain dimension {self.domain.dim} != generator dimension {self.dim}"
             )
-        if self.declared_class not in DECLARED_CLASSES:
+        if self.declared_class not in _NEGATED_CLASS:
             raise ValueError(f"unknown declared class {self.declared_class!r}")
 
     def __call__(self, theta) -> float:
@@ -357,21 +380,25 @@ def _gradient(g: Generator, t: Vector) -> Vector:
         )
     try:
         if g.grad is not None:
-            return tuple(map(float, g.grad(t)))
-        out = []
-        for i, x in enumerate(t):
-            h = FD_STEP * max(1.0, abs(x))
-            hi = t[:i] + (x + h,) + t[i + 1 :]
-            lo = t[:i] + (x - h,) + t[i + 1 :]
-            if not (g.domain.contains(hi) and g.domain.contains(lo)):
-                raise GradientError(
-                    f"finite differences for {g.name or 'generator'} need room "
-                    f"{x} +/- {h} inside the domain at coordinate {i}"
-                )
-            out.append((g.eval(hi) - g.eval(lo)) / (2.0 * h))
-        return tuple(out)
+            grad = tuple(map(float, g.grad(t)))
+        else:
+            out = []
+            for i, x in enumerate(t):
+                h = FD_STEP * max(1.0, abs(x))
+                hi = t[:i] + (x + h,) + t[i + 1 :]
+                lo = t[:i] + (x - h,) + t[i + 1 :]
+                if not (g.domain.contains(hi) and g.domain.contains(lo)):
+                    raise GradientError(
+                        f"finite differences for {g.name or 'generator'} need room "
+                        f"{x} +/- {h} inside the domain at coordinate {i}"
+                    )
+                out.append((g.eval(hi) - g.eval(lo)) / (2.0 * h))
+            grad = tuple(out)
     except OverflowError:
         raise GradientError(f"gradient of {g.name or 'generator'} overflowed at {t}") from None
+    if not all(map(math.isfinite, grad)):
+        raise GradientError(f"gradient of {g.name or 'generator'} is not finite at {t}: {grad}")
+    return grad
 
 
 # --------------------------------------------------------------------------
@@ -448,15 +475,6 @@ def _builtin(name: str, params: dict) -> Generator:
         return Generator(1, lambda t: math.sin(t[0]), real_line(),
                          lambda t: (math.cos(t[0]),), "unknown", name="sine")
     raise SpecError(f"unknown generator name {name!r}")
-
-
-_NEGATED_CLASS = {
-    "convex": "quasiconcave",
-    "quasiconvex": "quasiconcave",
-    "quasiconcave": "quasiconvex",
-    "quasilinear": "quasilinear",
-    "unknown": "unknown",
-}
 
 
 def build_generator(spec) -> Generator:
@@ -617,33 +635,34 @@ def _segments(g: Generator, box: Box, n_lines: int, n_points: int, seed: int):
     rng = random.Random(seed)
     alphas = [i / (n_points - 1) for i in range(n_points)]
     for _ in range(n_lines):
-        p = tuple(rng.uniform(iv.lower, iv.upper) for iv in box.intervals)
-        q = tuple(rng.uniform(iv.lower, iv.upper) for iv in box.intervals)
-        yield p, q, alphas, [float(g.eval(interpolate(p, q, a))) for a in alphas]
+        p = sample_point(rng, box)
+        q = sample_point(rng, box)
+        # A box wider than the float range samples an infinite endpoint.
+        _check_finite(p)
+        _check_finite(q)
+        yield p, q, alphas, [_eval(g, _lerp(p, q, a)) for a in alphas]
 
 
 def _segment_violation(p, q, alphas, values, tol):
-    end_max = max(values[0], values[-1])
-    for i in range(1, len(values) - 1):
+    """The first non-unimodal triple on the segment p -> q as a witness, or None."""
+    triple = _violating_triple(values, tol)
+    if triple is None:
+        return None
+    return ViolationWitness((p, q), tuple(alphas[i] for i in triple),
+                            tuple(values[i] for i in triple))
+
+
+def _violating_triple(values, tol):
+    last = len(values) - 1
+    end_max = max(values[0], values[last])
+    for i in range(1, last):
         if values[i] > end_max + tol:
-            return ViolationWitness(
-                (p, q),
-                (alphas[0], alphas[i], alphas[-1]),
-                (values[0], values[i], values[-1]),
-            )
+            return 0, i, last
     m = min(range(len(values)), key=values.__getitem__)
     for j in range(m):  # prefix must be non-increasing
         if values[j + 1] > values[j] + tol:
-            return ViolationWitness(
-                (p, q),
-                (alphas[j], alphas[j + 1], alphas[m]),
-                (values[j], values[j + 1], values[m]),
-            )
-    for j in range(m, len(values) - 1):  # suffix must be non-decreasing
+            return j, j + 1, m
+    for j in range(m, last):  # suffix must be non-decreasing
         if values[j + 1] < values[j] - tol:
-            return ViolationWitness(
-                (p, q),
-                (alphas[m], alphas[j], alphas[j + 1]),
-                (values[m], values[j], values[j + 1]),
-            )
+            return m, j, j + 1
     return None

@@ -8,6 +8,7 @@ class, so a class mismatch warns instead of raising.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 
 from .core import (Generator, GeneratorClassWarning, NonPositiveError, _eval, _lerp,
@@ -20,6 +21,15 @@ def validate_skew(alpha: float) -> float:
     if not 0.0 < a < 1.0:
         raise ValueError(f"skew alpha must lie in (0, 1), got {a}")
     return a
+
+
+def _warn_class(fn: str, g: Generator) -> None:
+    """Warn from the caller of ``fn`` that g's declared class voids its sign guarantees."""
+    warnings.warn(
+        f"{fn} with {g.declared_class} generator {g.name or '?'}: sign guarantees do not apply",
+        GeneratorClassWarning,
+        stacklevel=3,
+    )
 
 
 def _three_values(Q: Generator, theta, theta_p, alpha: float):
@@ -35,12 +45,7 @@ def qcvx_jensen(Q: Generator, theta, theta_p, alpha: float) -> float:
     """
     a = validate_skew(alpha)
     if Q.declared_class == "quasiconcave":
-        warnings.warn(
-            f"qcvx_jensen with quasiconcave generator {Q.name or '?'}: "
-            "sign guarantees do not apply",
-            GeneratorClassWarning,
-            stacklevel=2,
-        )
+        _warn_class("qcvx_jensen", Q)
     qt, qtp, qmid = _three_values(Q, theta, theta_p, a)
     return max(qt, qtp) - qmid
 
@@ -52,12 +57,7 @@ def qccv_jensen(H: Generator, theta, theta_p, alpha: float) -> float:
     """
     a = validate_skew(alpha)
     if H.declared_class in ("convex", "quasiconvex"):
-        warnings.warn(
-            f"qccv_jensen with {H.declared_class} generator {H.name or '?'}: "
-            "sign guarantees do not apply",
-            GeneratorClassWarning,
-            stacklevel=2,
-        )
+        _warn_class("qccv_jensen", H)
     ht, htp, hmid = _three_values(H, theta, theta_p, a)
     return hmid - min(ht, htp)
 
@@ -78,7 +78,11 @@ def log_ratio_gap(Q: Generator, theta, theta_p, alpha: float) -> float:
         )
     if top <= 0.0:
         raise NonPositiveError(f"log_ratio_gap: endpoint maximum {top} is not positive")
-    return -math.log(qmid / top)
+    ratio = qmid / top
+    if sys.float_info.min <= ratio < math.inf:
+        return -math.log(ratio)
+    # The quotient left the normal floats (0, subnormal or inf), so take logs first.
+    return math.log(top) - math.log(qmid)
 
 
 def extended_jensen(Q: Generator, theta, theta_p, alpha: float) -> float:

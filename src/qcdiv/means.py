@@ -24,6 +24,7 @@ from .core import (
 )
 
 _LOG_MAX = math.log(sys.float_info.max)  # ~709.78, the overflow threshold
+_NORMAL_MIN = sys.float_info.min
 
 MEAN_KINDS = ("arithmetic", "power", "quasi-arithmetic", "max", "min")
 
@@ -86,12 +87,19 @@ def _power_mean(x: float, y: float, alpha: float, delta: float) -> float:
     # max for delta > 0, min for delta < 0.  Underflow of the other term is
     # exactly the max/min limit.
     m = max(x, y) if delta > 0.0 else min(x, y)
-    rx, ry = x / m, y / m
     # Both ratios^delta are <= 1 by the choice of m, so s <= 1 up to rounding.
-    s = min((1.0 - alpha) * rx**delta + alpha * ry**delta, 1.0)
+    s = min((1.0 - alpha) * _ratio_pow(x, m, delta) + alpha * _ratio_pow(y, m, delta), 1.0)
     if s == 0.0:
         return m
     return m * math.exp(math.log(s) / delta)
+
+
+def _ratio_pow(v: float, m: float, delta: float) -> float:
+    """(v / m) ** delta for v, m > 0, in the log domain when v / m is not a normal float."""
+    r = v / m
+    if _NORMAL_MIN <= r < math.inf:
+        return r**delta
+    return math.exp(delta * (math.log(v) - math.log(m)))
 
 
 def _qa_inverse(f: Generator, target: float, lo: float, hi: float,
@@ -192,6 +200,8 @@ def power_mean_jensen(F: Generator, delta: float, alpha: float,
 
 def _real_pow(base: float, expo: float, what: str) -> float:
     if base == 0.0:
+        if expo > 0.0:
+            return 0.0
         raise ZeroDivisionError(f"{what}: zero base with exponent {expo}")
     if base < 0.0 and expo != int(expo):
         raise NonPositiveError(f"{what}: negative base {base} with non-integer exponent {expo}")

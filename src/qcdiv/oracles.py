@@ -15,10 +15,9 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .core import ExtReal, Generator, PreconditionError, _eval, _fmt, _values, as_vector
-# A private alias keeps this precondition check in the oracles layer of the
-# traced benchmark (bench/spans.py wraps public names only), as when it was inline.
-from .bregman import qcvx_bregman, validate_ratio as _validate_ratio
+from .core import (ExtReal, Generator, PreconditionError, _eval, _fmt, _validate_positive,
+                   _values, as_vector)
+from .bregman import qcvx_bregman
 from .jensen import qcvx_jensen
 from .means import power_mean_jensen, r_power_bregman
 
@@ -162,7 +161,7 @@ def integrate_delta_average(Q: Generator, theta: float, theta_p: float,
     nestedness of the shifted sublevel values and is reported, not averaged;
     an integral that misses abs_tol 1e-10 raises NonConvergenceError.
     """
-    d = _validate_ratio(delta)
+    d = _validate_positive("averaging ratio delta", delta)
     t, tp = as_vector(theta), as_vector(theta_p)
     if len(t) != 1 or len(tp) != 1:
         raise ValueError("the quadrature cross-check is defined for 1-D parameters")

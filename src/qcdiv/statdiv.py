@@ -21,17 +21,11 @@ from .core import (
     _points,
     _segments,
     _tie_sensitive,
+    _validate_positive,
     _values,
     as_vector,
 )
 from .bregman import bregman
-
-
-def _validate_positive(name: str, value: float) -> float:
-    v = float(value)
-    if not v > 0.0:
-        raise ValueError(f"{name} must be > 0, got {v}")
-    return v
 
 
 @dataclass(frozen=True)

@@ -182,6 +182,14 @@ class TestTableCommand:
                     "--grid-min", "1", "--grid-max", "2", "--grid-step", "0")
         assert r.returncode == 2
 
+    def test_grid_is_capped(self):
+        # 1e300 points per axis: the cap must act before any row is built.
+        r = run_cli("table", "--div", "qcvx-bregman", "--gen", "quadratic",
+                    "--grid-min", "0", "--grid-max", "1", "--grid-step", "1e-300")
+        assert r.returncode == 2
+        assert r.stdout == b""
+        assert r.stderr == b"qcdiv: error: the grid has more than 1001 points per axis\n"
+
     def test_error_at_a_grid_point_writes_nothing_to_stdout(self):
         r = run_cli("table", "--div", "power-bregman", "--gen", "log", "--delta1", "2",
                     "--delta2", "3", "--grid-min", "0.5", "--grid-max", "1.5",

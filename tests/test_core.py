@@ -24,9 +24,10 @@ from qcdiv.core import (
     real_line,
 )
 from qcdiv.core import _segment_violation
-from qcdiv.bregman import qcvx_bregman
+from qcdiv.bregman import bregman, qcvx_bregman
 from qcdiv.checks import sample_point, sweep_catalog
 from qcdiv.jensen import qcvx_jensen
+from qcdiv.statdiv import ExpFamily
 
 
 class TestExtReal:
@@ -165,6 +166,32 @@ class TestOverflow:
             gradient(g, 1e200)
 
 
+class TestNonFiniteGradient:
+    """A gradient that is NaN or infinite raises GradientError instead of leaking."""
+
+    HUGE = -1.7976931348623157e308
+
+    def test_nan_gradient_in_bregman(self):
+        # 2x exp(-x^2) is (-inf) * 0 = NaN at the float limit.
+        with pytest.raises(GradientError, match=r"not finite .*\(nan,\)"):
+            bregman(build_generator("neg-gauss"), 0.2146, self.HUGE)
+
+    def test_infinite_gradient_in_bregman(self):
+        g = build_generator({"affine": {"a": 1e-300, "b": 0, "inner": {"name": "log"}}})
+        with pytest.raises(GradientError, match=r"not finite .*\(inf,\)"):
+            bregman(g, 1.4378e-09, 5e-324)
+
+    def test_nan_gradient_in_qcvx_bregman(self):
+        with pytest.raises(GradientError, match="not finite"):
+            qcvx_bregman(build_generator("neg-gauss"), 0.5, self.HUGE)
+
+    def test_finite_difference_branch(self):
+        # Float multiplication overflows to inf without raising: inf - inf is NaN.
+        g = Generator(1, lambda t: t[0] * t[0] * 1e300, real_line())
+        with pytest.raises(GradientError, match=r"not finite .*\(nan,\)"):
+            gradient(g, 1e5)
+
+
 class TestGeneratorFields:
     def test_name_and_spec_are_keyword_only(self):
         f = lambda t: t[0]
@@ -262,6 +289,28 @@ class TestCheckQuasiconvex:
             check_quasiconvex(g, Box((Interval(0.0, math.inf),)), 4, 11, 0)
         with pytest.raises(DomainError):
             check_quasiconvex(build_generator("log"), bounded_box((-1, 1)), 4, 11, 0)
+
+
+def _quasiconvex(g, box):
+    return check_quasiconvex(g, box, 4, 5, 0)
+
+
+def _convex(g, box):
+    return ExpFamily(g).validate_convexity(box, 4, 5, 0)
+
+
+@pytest.mark.parametrize("sampler", [_quasiconvex, _convex])
+class TestSegmentValues:
+    """Sampled segments evaluate through the checked kernel: no raw overflow, no inf."""
+
+    @pytest.mark.parametrize("name", ["cubic", "quadratic"])
+    def test_overflowing_values_are_domain_errors(self, sampler, name):
+        with pytest.raises(DomainError, match=f"^{name} evaluated to non-finite value inf"):
+            sampler(build_generator(name), bounded_box((-1e200, 1e200)))
+
+    def test_infinite_endpoint_is_reported_as_inf(self, sampler):
+        with pytest.raises(DomainError, match=r"^coordinate 0 is not finite: inf$"):
+            sampler(build_generator("quadratic"), bounded_box((-1e308, 1e308)))
 
 
 class TestSegmentViolation:

@@ -6,6 +6,7 @@ this guard keeps new ones from landing.
 """
 
 import ast
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -51,3 +52,12 @@ def test_no_unused_public_module_names():
         if name not in qcdiv.__all__ and not uses[name]
     ]
     assert dead == []
+
+
+def test_public_api_is_what_the_package_imports():
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names}
+    assert qcdiv.__all__ == sorted(imported)
+    assert not any(isinstance(getattr(qcdiv, name), types.ModuleType) for name in qcdiv.__all__)

@@ -57,6 +57,18 @@ def test_log_ratio_gap_identity_point():
     assert log_ratio_gap(Q, 1, 1, 0.5) == 0.0
 
 
+@pytest.mark.parametrize("spec, theta, theta_p, expected", [
+    # Q(mid) / top overflows to inf: top is the subnormal sin(5e-324).
+    ("sine", 5e-324, 105.40724781986427, -744.0044364346271),
+    # Q(mid) / top underflows to 0: top is 1e300, Q(mid) is 5e-324.
+    ({"affine": {"a": 1e300, "b": 5e-324, "inner": {"name": "quadratic"}}}, -1, 1,
+     1435.215599819595),
+])
+def test_log_ratio_gap_outside_the_normal_floats(spec, theta, theta_p, expected):
+    value = log_ratio_gap(build_generator(spec), theta, theta_p, 0.5)
+    assert value == pytest.approx(expected, rel=1e-14)
+
+
 def test_log_ratio_gap_vanishing_value():
     with pytest.raises(NonPositiveError, match="0"):
         log_ratio_gap(build_generator("quadratic"), -1, 1, 0.5)

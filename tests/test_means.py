@@ -23,6 +23,12 @@ class TestWeightedMean:
     def test_arithmetic(self):
         assert weighted_mean(MeanSpec.arithmetic(), 2, 4, 0.5) == 3.0
 
+    @pytest.mark.parametrize("delta, exact", [(0.01, 7.96789e169), (-0.01, 1.25504e-170)])
+    def test_power_ratio_outside_the_normal_floats(self, delta, exact):
+        # 1e-200 / 1e200 underflows to 0 and 1e200 / 1e-200 overflows to inf.
+        value = weighted_mean(MeanSpec.power(delta), 1e200, 1e-200, 0.5)
+        assert value == pytest.approx(exact, rel=1e-5, abs=0.0)
+
     def test_max_min_ignore_weight(self):
         for a in (0.0, 0.3, 1.0):
             assert weighted_mean(MeanSpec.maximum(), 2, 5, a) == 5.0
@@ -193,6 +199,12 @@ class TestPowerMeanBregman:
     def test_zero_exponent_rejected(self):
         with pytest.raises(ValueError):
             power_mean_bregman(build_generator("quadratic"), 0, 1, 2, 1)
+
+    def test_zero_generator_value_at_p(self):
+        # cubic(9.08e-172) underflows to 0, and 0^3 is 0, not a division by zero.
+        value = power_mean_bregman(build_generator("cubic"), 1, 3, 9.08e-172, 9.86e-05)
+        q = 9.86e-05
+        assert value == pytest.approx(-q**9 / (3 * q**6) + q * 3 * q * q, rel=1e-12, abs=0.0)
 
     def test_zero_generator_value_at_q(self):
         F = build_generator({"affine": {"a": 1, "b": -2, "inner": {"name": "linear"}}})

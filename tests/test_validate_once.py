@@ -223,6 +223,16 @@ def test_numpy_scalars_are_one_coordinate_points():
         as_vector(np.float32("inf"))
 
 
+def test_numpy_0d_arrays_are_one_coordinate_points():
+    np = pytest.importorskip("numpy")
+    assert as_vector(np.array(2.5)) == (2.5,)
+    assert float(qcvx_bregman(LOG, np.array(1.0), np.array(2))) == 0.5
+    with pytest.raises(DomainError, match="not finite"):
+        as_vector(np.array(np.nan))
+    with pytest.raises(TypeError):
+        as_vector(np.array(None))
+
+
 @pytest.mark.parametrize("value", [1j, None])
 def test_non_real_scalars_are_still_rejected(value):
     with pytest.raises(TypeError, match="not iterable"):
@@ -245,7 +255,7 @@ def test_domain_checks_match_the_intervals(box):
     for x in EDGES:
         for y in EDGES:
             theta = (x, y)[: box.dim]
-            interior = all(iv.contains_interior(c) for iv, c in zip(box.intervals, theta))
+            interior = all(iv.lower < c < iv.upper for iv, c in zip(box.intervals, theta))
             assert box.contains_interior(theta) == interior
             inside = all(iv.contains(c) for iv, c in zip(box.intervals, theta))
             assert (box.violation(theta) is None) == inside

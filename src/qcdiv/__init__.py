@@ -23,6 +23,7 @@ from .core import (
     POS_INF,
     PreconditionError,
     QuasiconvexityReport,
+    RangeError,
     SpecError,
     ViolationWitness,
     as_vector,

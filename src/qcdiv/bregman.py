@@ -21,6 +21,7 @@ from .core import (
     Generator,
     _eval,
     _gradient,
+    _in_range,
     _points,
     _tie_sensitive,
     _validate_positive,
@@ -29,9 +30,9 @@ from .core import (
 
 
 def _linear_term(F: Generator, t, tp) -> float:
-    """<theta - theta_p, grad F(theta_p)>."""
+    """<theta - theta_p, grad F(theta_p)>; RangeError when it overflows."""
     g = _gradient(F, tp)
-    return sum((x - y) * gi for x, y, gi in zip(t, tp, g))
+    return _in_range(sum((x - y) * gi for x, y, gi in zip(t, tp, g)), "the linear term")
 
 
 def _branch(Q: Generator, theta, theta_p, finite) -> ExtReal:

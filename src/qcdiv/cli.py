@@ -231,8 +231,7 @@ def cmd_eval(args) -> int:
     if args.format == "json":
         print('{"value": "inf"}' if math.isinf(value) else f'{{"value": {text}}}')
     elif args.format == "csv":
-        print("value")
-        print(text)
+        print(f"value\n{text}")
     else:
         print(text)
     return 0
@@ -276,13 +275,15 @@ def cmd_table(args) -> int:
     if not steps < _MAX_GRID_POINTS:
         raise CliError(f"the grid has more than {_MAX_GRID_POINTS} points per axis")
     count = int(math.floor(steps)) + 1
-    points = [args.grid_min + i * args.grid_step for i in range(count)]
+    axis = [(args.grid_min + i * args.grid_step,) for i in range(count)]
     # Every value first, so that a grid point that raises leaves stdout empty.
-    values = iter([float(evaluate((a,), (b,))) for a in points for b in points])
-    print("theta,theta_prime,value")
-    for a in points:
-        for b in points:
-            print(f"{_fmt(a)},{_fmt(b)},{_fmt(next(values))}")
+    values = iter([float(evaluate(a, b)) for a in axis for b in axis])
+    labels = [_fmt(a) for (a,) in axis]
+    # One write per grid row: zip stops at the end of labels, so each row
+    # takes the next count values.
+    sys.stdout.write("theta,theta_prime,value\n")
+    for a in labels:
+        sys.stdout.write("".join(f"{a},{b},{_fmt(v)}\n" for b, v in zip(labels, values)))
     return 0
 
 

@@ -52,6 +52,10 @@ class PreconditionError(ValueError):
     """An operation's stated precondition does not hold for these arguments."""
 
 
+class RangeError(ValueError):
+    """A divergence's value or a term of it leaves the floats."""
+
+
 class GeneratorClassWarning(UserWarning):
     """A divergence was evaluated with a generator of the opposite declared class."""
 
@@ -134,6 +138,12 @@ def _check_finite(coords: Vector) -> None:
     if not all(map(math.isfinite, coords)):
         i = next(i for i, c in enumerate(coords) if not math.isfinite(c))
         raise DomainError(f"coordinate {i} is not finite: {coords[i]!r}")
+
+
+def _in_range(value: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise RangeError(f"{what} leaves the floats: {value!r}")
+    return value
 
 
 def _validate_positive(name: str, value: float) -> float:

@@ -18,6 +18,7 @@ from .core import (
     NonPositiveError,
     _eval,
     _gradient,
+    _in_range,
     _lerp,
     _points,
     _values,
@@ -208,12 +209,27 @@ def _real_pow(base: float, expo: float, what: str) -> float:
     return math.pow(base, expo)
 
 
+def _power_gap(direct, x: float, y: float, d: float) -> float:
+    """``direct()``'s (x^d - y^d) / (d y^(d-1)), or (y/d)((x/y)^d - 1) in logs if a power overflows."""
+    try:
+        gap = direct()
+    except OverflowError:
+        gap = math.inf
+    if math.isfinite(gap) or not (x > 0.0 and y > 0.0):
+        return gap
+    log_ratio = d * (math.log(x) - math.log(y))
+    if log_ratio < _LOG_MAX:
+        return y * (math.expm1(log_ratio) / d)
+    log_gap = math.log(y) + log_ratio - math.log(abs(d))
+    return math.copysign(math.exp(log_gap), d) if log_gap < _LOG_MAX else math.inf
+
+
 def power_mean_bregman(F: Generator, delta1: float, delta2: float,
                        p: float, q: float) -> float:
     """Two-exponent power-mean Bregman divergence of a scalar generator.
 
     (F(p)^d2 - F(q)^d2) / (d2 * F(q)^(d2-1)) - (p^d1 - q^d1) / (d1 * q^(d1-1)) * F'(q)
-    with d1, d2 nonzero and p, q > 0.
+    with d1, d2 nonzero and p, q > 0; RangeError when the value leaves the floats.
     """
     d1, d2 = float(delta1), float(delta2)
     if d1 == 0.0 or d2 == 0.0:
@@ -227,11 +243,10 @@ def power_mean_bregman(F: Generator, delta1: float, delta2: float,
     if fq == 0.0:
         raise ZeroDivisionError("power_mean_bregman: F(q) = 0")
     fprime = _gradient(F, (q,))[0]
-    term1 = (_real_pow(fp, d2, "F(p)^delta2") - _real_pow(fq, d2, "F(q)^delta2")) / (
-        d2 * _real_pow(fq, d2 - 1.0, "F(q)^(delta2-1)")
-    )
-    term2 = (p**d1 - q**d1) / (d1 * q ** (d1 - 1.0)) * fprime
-    return term1 - term2
+    term1 = _power_gap(lambda: (_real_pow(fp, d2, "F(p)^delta2") - _real_pow(fq, d2, "F(q)^delta2"))
+                       / (d2 * _real_pow(fq, d2 - 1.0, "F(q)^(delta2-1)")), fp, fq, d2)
+    term2 = _power_gap(lambda: (p**d1 - q**d1) / (d1 * q ** (d1 - 1.0)), p, q, d1) * fprime
+    return _in_range(term1 - term2, "power_mean_bregman value")
 
 
 def r_power_bregman(F: Generator, r: float, theta: float, theta_p: float) -> ExtReal:

@@ -7,6 +7,7 @@ from qcdiv.core import (
     DimensionError,
     DomainError,
     Generator,
+    RangeError,
     bounded_box,
     build_generator,
     real_line,
@@ -18,6 +19,8 @@ from qcdiv.bregman import (
     qcvx_bregman,
 )
 from qcdiv.checks import sample_point, sweep_catalog
+
+MAX = 1.7976931348623157e308
 
 
 class TestBregman:
@@ -206,3 +209,29 @@ class TestExtendedBregman:
 
     def test_infinite_branch(self):
         assert extended_bregman(build_generator("log"), 2, 1).is_inf
+
+
+class TestLinearTermOverflow:
+    """A linear term <theta - theta_p, grad F(theta_p)> outside the floats raises
+    RangeError instead of turning into nan, inf or a wrong branch value."""
+
+    def test_bregman_would_be_nan(self):
+        with pytest.raises(RangeError, match="linear term leaves the floats"):
+            bregman(build_generator("linear"), MAX, -MAX)
+
+    def test_bregman_would_be_inf(self):
+        with pytest.raises(RangeError):
+            bregman(build_generator("quadratic"), -1e154, 1e154)
+
+    def test_extended_bregman_would_be_untyped_nan_error(self):
+        with pytest.raises(RangeError):
+            extended_bregman(build_generator("linear"), -MAX, MAX)
+
+    def test_qcvx_bregman_finite_branch_would_be_inf(self):
+        # Q(theta) <= Q(theta_p) selects the finite branch; +inf there would be
+        # a wrong orientation claim.
+        with pytest.raises(RangeError):
+            qcvx_bregman(build_generator("linear"), -MAX, MAX)
+
+    def test_large_finite_linear_term_still_evaluates(self):
+        assert bregman(build_generator("linear"), MAX / 2, -MAX / 2) == 0.0

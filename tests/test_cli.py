@@ -216,3 +216,18 @@ class TestArithmeticErrors:
             assert r.stdout == b""
             assert r.stderr.startswith(b"qcdiv: error: ")
             assert b"Traceback" not in r.stderr
+
+    def test_range_errors_exit_2_with_their_message(self):
+        r = run_cli("eval", "--div", "power-bregman", "--gen", "quadratic", "--delta1", "1",
+                    "--delta2", "2000", "--theta", "10", "--theta-prime", "1")
+        assert (r.returncode, r.stdout) == (2, b"")
+        assert r.stderr == b"qcdiv: error: power_mean_bregman value leaves the floats: inf\n"
+        r = run_cli("eval", "--div", "qcvx-bregman", "--gen", "linear",
+                    "--theta=-1.7976931348623157e308", "--theta-prime=1.7976931348623157e308")
+        assert (r.returncode, r.stdout) == (2, b"")
+        assert r.stderr == b"qcdiv: error: the linear term leaves the floats: -inf\n"
+
+    def test_overflowing_power_with_a_finite_value_exits_0(self):
+        r = run_cli("eval", "--div", "power-bregman", "--gen", "quadratic", "--delta1", "1",
+                    "--delta2", "40", "--theta", "1e5", "--theta-prime", "31622.776601683792")
+        assert (r.returncode, r.stdout) == (0, b"2.5e+47\n")

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from qcdiv.core import DimensionError, NonPositiveError, build_generator
+from qcdiv.core import DimensionError, NonPositiveError, RangeError, build_generator
 from qcdiv.jensen import extended_jensen, qcvx_jensen
 from qcdiv.means import (
     MeanSpec,
@@ -214,6 +214,22 @@ class TestPowerMeanBregman:
     def test_needs_positive_points(self):
         with pytest.raises(NonPositiveError):
             power_mean_bregman(build_generator("quadratic"), 1, 1, -3, 1)
+
+    def test_overflowing_power_falls_back_to_the_log_domain(self):
+        # F(p)^40 = 1e400 overflows, but the first term is only about 2.5e47.
+        value = power_mean_bregman(build_generator("quadratic"), 1, 40, 1e5, 31622.776601683792)
+        assert value == pytest.approx(2.5000000000000066e47, rel=1e-12)
+
+    def test_overflowing_value_raises_range_error(self):
+        with pytest.raises(RangeError):
+            power_mean_bregman(build_generator("quadratic"), 1, 2000, 10, 1)
+
+    def test_overflowing_second_term_raises_range_error(self):
+        with pytest.raises(RangeError):
+            power_mean_bregman(build_generator("quadratic"), 2000, 1, 10, 1)
+
+    def test_overflowing_power_of_equal_values_is_zero(self):
+        assert power_mean_bregman(build_generator("quadratic"), 1, 2, 1e100, 1e100) == 0.0
 
 
 class TestRPowerBregman:

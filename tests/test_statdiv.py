@@ -4,7 +4,14 @@ import sys
 
 import pytest
 
-from qcdiv.core import DomainError, PreconditionError, bounded_box, build_generator, real_line
+from qcdiv.core import (
+    DomainError,
+    PreconditionError,
+    RangeError,
+    bounded_box,
+    build_generator,
+    real_line,
+)
 from qcdiv.bregman import qcvx_bregman
 from qcdiv.oracles import integrate, kl_quadrature
 from qcdiv.statdiv import (
@@ -167,6 +174,15 @@ class TestExpFamily:
             ExpFamily(build_generator("log")).validate_convexity(bounded_box((-1, 1)))
         with pytest.raises(ValueError, match="n_points"):
             gaussian_family().validate_convexity(bounded_box((-4, 4)), n_points=2)
+
+
+class TestExpFamilyRange:
+    def test_kl_with_overflowing_linear_term_raises(self):
+        # The reverse Bregman divergence's linear term overflows; the parent
+        # returned -inf here.
+        fam = ExpFamily(build_generator("log"))
+        with pytest.raises(RangeError):
+            expfam_kl(fam, 1e-300, 5412340926.110595)
 
 
 class TestQcvxBregmanFromKl:

@@ -34,7 +34,8 @@ MAX_WITNESSES = 50
 class SuiteResult:
     suite: str
     checked: int = 0
-    failures: list = field(default_factory=list)
+    failures: list = field(default_factory=list)  # the first MAX_WITNESSES witnesses
+    failed: int = 0
 
     @property
     def passed(self) -> bool:
@@ -42,12 +43,13 @@ class SuiteResult:
 
     def check(self, ok: bool, witness) -> None:
         self.checked += 1
+        self.failed += not ok
         if not ok and len(self.failures) < MAX_WITNESSES:
             self.failures.append(witness() if callable(witness) else witness)
 
     def report_lines(self):
         status = "PASS" if self.passed else "FAIL"
-        yield f"suite {self.suite}: {self.checked} checks, {len(self.failures)} failures -> {status}"
+        yield f"suite {self.suite}: {self.checked} checks, {self.failed} failures -> {status}"
         for w in self.failures[:5]:
             yield f"  witness: {w}"
 

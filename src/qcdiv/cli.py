@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from typing import NamedTuple, Optional
 
@@ -287,9 +288,27 @@ def cmd_table(args) -> int:
     return 0
 
 
+# argparse reads only -<digits>[.<digits>] as a negative number, so a value
+# such as -1e-5 or -1,2 after a flag would parse as an unknown option.  Joined
+# to its flag as --flag=value, it reads as the value on every Python version.
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
+def _join_negative_values(argv):
+    out = []
+    for arg in argv:
+        flag = out[-1] if out else ""
+        if (_NEGATIVE_VALUE.match(arg) and flag.startswith("--") and "=" not in flag
+                and not "--help".startswith(flag)):
+            out[-1] = f"{flag}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     command = {
         "eval": cmd_eval,
         "limit-study": cmd_limit_study,

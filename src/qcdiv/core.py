@@ -1,15 +1,8 @@
 """Generators on box domains, extended-real values, and quasiconvexity refutation.
 
 A Generator packages a real-valued function on a box domain together with an
-optional analytic gradient and a declared convexity class.  The built-in
-catalog (``build_generator``) covers the usual unimodal suspects (linear,
-quadratic, cubic, sqrt, log, abs, neg-gauss, log-norm-sq, linear-fractional,
-sine) plus three combinators: affine-wrap ``a*Q + b`` with ``a > 0``, negate,
-and separable sums of 1-D generators.
-
-Generator specs are plain JSON-shaped dicts, e.g. ``{"name": "log"}`` or
-``{"affine": {"a": 2, "b": 3, "inner": {"name": "linear"}}}``; see the README
-for the full schema.
+optional analytic gradient and a declared convexity class; ``build_generator``
+builds one from a JSON-shaped spec.
 """
 
 from __future__ import annotations
@@ -420,83 +413,31 @@ def _sq_norm(t: Vector) -> float:
     return sum(x * x for x in t)
 
 
-def _builtin(name: str, params: dict) -> Generator:
-    if name == "linear":
-        return Generator(1, lambda t: t[0], real_line(), lambda t: (1.0,),
-                         "quasilinear", name="linear")
-    if name == "quadratic":
-        return Generator(1, lambda t: t[0] * t[0], real_line(),
-                         lambda t: (2.0 * t[0],), "convex", name="quadratic")
-    if name == "cubic":
-        return Generator(1, lambda t: t[0] ** 3, real_line(),
-                         lambda t: (3.0 * t[0] * t[0],), "quasilinear", name="cubic")
-    if name == "sqrt":
-        return Generator(1, lambda t: math.sqrt(t[0]), positive_ray(),
-                         lambda t: (0.5 / math.sqrt(t[0]),), "quasilinear", name="sqrt")
-    if name == "log":
-        return Generator(1, lambda t: math.log(t[0]), positive_ray(),
-                         lambda t: (1.0 / t[0],), "quasilinear", name="log")
-    if name == "abs":
-        # grad at 0 returns the subgradient 0; abs is the catalog's
-        # non-differentiable case (delta-averaging does not need grad).
-        return Generator(1, lambda t: abs(t[0]), real_line(),
-                         lambda t: (math.copysign(1.0, t[0]) if t[0] != 0.0 else 0.0,),
-                         "convex", name="abs")
-    if name == "neg-gauss":
-        dim = int(params.get("dim", 1))
-        return Generator(
-            dim,
-            lambda t: -math.exp(-_sq_norm(t)),
-            real_line(dim),
-            lambda t: tuple(2.0 * x * math.exp(-_sq_norm(t)) for x in t),
-            "quasiconvex", name="neg-gauss",
-        )
-    if name == "log-norm-sq":
-        dim = int(params.get("dim", 2))
-        return Generator(
-            dim,
-            lambda t: math.log(_sq_norm(t)),
-            positive_ray(dim),
-            lambda t: tuple(2.0 * x / _sq_norm(t) for x in t),
-            "quasiconvex", name="log-norm-sq",
-        )
-    if name == "linear-fractional":
-        a = float(params.get("a", 1.0))
-        b = float(params.get("b", 0.0))
-        c = float(params.get("c", 0.0))
-        d = float(params.get("d", 1.0))
-        if c > 0.0:
-            dom = Box((Interval(-d / c, math.inf, lower_open=True),))
-        elif c < 0.0:
-            dom = Box((Interval(-math.inf, -d / c, upper_open=True),))
-        else:
-            if d <= 0.0:
-                raise SpecError("linear-fractional with c=0 requires d > 0")
-            dom = real_line()
-        det = a * d - b * c
-        return Generator(
-            1,
-            lambda t: (a * t[0] + b) / (c * t[0] + d),
-            dom,
-            lambda t: (det / (c * t[0] + d) ** 2,),
-            "quasilinear", name=f"linear-fractional({a},{b},{c},{d})",
-        )
-    if name == "sine":
-        return Generator(1, lambda t: math.sin(t[0]), real_line(),
-                         lambda t: (math.cos(t[0]),), "unknown", name="sine")
-    raise SpecError(f"unknown generator name {name!r}")
+def _linear_fractional(a, b, c, d):
+    if c > 0.0:
+        dom = Box((Interval(-d / c, math.inf, lower_open=True),))
+    elif c < 0.0:
+        dom = Box((Interval(-math.inf, -d / c, upper_open=True),))
+    elif d <= 0.0:
+        raise SpecError("linear-fractional with c=0 requires d > 0")
+    else:
+        dom = real_line()
+    det = a * d - b * c
+    return (lambda t: (a * t[0] + b) / (c * t[0] + d), dom,
+            lambda t: (det / (c * t[0] + d) ** 2,), "quasilinear",
+            f"linear-fractional({a},{b},{c},{d})")
 
 
 def build_generator(spec) -> Generator:
     """Build a Generator from a spec dict, JSON text, or bare built-in name.
 
-    Spec forms:
-      {"name": <builtin>, ...params}            params: a,b,c,d for
-                                                linear-fractional; dim for
-                                                neg-gauss / log-norm-sq
-      {"affine": {"a": >0, "b": r, "inner": spec}}
-      {"negate": spec}
-      {"separable": [spec, ...]}                1-D components only
+    Spec forms, with each built-in's keys at their defaults:
+      {"name": "linear" | "quadratic" | "cubic" | "sqrt" | "log" | "abs" | "sine"}
+      {"name": "neg-gauss", "dim": 1} or {"name": "log-norm-sq", "dim": 2}
+      {"name": "linear-fractional", "a": 1, "b": 0, "c": 0, "d": 1}
+      {"affine": {"a": >0, "b": 0, "inner": spec}} or {"negate": spec}
+      {"separable": [spec, ...]} of 1-D component specs
+    Any other key, or a dim that is not a whole number >= 1, raises SpecError.
     """
     spec = _parse(spec)
     g = _build(spec)
@@ -522,44 +463,44 @@ def _parse(spec):
     return spec
 
 
-def _build(spec) -> Generator:
-    spec = _parse(spec)
-    if not isinstance(spec, dict):
-        raise SpecError(f"generator spec must be a dict or name, got {type(spec).__name__}")
+# Each form checks its keys after it is built: a spec with an unknown key and
+# another fault raises the other fault's error.
+def _only(obj: dict, keys, where: str) -> None:
+    for key in obj:
+        if key not in keys:
+            raise SpecError(f"{where} takes only the keys {list(keys)}, not {key!r}")
 
-    tags = [k for k in ("name", "affine", "negate", "separable") if k in spec]
-    if len(tags) != 1:
-        raise SpecError(
-            f"generator spec needs exactly one of name/affine/negate/separable, got {sorted(spec)}"
-        )
-    tag = tags[0]
 
-    if tag == "name":
-        return _builtin(spec["name"], {k: v for k, v in spec.items() if k != "name"})
+def _dim(name: str, value) -> int:
+    if isinstance(value, numbers.Real) and value >= 1 and value % 1 == 0:
+        return int(value)
+    raise SpecError(f"{name} dim must be a whole number >= 1, got {value!r}")
 
-    if tag == "affine":
-        obj = spec["affine"]
-        if not isinstance(obj, dict) or "inner" not in obj or "a" not in obj:
-            raise SpecError('affine spec needs {"a": >0, "b": real, "inner": spec}')
-        a = float(obj["a"])
-        b = float(obj.get("b", 0.0))
-        if not a > 0.0:
-            raise SpecError(f"affine wrap requires a > 0, got {a}")
-        inner = _build(obj["inner"])
-        ie, ig = inner.eval, inner.grad
-        grad = None if ig is None else (lambda t: tuple(a * c for c in ig(t)))
-        return Generator(inner.dim, lambda t: a * ie(t) + b, inner.domain, grad,
-                         inner.declared_class, name=f"affine({a},{b},{inner.name})")
 
-    if tag == "negate":
-        inner = _build(spec["negate"])
-        ie, ig = inner.eval, inner.grad
-        grad = None if ig is None else (lambda t: tuple(-c for c in ig(t)))
-        return Generator(inner.dim, lambda t: -ie(t), inner.domain, grad,
-                         _NEGATED_CLASS[inner.declared_class], name=f"neg({inner.name})")
+def _affine(obj) -> Generator:
+    if not isinstance(obj, dict) or "inner" not in obj or "a" not in obj:
+        raise SpecError('affine spec needs {"a": >0, "b": real, "inner": spec}')
+    a = float(obj["a"])
+    b = float(obj.get("b", 0.0))
+    if not a > 0.0:
+        raise SpecError(f"affine wrap requires a > 0, got {a}")
+    inner = _build(obj["inner"])
+    _only(obj, ("a", "b", "inner"), "affine object")
+    ie, ig = inner.eval, inner.grad
+    grad = None if ig is None else (lambda t: tuple(a * c for c in ig(t)))
+    return Generator(inner.dim, lambda t: a * ie(t) + b, inner.domain, grad,
+                     inner.declared_class, name=f"affine({a},{b},{inner.name})")
 
-    # separable sum
-    items = spec["separable"]
+
+def _negate(inner_spec) -> Generator:
+    inner = _build(inner_spec)
+    ie, ig = inner.eval, inner.grad
+    grad = None if ig is None else (lambda t: tuple(-c for c in ig(t)))
+    return Generator(inner.dim, lambda t: -ie(t), inner.domain, grad,
+                     _NEGATED_CLASS[inner.declared_class], name=f"neg({inner.name})")
+
+
+def _separable(items) -> Generator:
     if not isinstance(items, (list, tuple)) or not items:
         raise SpecError("separable spec needs a non-empty list of 1-D specs")
     comps = [_build(item) for item in items]
@@ -570,12 +511,65 @@ def _build(spec) -> Generator:
     grads = [g.grad for g in comps]
     dim = len(comps)
     domain = Box(tuple(g.domain.intervals[0] for g in comps))
-    grad = None
-    if all(gr is not None for gr in grads):
-        grad = lambda t: tuple(grads[i]((t[i],))[0] for i in range(dim))
+    grad = None if None in grads else (lambda t: tuple(grads[i]((t[i],))[0] for i in range(dim)))
     cls = "convex" if all(g.declared_class == "convex" for g in comps) else "unknown"
     return Generator(dim, lambda t: sum(evals[i]((t[i],)) for i in range(dim)), domain, grad,
                      cls, name="sum(" + ",".join(g.name for g in comps) + ")")
+
+
+# The spec schema.  A built-in name maps to (fields, {}) when it takes no key,
+# else to (factory, its keys with their defaults), the factory taking the keys'
+# values.  The fields are eval, domain, grad, declared class and, when it is
+# not the bare name, the generator's name.  A combinator tag maps to the
+# function that builds a generator from its value.
+_BUILTINS = {
+    "linear": ((lambda t: t[0], real_line(), lambda t: (1.0,), "quasilinear"), {}),
+    "quadratic": ((lambda t: t[0] * t[0], real_line(), lambda t: (2.0 * t[0],), "convex"), {}),
+    "cubic": ((lambda t: t[0] ** 3, real_line(), lambda t: (3.0 * t[0] * t[0],),
+               "quasilinear"), {}),
+    "sqrt": ((lambda t: math.sqrt(t[0]), positive_ray(), lambda t: (0.5 / math.sqrt(t[0]),),
+              "quasilinear"), {}),
+    "log": ((lambda t: math.log(t[0]), positive_ray(), lambda t: (1.0 / t[0],),
+             "quasilinear"), {}),
+    # grad at 0 returns the subgradient 0; abs is the catalog's
+    # non-differentiable case (delta-averaging does not need grad).
+    "abs": ((lambda t: abs(t[0]), real_line(),
+             lambda t: (math.copysign(1.0, t[0]) if t[0] != 0.0 else 0.0,), "convex"), {}),
+    "neg-gauss": (lambda dim: (lambda t: -math.exp(-_sq_norm(t)), real_line(dim),
+                               lambda t: tuple(2.0 * x * math.exp(-_sq_norm(t)) for x in t),
+                               "quasiconvex"), {"dim": 1}),
+    "log-norm-sq": (lambda dim: (lambda t: math.log(_sq_norm(t)), positive_ray(dim),
+                                 lambda t: tuple(2.0 * x / _sq_norm(t) for x in t),
+                                 "quasiconvex"), {"dim": 2}),
+    "linear-fractional": (_linear_fractional, {"a": 1.0, "b": 0.0, "c": 0.0, "d": 1.0}),
+    "sine": ((lambda t: math.sin(t[0]), real_line(), lambda t: (math.cos(t[0]),), "unknown"), {}),
+}
+_COMBINATORS = {"affine": _affine, "negate": _negate, "separable": _separable}
+
+
+def _build(spec) -> Generator:
+    spec = _parse(spec)
+    if not isinstance(spec, dict):
+        raise SpecError(f"generator spec must be a dict or name, got {type(spec).__name__}")
+    forms = ("name", *_COMBINATORS)
+    tags = [k for k in forms if k in spec]
+    if len(tags) != 1:
+        raise SpecError(
+            f"generator spec needs exactly one of {'/'.join(forms)}, got {sorted(spec)}")
+    tag = tags[0]
+    if tag != "name":
+        g = _COMBINATORS[tag](spec[tag])
+        _only(spec, (tag,), f"spec {tag!r}")
+        return g
+    name = spec["name"]
+    if not isinstance(name, str) or name not in _BUILTINS:
+        raise SpecError(f"unknown generator name {name!r}")
+    entry, keys = _BUILTINS[name]
+    params = {k: _dim(name, spec.get(k, v)) if k == "dim" else float(spec.get(k, v))
+              for k, v in keys.items()}
+    ev, domain, grad, cls, *label = entry(**params) if keys else entry
+    _only(spec, ("name", *keys), f"spec {name!r}")
+    return Generator(domain.dim, ev, domain, grad, cls, name=label[0] if label else name)
 
 
 # --------------------------------------------------------------------------

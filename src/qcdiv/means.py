@@ -210,10 +210,12 @@ def _real_pow(base: float, expo: float, what: str) -> float:
 
 
 def _power_gap(direct, x: float, y: float, d: float) -> float:
-    """``direct()``'s (x^d - y^d) / (d y^(d-1)), or (y/d)((x/y)^d - 1) in logs if a power overflows."""
+    """``direct()``'s (x^d - y^d) / (d y^(d-1)), or (y/d)((x/y)^d - 1) in logs if that fails."""
     try:
         gap = direct()
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError) as e:
+        if isinstance(e, ZeroDivisionError) and not (x > 0.0 and y > 0.0):
+            raise
         gap = math.inf
     if math.isfinite(gap) or not (x > 0.0 and y > 0.0):
         return gap

@@ -47,6 +47,14 @@ def test_result_collects_witnesses():
     assert any("first witness" in ln for ln in lines)
 
 
+def test_report_counts_failures_past_the_witness_cap():
+    r = SuiteResult("x")
+    for i in range(80):
+        r.check(False, f"witness {i}")
+    assert (r.checked, r.failed, len(r.failures)) == (80, 80, qcdiv.checks.MAX_WITNESSES)
+    assert next(r.report_lines()) == "suite x: 80 checks, 80 failures -> FAIL"
+
+
 def test_report_for_passing_suite():
     r = SuiteResult("demo")
     r.check(True, "unused")

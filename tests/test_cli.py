@@ -4,6 +4,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from qcdiv import cli
 from qcdiv.bregman import qcvx_bregman
 from qcdiv.core import build_generator
 from qcdiv.jensen import qcvx_jensen
@@ -231,3 +234,41 @@ class TestArithmeticErrors:
         r = run_cli("eval", "--div", "power-bregman", "--gen", "quadratic", "--delta1", "1",
                     "--delta2", "40", "--theta", "1e5", "--theta-prime", "31622.776601683792")
         assert (r.returncode, r.stdout) == (0, b"2.5e+47\n")
+
+    def test_underflowing_denominator_with_a_finite_value_exits_0(self):
+        r = run_cli("eval", "--div", "power-bregman", "--gen", "quadratic", "--delta1", "1",
+                    "--delta2", "3", "--theta", "1e-25", "--theta-prime", "1e-100",
+                    "--format", "csv")
+        assert (r.returncode, r.stdout) == (0, b"value\n3.3333333333331489e+249\n")
+
+
+class TestNegativeValues:
+    """A negative value after a flag reads as its value, as in the --flag=value form."""
+
+    CASES = [
+        ("eval", "--div", "qcvx-bregman", "--gen", "quadratic", "--theta", "-1e-5",
+         "--theta-prime", "1"),
+        ("eval", "--div", "qcvx-bregman", "--gen", '{"name": "neg-gauss", "dim": 2}',
+         "--theta", "-1,2", "--theta-prime", "0.5,0.5"),
+        ("eval", "--div", "power-jensen", "--gen", "sqrt", "--delta", "-1e-3", "--alpha", "0.5",
+         "--theta", "1", "--theta-prime", "2"),
+        ("table", "--div", "bregman", "--gen", "quadratic", "--grid-min", "-1e-3",
+         "--grid-max", "1", "--grid-step", "0.5"),
+    ]
+
+    @pytest.mark.parametrize("argv", CASES, ids=lambda argv: argv[argv.index("--gen") - 1])
+    def test_space_form_prints_the_equals_form(self, argv, capsys):
+        i = next(i for i, a in enumerate(argv) if a[:1] == "-" and a[1:2] in "0123456789.")
+        joined = list(argv[:i - 1]) + [f"{argv[i - 1]}={argv[i]}"] + list(argv[i + 1:])
+        assert cli.main(joined) == 0
+        expected = capsys.readouterr().out
+        assert expected
+        assert cli.main(list(argv)) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_a_missing_value_still_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["eval", "--div", "qcvx-jensen", "--gen", "log", "--theta", "--alpha",
+                      "0.5", "--theta-prime", "2"])
+        assert info.value.code == 2
+        assert "argument --theta: expected one argument" in capsys.readouterr().err

@@ -254,6 +254,66 @@ class TestBuildGenerator:
         with pytest.raises(SpecError):
             build_generator({"name": "log", "negate": {"name": "log"}})
 
+    def test_linear_fractional_negative_c_domain(self):
+        g = build_generator({"name": "linear-fractional", "a": 1, "b": 0, "c": -1, "d": 2})
+        assert g.domain == Box((Interval(-math.inf, 2.0, upper_open=True),))
+        assert (g(0), g(1)) == (0.0, 1.0)
+        with pytest.raises(DomainError):
+            g(2.0)
+
+
+AFFINE_NEEDS = 'affine spec needs {"a": >0, "b": real, "inner": spec}'
+SEPARABLE_NEEDS = "separable spec needs a non-empty list of 1-D specs"
+ONE_TAG = "generator spec needs exactly one of name/affine/negate/separable, got "
+
+
+@pytest.mark.parametrize("spec, message", [
+    ('{"name": ', "invalid generator spec JSON: Expecting value: line 1 column 9 (char 8)"),
+    ([{"name": "log"}], "generator spec must be a dict or name, got list"),
+    ({"negate": 5}, "generator spec must be a dict or name, got int"),
+    ({"name": "log", "negate": "log"}, ONE_TAG + "['name', 'negate']"),
+    ({}, ONE_TAG + "[]"),
+    ({"affine": {"a": 2}}, AFFINE_NEEDS),
+    ({"affine": {"b": 1, "inner": "log"}}, AFFINE_NEEDS),
+    ({"affine": "log"}, AFFINE_NEEDS),
+    ({"affine": {"a": 0, "inner": "log"}}, "affine wrap requires a > 0, got 0.0"),
+    ({"affine": {"a": -1, "inner": "log"}}, "affine wrap requires a > 0, got -1.0"),
+    ({"separable": []}, SEPARABLE_NEEDS),
+    ({"separable": {"name": "log"}}, SEPARABLE_NEEDS),
+    ({"separable": ["log", "log-norm-sq"]},
+     "separable component 'log-norm-sq' must be 1-D, has dim 2"),
+    ("nosuch", "unknown generator name 'nosuch'"),
+    ({"name": ["log"]}, "unknown generator name ['log']"),
+    ({"name": "linear-fractional", "c": 0, "d": 0}, "linear-fractional with c=0 requires d > 0"),
+    ({"name": "linear-fractional", "c": 0, "d": -1}, "linear-fractional with c=0 requires d > 0"),
+])
+def test_spec_error_messages(spec, message):
+    with pytest.raises(SpecError) as info:
+        build_generator(spec)
+    assert type(info.value) is SpecError and str(info.value) == message
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"name": "neg-gauss", "dims": 3},
+     "spec 'neg-gauss' takes only the keys ['name', 'dim'], not 'dims'"),
+    ({"name": "log", "dim": 2}, "spec 'log' takes only the keys ['name'], not 'dim'"),
+    ({"negate": "log", "extra": 1}, "spec 'negate' takes only the keys ['negate'], not 'extra'"),
+    ({"affine": {"a": 2, "inner": "log", "c": 1}},
+     "affine object takes only the keys ['a', 'b', 'inner'], not 'c'"),
+    ({"name": "neg-gauss", "dim": 2.7}, "neg-gauss dim must be a whole number >= 1, got 2.7"),
+    ({"name": "log-norm-sq", "dim": 0}, "log-norm-sq dim must be a whole number >= 1, got 0"),
+    ({"name": "neg-gauss", "dim": "x"}, "neg-gauss dim must be a whole number >= 1, got 'x'"),
+])
+def test_unknown_keys_and_non_whole_dims_are_spec_errors(spec, message):
+    with pytest.raises(SpecError) as info:
+        build_generator(spec)
+    assert str(info.value) == message
+
+
+def test_a_whole_float_dim_is_a_dim():
+    g = build_generator({"name": "neg-gauss", "dim": 2.0})
+    assert (g.dim, g.spec) == (2, '{"dim": 2.0, "name": "neg-gauss"}')
+
 
 class TestCheckQuasiconvex:
     def test_catalog_is_never_refuted(self):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -210,6 +211,17 @@ class TestPowerMeanBregman:
         F = build_generator({"affine": {"a": 1, "b": -2, "inner": {"name": "linear"}}})
         with pytest.raises(ZeroDivisionError):
             power_mean_bregman(F, 1, 2, 1, 2)
+
+    def test_zero_generator_value_at_p_with_a_negative_exponent(self):
+        with pytest.raises(ZeroDivisionError, match=r"^F\(p\)\^delta2: zero base with exponent -1"):
+            power_mean_bregman(build_generator("cubic"), 1, -1, 9.08e-172, 9.86e-05)
+
+    def test_underflowing_denominator_falls_back_to_the_log_domain(self):
+        # 3 * F(q)^2 = 3e-400 underflows to 0, but the value is about 3.3e249.
+        p, q = Fraction(1e-25), Fraction(1e-100)
+        exact = (p**6 - q**6) / (3 * q**4) - (p - q) * 2 * q
+        value = power_mean_bregman(build_generator("quadratic"), 1, 3, 1e-25, 1e-100)
+        assert value == pytest.approx(float(exact), rel=1e-12)
 
     def test_needs_positive_points(self):
         with pytest.raises(NonPositiveError):

@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .core import Box, ExtReal, Generator, bounded_box, build_generator, sample_point
+from .core import (Box, ExtReal, Generator, _Record, bounded_box, build_generator,
+                   sample_point)
 from .jensen import extended_jensen, qccv_jensen, qcvx_jensen
 from .bregman import delta_averaged_qcvx_bregman, qcvx_bregman
 from .means import MeanSpec, mn_jensen, weighted_mean
@@ -30,12 +31,12 @@ from .oracles import NonConvergenceError, integrate, kl_quadrature
 MAX_WITNESSES = 50
 
 
-@dataclass
-class SuiteResult:
-    suite: str
-    checked: int = 0
-    failures: list = field(default_factory=list)  # the first MAX_WITNESSES witnesses
-    failed: int = 0
+class SuiteResult(_Record):
+    _fields = ("suite", "checked", "failures", "failed")
+
+    def __init__(self, suite: str, checked: int = 0, failures=None, failed: int = 0):
+        self.suite, self.checked, self.failed = suite, checked, failed
+        self.failures = [] if failures is None else failures  # the first MAX_WITNESSES witnesses
 
     @property
     def passed(self) -> bool:
@@ -54,8 +55,7 @@ class SuiteResult:
             yield f"  witness: {w}"
 
 
-@dataclass(frozen=True)
-class SweepCase:
+class SweepCase(NamedTuple):
     """A catalog generator paired with a bounded sampling box inside its domain."""
 
     generator: Generator

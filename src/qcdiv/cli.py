@@ -47,12 +47,9 @@ class CliError(Exception):
 
 def _parse_vector(text: str, flag: str):
     try:
-        coords = tuple(float(part) for part in text.split(","))
+        return tuple(float(part) for part in text.split(","))
     except ValueError:
         raise CliError(f"{flag} expects comma-separated reals, got {text!r}") from None
-    if not coords:
-        raise CliError(f"{flag} must contain at least one coordinate")
-    return coords
 
 
 def _load_generator(args):

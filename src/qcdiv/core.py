@@ -13,7 +13,7 @@ import numbers
 import random
 import sys
 from dataclasses import KW_ONLY, dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 Vector = tuple  # tuple of floats, length >= 1
 
@@ -167,18 +167,48 @@ def _lerp(t: Vector, tp: Vector, a: float) -> Vector:
     return tuple((1.0 - a) * x + a * y for x, y in zip(t, tp))
 
 
-@dataclass(frozen=True)
-class Interval:
+class _Record:
+    """Repr and equality over the fields named in ``_fields``, as a dataclass has them."""
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._astuple()))
+        return f"{type(self).__qualname__}({inner})"
+
+    def __eq__(self, other):
+        return self._astuple() == other._astuple() if type(other) is type(self) else NotImplemented
+
+
+# Fields kept in the instance dict are the fastest attribute reads, and the
+# densities, means and intervals are read per quadrature node or per sample.
+class _Frozen(_Record):
+    """A hashable _Record whose ``__init__`` checks its fields, then sets them once."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+
+class Interval(_Frozen):
     """One axis of a box: bounds may be infinite, and each end open or closed."""
 
-    lower: float = -math.inf
-    upper: float = math.inf
-    lower_open: bool = False
-    upper_open: bool = False
+    _fields = ("lower", "upper", "lower_open", "upper_open")
 
-    def __post_init__(self):
-        if not self.lower < self.upper:
-            raise ValueError(f"degenerate interval: [{self.lower}, {self.upper}]")
+    def __init__(self, lower: float = -math.inf, upper: float = math.inf,
+                 lower_open: bool = False, upper_open: bool = False):
+        if not lower < upper:
+            raise ValueError(f"degenerate interval: [{lower}, {upper}]")
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "lower_open", lower_open)
+        object.__setattr__(self, "upper_open", upper_open)
 
     def contains(self, x: float) -> bool:
         if self.lower_open:
@@ -211,18 +241,18 @@ class Interval:
         return f"{lo}{self.lower}, {self.upper}{hi}"
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(_Frozen):
     """Product of intervals; the (convex) domain of a generator."""
 
-    intervals: tuple
+    _fields = ("intervals",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "intervals", tuple(self.intervals))
-        if not self.intervals:
+    def __init__(self, intervals):
+        intervals = tuple(intervals)
+        if not intervals:
             raise ValueError("box needs at least one dimension")
+        object.__setattr__(self, "intervals", intervals)
         # Plain bounds for the interior test every generator evaluation runs.
-        object.__setattr__(self, "_bounds", tuple((iv.lower, iv.upper) for iv in self.intervals))
+        object.__setattr__(self, "_bounds", tuple((iv.lower, iv.upper) for iv in intervals))
 
     @property
     def dim(self) -> int:
@@ -555,7 +585,7 @@ def _build(spec) -> Generator:
     tags = [k for k in forms if k in spec]
     if len(tags) != 1:
         raise SpecError(
-            f"generator spec needs exactly one of {'/'.join(forms)}, got {sorted(spec)}")
+            f"generator spec needs exactly one of {'/'.join(forms)}, got {sorted(spec, key=str)}")
     tag = tags[0]
     if tag != "name":
         g = _COMBINATORS[tag](spec[tag])
@@ -577,8 +607,7 @@ def _build(spec) -> Generator:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ViolationWitness:
+class ViolationWitness(NamedTuple):
     """Three points on one segment whose values are not unimodal."""
 
     endpoints: tuple
@@ -591,8 +620,7 @@ class ViolationWitness:
         return f"segment {self.endpoints[0]} -> {self.endpoints[1]}: {pts}"
 
 
-@dataclass(frozen=True)
-class QuasiconvexityReport:
+class QuasiconvexityReport(NamedTuple):
     verdict: str  # "no-violation-found" | "refuted"
     witnesses: tuple
     lines_checked: int

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
@@ -16,6 +15,7 @@ from .core import (
     ExtReal,
     Generator,
     NonPositiveError,
+    _Frozen,
     _eval,
     _gradient,
     _in_range,
@@ -30,28 +30,28 @@ _NORMAL_MIN = sys.float_info.min
 MEAN_KINDS = ("arithmetic", "power", "quasi-arithmetic", "max", "min")
 
 
-@dataclass(frozen=True)
-class MeanSpec:
+class MeanSpec(_Frozen):
     """A weighted bivariate mean: arithmetic, power(delta), quasi-arithmetic(f), max, or min.
 
     power(0) is the geometric mean; quasi-arithmetic needs a strictly
     increasing 1-D generator f, inverted by bracketed bisection.
     """
 
-    kind: str
-    delta: Optional[float] = None
-    f: Optional[Generator] = None
+    _fields = ("kind", "delta", "f")
 
-    def __post_init__(self):
-        if self.kind not in MEAN_KINDS:
-            raise ValueError(f"unknown mean kind {self.kind!r}")
-        if self.kind == "power" and self.delta is None:
+    def __init__(self, kind: str, delta: Optional[float] = None, f: Optional[Generator] = None):
+        if kind not in MEAN_KINDS:
+            raise ValueError(f"unknown mean kind {kind!r}")
+        if kind == "power" and delta is None:
             raise ValueError("power mean needs an exponent delta")
-        if self.kind == "quasi-arithmetic":
-            if self.f is None:
+        if kind == "quasi-arithmetic":
+            if f is None:
                 raise ValueError("quasi-arithmetic mean needs a 1-D generator f")
-            if self.f.dim != 1:
+            if f.dim != 1:
                 raise DimensionError("quasi-arithmetic generator must be 1-D")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "f", f)
 
     @classmethod
     def arithmetic(cls) -> "MeanSpec":

@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (ExtReal, Generator, PreconditionError, _eval, _fmt, _validate_positive,
                    _values, as_vector)
@@ -62,8 +62,7 @@ _ROUNDING_FLOOR = 50.0 * sys.float_info.epsilon
 UNBOUNDED_FACTOR = 1e6
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     """``value`` with ``error_bound``, the summed panel estimates |K15 - G7|.
 
     That is an estimate, not a bound: x^-0.9 on [0, 1] reports 0.058 against a
@@ -208,8 +207,7 @@ def kl_quadrature(p, q, abs_tol: float = 1e-10) -> ExtReal:
     return ExtReal(_converged_value(integrate(integrand, plo, phi, abs_tol=abs_tol), "KL quadrature"))
 
 
-@dataclass(frozen=True)
-class LimitStudy:
+class LimitStudy(NamedTuple):
     """One dyadic convergence run against a closed-form target.
 
     ``errors[i]`` is |values[i] - target| when both are finite, 0.0 when both

@@ -9,12 +9,13 @@ are with respect to Lebesgue measure on an interval.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     ExtReal,
     Generator,
     PreconditionError,
+    _Frozen,
     _check_dim,
     _eval,
     _gradient,
@@ -28,14 +29,14 @@ from .core import (
 from .bregman import bregman
 
 
-@dataclass(frozen=True)
-class NestedUniform:
+class NestedUniform(_Frozen):
     """Uniform density on (0, e^theta): p(x) = exp(-theta) there, 0 elsewhere."""
 
-    theta: float
+    _fields = ("theta",)
 
-    def __post_init__(self):
-        _validate_positive("theta", self.theta)
+    def __init__(self, theta: float):
+        _validate_positive("theta", theta)
+        object.__setattr__(self, "theta", theta)
 
     def support(self):
         return (0.0, math.exp(self.theta))
@@ -48,17 +49,17 @@ class NestedUniform:
         return -self.theta
 
 
-@dataclass(frozen=True)
-class PowerNested:
+class PowerNested(_Frozen):
     """Density alpha * x^(alpha-1) * exp(-theta*alpha) on (0, e^theta), alpha > 1."""
 
-    alpha: float
-    theta: float
+    _fields = ("alpha", "theta")
 
-    def __post_init__(self):
-        if not self.alpha > 1.0:
-            raise ValueError(f"power family exponent alpha must be > 1, got {self.alpha}")
-        _validate_positive("theta", self.theta)
+    def __init__(self, alpha: float, theta: float):
+        if not alpha > 1.0:
+            raise ValueError(f"power family exponent alpha must be > 1, got {alpha}")
+        _validate_positive("theta", theta)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "theta", theta)
 
     def support(self):
         return (0.0, math.exp(self.theta))
@@ -101,8 +102,7 @@ def _kl_nested(a: float, theta, theta_p) -> ExtReal:
     return ExtReal(math.inf, tie_sensitive=tie)
 
 
-@dataclass(frozen=True)
-class ExpFamily:
+class ExpFamily(NamedTuple):
     """An exponential family represented by its cumulant generator F.
 
     F must be strictly convex and differentiable on its domain; that claim is

@@ -272,3 +272,12 @@ class TestNegativeValues:
                       "0.5", "--theta-prime", "2"])
         assert info.value.code == 2
         assert "argument --theta: expected one argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["", "1,", ","])
+def test_an_empty_coordinate_exits_2(value):
+    r = run_cli("eval", "--div", "qcvx-bregman", "--gen", "log", f"--theta={value}",
+                "--theta-prime", "2")
+    assert (r.returncode, r.stdout) == (2, b"")
+    message = f"qcdiv: error: --theta expects comma-separated reals, got {value!r}\n"
+    assert r.stderr == message.encode()

@@ -286,6 +286,9 @@ ONE_TAG = "generator spec needs exactly one of name/affine/negate/separable, got
     ({"name": ["log"]}, "unknown generator name ['log']"),
     ({"name": "linear-fractional", "c": 0, "d": 0}, "linear-fractional with c=0 requires d > 0"),
     ({"name": "linear-fractional", "c": 0, "d": -1}, "linear-fractional with c=0 requires d > 0"),
+    ({1: 2}, ONE_TAG + "[1]"),
+    ({1: 2, "x": 3}, ONE_TAG + "[1, 'x']"),  # mixed key types sort by their text
+    ({"x": 3, 2: 1, "b": 0, None: 1}, ONE_TAG + "[2, None, 'b', 'x']"),
 ])
 def test_spec_error_messages(spec, message):
     with pytest.raises(SpecError) as info:

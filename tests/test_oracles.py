@@ -1,8 +1,6 @@
 import math
 import random
 
-import dataclasses
-
 import pytest
 
 import qcdiv.oracles
@@ -140,7 +138,7 @@ class TestNonConvergenceRaises:
 
     def test_integrate_delta_average(self, monkeypatch):
         def unconverged(*args, **kwargs):
-            return dataclasses.replace(integrate(*args, **kwargs), converged=False)
+            return integrate(*args, **kwargs)._replace(converged=False)
 
         monkeypatch.setattr(qcdiv.oracles, "integrate", unconverged)
         with pytest.raises(NonConvergenceError, match="^delta-average quadrature: error"):

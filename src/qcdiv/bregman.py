@@ -1,11 +1,11 @@
 """Bregman divergence, its quasiconvex pseudo-divergence, and the delta-averaged repair.
 
-The three branch divergences share one kernel: Q(theta) > Q(theta_p) gives
-+inf, otherwise each computes its own finite value.  Branch decisions compare
-generator values with exact floating comparison and the result carries
-``tie_sensitive`` under the tie policy in ``core``, because the finite/infinite
-branch is discontinuous there and a one-ulp perturbation can flip the
-orientation.
+The three branch divergences share one branch rule: Q(theta) > Q(theta_p)
+gives +inf, otherwise each kernel computes its own finite value.  Branch
+decisions compare generator values with exact floating comparison and the
+result carries ``tie_sensitive`` under the tie policy in ``core``, because the
+finite/infinite branch is discontinuous there and a one-ulp perturbation can
+flip the orientation.
 
 The reverse divergence D^r(theta:theta_p) = D(theta_p:theta) is argument
 swapping, not a separate code path.
@@ -22,10 +22,9 @@ from .core import (
     _eval,
     _gradient,
     _in_range,
-    _points,
+    _pair,
     _tie_sensitive,
     _validate_positive,
-    _values,
 )
 
 
@@ -35,21 +34,33 @@ def _linear_term(F: Generator, t, tp) -> float:
     return _in_range(sum((x - y) * gi for x, y, gi in zip(t, tp, g)), "the linear term")
 
 
-def _branch(Q: Generator, theta, theta_p, finite) -> ExtReal:
-    """+inf when Q(theta) > Q(theta_p), else ``finite(t, tp, qt, qtp)``."""
-    t, tp = _points(theta, theta_p)
-    qt, qtp = _values(Q, t, tp)
+def _branch(qt: float, qtp: float, finite) -> ExtReal:
+    """+inf when Q(theta) > Q(theta_p), else ``finite()``."""
     tie = _tie_sensitive(qt, qtp)
     if qt > qtp:
         return ExtReal(math.inf, tie_sensitive=tie)
-    return ExtReal(finite(t, tp, qt, qtp), tie_sensitive=tie)
+    return ExtReal(finite(), tie_sensitive=tie)
+
+
+# Each divergence calls its kernel with the checked arguments, then the two
+# points that core._pair checked and their generator values; ``qcdiv table``
+# calls the same kernels.  Call arguments are evaluated left to right, so the
+# argument checks run before the point checks.  The three divergences without
+# arguments name the pair: a plain call is cheaper than one that unpacks it.
+
+
+def _bregman(F: Generator, t, tp, ft: float, ftp: float) -> float:
+    return ft - ftp - _linear_term(F, t, tp)
 
 
 def bregman(F: Generator, theta, theta_p) -> float:
     """F(theta) - F(theta_p) - <theta - theta_p, grad F(theta_p)>."""
-    t, tp = _points(theta, theta_p)
-    ft, ftp = _values(F, t, tp)
-    return ft - ftp - _linear_term(F, t, tp)
+    t, tp, ft, ftp = _pair(F, theta, theta_p)
+    return _bregman(F, t, tp, ft, ftp)
+
+
+def _qcvx_bregman(Q: Generator, t, tp, qt: float, qtp: float) -> ExtReal:
+    return _branch(qt, qtp, lambda: -_linear_term(Q, t, tp))
 
 
 def qcvx_bregman(Q: Generator, theta, theta_p) -> ExtReal:
@@ -62,7 +73,27 @@ def qcvx_bregman(Q: Generator, theta, theta_p) -> ExtReal:
     generator ({"separable": [...]}) the branch compares the total values, so
     the divergence of the sum is not the sum of per-coordinate divergences.
     """
-    return _branch(Q, theta, theta_p, lambda t, tp, qt, qtp: -_linear_term(Q, t, tp))
+    t, tp, qt, qtp = _pair(Q, theta, theta_p)
+    return _qcvx_bregman(Q, t, tp, qt, qtp)
+
+
+# The argument check of delta_averaged_qcvx_bregman: delta > 0.
+def _ratio(fn: str, Q: Generator, delta: float) -> tuple:
+    return (_validate_positive("averaging ratio delta", delta),)
+
+
+def _delta_averaged_qcvx_bregman(Q: Generator, d: float, t, tp, qt: float, qtp: float) -> ExtReal:
+    def finite():
+        extrap = tuple(y + d * (y - x) for x, y in zip(t, tp))
+        problem = Q.domain.violation(extrap)
+        if problem is not None:
+            raise DomainError(
+                f"delta-averaging needs the domain of {Q.name or 'generator'} to "
+                f"cover the extrapolated point {extrap}: {problem}"
+            )
+        return (_eval(Q, extrap) - qtp) / d
+
+    return _branch(qt, qtp, finite)
 
 
 def delta_averaged_qcvx_bregman(Q: Generator, theta, theta_p, delta: float) -> ExtReal:
@@ -73,19 +104,12 @@ def delta_averaged_qcvx_bregman(Q: Generator, theta, theta_p, delta: float) -> E
     Q(theta_p) >= Q(theta), +inf otherwise.  delta is the ratio between the
     averaging length and theta_p - theta.
     """
-    d = _validate_positive("averaging ratio delta", delta)
+    return _delta_averaged_qcvx_bregman(Q, *_ratio("delta_averaged_qcvx_bregman", Q, delta),
+                                        *_pair(Q, theta, theta_p))
 
-    def finite(t, tp, qt, qtp):
-        extrap = tuple(y + d * (y - x) for x, y in zip(t, tp))
-        problem = Q.domain.violation(extrap)
-        if problem is not None:
-            raise DomainError(
-                f"delta-averaging needs the domain of {Q.name or 'generator'} to "
-                f"cover the extrapolated point {extrap}: {problem}"
-            )
-        return (_eval(Q, extrap) - qtp) / d
 
-    return _branch(Q, theta, theta_p, finite)
+def _extended_bregman(Q: Generator, t, tp, qt: float, qtp: float) -> ExtReal:
+    return _branch(qt, qtp, lambda: qt - qtp - _linear_term(Q, t, tp))
 
 
 def extended_bregman(Q: Generator, theta, theta_p) -> ExtReal:
@@ -94,5 +118,5 @@ def extended_bregman(Q: Generator, theta, theta_p) -> ExtReal:
     For convex Q this collapses to the ordinary Bregman divergence; for merely
     quasiconvex Q the finite branch may be negative.
     """
-    return _branch(Q, theta, theta_p,
-                   lambda t, tp, qt, qtp: qt - qtp - _linear_term(Q, t, tp))
+    t, tp, qt, qtp = _pair(Q, theta, theta_p)
+    return _extended_bregman(Q, t, tp, qt, qtp)

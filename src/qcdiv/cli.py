@@ -22,7 +22,7 @@ from .bregman import (
     extended_bregman,
     qcvx_bregman,
 )
-from .core import _fmt, build_generator
+from .core import _fmt, build_generator, eval_generator
 from .jensen import extended_jensen, log_ratio_gap, qccv_jensen, qcvx_jensen
 from .means import (
     MeanSpec,
@@ -97,56 +97,72 @@ def _scalar(vec, flag: str) -> float:
 class _Div(NamedTuple):
     """How the CLI calls one divergence.
 
-    ``fn`` names a library function imported into this module; it is looked up
-    when the evaluator is built, so rebinding that name (in tests, or by the
-    traced benchmark) reaches the CLI.  ``flags`` pairs each required flag with
-    the keyword it fills, in the order the flags are checked, after the
-    generator has loaded.  ``points`` are the keywords of --theta and
-    --theta-prime; a unary divergence has one.  ``scalar`` divergences take
-    single reals.  ``subject`` is the leading positional argument: the
-    generator, its ExpFamily, or nothing.
+    ``fn`` names a library function imported into this module; ``eval`` looks
+    it up by name, so rebinding that name (in tests, or by the traced
+    benchmark) reaches the CLI, while ``table`` calls the kernel.  ``flags``
+    pairs each required flag with the keyword it fills, in the order the flags
+    are checked, after the generator has loaded.  ``points`` are the keywords
+    of --theta and --theta-prime; a unary divergence has one.  ``scalar``
+    divergences take single reals.  ``subject`` is the leading positional
+    argument: the generator, its ExpFamily, or nothing.
     """
 
+    # fn's kernel is "_" + fn in fn's module, and ``check`` names a function
+    # there: check(fn, subject, *flag values) returns the kernel's checked
+    # arguments.  The kernel takes the subject (the generator), those
+    # arguments, then two points that core._pair checked and their generator
+    # values.  A ``raw`` kernel takes the subject, the arguments and the two
+    # points as fn takes them, and checks the points itself; a raw divergence
+    # without a check is its own kernel.
     fn: str
     flags: tuple = ()
+    check: Optional[str] = None
     points: tuple = ("theta", "theta_p")
     scalar: bool = False
     subject: Optional[str] = "generator"
+    raw: bool = False
 
 
 _ALPHA = (("alpha", "--alpha"),)
 
 # The divergence catalog: argparse choices (in this order), eval and table.
+# power-bregman checks p, q > 0 together, the two KLs check theta and theta_p
+# before they compare them, expfam-cross-entropy takes a gradient at theta
+# before the value at theta_p, and expfam-kl is the public bregman with its
+# points swapped: their kernels take the points raw.
 DIVERGENCES = {
-    "qcvx-jensen": _Div("qcvx_jensen", _ALPHA),
-    "qccv-jensen": _Div("qccv_jensen", _ALPHA),
-    "log-ratio": _Div("log_ratio_gap", _ALPHA),
-    "ext-jensen": _Div("extended_jensen", _ALPHA),
-    "mn-jensen": _Div("mn_jensen", _ALPHA + (("M", "--mean-m"), ("N", "--mean-n"))),
-    "power-jensen": _Div("power_mean_jensen", _ALPHA + (("delta", "--delta"),)),
+    "qcvx-jensen": _Div("qcvx_jensen", _ALPHA, "_skew"),
+    "qccv-jensen": _Div("qccv_jensen", _ALPHA, "_skew"),
+    "log-ratio": _Div("log_ratio_gap", _ALPHA, "_skew"),
+    "ext-jensen": _Div("extended_jensen", _ALPHA, "_skew"),
+    "mn-jensen": _Div("mn_jensen", _ALPHA + (("M", "--mean-m"), ("N", "--mean-n")), "_weight"),
+    "power-jensen": _Div("power_mean_jensen", _ALPHA + (("delta", "--delta"),), "_weight"),
     "bregman": _Div("bregman"),
     "qcvx-bregman": _Div("qcvx_bregman"),
-    "delta-qcvx-bregman": _Div("delta_averaged_qcvx_bregman", (("delta", "--delta"),)),
+    "delta-qcvx-bregman": _Div("delta_averaged_qcvx_bregman", (("delta", "--delta"),), "_ratio"),
     "ext-bregman": _Div("extended_bregman"),
     "power-bregman": _Div("power_mean_bregman", (("delta1", "--delta1"), ("delta2", "--delta2")),
-                          points=("p", "q"), scalar=True),
-    "r-power-bregman": _Div("r_power_bregman", (("r", "--r"),), scalar=True),
-    "kl-nested-uniform": _Div("kl_nested_uniform", scalar=True, subject=None),
-    "kl-power-nested": _Div("kl_power_nested", (("alpha", "--exponent"),), scalar=True,
-                            subject=None),
-    "expfam-kl": _Div("expfam_kl", subject="family"),
+                          "_exponents", points=("p", "q"), scalar=True, raw=True),
+    "r-power-bregman": _Div("r_power_bregman", (("r", "--r"),), "_r_exponent", scalar=True),
+    "kl-nested-uniform": _Div("kl_nested_uniform", scalar=True, subject=None, raw=True),
+    "kl-power-nested": _Div("kl_power_nested", (("alpha", "--exponent"),), "_exponent",
+                            scalar=True, subject=None, raw=True),
+    "expfam-kl": _Div("expfam_kl", subject="family", raw=True),
     "expfam-entropy": _Div("expfam_entropy", points=("theta",), subject="family"),
-    "expfam-cross-entropy": _Div("expfam_cross_entropy", subject="family"),
+    "expfam-cross-entropy": _Div("expfam_cross_entropy", subject="family", raw=True),
 }
+
+# The namespace of the module that defines each divergence, taken before any
+# rebinding: table finds the kernel and the check there.
+_HOMES = {d.fn: vars(sys.modules[globals()[d.fn].__module__]) for d in DIVERGENCES.values()}
 
 # limit-study --study s runs oracles.limit_<s with "-" replaced by "_">.
 STUDIES = ("scaled-jensen", "power-jensen", "r-power-bregman")
 
 
-def _build_evaluator(args):
-    """Return (needs_theta_prime, fn(theta, theta_p) -> value) for --div."""
+def _arguments(args):
+    """(catalog entry, leading arguments, {keyword: flag value}) for --div, in check order."""
     div = DIVERGENCES[args.div]
-    fn = globals()[div.fn]
     lead = ()
     if div.subject is not None:
         g = _load_generator(args)
@@ -155,13 +171,7 @@ def _build_evaluator(args):
     for keyword, flag in div.flags:
         value = _need(args, flag)
         params[keyword] = _parse_mean(value, flag) if flag.startswith("--mean-") else value
-
-    def evaluate(t, tp):
-        if div.scalar:
-            t, tp = _scalar(t, "--theta"), _scalar(tp, "--theta-prime")
-        return fn(*lead, **dict(zip(div.points, (t, tp))), **params)
-
-    return len(div.points) == 2, evaluate
+    return div, lead, params
 
 
 def _add_common_div_flags(p):
@@ -217,14 +227,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_eval(args) -> int:
-    needs_tp, evaluate = _build_evaluator(args)
-    theta = _parse_vector(args.theta, "--theta")
-    theta_p = None
+    div, lead, params = _arguments(args)
+    points = [_parse_vector(args.theta, "--theta")]
     if args.theta_prime is not None:
-        theta_p = _parse_vector(args.theta_prime, "--theta-prime")
-    elif needs_tp:
+        points.append(_parse_vector(args.theta_prime, "--theta-prime"))
+    elif len(div.points) == 2:
         raise CliError(f"--div {args.div} requires --theta-prime")
-    value = evaluate(theta, theta_p)
+    if div.scalar:
+        points = [_scalar(p, flag) for p, flag in zip(points, ("--theta", "--theta-prime"))]
+    value = globals()[div.fn](*lead, **dict(zip(div.points, points)), **params)
     text = _fmt(value, args.format)
     if args.format == "json":
         print('{"value": "inf"}' if math.isinf(value) else f'{{"value": {text}}}')
@@ -266,17 +277,29 @@ def cmd_table(args) -> int:
         raise CliError(f"--grid-step must be > 0, got {args.grid_step}")
     if not args.grid_min < args.grid_max:
         raise CliError("--grid-min must be below --grid-max")
-    needs_tp, evaluate = _build_evaluator(args)
-    if not needs_tp:
+    div, lead, params = _arguments(args)
+    if len(div.points) != 2:
         raise CliError(f"--div {args.div} is unary; table needs a binary divergence")
     steps = (args.grid_max - args.grid_min) / args.grid_step + 1e-9
     if not steps < _MAX_GRID_POINTS:
         raise CliError(f"the grid has more than {_MAX_GRID_POINTS} points per axis")
     count = int(math.floor(steps)) + 1
-    axis = [(args.grid_min + i * args.grid_step,) for i in range(count)]
+    grid = [args.grid_min + i * args.grid_step for i in range(count)]
+    axis = [x if div.raw and div.scalar else (x,) for x in grid]
+    kernel = _HOMES[div.fn][div.fn if div.raw and not div.check else "_" + div.fn]
+    extra = _HOMES[div.fn][div.check](div.fn, *lead, *params.values()) if div.check else ()
     # Every value first, so that a grid point that raises leaves stdout empty.
-    values = iter([float(evaluate(a, b)) for a in axis for b in axis])
-    labels = [_fmt(a) for (a,) in axis]
+    # Row 0 meets the axis points in order, and each is checked and evaluated
+    # just before its first pair, so the first error is the one a row-major
+    # loop over the public function raises.  A raw kernel checks its points.
+    vals, cells = [], []
+    for i in range(count):
+        for j in range(count):
+            if j == len(vals):
+                vals.append(() if div.raw else (eval_generator(lead[0], axis[j]),))
+            cells.append(kernel(*lead, *extra, axis[i], axis[j], *vals[i], *vals[j]))
+    values = iter(cells)
+    labels = [_fmt(x) for x in grid]
     # One write per grid row: zip stops at the end of labels, so each row
     # takes the next count values.
     sys.stdout.write("theta,theta_prime,value\n")

@@ -128,9 +128,10 @@ def as_vector(theta) -> Vector:
 
 
 def _check_finite(coords: Vector) -> None:
-    if not all(map(math.isfinite, coords)):
-        i = next(i for i, c in enumerate(coords) if not math.isfinite(c))
-        raise DomainError(f"coordinate {i} is not finite: {coords[i]!r}")
+    for c in coords:
+        if not math.isfinite(c):
+            # index finds c itself, NaN included: every earlier coordinate is finite.
+            raise DomainError(f"coordinate {coords.index(c)} is not finite: {c!r}")
 
 
 def _in_range(value: float, what: str) -> float:
@@ -203,12 +204,13 @@ class Interval(_Frozen):
 
     def __init__(self, lower: float = -math.inf, upper: float = math.inf,
                  lower_open: bool = False, upper_open: bool = False):
+        lower, upper = float(lower), float(upper)
         if not lower < upper:
             raise ValueError(f"degenerate interval: [{lower}, {upper}]")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "lower_open", lower_open)
-        object.__setattr__(self, "upper_open", upper_open)
+        object.__setattr__(self, "lower_open", bool(lower_open))
+        object.__setattr__(self, "upper_open", bool(upper_open))
 
     def contains(self, x: float) -> bool:
         if self.lower_open:
@@ -379,10 +381,13 @@ def _check_dim(g: Generator, t: Vector) -> None:
         )
 
 
-def _values(g: Generator, t: Vector, tp: Vector):
-    """(g(t), g(tp)) at two coerced points of one dimension."""
+def _pair(g: Generator, theta, theta_p):
+    """(t, tp, g(t), g(tp)): both points coerced and checked, then g at each."""
+    t, tp = as_vector(theta), as_vector(theta_p)
+    if len(t) != len(tp):
+        raise DimensionError(f"dimension mismatch: {len(t)} vs {len(tp)}")
     _check_dim(g, t)
-    return _eval(g, t), _eval(g, tp)
+    return t, tp, _eval(g, t), _eval(g, tp)
 
 
 def _eval(g: Generator, t: Vector) -> float:

@@ -11,8 +11,7 @@ import math
 import sys
 import warnings
 
-from .core import (Generator, GeneratorClassWarning, NonPositiveError, _eval, _lerp,
-                   _points, _values)
+from .core import Generator, GeneratorClassWarning, NonPositiveError, _eval, _lerp, _pair
 
 
 def validate_skew(alpha: float) -> float:
@@ -23,19 +22,28 @@ def validate_skew(alpha: float) -> float:
     return a
 
 
-def _warn_class(fn: str, g: Generator) -> None:
-    """Warn from the caller of ``fn`` that g's declared class voids its sign guarantees."""
-    warnings.warn(
-        f"{fn} with {g.declared_class} generator {g.name or '?'}: sign guarantees do not apply",
-        GeneratorClassWarning,
-        stacklevel=3,
-    )
+# The declared classes that void each divergence's sign guarantees.
+_VOIDING = {"qcvx_jensen": ("quasiconcave",), "qccv_jensen": ("convex", "quasiconvex")}
 
 
-def _three_values(Q: Generator, theta, theta_p, alpha: float):
-    t, tp = _points(theta, theta_p)
-    qt, qtp = _values(Q, t, tp)
-    return qt, qtp, _eval(Q, _lerp(t, tp, alpha))
+# fn's argument checks: validate_skew(alpha), then a warning from the caller of
+# fn when the declared class of Q voids fn's sign guarantees.
+def _skew(fn: str, Q: Generator, alpha: float) -> tuple:
+    a = validate_skew(alpha)
+    if Q.declared_class in _VOIDING.get(fn, ()):
+        warnings.warn(f"{fn} with {Q.declared_class} generator {Q.name or '?'}: "
+                      "sign guarantees do not apply", GeneratorClassWarning, stacklevel=3)
+    return (a,)
+
+
+# Each divergence calls its kernel with the checked arguments, then the two
+# points that core._pair checked and their generator values; ``qcdiv table``
+# calls the same kernels.  Call arguments are evaluated left to right, so the
+# argument checks run before the point checks.
+
+
+def _qcvx_jensen(Q: Generator, a: float, t, tp, qt: float, qtp: float) -> float:
+    return max(qt, qtp) - _eval(Q, _lerp(t, tp, a))
 
 
 def qcvx_jensen(Q: Generator, theta, theta_p, alpha: float) -> float:
@@ -43,11 +51,11 @@ def qcvx_jensen(Q: Generator, theta, theta_p, alpha: float) -> float:
 
     Nonnegative for strictly quasiconvex Q, zero iff the points coincide.
     """
-    a = validate_skew(alpha)
-    if Q.declared_class == "quasiconcave":
-        _warn_class("qcvx_jensen", Q)
-    qt, qtp, qmid = _three_values(Q, theta, theta_p, a)
-    return max(qt, qtp) - qmid
+    return _qcvx_jensen(Q, *_skew("qcvx_jensen", Q, alpha), *_pair(Q, theta, theta_p))
+
+
+def _qccv_jensen(H: Generator, a: float, t, tp, ht: float, htp: float) -> float:
+    return _eval(H, _lerp(t, tp, a)) - min(ht, htp)
 
 
 def qccv_jensen(H: Generator, theta, theta_p, alpha: float) -> float:
@@ -55,27 +63,14 @@ def qccv_jensen(H: Generator, theta, theta_p, alpha: float) -> float:
 
     Equals qcvx_jensen of the negated generator.
     """
-    a = validate_skew(alpha)
-    if H.declared_class in ("convex", "quasiconvex"):
-        _warn_class("qccv_jensen", H)
-    ht, htp, hmid = _three_values(H, theta, theta_p, a)
-    return hmid - min(ht, htp)
+    return _qccv_jensen(H, *_skew("qccv_jensen", H, alpha), *_pair(H, theta, theta_p))
 
 
-def log_ratio_gap(Q: Generator, theta, theta_p, alpha: float) -> float:
-    """-log( Q(midpoint) / max{Q(theta), Q(theta_p)} ).
-
-    Requires the values actually used to be strictly positive; a vanishing or
-    negative generator value is reported as an error since the ratio gap is
-    then undefined.
-    """
-    a = validate_skew(alpha)
-    qt, qtp, qmid = _three_values(Q, theta, theta_p, a)
+def _log_ratio_gap(Q: Generator, a: float, t, tp, qt: float, qtp: float) -> float:
+    qmid = _eval(Q, _lerp(t, tp, a))
     top = max(qt, qtp)
     if qmid <= 0.0:
-        raise NonPositiveError(
-            f"log_ratio_gap: generator value {qmid} at the interpolated point"
-        )
+        raise NonPositiveError(f"log_ratio_gap: generator value {qmid} at the interpolated point")
     if top <= 0.0:
         raise NonPositiveError(f"log_ratio_gap: endpoint maximum {top} is not positive")
     ratio = qmid / top
@@ -85,12 +80,24 @@ def log_ratio_gap(Q: Generator, theta, theta_p, alpha: float) -> float:
     return math.log(top) - math.log(qmid)
 
 
+def log_ratio_gap(Q: Generator, theta, theta_p, alpha: float) -> float:
+    """-log( Q(midpoint) / max{Q(theta), Q(theta_p)} ).
+
+    Requires the values actually used to be strictly positive; a vanishing or
+    negative generator value is reported as an error since the ratio gap is
+    then undefined.
+    """
+    return _log_ratio_gap(Q, *_skew("log_ratio_gap", Q, alpha), *_pair(Q, theta, theta_p))
+
+
+def _extended_jensen(Q: Generator, a: float, t, tp, qt: float, qtp: float) -> float:
+    return (1.0 - a) * qt + a * qtp - _eval(Q, _lerp(t, tp, a))
+
+
 def extended_jensen(Q: Generator, theta, theta_p, alpha: float) -> float:
     """(1-alpha)*Q(theta) + alpha*Q(theta_p) - Q(interpolation).
 
     The ordinary skewed Jensen gap, extended to arbitrary generators; may be
     negative when Q is not convex (e.g. Q = log).
     """
-    a = validate_skew(alpha)
-    qt, qtp, qmid = _three_values(Q, theta, theta_p, a)
-    return (1.0 - a) * qt + a * qtp - qmid
+    return _extended_jensen(Q, *_skew("extended_jensen", Q, alpha), *_pair(Q, theta, theta_p))

@@ -16,12 +16,13 @@ from .core import (
     Generator,
     NonPositiveError,
     _Frozen,
+    _check_dim,
     _eval,
     _gradient,
     _in_range,
     _lerp,
+    _pair,
     _points,
-    _values,
 )
 
 _LOG_MAX = math.log(sys.float_info.max)  # ~709.78, the overflow threshold
@@ -50,7 +51,7 @@ class MeanSpec(_Frozen):
             if f.dim != 1:
                 raise DimensionError("quasi-arithmetic generator must be 1-D")
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "delta", None if delta is None else float(delta))
         object.__setattr__(self, "f", f)
 
     @classmethod
@@ -160,6 +161,24 @@ def weighted_mean(spec: MeanSpec, x: float, y: float, alpha: float) -> float:
     return min(max(value, lo), hi)
 
 
+# The argument checks of the two weighted-mean Jensen divergences: alpha in [0, 1].
+def _weight(fn: str, F: Generator, alpha: float, *rest) -> tuple:
+    return (_validate_weight(alpha), *rest)
+
+
+# Each divergence calls its kernel with the checked arguments, then the two
+# points that core._pair checked and their generator values; ``qcdiv table``
+# calls the same kernels.  Call arguments are evaluated left to right, so the
+# argument checks run before the point checks.  The two Jensen forms check
+# theirs between the coercion of the points and their evaluation, so they take
+# the steps of _pair one by one.
+
+
+def _mn_jensen(F: Generator, a: float, M, N, t, tp, ft: float, ftp: float) -> float:
+    mpoint = _lerp(t, tp, a) if M.kind == "arithmetic" else (weighted_mean(M, t[0], tp[0], a),)
+    return weighted_mean(N, ft, ftp, a) - _eval(F, mpoint)
+
+
 def mn_jensen(F: Generator, M: MeanSpec, N: MeanSpec, alpha: float,
               theta, theta_p) -> float:
     """N_alpha(F(theta), F(theta_p)) - F(M_alpha(theta, theta_p)).
@@ -169,17 +188,17 @@ def mn_jensen(F: Generator, M: MeanSpec, N: MeanSpec, alpha: float,
     works coordinatewise in any dimension.
     """
     t, tp = _points(theta, theta_p)
-    a = _validate_weight(alpha)
+    args = _weight("mn_jensen", F, alpha, M, N)
     if M.kind != "arithmetic" and len(t) != 1:
-        raise DimensionError(
-            f"non-arithmetic argument mean {M.kind!r} requires 1-D parameters"
-        )
-    ft, ftp = _values(F, t, tp)
-    if M.kind == "arithmetic":
-        mpoint = _lerp(t, tp, a)
-    else:
-        mpoint = (weighted_mean(M, t[0], tp[0], a),)
-    return weighted_mean(N, ft, ftp, a) - _eval(F, mpoint)
+        raise DimensionError(f"non-arithmetic argument mean {M.kind!r} requires 1-D parameters")
+    _check_dim(F, t)
+    return _mn_jensen(F, *args, t, tp, _eval(F, t), _eval(F, tp))
+
+
+def _power_mean_jensen(F: Generator, a: float, delta, t, tp, ft: float, ftp: float) -> float:
+    if ft <= 0.0 or ftp <= 0.0:
+        raise NonPositiveError(f"power_mean_jensen requires positive F values, got ({ft}, {ftp})")
+    return weighted_mean(MeanSpec.power(delta), ft, ftp, a) - _eval(F, _lerp(t, tp, a))
 
 
 def power_mean_jensen(F: Generator, delta: float, alpha: float,
@@ -190,13 +209,9 @@ def power_mean_jensen(F: Generator, delta: float, alpha: float,
     Jensen divergence as delta grows.
     """
     t, tp = _points(theta, theta_p)
-    a = _validate_weight(alpha)
-    ft, ftp = _values(F, t, tp)
-    if ft <= 0.0 or ftp <= 0.0:
-        raise NonPositiveError(
-            f"power_mean_jensen requires positive F values, got ({ft}, {ftp})"
-        )
-    return weighted_mean(MeanSpec.power(delta), ft, ftp, a) - _eval(F, _lerp(t, tp, a))
+    args = _weight("power_mean_jensen", F, alpha, delta)
+    _check_dim(F, t)
+    return _power_mean_jensen(F, *args, t, tp, _eval(F, t), _eval(F, tp))
 
 
 def _real_pow(base: float, expo: float, what: str) -> float:
@@ -226,22 +241,22 @@ def _power_gap(direct, x: float, y: float, d: float) -> float:
     return math.copysign(math.exp(log_gap), d) if log_gap < _LOG_MAX else math.inf
 
 
-def power_mean_bregman(F: Generator, delta1: float, delta2: float,
-                       p: float, q: float) -> float:
-    """Two-exponent power-mean Bregman divergence of a scalar generator.
-
-    (F(p)^d2 - F(q)^d2) / (d2 * F(q)^(d2-1)) - (p^d1 - q^d1) / (d1 * q^(d1-1)) * F'(q)
-    with d1, d2 nonzero and p, q > 0; RangeError when the value leaves the floats.
-    """
+# The argument checks of power_mean_bregman: nonzero exponents, a 1-D generator.
+def _exponents(fn: str, F: Generator, delta1: float, delta2: float) -> tuple:
     d1, d2 = float(delta1), float(delta2)
     if d1 == 0.0 or d2 == 0.0:
         raise ValueError("power exponents delta1, delta2 must be nonzero")
     if F.dim != 1:
-        raise DimensionError("power_mean_bregman is defined for 1-D generators")
+        raise DimensionError(f"{fn} is defined for 1-D generators")
+    return d1, d2
+
+
+# The kernel takes p and q as given: its check names both before it evaluates either.
+def _power_mean_bregman(F: Generator, d1: float, d2: float, p: float, q: float) -> float:
     p, q = float(p), float(q)
     if p <= 0.0 or q <= 0.0:
         raise NonPositiveError(f"power_mean_bregman requires p, q > 0, got ({p}, {q})")
-    fp, fq = _values(F, (p,), (q,))
+    fp, fq = _eval(F, (p,)), _eval(F, (q,))
     if fq == 0.0:
         raise ZeroDivisionError("power_mean_bregman: F(q) = 0")
     fprime = _gradient(F, (q,))[0]
@@ -249,6 +264,36 @@ def power_mean_bregman(F: Generator, delta1: float, delta2: float,
                        / (d2 * _real_pow(fq, d2 - 1.0, "F(q)^(delta2-1)")), fp, fq, d2)
     term2 = _power_gap(lambda: (p**d1 - q**d1) / (d1 * q ** (d1 - 1.0)), p, q, d1) * fprime
     return _in_range(term1 - term2, "power_mean_bregman value")
+
+
+def power_mean_bregman(F: Generator, delta1: float, delta2: float,
+                       p: float, q: float) -> float:
+    """Two-exponent power-mean Bregman divergence of a scalar generator.
+
+    (F(p)^d2 - F(q)^d2) / (d2 * F(q)^(d2-1)) - (p^d1 - q^d1) / (d1 * q^(d1-1)) * F'(q)
+    with d1, d2 nonzero and p, q > 0; RangeError when the value leaves the floats.
+    """
+    return _power_mean_bregman(F, *_exponents("power_mean_bregman", F, delta1, delta2), p, q)
+
+
+# The argument checks of r_power_bregman: r >= 1, a 1-D generator.
+def _r_exponent(fn: str, F: Generator, r: float) -> tuple:
+    r = float(r)
+    if r < 1.0:
+        raise ValueError(f"r must be >= 1, got {r}")
+    if F.dim != 1:
+        raise DimensionError(f"{fn} is defined for 1-D generators")
+    return (r,)
+
+
+def _r_power_bregman(F: Generator, r: float, t, tp, ft: float, ftp: float) -> ExtReal:
+    if ft <= 0.0 or ftp <= 0.0:
+        raise NonPositiveError(f"r_power_bregman requires positive F values, got ({ft}, {ftp})")
+    log_term = r * math.log(ft) - (r - 1.0) * math.log(ftp) - math.log(r)
+    if log_term > _LOG_MAX:
+        return ExtReal(math.inf)
+    fprime = _gradient(F, tp)[0]
+    return ExtReal(math.exp(log_term) - ftp / r - (t[0] - tp[0]) * fprime)
 
 
 def r_power_bregman(F: Generator, r: float, theta: float, theta_p: float) -> ExtReal:
@@ -259,19 +304,4 @@ def r_power_bregman(F: Generator, r: float, theta: float, theta_p: float) -> Ext
     log-domain exponent passes the float overflow threshold, matching the
     analytic r -> inf divergence when F(theta) > F(theta_p).
     """
-    r = float(r)
-    if r < 1.0:
-        raise ValueError(f"r must be >= 1, got {r}")
-    if F.dim != 1:
-        raise DimensionError("r_power_bregman is defined for 1-D generators")
-    t, tp = _points(theta, theta_p)
-    ft, ftp = _values(F, t, tp)
-    if ft <= 0.0 or ftp <= 0.0:
-        raise NonPositiveError(
-            f"r_power_bregman requires positive F values, got ({ft}, {ftp})"
-        )
-    log_term = r * math.log(ft) - (r - 1.0) * math.log(ftp) - math.log(r)
-    if log_term > _LOG_MAX:
-        return ExtReal(math.inf)
-    fprime = _gradient(F, tp)[0]
-    return ExtReal(math.exp(log_term) - ftp / r - (t[0] - tp[0]) * fprime)
+    return _r_power_bregman(F, *_r_exponent("r_power_bregman", F, r), *_pair(F, theta, theta_p))

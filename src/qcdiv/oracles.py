@@ -15,8 +15,8 @@ import math
 import sys
 from typing import NamedTuple
 
-from .core import (ExtReal, Generator, PreconditionError, _eval, _fmt, _validate_positive,
-                   _values, as_vector)
+from .core import (ExtReal, Generator, PreconditionError, _eval, _fmt, _pair,
+                   _validate_positive, as_vector)
 from .bregman import qcvx_bregman
 from .jensen import qcvx_jensen
 from .means import power_mean_jensen, r_power_bregman
@@ -164,7 +164,7 @@ def integrate_delta_average(Q: Generator, theta: float, theta_p: float,
     t, tp = as_vector(theta), as_vector(theta_p)
     if len(t) != 1 or len(tp) != 1:
         raise ValueError("the quadrature cross-check is defined for 1-D parameters")
-    qt, qtp = _values(Q, t, tp)
+    t, tp, qt, qtp = _pair(Q, t, tp)
     if qtp < qt:
         raise PreconditionError(
             f"integrate_delta_average needs Q(theta_p) >= Q(theta), got {qtp} < {qt}"
@@ -201,8 +201,10 @@ def kl_quadrature(p, q, abs_tol: float = 1e-10) -> ExtReal:
     if plo < qlo or phi > qhi:
         return ExtReal(math.inf)
 
+    # From log_pdf alone: a density that underflows still has its logarithm.
     def integrand(x: float) -> float:
-        return p.pdf(x) * (p.log_pdf(x) - q.log_pdf(x))
+        lp = p.log_pdf(x)
+        return math.exp(lp) * (lp - q.log_pdf(x))
 
     return ExtReal(_converged_value(integrate(integrand, plo, phi, abs_tol=abs_tol), "KL quadrature"))
 

@@ -15,18 +15,27 @@ from .core import (
     ExtReal,
     Generator,
     PreconditionError,
+    RangeError,
     _Frozen,
     _check_dim,
     _eval,
     _gradient,
+    _pair,
     _points,
     _segments,
     _tie_sensitive,
     _validate_positive,
-    _values,
     as_vector,
 )
 from .bregman import bregman
+
+
+# The support (0, e^theta) of both densities; RangeError when e^theta leaves the floats.
+def _support(theta: float) -> tuple:
+    try:
+        return (0.0, math.exp(theta))
+    except OverflowError:
+        raise RangeError(f"the support (0, e^theta) leaves the floats: theta = {theta!r}") from None
 
 
 class NestedUniform(_Frozen):
@@ -35,11 +44,10 @@ class NestedUniform(_Frozen):
     _fields = ("theta",)
 
     def __init__(self, theta: float):
-        _validate_positive("theta", theta)
-        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "theta", _validate_positive("theta", theta))
 
     def support(self):
-        return (0.0, math.exp(self.theta))
+        return _support(self.theta)
 
     def pdf(self, x: float) -> float:
         lo, hi = self.support()
@@ -55,14 +63,13 @@ class PowerNested(_Frozen):
     _fields = ("alpha", "theta")
 
     def __init__(self, alpha: float, theta: float):
-        if not alpha > 1.0:
+        if not float(alpha) > 1.0:
             raise ValueError(f"power family exponent alpha must be > 1, got {alpha}")
-        _validate_positive("theta", theta)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "alpha", float(alpha))
+        object.__setattr__(self, "theta", _validate_positive("theta", theta))
 
     def support(self):
-        return (0.0, math.exp(self.theta))
+        return _support(self.theta)
 
     def pdf(self, x: float) -> float:
         lo, hi = self.support()
@@ -74,25 +81,9 @@ class PowerNested(_Frozen):
         return math.log(self.alpha) + (self.alpha - 1.0) * math.log(x) - self.theta * self.alpha
 
 
-def kl_nested_uniform(theta: float, theta_p: float) -> ExtReal:
-    """KL between nested uniforms: theta_p - theta when theta <= theta_p, else +inf.
-
-    Support inclusion supp(p_theta) within supp(p_theta_p) holds exactly when
-    theta <= theta_p; the closed form equals the quasiconvex Bregman
-    divergence of the identity generator.
-    """
-    return _kl_nested(1.0, theta, theta_p)
-
-
-def kl_power_nested(alpha: float, theta: float, theta_p: float) -> ExtReal:
-    """KL between power-nested densities: alpha * (theta_p - theta) when theta <= theta_p."""
-    a = float(alpha)
-    if not a > 1.0:
-        raise ValueError(f"power family exponent alpha must be > 1, got {a}")
-    return _kl_nested(a, theta, theta_p)
-
-
-def _kl_nested(a: float, theta, theta_p) -> ExtReal:
+# The nested-support KL kernel takes the points as given: it checks theta and
+# theta_p before it compares them.  kl_nested_uniform is its own table kernel.
+def _kl_power_nested(a: float, theta, theta_p) -> ExtReal:
     """a * (theta_p - theta) when theta <= theta_p, else +inf: the nested-support KL."""
     t = _validate_positive("theta", theta)
     tp = _validate_positive("theta_p", theta_p)
@@ -100,6 +91,29 @@ def _kl_nested(a: float, theta, theta_p) -> ExtReal:
     if t <= tp:
         return ExtReal(a * (tp - t), tie_sensitive=tie)
     return ExtReal(math.inf, tie_sensitive=tie)
+
+
+def kl_nested_uniform(theta: float, theta_p: float) -> ExtReal:
+    """KL between nested uniforms: theta_p - theta when theta <= theta_p, else +inf.
+
+    Support inclusion supp(p_theta) within supp(p_theta_p) holds exactly when
+    theta <= theta_p; the closed form equals the quasiconvex Bregman
+    divergence of the identity generator.
+    """
+    return _kl_power_nested(1.0, theta, theta_p)
+
+
+# The argument check of kl_power_nested: alpha > 1.
+def _exponent(fn: str, alpha: float) -> tuple:
+    a = float(alpha)
+    if not a > 1.0:
+        raise ValueError(f"power family exponent alpha must be > 1, got {a}")
+    return (a,)
+
+
+def kl_power_nested(alpha: float, theta: float, theta_p: float) -> ExtReal:
+    """KL between power-nested densities: alpha * (theta_p - theta) when theta <= theta_p."""
+    return _kl_power_nested(*_exponent("kl_power_nested", alpha), theta, theta_p)
 
 
 class ExpFamily(NamedTuple):
@@ -128,6 +142,8 @@ class ExpFamily(NamedTuple):
         return True
 
 
+# The cross-entropy takes the gradient at theta before the value at theta_p,
+# so it is its own table kernel, over the points as given.
 def expfam_cross_entropy(fam: ExpFamily, theta, theta_p) -> float:
     """Cross-entropy h(p_theta : p_theta_p) = F(theta_p) - <theta_p, grad F(theta)>.
 
@@ -146,6 +162,8 @@ def expfam_entropy(fam: ExpFamily, theta) -> float:
     return expfam_cross_entropy(fam, t, t)
 
 
+# expfam_kl is the public bregman with its points swapped, and its own table
+# kernel, over the points as given.
 def expfam_kl(fam: ExpFamily, theta, theta_p) -> float:
     """KL between family members is the reverse Bregman divergence of the cumulant."""
     return bregman(fam.F, theta_p, theta)
@@ -158,8 +176,7 @@ def qcvx_bregman_from_kl(fam: ExpFamily, theta, theta_p) -> ExtReal:
     F(theta_p) <= F(theta); callers on the other branch should query the
     reverse orientation.
     """
-    t, tp = _points(theta, theta_p)
-    ft, ftp = _values(fam.F, t, tp)
+    t, tp, ft, ftp = _pair(fam.F, theta, theta_p)
     if ftp > ft:
         raise PreconditionError(
             f"qcvx_bregman_from_kl needs F(theta_p) <= F(theta); "

@@ -1,7 +1,11 @@
 """The CLI's divergence and study catalogs: required flags, check order, dispatch."""
 
 import argparse
+import ast
+import inspect
 import re
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -131,3 +135,27 @@ def test_readme_divergence_list_is_the_catalog():
     text = README.read_text(encoding="utf-8")
     listed = re.search(r"Divergences for `eval`:(.*?)Parameters:", text, re.S).group(1)
     assert re.findall(r"`([a-z-]+)`", listed) == list(cli.DIVERGENCES)
+
+
+BINARY = [div for div, spec in cli.DIVERGENCES.items() if len(spec.points) == 2]
+
+
+def _home(spec):
+    return sys.modules[getattr(cli, spec.fn).__module__]
+
+
+@pytest.mark.parametrize("div", BINARY)
+def test_eval_and_table_share_one_kernel(div):
+    # table calls the kernel and eval the public function, which must call
+    # that same kernel (or be it): no divergence has a second, table-only formula.
+    spec = cli.DIVERGENCES[div]
+    home = _home(spec)
+    # A raw divergence without argument checks is its own kernel.
+    kernel = spec.fn if spec.raw and spec.check is None else "_" + spec.fn
+    assert callable(getattr(home, kernel, None)), f"{home.__name__} has no {kernel}"
+    tree = ast.parse(textwrap.dedent(inspect.getsource(getattr(home, spec.fn))))
+    called = {node.func.id for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert kernel == spec.fn or kernel in called
+    if spec.check is not None:
+        assert spec.check in called and callable(getattr(home, spec.check))

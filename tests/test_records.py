@@ -150,6 +150,34 @@ def test_validation_errors(make, error, message):
     assert str(info.value) == message
 
 
+# Real fields are stored as floats and open flags as bools, so a value that is
+# not a real raises at construction rather than at first use.
+def test_real_fields_are_stored_as_floats():
+    iv = Interval(0, 1, lower_open=1)
+    assert [type(v) for v in iv._astuple()] == [float, float, bool, bool]
+    assert iv == Interval(0.0, 1.0, lower_open=True)
+    assert type(NestedUniform("2").theta) is float and NestedUniform("2") == NestedUniform(2.0)
+    assert PowerNested(3, "0.5") == PowerNested(3.0, 0.5)
+    assert type(PowerNested(3, 1).alpha) is float
+    assert type(MeanSpec("power", delta=2).delta) is float
+
+
+NOT_REAL = [
+    lambda: Interval("a", "b"),
+    lambda: Interval(0.0, "b"),
+    lambda: NestedUniform("x"),
+    lambda: PowerNested("x", 1.0),
+    lambda: PowerNested(2.0, "x"),
+    lambda: MeanSpec("power", delta="x"),
+]
+
+
+@pytest.mark.parametrize("make", NOT_REAL)
+def test_a_field_that_is_not_a_real_raises_value_error(make):
+    with pytest.raises(ValueError, match="could not convert string to float"):
+        make()
+
+
 # A named tuple's _replace and _make (and copy.replace's __replace__) build an
 # instance without calling __new__, so a validated class may have them only
 # when they check as its constructor does.

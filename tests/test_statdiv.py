@@ -126,6 +126,34 @@ class TestDensities:
     def test_quadrature_detects_support_violation(self):
         assert kl_quadrature(NestedUniform(2), NestedUniform(1)).is_inf
 
+    @pytest.mark.parametrize("t, tp", [(400.0, 401.0), (700.0, 709.0)])
+    def test_quadrature_survives_an_underflowing_density(self, t, tp):
+        # exp(-theta * alpha) is 0.0 here, so the density itself underflows.
+        assert PowerNested(2.0, t).pdf(1.0) == 0.0
+        value = kl_quadrature(PowerNested(2.0, t), PowerNested(2.0, tp))
+        assert float(value) == pytest.approx(float(kl_power_nested(2.0, t, tp)), rel=1e-9)
+
+    def test_string_parameters_are_floats(self):
+        assert float(kl_quadrature(NestedUniform("2"), NestedUniform("3"))) == pytest.approx(1.0)
+
+
+class TestSupportRange:
+    @pytest.mark.parametrize("p, q", [(NestedUniform(800.0), NestedUniform(900.0)),
+                                      (PowerNested(2.0, 800.0), PowerNested(2.0, 900.0))],
+                             ids=["uniform", "power"])
+    def test_support_leaving_the_floats_is_a_range_error(self, p, q):
+        with pytest.raises(RangeError, match=r"theta = 800\.0$"):
+            p.support()
+        with pytest.raises(RangeError, match=r"theta = 800\.0$"):
+            kl_quadrature(p, q)
+
+    def test_largest_finite_support(self):
+        assert NestedUniform(709.0).support() == (0.0, math.exp(709.0))
+        assert math.isfinite(PowerNested(2.0, 709.78).support()[1])
+
+    def test_closed_form_needs_no_support(self):
+        assert float(kl_nested_uniform(800.0, 900.0)) == 100.0
+
 
 class TestExpFamily:
     def test_cross_entropy_values(self):

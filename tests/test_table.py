@@ -1,9 +1,10 @@
 """`qcdiv table`: byte-exact CSV against a row-by-row library reference, one
 write per grid row, and an empty stdout whenever the command exits 2."""
 
+import dataclasses
 import io
 import math
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import event, given, settings
@@ -34,8 +35,12 @@ from qcdiv import (
 from qcdiv.core import _fmt
 
 BINARY = [div for div, spec in cli.DIVERGENCES.items() if len(spec.points) == 2]
+# log-norm-sq is 2-D, so every divergence that takes it meets a dimension error.
+# t / (2 - t) lives on (-inf, 2), so a grid can leave its domain after its first
+# point, and the order of point and formula errors shows.
 GENERATORS = ["linear", "quadratic", "cubic", "sqrt", "log", "abs", "neg-gauss",
-              "linear-fractional", "sine"]
+              "linear-fractional", "sine", "log-norm-sq",
+              '{"name": "linear-fractional", "c": -1, "d": 2}']
 
 # One value per parameter flag, as the CLI reads it and as the library takes it.
 FLAGS = {"--alpha": "0.3", "--delta": "2", "--delta1": "2", "--delta2": "3", "--r": "2",
@@ -75,6 +80,20 @@ def reference(div: str, gen: str, lo: float, hi: float, step: float) -> str:
     lines = ["theta,theta_prime,value"]
     lines += [f"{_fmt(a)},{_fmt(b)},{_fmt(value(a, b))}" for a in points for b in points]
     return "\n".join(lines) + "\n"
+
+
+def first_error(div: str, gen: str, lo: float, hi: float, step: float) -> str:
+    """The message of the first exception a row-major loop of library calls raises."""
+    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    points = [lo + i * step for i in range(count)]
+    value = library_point(div, build_generator(gen))
+    for a in points:
+        for b in points:
+            try:
+                value(a, b)
+            except Exception as e:  # the CLI reports any library error with exit 2
+                return str(e)
+    raise AssertionError("no grid point raises")
 
 
 def argv(div: str, gen: str, lo: float, hi: float, step: float) -> list:
@@ -127,13 +146,49 @@ def test_a_101_by_101_table_makes_one_write_per_grid_row():
        lo=st.floats(-4.0, 4.0), step=st.floats(0.05, 2.0), intervals=st.integers(1, 20))
 def test_table_exits_0_with_the_reference_or_2_with_empty_stdout(div, gen, lo, step, intervals):
     hi = lo + intervals * step
-    code, out = run_table(argv(div, gen, lo, hi, step))
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_table(argv(div, gen, lo, hi, step))
     event(f"exit {code}")
     assert code in (0, 2)
     if code == 2:
         assert out == ""
+        assert err.getvalue() == f"qcdiv: error: {first_error(div, gen, lo, hi, step)}\n"
         return
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
     assert count <= 21
     assert out.count("\n") == count * count + 1
     assert out == reference(div, gen, lo, hi, step)
+
+
+def _counting_generators(monkeypatch):
+    """Make the CLI's generators count their raw evaluations."""
+    counts = {"eval": 0}
+    build = cli.build_generator
+
+    def counted(spec):
+        g = build(spec)
+
+        def ev(t):
+            counts["eval"] += 1
+            return g.eval(t)
+
+        return dataclasses.replace(g, eval=ev)
+
+    monkeypatch.setattr(cli, "build_generator", counted)
+    return counts
+
+
+def test_a_table_evaluates_each_axis_point_once(monkeypatch):
+    counts = _counting_generators(monkeypatch)
+    code, out = run_table(argv("qcvx-bregman", "log", 1.0, 2.0, 0.01))
+    assert code == 0 and out.count("\n") == 101 * 101 + 1
+    # A row-major loop of public calls evaluates both endpoints of every pair: 20,402.
+    assert counts["eval"] == 101
+
+
+def test_a_jensen_table_adds_only_the_interpolated_points(monkeypatch):
+    counts = _counting_generators(monkeypatch)
+    code, _ = run_table(argv("qcvx-jensen", "log", 1.0, 2.0, 0.01))
+    assert code == 0
+    assert counts["eval"] <= 101 + 101 * 101

@@ -2,6 +2,13 @@
 
 Every suite is deterministic given (samples, seed) and reports the first few
 failing witnesses instead of stopping at the first failure.
+
+A suite is a tuple of property rows ``(count, draw, ((label, check), ...))``
+run by one driver, ``_run``.  For i in range(count) it calls ``draw(i)``,
+skips a ``None`` draw, and calls each ``check(*drawn)``.  A check returns True
+when the property holds, the witness detail when it fails, and None when it
+does not apply to the draw.  The rows draw from the suite's
+``random.Random(seed)`` in row order.
 """
 
 from __future__ import annotations
@@ -81,8 +88,40 @@ def sweep_catalog():
     )
 
 
+def _run(suite: str, rows) -> SuiteResult:
+    """Run property rows in order; a witness reads ``"<label>: <detail>"``."""
+    res = SuiteResult(suite)
+    for count, draw, checks in rows:
+        for i in range(count):
+            drawn = draw(i)
+            if drawn is None:
+                continue
+            for label, check in checks:
+                out = check(*drawn)
+                if out is not None:
+                    res.check(out is True, lambda: f"{label}: {out}")
+    return res
+
+
 def _close(a: float, b: float, rel: float) -> bool:
     return abs(a - b) <= rel * (1.0 + max(abs(a), abs(b)))
+
+
+def _two(rng: random.Random, box: Box):
+    return sample_point(rng, box), sample_point(rng, box)
+
+
+def _order(Q: Generator, t, tp):
+    """(t, tp) ordered so that Q(t) <= Q(tp); a tie keeps the given order."""
+    return (tp, t) if Q(t) > Q(tp) else (t, tp)
+
+
+def _catalog_pairs(rng: random.Random, cases):
+    """Draw i is (i, Q, t, tp, alpha) from the case that i cycles to."""
+    def draw(i):
+        case = cases[i % len(cases)]
+        return (i, case.generator, *_two(rng, case.box), rng.uniform(0.05, 0.95))
+    return draw
 
 
 _SCALE_FACTORS = (0.5, 2.0, 10.0)
@@ -91,157 +130,118 @@ _SCALE_OFFSETS = (-3.0, 0.0, 7.0)
 
 def suite_identities(samples: int, seed: int) -> SuiteResult:
     """Algebraic identities of the Jensen/Bregman/KL formulas, 1e-10 relative."""
-    res = SuiteResult("identities")
     rng = random.Random(seed)
     cases = sweep_catalog()
     negated = tuple(build_generator({"negate": c.generator.spec}) for c in cases)
-
-    def draw(i):
-        case = cases[i % len(cases)]
-        t = sample_point(rng, case.box)
-        tp = sample_point(rng, case.box)
-        alpha = rng.uniform(0.05, 0.95)
-        return case, t, tp, alpha
-
-    for i in range(samples):
-        case, t, tp, alpha = draw(i)
-        neg = negated[i % len(cases)]
-        lhs = qccv_jensen(neg, t, tp, alpha)   # neg is quasiconcave
-        rhs = qcvx_jensen(case.generator, t, tp, alpha)
-        res.check(
-            abs(lhs - rhs) <= 1e-14 * (1.0 + abs(rhs)),
-            lambda: f"qccv/negate: {case.generator.name} t={t} tp={tp} a={alpha}: {lhs} vs {rhs}",
-        )
-
-    for i in range(samples):
-        case, t, tp, alpha = draw(i)
-        a = _SCALE_FACTORS[i % 3]
-        b = _SCALE_OFFSETS[(i // 3) % 3]
-        wrapped = build_generator(
-            {"affine": {"a": a, "b": b, "inner": case.generator.spec}}
-        )
-        lhs = qcvx_jensen(wrapped, t, tp, alpha)
-        rhs = a * qcvx_jensen(case.generator, t, tp, alpha)
-        res.check(
-            _close(lhs, rhs, 1e-10),
-            lambda: f"scaling: {wrapped.name} t={t} tp={tp} a={alpha}: {lhs} vs {rhs}",
-        )
-
-    for i in range(samples):
-        case, t, tp, _ = draw(i)
-        Q = case.generator
-        qt, qtp = Q(t), Q(tp)
-        lhs = qcvx_jensen(Q, t, tp, 0.5)
-        rhs = extended_jensen(Q, t, tp, 0.5) + 0.5 * abs(qt - qtp)
-        res.check(
-            _close(lhs, rhs, 1e-10),
-            lambda: f"half-decomposition: {Q.name} t={t} tp={tp}: {lhs} vs {rhs}",
-        )
-
-    for i in range(samples):
-        case, t, tp, alpha = draw(i)
-        Q = case.generator
-        qt, qtp = Q(t), Q(tp)
-        lhs = qcvx_jensen(Q, t, tp, alpha)
-        rhs = (extended_jensen(Q, t, tp, alpha) + 0.5 * abs(qt - qtp)
-               + qt * (alpha - 0.5) + qtp * (0.5 - alpha))
-        res.check(
-            _close(lhs, rhs, 1e-10),
-            lambda: f"alpha-decomposition: {Q.name} t={t} tp={tp} a={alpha}: {lhs} vs {rhs}",
-        )
-
-    for i in range(samples):
-        case, t, tp, alpha = draw(i)
-        Q = case.generator
-        ej = extended_jensen(Q, t, tp, alpha)
-        qj = qcvx_jensen(Q, t, tp, alpha)
-        res.check(
-            ej <= qj + 1e-10 * (1.0 + abs(qj)),
-            lambda: f"eJ<=qcvxJ: {Q.name} t={t} tp={tp} a={alpha}: {ej} > {qj}",
-        )
-        lower = -0.5 * abs(Q(t) - Q(tp))
-        ej_half = extended_jensen(Q, t, tp, 0.5)
-        res.check(
-            ej_half >= lower - 1e-10 * (1.0 + abs(lower)),
-            lambda: f"eJ>=-|dQ|/2: {Q.name} t={t} tp={tp}: {ej_half} < {lower}",
-        )
-
-    fams = _expfam_cases()
-    for i in range(samples):
-        fam, box = fams[i % len(fams)]
-        t = sample_point(rng, box)
-        tp = sample_point(rng, box)
-        kl = expfam_kl(fam, t, tp)
-        ce = expfam_cross_entropy(fam, t, tp)
-        h = expfam_entropy(fam, t)
-        res.check(
-            _close(kl, ce - h, 1e-10),
-            lambda: f"kl=cross-entropy: t={t} tp={tp}: {kl} vs {ce - h}",
-        )
-
-    for i in range(samples):
-        fam, box = fams[i % len(fams)]
-        t = sample_point(rng, box)
-        tp = sample_point(rng, box)
-        if fam.F(tp) > fam.F(t):
-            t, tp = tp, t
-        lhs = qcvx_bregman_from_kl(fam, t, tp)
-        rhs = qcvx_bregman(fam.F, tp, t)
-        res.check(
-            _close(float(lhs), float(rhs), 1e-10),
-            lambda: f"qcvxB-from-kl: t={t} tp={tp}: {lhs} vs {rhs}",
-        )
-    return res
-
-
-def _expfam_cases():
+    pairs = _catalog_pairs(rng, cases)
     half_quad = {"affine": {"a": 0.5, "b": 0.0, "inner": {"name": "quadratic"}}}
-    return (
+    fams = (
         (ExpFamily(build_generator(half_quad)), bounded_box((-4, 4))),
         (ExpFamily(build_generator({"separable": [half_quad, half_quad]})),
          bounded_box((-4, 4), (-4, 4))),
     )
 
+    def negate(i, Q, t, tp, alpha):
+        lhs = qccv_jensen(negated[i % len(cases)], t, tp, alpha)  # the negation is quasiconcave
+        rhs = qcvx_jensen(Q, t, tp, alpha)
+        return (abs(lhs - rhs) <= 1e-14 * (1.0 + abs(rhs))
+                or f"{Q.name} t={t} tp={tp} a={alpha}: {lhs} vs {rhs}")
+
+    def scaling(i, Q, t, tp, alpha):
+        a, b = _SCALE_FACTORS[i % 3], _SCALE_OFFSETS[(i // 3) % 3]
+        wrapped = build_generator({"affine": {"a": a, "b": b, "inner": Q.spec}})
+        lhs, rhs = qcvx_jensen(wrapped, t, tp, alpha), a * qcvx_jensen(Q, t, tp, alpha)
+        return _close(lhs, rhs, 1e-10) or f"{wrapped.name} t={t} tp={tp} a={alpha}: {lhs} vs {rhs}"
+
+    def half(i, Q, t, tp, alpha):
+        qt, qtp = Q(t), Q(tp)
+        lhs = qcvx_jensen(Q, t, tp, 0.5)
+        rhs = extended_jensen(Q, t, tp, 0.5) + 0.5 * abs(qt - qtp)
+        return _close(lhs, rhs, 1e-10) or f"{Q.name} t={t} tp={tp}: {lhs} vs {rhs}"
+
+    def skewed(i, Q, t, tp, alpha):
+        qt, qtp = Q(t), Q(tp)
+        lhs = qcvx_jensen(Q, t, tp, alpha)
+        rhs = (extended_jensen(Q, t, tp, alpha) + 0.5 * abs(qt - qtp)
+               + qt * (alpha - 0.5) + qtp * (0.5 - alpha))
+        return _close(lhs, rhs, 1e-10) or f"{Q.name} t={t} tp={tp} a={alpha}: {lhs} vs {rhs}"
+
+    def below(i, Q, t, tp, alpha):
+        ej, qj = extended_jensen(Q, t, tp, alpha), qcvx_jensen(Q, t, tp, alpha)
+        return (ej <= qj + 1e-10 * (1.0 + abs(qj))
+                or f"{Q.name} t={t} tp={tp} a={alpha}: {ej} > {qj}")
+
+    def above(i, Q, t, tp, alpha):
+        lower = -0.5 * abs(Q(t) - Q(tp))
+        ej = extended_jensen(Q, t, tp, 0.5)
+        return (ej >= lower - 1e-10 * (1.0 + abs(lower))
+                or f"{Q.name} t={t} tp={tp}: {ej} < {lower}")
+
+    def fam_pairs(i):
+        fam, box = fams[i % len(fams)]
+        return (fam, *_two(rng, box))
+
+    def cross_entropy(fam, t, tp):
+        kl, ce, h = expfam_kl(fam, t, tp), expfam_cross_entropy(fam, t, tp), expfam_entropy(fam, t)
+        return _close(kl, ce - h, 1e-10) or f"t={t} tp={tp}: {kl} vs {ce - h}"
+
+    def from_kl(fam, t, tp):
+        tp, t = _order(fam.F, tp, t)  # F(tp) <= F(t)
+        lhs, rhs = qcvx_bregman_from_kl(fam, t, tp), qcvx_bregman(fam.F, tp, t)
+        return _close(float(lhs), float(rhs), 1e-10) or f"t={t} tp={tp}: {lhs} vs {rhs}"
+
+    return _run("identities", (
+        (samples, pairs, (("qccv/negate", negate),)),
+        (samples, pairs, (("scaling", scaling),)),
+        (samples, pairs, (("half-decomposition", half),)),
+        (samples, pairs, (("alpha-decomposition", skewed),)),
+        (samples, pairs, (("eJ<=qcvxJ", below), ("eJ>=-|dQ|/2", above))),
+        (samples, fam_pairs, (("kl=cross-entropy", cross_entropy),)),
+        (samples, fam_pairs, (("qcvxB-from-kl", from_kl),)),
+    ))
+
+
+def _first_order(Q, t, tp):
+    v = float(qcvx_bregman(Q, t, tp))
+    return v >= -1e-9 or f"{Q.name} t={t} tp={tp}: {v}"
+
 
 def suite_first_order(samples: int, seed: int) -> SuiteResult:
     """Finite-branch nonnegativity of qcvx_bregman for every catalog generator."""
-    res = SuiteResult("first-order")
     rng = random.Random(seed)
-    for case in sweep_catalog():
+
+    def ordered(case):
         Q = case.generator
-        for _ in range(samples):
-            t = sample_point(rng, case.box)
-            tp = sample_point(rng, case.box)
-            if Q(t) > Q(tp):
-                t, tp = tp, t
-            v = qcvx_bregman(Q, t, tp)
-            res.check(
-                float(v) >= -1e-9,
-                lambda: f"first-order: {Q.name} t={t} tp={tp}: {float(v)}",
-            )
-    return res
+        return lambda i: (Q, *_order(Q, *_two(rng, case.box)))
+
+    return _run("first-order", tuple((samples, ordered(case), (("first-order", _first_order),))
+                                     for case in sweep_catalog()))
+
+
+def _one_sided(Q, t, tp):
+    fwd, rev = qcvx_bregman(Q, t, tp), qcvx_bregman(Q, tp, t)
+    return fwd.is_inf != rev.is_inf or f"{Q.name} t={t} tp={tp}: fwd={fwd} rev={rev}"
 
 
 def suite_one_sided_infinity(samples: int, seed: int) -> SuiteResult:
     """For Q(t) != Q(tp), exactly one orientation of qcvx_bregman is infinite."""
-    res = SuiteResult("one-sided-infinity")
     rng = random.Random(seed)
-    for case in sweep_catalog():
-        Q = case.generator
-        done = 0
-        while done < samples:
-            t = sample_point(rng, case.box)
-            tp = sample_point(rng, case.box)
-            if Q(t) == Q(tp):
-                continue
-            done += 1
-            fwd = qcvx_bregman(Q, t, tp)
-            rev = qcvx_bregman(Q, tp, t)
-            res.check(
-                fwd.is_inf != rev.is_inf,
-                lambda: f"one-sided: {Q.name} t={t} tp={tp}: fwd={fwd} rev={rev}",
-            )
-    return res
+
+    def distinct(case):
+        def draw(i):
+            while True:  # redraw both points until Q(t) != Q(tp)
+                t, tp = _two(rng, case.box)
+                if case.generator(t) != case.generator(tp):
+                    return case.generator, t, tp
+        return draw
+
+    return _run("one-sided-infinity", tuple((samples, distinct(case), (("one-sided", _one_sided),))
+                                            for case in sweep_catalog()))
+
+
+def _positive(Q, t, tp, delta):
+    v = float(delta_averaged_qcvx_bregman(Q, t, tp, delta))
+    return v > 0.0 or f"{Q.name} t={t} tp={tp} delta={delta}: {v}"
 
 
 def suite_delta_positivity(samples: int, seed: int) -> SuiteResult:
@@ -251,87 +251,79 @@ def suite_delta_positivity(samples: int, seed: int) -> SuiteResult:
     question about ties in higher dimension, 2-D radial pairs with equal
     generator values.
     """
-    res = SuiteResult("delta-positivity")
     rng = random.Random(seed)
     cubic = build_generator("cubic")
-    for i in range(samples):
-        delta = rng.uniform(0.05, 2.0)
-        if i % 10 == 0:
-            t, tp = rng.uniform(-4.0, -0.01), 0.0  # inflection point of the cubic
-        else:
-            a, b = rng.uniform(-4, 4), rng.uniform(-4, 4)
-            if a == b:
-                continue
-            t, tp = min(a, b), max(a, b)  # cubic is increasing: Q(tp) >= Q(t)
-        v = delta_averaged_qcvx_bregman(cubic, t, tp, delta)
-        res.check(
-            float(v) > 0.0,
-            lambda: f"delta-positivity: cubic t={t} tp={tp} delta={delta}: {float(v)}",
-        )
-
     quad2 = build_generator({"separable": [{"name": "quadratic"}, {"name": "quadratic"}]})
     gauss2 = build_generator({"name": "neg-gauss", "dim": 2})
-    for i in range(samples):
+
+    def cubic_pair(i):
+        delta = rng.uniform(0.05, 2.0)
+        if i % 10 == 0:
+            return cubic, rng.uniform(-4.0, -0.01), 0.0, delta  # inflection point of the cubic
+        a, b = rng.uniform(-4, 4), rng.uniform(-4, 4)
+        # cubic is increasing: Q(tp) >= Q(t)
+        return None if a == b else (cubic, min(a, b), max(a, b), delta)
+
+    def radial_pair(i):
         Q = quad2 if i % 2 == 0 else gauss2
         r = rng.uniform(0.5, 2.5)
         a1, a2 = rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi)
         if a1 == a2:
-            continue
-        t = (r * math.cos(a1), r * math.sin(a1))
-        tp = (r * math.cos(a2), r * math.sin(a2))
-        if Q(tp) < Q(t):
-            t, tp = tp, t
-        delta = rng.uniform(0.05, 2.0)
-        v = delta_averaged_qcvx_bregman(Q, t, tp, delta)
-        res.check(
-            float(v) > 0.0,
-            lambda: f"delta-positivity-2d: {Q.name} t={t} tp={tp} delta={delta}: {float(v)}",
-        )
-    return res
+            return None
+        t, tp = _order(Q, (r * math.cos(a1), r * math.sin(a1)),
+                       (r * math.cos(a2), r * math.sin(a2)))
+        return Q, t, tp, rng.uniform(0.05, 2.0)
+
+    return _run("delta-positivity", (
+        (samples, cubic_pair, (("delta-positivity", _positive),)),
+        (samples, radial_pair, (("delta-positivity-2d", _positive),)),
+    ))
 
 
-def _kl_quadrature_or_error(p, q):
-    """kl_quadrature(p, q), or the NonConvergenceError it raised, for a check to fail on."""
-    try:
-        return kl_quadrature(p, q)
-    except NonConvergenceError as e:
-        return e
+def _nested_kl_row(rng, samples, name, draw_params, family, closed_form):
+    """A nested family's row: closed-form KL against quadrature both ways, and normalization.
+
+    ``draw_params()`` draws the family's parameters before theta.
+    """
+    def draw(i):
+        params = draw_params()
+        a, b = rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0)
+        t, tp = min(a, b), max(a, b)
+        prefix = "".join(f"alpha={x} " for x in params)
+        return params, prefix, t, tp, family(*params, t), family(*params, tp)
+
+    def forward(params, prefix, t, tp, p, q):
+        closed = closed_form(*params, t, tp)
+        try:
+            quad = kl_quadrature(p, q)
+        except NonConvergenceError as e:  # a failed check, not a crash
+            quad = e
+        return (isinstance(quad, ExtReal) and abs(float(quad) - float(closed)) <= 1e-6
+                or f"{prefix}t={t} tp={tp}: closed={closed} quad={quad}")
+
+    def reverse(params, prefix, t, tp, p, q):
+        if t == tp:
+            return None
+        return (kl_quadrature(q, p).is_inf and closed_form(*params, tp, t).is_inf
+                or f"{prefix}t={t} tp={tp}")
+
+    def normalization(params, prefix, t, tp, p, q):
+        mass = integrate(p.pdf, *p.support())
+        return (mass.converged and abs(mass.value - 1.0) <= 1e-10
+                or f"{prefix}theta={t}: {mass.value} converged={mass.converged}")
+
+    return samples, draw, ((f"kl-{name}", forward), (f"kl-{name}-reverse not inf", reverse),
+                           (f"{name} normalization", normalization))
 
 
 def suite_kl_quadrature(samples: int, seed: int) -> SuiteResult:
     """Closed-form nested-family KL against numeric quadrature, plus normalization."""
-    res = SuiteResult("kl-quadrature")
     rng = random.Random(seed)
-    # (name, draw of the parameters before theta, density class, closed form)
-    families = (
-        ("uniform", lambda: (), NestedUniform, kl_nested_uniform),
-        ("power", lambda: (rng.uniform(1.2, 4.0),), PowerNested, kl_power_nested),
-    )
-    for name, draw, family, closed_form in families:
-        for _ in range(samples):
-            params = draw()
-            prefix = "".join(f"alpha={x} " for x in params)
-            a, b = rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0)
-            t, tp = min(a, b), max(a, b)
-            p, q = family(*params, t), family(*params, tp)
-            closed = closed_form(*params, t, tp)
-            quad = _kl_quadrature_or_error(p, q)
-            res.check(
-                isinstance(quad, ExtReal) and abs(float(quad) - float(closed)) <= 1e-6,
-                lambda: f"kl-{name}: {prefix}t={t} tp={tp}: closed={closed} quad={quad}",
-            )
-            if t != tp:
-                res.check(
-                    kl_quadrature(q, p).is_inf and closed_form(*params, tp, t).is_inf,
-                    lambda: f"kl-{name}-reverse not inf: {prefix}t={t} tp={tp}",
-                )
-            mass = integrate(p.pdf, *p.support())
-            res.check(
-                mass.converged and abs(mass.value - 1.0) <= 1e-10,
-                lambda: f"{name} normalization: {prefix}theta={t}: {mass.value} "
-                        f"converged={mass.converged}",
-            )
-    return res
+    return _run("kl-quadrature", (
+        _nested_kl_row(rng, samples, "uniform", lambda: (), NestedUniform, kl_nested_uniform),
+        _nested_kl_row(rng, samples, "power", lambda: (rng.uniform(1.2, 4.0),), PowerNested,
+                       kl_power_nested),
+    ))
 
 
 _ALPHA_GRID = tuple(k / 10.0 for k in range(1, 10))
@@ -339,91 +331,69 @@ _ALPHA_GRID = tuple(k / 10.0 for k in range(1, 10))
 
 def suite_means(samples: int, seed: int) -> SuiteResult:
     """Mean axioms: in-betweenness, power-mean monotonicity, special cases, max limit."""
-    res = SuiteResult("means")
     rng = random.Random(seed)
-    kinds = (
-        MeanSpec.arithmetic(),
-        MeanSpec.power(-2.0),
-        MeanSpec.power(-1.0),
-        MeanSpec.power(0.0),
-        MeanSpec.power(0.5),
-        MeanSpec.power(1.0),
-        MeanSpec.power(3.0),
-        MeanSpec.quasi_arithmetic(build_generator("linear")),
-        MeanSpec.quasi_arithmetic(build_generator("log")),
-        MeanSpec.maximum(),
-        MeanSpec.minimum(),
-    )
-    for i in range(samples):
-        x, y = rng.uniform(0.05, 20.0), rng.uniform(0.05, 20.0)
-        alpha = _ALPHA_GRID[i % len(_ALPHA_GRID)]
-        spec = kinds[i % len(kinds)]
-        m = weighted_mean(spec, x, y, alpha)
-        res.check(
-            min(x, y) <= m <= max(x, y),
-            lambda: f"in-betweenness: {spec.kind}({spec.delta}) x={x} y={y} a={alpha}: {m}",
-        )
-
-    for _ in range(samples):
-        x, y = rng.uniform(0.05, 20.0), rng.uniform(0.05, 20.0)
-        d1, d2 = sorted((rng.uniform(-5, 5), rng.uniform(-5, 5)))
-        if d1 == d2:
-            continue
-        p1 = weighted_mean(MeanSpec.power(d1), x, y, 0.5)
-        p2 = weighted_mean(MeanSpec.power(d2), x, y, 0.5)
-        res.check(
-            p1 <= p2 + 1e-12 * (1.0 + p2),
-            lambda: f"power-monotone: x={x} y={y} d1={d1} d2={d2}: {p1} > {p2}",
-        )
-
+    arith, geo = MeanSpec.arithmetic(), MeanSpec.power(0.0)
     qa_id = MeanSpec.quasi_arithmetic(build_generator("linear"))
     qa_log = MeanSpec.quasi_arithmetic(build_generator("log"))
-    for i in range(samples):
-        x, y = rng.uniform(0.05, 20.0), rng.uniform(0.05, 20.0)
-        alpha = _ALPHA_GRID[i % len(_ALPHA_GRID)]
-        res.check(
-            _close(weighted_mean(qa_id, x, y, alpha),
-                   weighted_mean(MeanSpec.arithmetic(), x, y, alpha), 1e-10),
-            lambda: f"qa(id)=arithmetic: x={x} y={y} a={alpha}",
-        )
-        res.check(
-            _close(weighted_mean(qa_log, x, y, alpha),
-                   weighted_mean(MeanSpec.power(0.0), x, y, alpha), 1e-10),
-            lambda: f"qa(log)=geometric: x={x} y={y} a={alpha}",
-        )
+    kinds = (arith, MeanSpec.power(-2.0), MeanSpec.power(-1.0), geo, MeanSpec.power(0.5),
+             MeanSpec.power(1.0), MeanSpec.power(3.0), qa_id, qa_log, MeanSpec.maximum(),
+             MeanSpec.minimum())
 
-    for _ in range(max(1, samples // 10)):
+    def on_grid(i):
+        x, y = rng.uniform(0.05, 20.0), rng.uniform(0.05, 20.0)
+        return i, x, y, _ALPHA_GRID[i % len(_ALPHA_GRID)]
+
+    def between(i, x, y, alpha):
+        spec = kinds[i % len(kinds)]
+        m = weighted_mean(spec, x, y, alpha)
+        return (min(x, y) <= m <= max(x, y)
+                or f"{spec.kind}({spec.delta}) x={x} y={y} a={alpha}: {m}")
+
+    def exponents(i):
+        x, y = rng.uniform(0.05, 20.0), rng.uniform(0.05, 20.0)
+        d1, d2 = sorted((rng.uniform(-5, 5), rng.uniform(-5, 5)))
+        return None if d1 == d2 else (x, y, d1, d2)
+
+    def monotone(x, y, d1, d2):
+        p1 = weighted_mean(MeanSpec.power(d1), x, y, 0.5)
+        p2 = weighted_mean(MeanSpec.power(d2), x, y, 0.5)
+        return p1 <= p2 + 1e-12 * (1.0 + p2) or f"x={x} y={y} d1={d1} d2={d2}: {p1} > {p2}"
+
+    def agree(spec, ref):
+        return lambda i, x, y, alpha: (
+            _close(weighted_mean(spec, x, y, alpha), weighted_mean(ref, x, y, alpha), 1e-10)
+            or f"x={x} y={y} a={alpha}")
+
+    def toward_max(i):
         x = rng.uniform(0.5, 5.0)
         y = x * rng.uniform(0.1, 10.0)
         if x == y:
-            continue
+            return None
         top = max(x, y)
-        errs = [abs(weighted_mean(MeanSpec.power(2.0**k), x, y, 0.5) - top)
-                for k in range(0, 11)]
-        res.check(
-            all(b <= a + 1e-15 * top for a, b in zip(errs, errs[1:])),
-            lambda: f"max-limit not monotone: x={x} y={y}: {errs}",
-        )
-        res.check(
-            errs[-1] <= 1e-3 * top,
-            lambda: f"max-limit too far: x={x} y={y}: {errs[-1]}",
-        )
+        return x, y, top, [abs(weighted_mean(MeanSpec.power(2.0**k), x, y, 0.5) - top)
+                           for k in range(0, 11)]
 
-    cases = [c for c in sweep_catalog() if c.generator.dim == 1]
-    arith = MeanSpec.arithmetic()
-    for i in range(samples):
-        case = cases[i % len(cases)]
-        F = case.generator
-        t = sample_point(rng, case.box)
-        tp = sample_point(rng, case.box)
-        alpha = rng.uniform(0.05, 0.95)
-        lhs = mn_jensen(F, arith, arith, alpha, t, tp)
-        rhs = extended_jensen(F, t, tp, alpha)
-        res.check(
-            _close(lhs, rhs, 1e-12),
-            lambda: f"mn(A,A)=skewed-jensen: {F.name} t={t} tp={tp} a={alpha}: {lhs} vs {rhs}",
-        )
-    return res
+    def limit_monotone(x, y, top, errs):
+        return (all(b <= a + 1e-15 * top for a, b in zip(errs, errs[1:]))
+                or f"x={x} y={y}: {errs}")
+
+    def limit_reached(x, y, top, errs):
+        return errs[-1] <= 1e-3 * top or f"x={x} y={y}: {errs[-1]}"
+
+    def mn_skewed(i, F, t, tp, alpha):
+        lhs, rhs = mn_jensen(F, arith, arith, alpha, t, tp), extended_jensen(F, t, tp, alpha)
+        return _close(lhs, rhs, 1e-12) or f"{F.name} t={t} tp={tp} a={alpha}: {lhs} vs {rhs}"
+
+    return _run("means", (
+        (samples, on_grid, (("in-betweenness", between),)),
+        (samples, exponents, (("power-monotone", monotone),)),
+        (samples, on_grid, (("qa(id)=arithmetic", agree(qa_id, arith)),
+                            ("qa(log)=geometric", agree(qa_log, geo)))),
+        (max(1, samples // 10), toward_max, (("max-limit not monotone", limit_monotone),
+                                              ("max-limit too far", limit_reached))),
+        (samples, _catalog_pairs(rng, [c for c in sweep_catalog() if c.generator.dim == 1]),
+         (("mn(A,A)=skewed-jensen", mn_skewed),)),
+    ))
 
 
 SUITES = {

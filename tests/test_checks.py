@@ -1,8 +1,28 @@
+"""The randomized property suites: their results, witnesses and report lines.
+
+The pinned runs in ``data/suite_pins.json`` hold every suite's
+``(checked, failed, failures)`` and report lines on a few ``(samples, seed)``
+pairs, and on forced-failure runs in which one library function, as
+``checks.py`` sees it, is replaced so that each property fails and its
+witness format shows.  Regenerate the file with
+``PYTHONPATH=src python tests/test_checks.py``; the suites' output must not
+change without a reason, so do that only for a deliberate change.
+"""
+
+import ast
+import json
+import re
+from pathlib import Path
+
 import pytest
 
 import qcdiv.checks
 from qcdiv.checks import SUITES, SuiteResult, run_suite
+from qcdiv.core import ExtReal
 from qcdiv.oracles import NonConvergenceError
+
+ROOT = Path(__file__).resolve().parent.parent
+PINS = Path(__file__).resolve().parent / "data" / "suite_pins.json"
 
 
 SMALL = {
@@ -64,17 +84,148 @@ def test_report_for_passing_suite():
 
 def test_kl_quadrature_non_convergence_fails_the_check(monkeypatch):
     """A forward quadrature that raises NonConvergenceError is a failed check, not a crash."""
-    real = qcdiv.checks.kl_quadrature
-
-    def forward_fails(p, q):
-        if p.theta < q.theta:
-            raise NonConvergenceError("KL quadrature: forced")
-        return real(p, q)
-
-    monkeypatch.setattr(qcdiv.checks, "kl_quadrature", forward_fails)
+    monkeypatch.setattr(qcdiv.checks, "kl_quadrature", _forward_raises(qcdiv.checks.kl_quadrature))
     result = run_suite("kl-quadrature", 2, seed=7)
     assert result.checked == 12  # three checks per sample and family
     assert len(result.failures) == 4
     assert result.failures[0].startswith("kl-uniform: t=")
     assert result.failures[0].endswith("quad=KL quadrature: forced")
     assert result.failures[2].startswith("kl-power: alpha=")
+
+
+# -- pinned runs -------------------------------------------------------------
+
+
+def _shifted(by):
+    return lambda real: lambda *args: real(*args) + by
+
+
+def _constant(value):
+    return lambda real: lambda *args: ExtReal(value)
+
+
+def _forward_raises(real):
+    def kl(p, q):
+        if p.theta < q.theta:
+            raise NonConvergenceError("KL quadrature: forced")
+        return real(p, q)
+    return kl
+
+
+def _reverse_finite(real):
+    return lambda p, q: ExtReal(1.0) if p.theta > q.theta else real(p, q)
+
+
+def _power_negated(real):
+    return lambda spec, *args: -real(spec, *args) if spec.kind == "power" else real(spec, *args)
+
+
+def _arithmetic_shifted(real):
+    return lambda spec, *args: real(spec, *args) + (spec.kind == "arithmetic")
+
+
+# name -> (the checks attribute replaced, its replacement built from the real
+# function, the suites run with it).  Together they make every property fail.
+FORCED = {
+    "qccv_jensen+1": ("qccv_jensen", _shifted(1.0), ("identities",)),
+    "qcvx_jensen+1": ("qcvx_jensen", _shifted(1.0), ("identities",)),
+    "extended_jensen+1e3": ("extended_jensen", _shifted(1e3), ("identities", "means")),
+    "extended_jensen-1e3": ("extended_jensen", _shifted(-1e3), ("identities", "means")),
+    "expfam_kl+1": ("expfam_kl", _shifted(1.0), ("identities",)),
+    "qcvx_bregman=-1": ("qcvx_bregman", _constant(-1.0),
+                        ("identities", "first-order", "one-sided-infinity")),
+    "delta_averaged_qcvx_bregman=0": ("delta_averaged_qcvx_bregman", _constant(0.0),
+                                      ("delta-positivity",)),
+    "kl_nested_uniform=7": ("kl_nested_uniform", _constant(7.0), ("kl-quadrature",)),
+    "kl_power_nested=7": ("kl_power_nested", _constant(7.0), ("kl-quadrature",)),
+    "kl_quadrature forward raises": ("kl_quadrature", _forward_raises, ("kl-quadrature",)),
+    "kl_quadrature reverse finite": ("kl_quadrature", _reverse_finite, ("kl-quadrature",)),
+    "integrate value 0.5": ("integrate", lambda real: lambda *args: real(*args)._replace(value=0.5),
+                            ("kl-quadrature",)),
+    "weighted_mean+1e3": ("weighted_mean", _shifted(1e3), ("means",)),
+    "weighted_mean power negated": ("weighted_mean", _power_negated, ("means",)),
+    "weighted_mean arithmetic+1": ("weighted_mean", _arithmetic_shifted, ("means",)),
+    "mn_jensen+1": ("mn_jensen", _shifted(1.0), ("means",)),
+}
+FORCED_SAMPLES, FORCED_SEED = 12, 1
+
+# key -> (suite, samples, seed, replaced attribute or None, replacement factory)
+RUNS = {f"{suite} {samples} {seed}": (suite, samples, seed, None, None)
+        for suite in sorted(SUITES)
+        for samples, seed in ((1, 0), (7, 3), (40, 11), (120, 4242))}
+RUNS.update({f"{name}: {suite} {FORCED_SAMPLES} {FORCED_SEED}":
+             (suite, FORCED_SAMPLES, FORCED_SEED, attr, replace)
+             for name, (attr, replace, suites) in FORCED.items() for suite in suites})
+
+
+def _pinned_run(key, monkeypatch):
+    suite, samples, seed, attr, replace = RUNS[key]
+    if attr is not None:
+        monkeypatch.setattr(qcdiv.checks, attr, replace(getattr(qcdiv.checks, attr)))
+    r = run_suite(suite, samples, seed)
+    return {"checked": r.checked, "failed": r.failed, "failures": r.failures,
+            "report": list(r.report_lines())}
+
+
+@pytest.fixture(scope="module")
+def pins():
+    return json.loads(PINS.read_text(encoding="utf-8"))
+
+
+def test_the_pins_cover_every_run(pins):
+    assert sorted(pins) == sorted(RUNS)
+
+
+@pytest.mark.parametrize("key", sorted(RUNS))
+def test_suite_matches_its_pinned_run(key, pins, monkeypatch):
+    assert _pinned_run(key, monkeypatch) == pins[key]
+
+
+def _row_labels():
+    """Each suite's property labels, read from the rows it hands the driver."""
+    labels = {}
+
+    def capture(suite, rows):
+        labels[suite] = list(dict.fromkeys(label for _, _, checks in rows for label, _ in checks))
+        return SuiteResult(suite)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qcdiv.checks, "_run", capture)
+        for name in SUITES:
+            run_suite(name, 1, 0)
+    return labels
+
+
+def test_the_forced_runs_fail_every_property(pins):
+    witnessed = {w.split(": ", 1)[0] for pin in pins.values() for w in pin["failures"]}
+    assert witnessed == {label for labels in _row_labels().values() for label in labels}
+
+
+def test_readme_lists_each_suites_property_labels():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("Suites for `check`", 1)[1].split("\n\n", 2)[1]
+    listed = {}
+    for line in section.splitlines():
+        suite, *labels = re.findall(r"`([^`]+)`", line)
+        listed[suite] = labels
+    assert listed == _row_labels()
+
+
+def test_the_driver_is_the_only_check_call_site():
+    """Every property is a row; a hand-written sample loop would call check itself."""
+    tree = ast.parse((ROOT / "src" / "qcdiv" / "checks.py").read_text(encoding="utf-8"))
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and node.func.attr == "check"]
+    driver = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_run")
+    assert len(calls) == 1 and calls[0] in ast.walk(driver)
+
+
+if __name__ == "__main__":
+    PINS.parent.mkdir(exist_ok=True)
+    with pytest.MonkeyPatch.context() as mp:
+        out = {}
+        for key in sorted(RUNS):
+            out[key] = _pinned_run(key, mp)
+            mp.undo()
+    PINS.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n", encoding="utf-8")

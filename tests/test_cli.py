@@ -1,14 +1,18 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qcdiv import cli
+from qcdiv import checks, cli
 from qcdiv.bregman import qcvx_bregman
-from qcdiv.core import build_generator
+from qcdiv.core import ExtReal, build_generator
 from qcdiv.jensen import qcvx_jensen
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -163,6 +167,31 @@ class TestCheckCommand:
     def test_unknown_suite_exits_2(self):
         r = run_cli("check", "--suite", "nosuch")
         assert r.returncode == 2
+
+    def test_a_failing_suite_exits_1_with_at_most_five_witnesses(self, monkeypatch, capsys):
+        monkeypatch.setattr(checks, "qcvx_bregman", lambda *args: ExtReal(-1.0))
+        code = cli.main(["check", "--suite", "first-order", "--samples", "3"])
+        head, *witnesses = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert head == "suite first-order: 27 checks, 27 failures -> FAIL"
+        assert 1 <= len(witnesses) <= 5
+        assert all(w.startswith("  witness: first-order: ") for w in witnesses)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(suite=st.sampled_from(sorted(checks.SUITES)), samples=st.integers(-2, 12),
+       seed=st.integers(-2**31, 2**31))
+def test_check_prints_the_suite_report_or_exits_2(suite, samples, seed):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["check", "--suite", suite, "--samples", str(samples), "--seed", str(seed)])
+    if samples < 1:
+        assert (code, out.getvalue()) == (2, "")
+        assert err.getvalue() == f"qcdiv: error: --samples must be >= 1, got {samples}\n"
+        return
+    result = checks.run_suite(suite, samples, seed)
+    assert out.getvalue() == "".join(line + "\n" for line in result.report_lines())
+    assert (code, err.getvalue()) == (0 if result.passed else 1, "")
 
 
 class TestTableCommand:

@@ -69,9 +69,16 @@ def test_log_ratio_gap_outside_the_normal_floats(spec, theta, theta_p, expected)
     assert value == pytest.approx(expected, rel=1e-14)
 
 
-def test_log_ratio_gap_vanishing_value():
-    with pytest.raises(NonPositiveError, match="0"):
-        log_ratio_gap(build_generator("quadratic"), -1, 1, 0.5)
+# Both vanish: the midpoint value is 0.  Only the endpoint maximum vanishes:
+# 1 - t^2 is 0 at both endpoints and 1 at the midpoint.
+@pytest.mark.parametrize("spec, match", [
+    ("quadratic", "0"),
+    ({"affine": {"a": 1, "b": 1, "inner": {"negate": {"name": "quadratic"}}}},
+     "endpoint maximum"),
+], ids=["midpoint", "endpoints"])
+def test_log_ratio_gap_vanishing_value(spec, match):
+    with pytest.raises(NonPositiveError, match=match):
+        log_ratio_gap(build_generator(spec), -1, 1, 0.5)
 
 
 def test_extended_jensen_values():

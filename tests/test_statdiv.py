@@ -96,6 +96,11 @@ class TestDensities:
         assert p.pdf(-0.5) == 0.0
         assert p.pdf(math.e + 1) == 0.0
 
+    @pytest.mark.parametrize("density", [NestedUniform(1.0), PowerNested(2.0, 1.0)])
+    def test_pdf_is_zero_on_the_open_support_ends(self, density):
+        assert density.pdf(0.0) == 0.0
+        assert density.pdf(math.exp(density.theta)) == 0.0
+
     def test_power_pdf_normalizes(self):
         rng = random.Random(7)
         for _ in range(20):

@@ -133,6 +133,12 @@ def suite_identities(samples: int, seed: int) -> SuiteResult:
     rng = random.Random(seed)
     cases = sweep_catalog()
     negated = tuple(build_generator({"negate": c.generator.spec}) for c in cases)
+    # Draw i scales case i % len(cases) by a, b from i % 3 and (i // 3) % 3, so
+    # the wrapper repeats with period lcm(len(cases), 9).
+    period = math.lcm(len(cases), 9)
+    scaled = tuple(build_generator({"affine": {
+        "a": _SCALE_FACTORS[j % 3], "b": _SCALE_OFFSETS[(j // 3) % 3],
+        "inner": cases[j % len(cases)].generator.spec}}) for j in range(period))
     pairs = _catalog_pairs(rng, cases)
     half_quad = {"affine": {"a": 0.5, "b": 0.0, "inner": {"name": "quadratic"}}}
     fams = (
@@ -148,8 +154,7 @@ def suite_identities(samples: int, seed: int) -> SuiteResult:
                 or f"{Q.name} t={t} tp={tp} a={alpha}: {lhs} vs {rhs}")
 
     def scaling(i, Q, t, tp, alpha):
-        a, b = _SCALE_FACTORS[i % 3], _SCALE_OFFSETS[(i // 3) % 3]
-        wrapped = build_generator({"affine": {"a": a, "b": b, "inner": Q.spec}})
+        wrapped, a = scaled[i % period], _SCALE_FACTORS[i % 3]
         lhs, rhs = qcvx_jensen(wrapped, t, tp, alpha), a * qcvx_jensen(Q, t, tp, alpha)
         return _close(lhs, rhs, 1e-10) or f"{wrapped.name} t={t} tp={tp} a={alpha}: {lhs} vs {rhs}"
 

@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 import sys
 from typing import NamedTuple
 
-from .core import (ExtReal, Generator, PreconditionError, _eval, _fmt, _pair,
-                   _validate_positive, as_vector)
-from .bregman import qcvx_bregman
-from .jensen import qcvx_jensen
-from .means import power_mean_jensen, r_power_bregman
+from .core import (ExtReal, Generator, PreconditionError, RangeError, _check_dim, _eval,
+                   _fmt, _validate_positive, as_vector)
+from .bregman import _qcvx_bregman, qcvx_bregman
+from .jensen import _qcvx_jensen, _skew, qcvx_jensen
+from .means import _power_mean_jensen, _r_exponent, _r_power_bregman, _weight
 
 # The QUADPACK qk15 rule (Piessens et al., QUADPACK, 1983) on [-1, 1]: 15 Kronrod
 # abscissae in increasing order with their weights, and the weights of the
@@ -81,9 +82,13 @@ def _gk15(f, a: float, b: float):
     h = 0.5 * (b - a)
     c = 0.5 * (a + b)
     ys = [f(c + h * x) for x in GK15_NODES]
-    k15 = math.fsum(w * y for w, y in zip(GK15_WEIGHTS, ys))
-    g7 = math.fsum(w * y for w, y in zip(G7_WEIGHTS, ys[1::2]))
-    mass = math.fsum(w * abs(y) for w, y in zip(GK15_WEIGHTS, ys))
+    # A NaN or infinite value of f makes the mass so, and fsum can then no
+    # longer fail on inf - inf in the other two sums.
+    mass = math.fsum(map(operator.mul, GK15_WEIGHTS, map(abs, ys)))
+    if not math.isfinite(mass):
+        raise RangeError(f"integrand is not finite on the panel [{a}, {b}]")
+    k15 = math.fsum(map(operator.mul, GK15_WEIGHTS, ys))
+    g7 = math.fsum(map(operator.mul, G7_WEIGHTS, ys[1::2]))
     return h * k15, abs(h * (k15 - g7)), h * mass
 
 
@@ -103,9 +108,15 @@ def integrate(f, a: float, b: float, abs_tol: float = 1e-10,
     ``panels`` counts the leaf panels summed into ``value``.  Nodes are
     strictly interior, so integrands that are singular exactly at an endpoint
     (e.g. log x at 0) are never evaluated there.
+
+    An empty interval, or one whose ends or width b - a are not finite, raises
+    ValueError; an integrand value that is NaN or infinite raises RangeError
+    naming its panel.  So ``value`` and ``error_bound`` are never NaN.
     """
     if not a < b:
         raise ValueError(f"integration interval is empty: [{a}, {b}]")
+    if not math.isfinite(b - a):
+        raise ValueError(f"integration interval must have finite ends and width: [{a}, {b}]")
     tol = float(abs_tol)
     finest = int(max_depth) + 1
     final = []  # (value, error) of panels that are never split
@@ -164,7 +175,8 @@ def integrate_delta_average(Q: Generator, theta: float, theta_p: float,
     t, tp = as_vector(theta), as_vector(theta_p)
     if len(t) != 1 or len(tp) != 1:
         raise ValueError("the quadrature cross-check is defined for 1-D parameters")
-    t, tp, qt, qtp = _pair(Q, t, tp)
+    _check_dim(Q, t)
+    qt, qtp = _eval(Q, t), _eval(Q, tp)
     if qtp < qt:
         raise PreconditionError(
             f"integrate_delta_average needs Q(theta_p) >= Q(theta), got {qtp} < {qt}"
@@ -174,8 +186,10 @@ def integrate_delta_average(Q: Generator, theta: float, theta_p: float,
     if span == 0.0:
         return 0.0
 
+    # Q is checked, and _eval checks the shifted points: pointwise runs the kernel.
     def pointwise(u: float) -> float:
-        v = qcvx_bregman(Q, (x + u,), (y + u,))
+        a, b = (x + u,), (y + u,)
+        v = _qcvx_bregman(Q, a, b, _eval(Q, a), _eval(Q, b))
         if v.is_inf:
             raise InfiniteIntegrandError(
                 f"qcvx_bregman({x + u} : {y + u}) is infinite inside the "
@@ -272,21 +286,27 @@ class LimitStudy(NamedTuple):
             yield f"{k},{_fmt(p)},{_fmt(v)},{_fmt(e)}"
 
 
-def _dyadic_study(name, Q, theta, theta_p, k_max, *, k_min, param, value, target,
+def _dyadic_study(name, Q, theta, theta_p, k_max, *, k_min, k_top, param, value, target,
                   tol) -> LimitStudy:
-    """Evaluate ``value(t, tp, param(k))`` for k = k_min..k_max against ``target(t, tp)``.
+    """``value(param(k), t, tp, Q(t), Q(tp))`` for k = k_min..k_max against ``target(t, tp)``.
 
-    The unbounded-trend scale is 1 + |Q(theta) - Q(theta_p)|.
+    Past ``k_top`` the parameter leaves the floats the step accepts.  The
+    unbounded-trend scale is 1 + |Q(theta) - Q(theta_p)|.
     """
     if k_max < 4:
         raise ValueError("k_max must be >= 4")
+    if k_max > k_top:
+        raise ValueError(f"k_max must be <= {k_top}: the {name} schedule leaves the floats "
+                         f"past it, got {k_max}")
     t, tp = as_vector(theta), as_vector(theta_p)
     goal = target(t, tp)
-    # Every target is a public divergence of Q, so t and tp are validated here.
-    scale = 1.0 + abs(_eval(Q, t) - _eval(Q, tp))
+    # Every target is a public divergence of Q, so t and tp are validated here,
+    # and each step runs only its argument check and its divergence's kernel.
+    qt, qtp = _eval(Q, t), _eval(Q, tp)
+    scale = 1.0 + abs(qt - qtp)
     ks = tuple(range(k_min, k_max + 1))
     params = tuple(param(k) for k in ks)
-    values = tuple(value(t, tp, p) for p in params)
+    values = tuple(value(p, t, tp, qt, qtp) for p in params)
     return LimitStudy(name, ks, params, values, goal, tol, scale)
 
 
@@ -295,28 +315,30 @@ def limit_scaled_jensen(Q: Generator, theta, theta_p, k_max: int) -> LimitStudy:
 
     The scaled divergence qcvx_jensen / (alpha * (1 - alpha)) tends to
     qcvx_bregman as alpha -> 1-; on the infinite branch the values grow like
-    2^k instead.
+    2^k instead.  k_max is at most 53, past which alpha_k rounds to 1.
     """
     return _dyadic_study(
-        "scaled-jensen", Q, theta, theta_p, k_max, k_min=4, tol=1e-4,
+        "scaled-jensen", Q, theta, theta_p, k_max, k_min=4, k_top=53, tol=1e-4,
         param=lambda k: 1.0 - 2.0 ** (-k),
-        value=lambda t, tp, alpha: ExtReal(qcvx_jensen(Q, t, tp, alpha) / (alpha * (1.0 - alpha))),
+        value=lambda alpha, *pair: ExtReal(_qcvx_jensen(Q, *_skew("qcvx_jensen", Q, alpha), *pair)
+                                           / (alpha * (1.0 - alpha))),
         target=lambda t, tp: qcvx_bregman(Q, t, tp))
 
 
 def limit_power_jensen(F: Generator, theta, theta_p, k_max: int) -> LimitStudy:
-    """Power-mean Jensen values at delta_k = 2^k against qcvx_jensen at alpha = 1/2."""
+    """Power-mean Jensen values at delta_k = 2^k, k <= 1023, against qcvx_jensen at alpha = 1/2."""
     return _dyadic_study(
-        "power-jensen", F, theta, theta_p, k_max, k_min=0, tol=1e-3,
+        "power-jensen", F, theta, theta_p, k_max, k_min=0, k_top=1023, tol=1e-3,
         param=lambda k: 2.0**k,
-        value=lambda t, tp, delta: ExtReal(power_mean_jensen(F, delta, 0.5, t, tp)),
+        value=lambda delta, *pair: ExtReal(
+            _power_mean_jensen(F, *_weight("power_mean_jensen", F, 0.5, delta), *pair)),
         target=lambda t, tp: ExtReal(qcvx_jensen(F, t, tp, 0.5)))
 
 
 def limit_r_power_bregman(F: Generator, theta, theta_p, k_max: int) -> LimitStudy:
-    """r-power Bregman values at r_k = 2^k against qcvx_bregman (1-D)."""
+    """r-power Bregman values at r_k = 2^k, k <= 1023, against qcvx_bregman (1-D)."""
     return _dyadic_study(
-        "r-power-bregman", F, theta, theta_p, k_max, k_min=0, tol=1e-3,
+        "r-power-bregman", F, theta, theta_p, k_max, k_min=0, k_top=1023, tol=1e-3,
         param=lambda k: 2.0**k,
-        value=lambda t, tp, r: r_power_bregman(F, r, t[0], tp[0]),
+        value=lambda r, *pair: _r_power_bregman(F, *_r_exponent("r_power_bregman", F, r), *pair),
         target=lambda t, tp: qcvx_bregman(F, t, tp))

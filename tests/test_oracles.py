@@ -4,7 +4,7 @@ import random
 import pytest
 
 import qcdiv.oracles
-from qcdiv.core import PreconditionError, build_generator
+from qcdiv.core import PreconditionError, RangeError, build_generator
 from qcdiv.bregman import delta_averaged_qcvx_bregman
 from qcdiv.jensen import qcvx_jensen
 from qcdiv.oracles import (
@@ -39,6 +39,32 @@ class TestIntegrate:
     def test_empty_interval(self):
         with pytest.raises(ValueError):
             integrate(math.sin, 1.0, 1.0)
+
+    @pytest.mark.parametrize("a,b", [(0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf),
+                                     (-1e308, 1e308)])
+    def test_unbounded_interval_or_width(self, a, b):
+        # [-1e308, 1e308] has finite ends, but its width overflows.
+        calls = []
+        with pytest.raises(ValueError, match=r"^integration interval must have finite ends"):
+            integrate(lambda x: calls.append(x) or math.exp(x), a, b)
+        assert calls == []
+
+    @pytest.mark.parametrize("f", [lambda x: math.nan, lambda x: math.inf,
+                                   lambda x: -math.inf,
+                                   lambda x: math.inf if x > 0.5 else -math.inf],
+                             ids=["nan", "inf", "-inf", "inf and -inf"])
+    def test_non_finite_integrand(self, f):
+        with pytest.raises(RangeError, match=r"^integrand is not finite on the panel \[0, 1\]$"):
+            integrate(f, 0, 1)
+
+    def test_non_finite_integrand_names_the_split_panel(self):
+        # The first panel's nodes all lie past 1e-3; bisection towards 0 meets inf.
+        def f(x):
+            return math.inf if x < 1e-3 else x**-0.5
+
+        with pytest.raises(RangeError, match=r"^integrand is not finite on the panel "
+                                             r"\[0\.0, 0\.\d+\]$"):
+            integrate(f, 0.0, 1.0)
 
     def test_self_consistency_under_tighter_tolerance(self):
         def f(x):
@@ -225,8 +251,14 @@ class TestLimitScaledJensen:
         assert study.converged
 
     def test_k_max_required(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^k_max must be >= 4$"):
             limit_scaled_jensen(build_generator("log"), 1, 2, 3)
+
+    def test_last_schedule_point_below_one(self):
+        study = limit_scaled_jensen(build_generator("log"), 1, 2, 53)
+        # The Jensen gap cancels to 0 there, a known limit of the study, so
+        # only the schedule is asserted.
+        assert study.params[-1] == 1.0 - 2.0**-53 < 1.0
 
     def test_schedule_shape(self):
         study = limit_scaled_jensen(build_generator("log"), 1, 2, 9)
@@ -278,6 +310,22 @@ class TestLimitRPowerBregman:
         study = limit_r_power_bregman(build_generator("quadratic"), 2, 2, 20)
         assert all(abs(float(v)) <= 1e-12 for v in study.values)
         assert study.converged
+
+
+@pytest.mark.parametrize("study,gen,k_top", [(limit_scaled_jensen, "log", 53),
+                                              (limit_power_jensen, "sqrt", 1023),
+                                              (limit_r_power_bregman, "sqrt", 1023)])
+@pytest.mark.parametrize("past", [1, 1100])
+def test_schedule_past_the_floats_raises_before_any_step(study, gen, k_top, past):
+    # Past k_top, 1 - 2^-k rounds to 1 or 2^k overflows.
+    calls = []
+    g = build_generator(gen)
+    g = type(g)(g.dim, lambda t: calls.append(t) or g.eval(t), g.domain, g.grad,
+                g.declared_class, name=g.name)
+    k_max = k_top + past
+    with pytest.raises(ValueError, match=f"^k_max must be <= {k_top}: .* got {k_max}$"):
+        study(g, 1.0, 2.0, k_max)
+    assert calls == []
 
 
 def test_monotone_convergence_on_finite_branches():

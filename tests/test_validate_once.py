@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from qcdiv import oracles
+from qcdiv import core, oracles
 from qcdiv.bregman import (
     bregman,
     delta_averaged_qcvx_bregman,
@@ -191,6 +191,20 @@ WORK_PER_CALL = [
     ("r_power_bregman", "quadratic", lambda g: r_power_bregman(g, 2.0, 1.0, 2.0), 2, 1),
     ("qcvx_bregman_from_kl", "quadratic",
      lambda g: qcvx_bregman_from_kl(ExpFamily(g), 2.0, 1.0), 4, 1),
+    # The target validates the points and Q is evaluated there once; then each
+    # step costs only its kernel's work: 5 steps from k = 4, 9 steps from k = 0.
+    ("limit_scaled_jensen finite", "log",
+     lambda g: oracles.limit_scaled_jensen(g, 1.0, 2.0, 8), 9, 1),
+    ("limit_scaled_jensen infinite", "log",
+     lambda g: oracles.limit_scaled_jensen(g, 2.0, 1.0, 8), 9, 0),
+    ("limit_power_jensen", "sqrt", lambda g: oracles.limit_power_jensen(g, 1.0, 2.0, 8), 14, 0),
+    ("limit_r_power_bregman finite", "sqrt",
+     lambda g: oracles.limit_r_power_bregman(g, 1.0, 2.0, 8), 4, 10),
+    ("limit_r_power_bregman infinite", "sqrt",
+     lambda g: oracles.limit_r_power_bregman(g, 2.0, 1.0, 8), 4, 9),
+    # 15 nodes of one panel, 2 evaluations and 1 gradient each.
+    ("integrate_delta_average", "log",
+     lambda g: oracles.integrate_delta_average(g, 1.0, 2.0, 0.5), 32, 15),
 ]
 
 
@@ -200,6 +214,21 @@ def test_generator_work_per_call(label, gen, call, evals, grads):
     g, counts = _counted(gen)
     call(g)
     assert counts == {"eval": evals, "grad": grads}
+
+
+def test_delta_average_coerces_only_its_arguments(monkeypatch):
+    # Each integrand node runs the kernel on points _eval checks, so no node
+    # coerces; the raw counts above cannot tell that from a public call per node.
+    calls = []
+
+    def counted(theta):
+        calls.append(theta)
+        return as_vector(theta)
+
+    monkeypatch.setattr(core, "as_vector", counted)
+    monkeypatch.setattr(oracles, "as_vector", counted)
+    oracles.integrate_delta_average(LOG, 1.0, 2.0, 0.5)
+    assert calls == [1.0, 2.0]
 
 
 # --------------------------------------------------------------------------

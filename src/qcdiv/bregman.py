@@ -43,10 +43,11 @@ def _branch(qt: float, qtp: float, finite) -> ExtReal:
 
 
 # Each divergence calls its kernel with the checked arguments, then the two
-# points that core._pair checked and their generator values; ``qcdiv table``
-# calls the same kernels.  Call arguments are evaluated left to right, so the
-# argument checks run before the point checks.  The three divergences without
-# arguments name the pair: a plain call is cheaper than one that unpacks it.
+# points that core._pair checked and their generator values; ``qcdiv eval`` and
+# ``qcdiv table`` call the same checks and kernels.  Call arguments are
+# evaluated left to right, so the argument checks run before the point checks.
+# The three divergences without arguments name the pair: a plain call is
+# cheaper than one that unpacks it.
 
 
 def _bregman(F: Generator, t, tp, ft: float, ftp: float) -> float:

@@ -13,32 +13,16 @@ import json
 import math
 import re
 import sys
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
-from . import checks, oracles
-from .bregman import (
-    bregman,
-    delta_averaged_qcvx_bregman,
-    extended_bregman,
-    qcvx_bregman,
-)
-from .core import _fmt, build_generator, eval_generator
-from .jensen import extended_jensen, log_ratio_gap, qccv_jensen, qcvx_jensen
-from .means import (
-    MeanSpec,
-    mn_jensen,
-    power_mean_bregman,
-    power_mean_jensen,
-    r_power_bregman,
-)
-from .statdiv import (
-    ExpFamily,
-    expfam_cross_entropy,
-    expfam_entropy,
-    expfam_kl,
-    kl_nested_uniform,
-    kl_power_nested,
-)
+from . import checks, oracles, statdiv
+from .bregman import (_bregman, _delta_averaged_qcvx_bregman, _extended_bregman,
+                      _qcvx_bregman, _ratio)
+from .core import _fmt, _pair, build_generator, eval_generator
+from .jensen import _extended_jensen, _log_ratio_gap, _qccv_jensen, _qcvx_jensen, _skew
+from .means import (MeanSpec, _exponents, _mn_jensen, _power_mean_bregman, _power_mean_jensen,
+                    _r_exponent, _r_power_bregman, _weight)
+from .statdiv import ExpFamily, _exponent, _kl_power_nested
 
 
 class CliError(Exception):
@@ -95,82 +79,79 @@ def _scalar(vec, flag: str) -> float:
 
 
 class _Div(NamedTuple):
-    """How the CLI calls one divergence.
+    """How the CLI calls one divergence: its argument check, then its kernel.
 
-    ``fn`` names a library function imported into this module; ``eval`` looks
-    it up by name, so rebinding that name (in tests, or by the traced
-    benchmark) reaches the CLI, while ``table`` calls the kernel.  ``flags``
-    pairs each required flag with the keyword it fills, in the order the flags
-    are checked, after the generator has loaded.  ``points`` are the keywords
-    of --theta and --theta-prime; a unary divergence has one.  ``scalar``
-    divergences take single reals.  ``subject`` is the leading positional
-    argument: the generator, its ExpFamily, or nothing.
+    ``flags`` are the required flags, in the order they are checked after the
+    generator has loaded.  ``check(name, subject, *flag values)`` returns the
+    kernel's checked arguments; ``name`` is the library function's, for the
+    check's messages.  ``points`` are the point flags; a unary divergence has
+    one.  ``scalar`` divergences take single reals.  ``subject`` is the
+    leading argument: the generator, its ExpFamily, or nothing.
     """
 
-    # fn's kernel is "_" + fn in fn's module, and ``check`` names a function
-    # there: check(fn, subject, *flag values) returns the kernel's checked
-    # arguments.  The kernel takes the subject (the generator), those
-    # arguments, then two points that core._pair checked and their generator
-    # values.  A ``raw`` kernel takes the subject, the arguments and the two
-    # points as fn takes them, and checks the points itself; a raw divergence
-    # without a check is its own kernel.
-    fn: str
+    # The kernel takes the subject, the checked arguments, then two points
+    # that core._pair checked and their generator values.  A ``raw`` kernel
+    # takes the subject, the checked arguments and the points as given, and
+    # checks the points itself.
+    name: str
+    kernel: Callable
     flags: tuple = ()
-    check: Optional[str] = None
-    points: tuple = ("theta", "theta_p")
+    check: Optional[Callable] = None
+    points: tuple = ("--theta", "--theta-prime")
     scalar: bool = False
     subject: Optional[str] = "generator"
     raw: bool = False
 
 
-_ALPHA = (("alpha", "--alpha"),)
-
 # The divergence catalog: argparse choices (in this order), eval and table.
 # power-bregman checks p, q > 0 together, the two KLs check theta and theta_p
 # before they compare them, expfam-cross-entropy takes a gradient at theta
-# before the value at theta_p, and expfam-kl is the public bregman with its
-# points swapped: their kernels take the points raw.
+# before the value at theta_p, expfam-kl is the public bregman with its points
+# swapped, and expfam-entropy is the cross-entropy at theta: their kernels take
+# the points raw.
 DIVERGENCES = {
-    "qcvx-jensen": _Div("qcvx_jensen", _ALPHA, "_skew"),
-    "qccv-jensen": _Div("qccv_jensen", _ALPHA, "_skew"),
-    "log-ratio": _Div("log_ratio_gap", _ALPHA, "_skew"),
-    "ext-jensen": _Div("extended_jensen", _ALPHA, "_skew"),
-    "mn-jensen": _Div("mn_jensen", _ALPHA + (("M", "--mean-m"), ("N", "--mean-n")), "_weight"),
-    "power-jensen": _Div("power_mean_jensen", _ALPHA + (("delta", "--delta"),), "_weight"),
-    "bregman": _Div("bregman"),
-    "qcvx-bregman": _Div("qcvx_bregman"),
-    "delta-qcvx-bregman": _Div("delta_averaged_qcvx_bregman", (("delta", "--delta"),), "_ratio"),
-    "ext-bregman": _Div("extended_bregman"),
-    "power-bregman": _Div("power_mean_bregman", (("delta1", "--delta1"), ("delta2", "--delta2")),
-                          "_exponents", points=("p", "q"), scalar=True, raw=True),
-    "r-power-bregman": _Div("r_power_bregman", (("r", "--r"),), "_r_exponent", scalar=True),
-    "kl-nested-uniform": _Div("kl_nested_uniform", scalar=True, subject=None, raw=True),
-    "kl-power-nested": _Div("kl_power_nested", (("alpha", "--exponent"),), "_exponent",
+    "qcvx-jensen": _Div("qcvx_jensen", _qcvx_jensen, ("--alpha",), _skew),
+    "qccv-jensen": _Div("qccv_jensen", _qccv_jensen, ("--alpha",), _skew),
+    "log-ratio": _Div("log_ratio_gap", _log_ratio_gap, ("--alpha",), _skew),
+    "ext-jensen": _Div("extended_jensen", _extended_jensen, ("--alpha",), _skew),
+    "mn-jensen": _Div("mn_jensen", _mn_jensen, ("--alpha", "--mean-m", "--mean-n"), _weight),
+    "power-jensen": _Div("power_mean_jensen", _power_mean_jensen, ("--alpha", "--delta"),
+                         _weight),
+    "bregman": _Div("bregman", _bregman),
+    "qcvx-bregman": _Div("qcvx_bregman", _qcvx_bregman),
+    "delta-qcvx-bregman": _Div("delta_averaged_qcvx_bregman", _delta_averaged_qcvx_bregman,
+                               ("--delta",), _ratio),
+    "ext-bregman": _Div("extended_bregman", _extended_bregman),
+    "power-bregman": _Div("power_mean_bregman", _power_mean_bregman, ("--delta1", "--delta2"),
+                          _exponents, scalar=True, raw=True),
+    "r-power-bregman": _Div("r_power_bregman", _r_power_bregman, ("--r",), _r_exponent,
+                            scalar=True),
+    "kl-nested-uniform": _Div("kl_nested_uniform", statdiv.kl_nested_uniform, scalar=True,
+                              subject=None, raw=True),
+    "kl-power-nested": _Div("kl_power_nested", _kl_power_nested, ("--exponent",), _exponent,
                             scalar=True, subject=None, raw=True),
-    "expfam-kl": _Div("expfam_kl", subject="family", raw=True),
-    "expfam-entropy": _Div("expfam_entropy", points=("theta",), subject="family"),
-    "expfam-cross-entropy": _Div("expfam_cross_entropy", subject="family", raw=True),
+    "expfam-kl": _Div("expfam_kl", statdiv.expfam_kl, subject="family", raw=True),
+    "expfam-entropy": _Div("expfam_entropy", statdiv.expfam_entropy, points=("--theta",),
+                           subject="family", raw=True),
+    "expfam-cross-entropy": _Div("expfam_cross_entropy", statdiv.expfam_cross_entropy,
+                                 subject="family", raw=True),
 }
-
-# The namespace of the module that defines each divergence, taken before any
-# rebinding: table finds the kernel and the check there.
-_HOMES = {d.fn: vars(sys.modules[globals()[d.fn].__module__]) for d in DIVERGENCES.values()}
 
 # limit-study --study s runs oracles.limit_<s with "-" replaced by "_">.
 STUDIES = ("scaled-jensen", "power-jensen", "r-power-bregman")
 
 
 def _arguments(args):
-    """(catalog entry, leading arguments, {keyword: flag value}) for --div, in check order."""
+    """(catalog entry, leading arguments, flag values) for --div, in check order."""
     div = DIVERGENCES[args.div]
     lead = ()
     if div.subject is not None:
         g = _load_generator(args)
         lead = (ExpFamily(g) if div.subject == "family" else g,)
-    params = {}
-    for keyword, flag in div.flags:
+    params = []
+    for flag in div.flags:
         value = _need(args, flag)
-        params[keyword] = _parse_mean(value, flag) if flag.startswith("--mean-") else value
+        params.append(_parse_mean(value, flag) if flag.startswith("--mean-") else value)
     return div, lead, params
 
 
@@ -234,8 +215,11 @@ def cmd_eval(args) -> int:
     elif len(div.points) == 2:
         raise CliError(f"--div {args.div} requires --theta-prime")
     if div.scalar:
-        points = [_scalar(p, flag) for p, flag in zip(points, ("--theta", "--theta-prime"))]
-    value = globals()[div.fn](*lead, **dict(zip(div.points, points)), **params)
+        points = [_scalar(p, flag) for p, flag in zip(points, div.points)]
+    # A unary divergence reads --theta only; a given --theta-prime was parsed above.
+    points = points[:len(div.points)]
+    extra = div.check(div.name, *lead, *params) if div.check else ()
+    value = div.kernel(*lead, *extra, *(points if div.raw else _pair(lead[0], *points)))
     text = _fmt(value, args.format)
     if args.format == "json":
         print('{"value": "inf"}' if math.isinf(value) else f'{{"value": {text}}}')
@@ -286,8 +270,8 @@ def cmd_table(args) -> int:
     count = int(math.floor(steps)) + 1
     grid = [args.grid_min + i * args.grid_step for i in range(count)]
     axis = [x if div.raw and div.scalar else (x,) for x in grid]
-    kernel = _HOMES[div.fn][div.fn if div.raw and not div.check else "_" + div.fn]
-    extra = _HOMES[div.fn][div.check](div.fn, *lead, *params.values()) if div.check else ()
+    kernel = div.kernel  # a local: the loop below runs once per grid pair
+    extra = div.check(div.name, *lead, *params) if div.check else ()
     # Every value first, so that a grid point that raises leaves stdout empty.
     # Row 0 meets the axis points in order, and each is checked and evaluated
     # just before its first pair, so the first error is the one a row-major

@@ -37,9 +37,9 @@ def _skew(fn: str, Q: Generator, alpha: float) -> tuple:
 
 
 # Each divergence calls its kernel with the checked arguments, then the two
-# points that core._pair checked and their generator values; ``qcdiv table``
-# calls the same kernels.  Call arguments are evaluated left to right, so the
-# argument checks run before the point checks.
+# points that core._pair checked and their generator values; ``qcdiv eval`` and
+# ``qcdiv table`` call the same checks and kernels.  Call arguments are
+# evaluated left to right, so the argument checks run before the point checks.
 
 
 def _qcvx_jensen(Q: Generator, a: float, t, tp, qt: float, qtp: float) -> float:

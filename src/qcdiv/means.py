@@ -16,13 +16,11 @@ from .core import (
     Generator,
     NonPositiveError,
     _Frozen,
-    _check_dim,
     _eval,
     _gradient,
     _in_range,
     _lerp,
     _pair,
-    _points,
 )
 
 _LOG_MAX = math.log(sys.float_info.max)  # ~709.78, the overflow threshold
@@ -167,15 +165,18 @@ def _weight(fn: str, F: Generator, alpha: float, *rest) -> tuple:
 
 
 # Each divergence calls its kernel with the checked arguments, then the two
-# points that core._pair checked and their generator values; ``qcdiv table``
-# calls the same kernels.  Call arguments are evaluated left to right, so the
-# argument checks run before the point checks.  The two Jensen forms check
-# theirs between the coercion of the points and their evaluation, so they take
-# the steps of _pair one by one.
+# points that core._pair checked and their generator values; ``qcdiv eval`` and
+# ``qcdiv table`` call the same checks and kernels.  Call arguments are
+# evaluated left to right, so the argument checks run before the point checks.
 
 
 def _mn_jensen(F: Generator, a: float, M, N, t, tp, ft: float, ftp: float) -> float:
-    mpoint = _lerp(t, tp, a) if M.kind == "arithmetic" else (weighted_mean(M, t[0], tp[0], a),)
+    if M.kind == "arithmetic":
+        mpoint = _lerp(t, tp, a)
+    elif len(t) != 1:
+        raise DimensionError(f"non-arithmetic argument mean {M.kind!r} requires 1-D parameters")
+    else:
+        mpoint = (weighted_mean(M, t[0], tp[0], a),)
     return weighted_mean(N, ft, ftp, a) - _eval(F, mpoint)
 
 
@@ -187,12 +188,7 @@ def mn_jensen(F: Generator, M: MeanSpec, N: MeanSpec, alpha: float,
     defined on reals only, so they require 1-D parameters; the arithmetic M
     works coordinatewise in any dimension.
     """
-    t, tp = _points(theta, theta_p)
-    args = _weight("mn_jensen", F, alpha, M, N)
-    if M.kind != "arithmetic" and len(t) != 1:
-        raise DimensionError(f"non-arithmetic argument mean {M.kind!r} requires 1-D parameters")
-    _check_dim(F, t)
-    return _mn_jensen(F, *args, t, tp, _eval(F, t), _eval(F, tp))
+    return _mn_jensen(F, *_weight("mn_jensen", F, alpha, M, N), *_pair(F, theta, theta_p))
 
 
 def _power_mean_jensen(F: Generator, a: float, delta, t, tp, ft: float, ftp: float) -> float:
@@ -208,10 +204,8 @@ def power_mean_jensen(F: Generator, delta: float, alpha: float,
     Requires F(theta) > 0 and F(theta_p) > 0.  Tends to the quasiconvex
     Jensen divergence as delta grows.
     """
-    t, tp = _points(theta, theta_p)
-    args = _weight("power_mean_jensen", F, alpha, delta)
-    _check_dim(F, t)
-    return _power_mean_jensen(F, *args, t, tp, _eval(F, t), _eval(F, tp))
+    return _power_mean_jensen(F, *_weight("power_mean_jensen", F, alpha, delta),
+                              *_pair(F, theta, theta_p))
 
 
 def _real_pow(base: float, expo: float, what: str) -> float:
@@ -290,6 +284,8 @@ def _r_power_bregman(F: Generator, r: float, t, tp, ft: float, ftp: float) -> Ex
     if ft <= 0.0 or ftp <= 0.0:
         raise NonPositiveError(f"r_power_bregman requires positive F values, got ({ft}, {ftp})")
     log_term = r * math.log(ft) - (r - 1.0) * math.log(ftp) - math.log(r)
+    if log_term != log_term:  # both powers overflowed: inf - inf
+        log_term = r * (math.log(ft) - math.log(ftp)) + math.log(ftp) - math.log(r)
     if log_term > _LOG_MAX:
         return ExtReal(math.inf)
     fprime = _gradient(F, tp)[0]

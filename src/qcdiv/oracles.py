@@ -83,13 +83,21 @@ def _gk15(f, a: float, b: float):
     c = 0.5 * (a + b)
     ys = [f(c + h * x) for x in GK15_NODES]
     # A NaN or infinite value of f makes the mass so, and fsum can then no
-    # longer fail on inf - inf in the other two sums.
-    mass = math.fsum(map(operator.mul, GK15_WEIGHTS, map(abs, ys)))
-    if not math.isfinite(mass):
-        raise RangeError(f"integrand is not finite on the panel [{a}, {b}]")
-    k15 = math.fsum(map(operator.mul, GK15_WEIGHTS, ys))
-    g7 = math.fsum(map(operator.mul, G7_WEIGHTS, ys[1::2]))
-    return h * k15, abs(h * (k15 - g7)), h * mass
+    # longer fail on inf - inf in the other two sums.  fsum raises
+    # OverflowError when finite values sum past the floats; |h * k15| is at
+    # most the scaled mass, so the value is finite when the mass is.
+    try:
+        mass = math.fsum(map(operator.mul, GK15_WEIGHTS, map(abs, ys)))
+        if not math.isfinite(mass):
+            raise RangeError(f"integrand is not finite on the panel [{a}, {b}]")
+        k15 = math.fsum(map(operator.mul, GK15_WEIGHTS, ys))
+        g7 = math.fsum(map(operator.mul, G7_WEIGHTS, ys[1::2]))
+        err, mass = abs(h * (k15 - g7)), h * mass
+    except OverflowError:
+        err = mass = math.inf
+    if not (math.isfinite(err) and math.isfinite(mass)):
+        raise RangeError(f"the quadrature sums on the panel [{a}, {b}] leave the floats")
+    return h * k15, err, mass
 
 
 def integrate(f, a: float, b: float, abs_tol: float = 1e-10,
@@ -110,8 +118,11 @@ def integrate(f, a: float, b: float, abs_tol: float = 1e-10,
     (e.g. log x at 0) are never evaluated there.
 
     An empty interval, or one whose ends or width b - a are not finite, raises
-    ValueError; an integrand value that is NaN or infinite raises RangeError
-    naming its panel.  So ``value`` and ``error_bound`` are never NaN.
+    ValueError.  An integrand value that is NaN or infinite, or a panel's
+    weighted sums (before or after scaling by its half-width) leaving the
+    floats, raises RangeError naming the panel; a total that leaves the floats
+    raises RangeError naming [a, b].  So ``value`` and ``error_bound`` are
+    always finite.
     """
     if not a < b:
         raise ValueError(f"integration interval is empty: [{a}, {b}]")
@@ -139,9 +150,11 @@ def integrate(f, a: float, b: float, abs_tol: float = 1e-10,
         mid = 0.5 * (lo + hi)
         total += add(lo, mid, depth + 1) + add(mid, hi, depth + 1) + neg_err
     panels = final + [(p[4], -p[0]) for p in heap]
-    error_bound = math.fsum(e for _, e in panels)
-    return QuadratureResult(math.fsum(v for v, _ in panels), error_bound, len(panels),
-                            error_bound <= tol)
+    try:
+        value, error_bound = math.fsum(v for v, _ in panels), math.fsum(e for _, e in panels)
+    except OverflowError:
+        raise RangeError(f"the integral over [{a}, {b}] leaves the floats") from None
+    return QuadratureResult(value, error_bound, len(panels), error_bound <= tol)
 
 
 class InfiniteIntegrandError(RuntimeError):

@@ -82,7 +82,7 @@ class PowerNested(_Frozen):
 
 
 # The nested-support KL kernel takes the points as given: it checks theta and
-# theta_p before it compares them.  kl_nested_uniform is its own table kernel.
+# theta_p before it compares them.  kl_nested_uniform is its own kernel.
 def _kl_power_nested(a: float, theta, theta_p) -> ExtReal:
     """a * (theta_p - theta) when theta <= theta_p, else +inf: the nested-support KL."""
     t = _validate_positive("theta", theta)
@@ -143,7 +143,7 @@ class ExpFamily(NamedTuple):
 
 
 # The cross-entropy takes the gradient at theta before the value at theta_p,
-# so it is its own table kernel, over the points as given.
+# so it is its own kernel, over the points as given.
 def expfam_cross_entropy(fam: ExpFamily, theta, theta_p) -> float:
     """Cross-entropy h(p_theta : p_theta_p) = F(theta_p) - <theta_p, grad F(theta)>.
 
@@ -162,8 +162,8 @@ def expfam_entropy(fam: ExpFamily, theta) -> float:
     return expfam_cross_entropy(fam, t, t)
 
 
-# expfam_kl is the public bregman with its points swapped, and its own table
-# kernel, over the points as given.
+# expfam_kl is the public bregman with its points swapped, and its own kernel,
+# over the points as given.
 def expfam_kl(fam: ExpFamily, theta, theta_p) -> float:
     """KL between family members is the reverse Bregman divergence of the cumulant."""
     return bregman(fam.F, theta_p, theta)

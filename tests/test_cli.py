@@ -270,6 +270,13 @@ class TestArithmeticErrors:
                     "--format", "csv")
         assert (r.returncode, r.stdout) == (0, b"value\n3.3333333333331489e+249\n")
 
+    @pytest.mark.parametrize("r", ["1e300", "1e308"])
+    def test_r_power_bregman_past_the_power_overflow_exits_0(self, r, capsys):
+        # At --r 1e308 both powers overflow; the log term was inf - inf = NaN.
+        code = cli.main(["eval", "--div", "r-power-bregman", "--gen", "quadratic", "--r", r,
+                         "--theta", "20", "--theta-prime", "30"])
+        assert (code, capsys.readouterr()) == (0, ("600\n", ""))
+
 
 class TestNegativeValues:
     """A negative value after a flag reads as its value, as in the --flag=value form."""

@@ -4,12 +4,12 @@ import argparse
 import ast
 import inspect
 import re
-import sys
 import textwrap
 from pathlib import Path
 
 import pytest
 
+import qcdiv
 from qcdiv import cli, oracles
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -137,25 +137,20 @@ def test_readme_divergence_list_is_the_catalog():
     assert re.findall(r"`([a-z-]+)`", listed) == list(cli.DIVERGENCES)
 
 
-BINARY = [div for div, spec in cli.DIVERGENCES.items() if len(spec.points) == 2]
-
-
-def _home(spec):
-    return sys.modules[getattr(cli, spec.fn).__module__]
-
-
-@pytest.mark.parametrize("div", BINARY)
+@pytest.mark.parametrize("div", list(cli.DIVERGENCES))
 def test_eval_and_table_share_one_kernel(div):
-    # table calls the kernel and eval the public function, which must call
-    # that same kernel (or be it): no divergence has a second, table-only formula.
+    # eval and table call the catalog's check and kernel, and the library's
+    # public function must call that same check and kernel (or be the kernel):
+    # no divergence has a second formula or a second check order.
     spec = cli.DIVERGENCES[div]
-    home = _home(spec)
-    # A raw divergence without argument checks is its own kernel.
-    kernel = spec.fn if spec.raw and spec.check is None else "_" + spec.fn
-    assert callable(getattr(home, kernel, None)), f"{home.__name__} has no {kernel}"
-    tree = ast.parse(textwrap.dedent(inspect.getsource(getattr(home, spec.fn))))
+    public = getattr(qcdiv, spec.name)
+    if public is spec.kernel:
+        assert spec.raw and spec.check is None
+        return
+    tree = ast.parse(textwrap.dedent(inspect.getsource(public)))
     called = {node.func.id for node in ast.walk(tree)
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
-    assert kernel == spec.fn or kernel in called
-    if spec.check is not None:
-        assert spec.check in called and callable(getattr(home, spec.check))
+    for fn in (spec.kernel, spec.check) if spec.check else (spec.kernel,):
+        assert fn.__name__ in called and public.__globals__[fn.__name__] is fn
+    # A kernel that takes checked points gets them from core._pair.
+    assert spec.raw or "_pair" in called

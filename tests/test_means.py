@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -258,6 +259,15 @@ class TestRPowerBregman:
     def test_large_r_infinite_branch(self):
         v = r_power_bregman(build_generator("quadratic"), 1e4, 2, 1)
         assert v.is_inf
+
+    @pytest.mark.parametrize("theta,theta_p,expected",
+                             [(20.0, 30.0, 600.0), (30.0, 20.0, math.inf)])
+    def test_both_powers_overflow(self, theta, theta_p, expected):
+        # r * log F(theta) and (r - 1) * log F(theta_p) are both inf, so the
+        # log term was inf - inf = NaN and the value a stray ValueError.
+        v = r_power_bregman(build_generator("quadratic"), 2.0**1023, theta, theta_p)
+        assert float(v) == expected
+        assert float(v) == float(qcvx_bregman(build_generator("quadratic"), theta, theta_p))
 
     def test_r_below_one_rejected(self):
         with pytest.raises(ValueError):

@@ -66,6 +66,33 @@ class TestIntegrate:
                                              r"\[0\.0, 0\.\d+\]$"):
             integrate(f, 0.0, 1.0)
 
+    @pytest.mark.parametrize("f,a,b", [(lambda x: 1e308, 0, 1),
+                                       (lambda x: 1e300, -1e10, 1e10),
+                                       (lambda x: -1e300, -1e10, 1e10)],
+                             ids=["weighted sum", "scaled by the width", "negative"])
+    def test_finite_integrand_whose_panel_sums_overflow(self, f, a, b):
+        # fsum overflowed (a stray OverflowError), or h * sum gave value=inf
+        # with converged=True.
+        with pytest.raises(RangeError, match=rf"^the quadrature sums on the panel \[{a}, {b}\] "
+                                             r"leave the floats$"):
+            integrate(f, a, b)
+
+    def test_error_estimate_overflow_names_the_panel(self):
+        # The G7 sum doubles the weights of its nodes, so it overflows first.
+        g7 = set(GK15_NODES[1::2])
+        with pytest.raises(RangeError, match=r"^the quadrature sums on the panel \[-1, 1\]"):
+            integrate(lambda x: 1e308 if x in g7 else 0.0, -1, 1)
+
+    def test_total_overflow_names_the_interval(self):
+        # The first panel misses the value at its G7 nodes, and each half fits
+        # the floats, but their sum does not.
+        first = {4.0 * x for x in GK15_NODES[1::2]}
+        with pytest.raises(RangeError,
+                           match=r"^the integral over \[-4\.0, 4\.0\] leaves the floats$"):
+            integrate(lambda x: 0.0 if x in first else 0.3e308, -4.0, 4.0)
+        r = integrate(lambda x: 0.0 if x in first else 0.1e308, -4.0, 4.0)
+        assert (r.value, r.panels, r.converged) == (8e307, 2, True)
+
     def test_self_consistency_under_tighter_tolerance(self):
         def f(x):
             return math.exp(-x * x) * math.cos(3 * x)
@@ -305,6 +332,12 @@ class TestLimitRPowerBregman:
         assert study.target.is_inf
         assert study.values[-1].is_inf
         assert study.converged
+
+    @pytest.mark.parametrize("theta,theta_p", [(20.0, 30.0), (30.0, 20.0)])
+    def test_schedule_where_both_powers_overflow(self, theta, theta_p):
+        # The last steps' log terms were inf - inf = NaN, a stray ValueError.
+        study = limit_r_power_bregman(build_generator("quadratic"), theta, theta_p, 1023)
+        assert study.converged and float(study.values[-1]) == float(study.target)
 
     def test_identical_points_near_zero(self):
         study = limit_r_power_bregman(build_generator("quadratic"), 2, 2, 20)

@@ -97,7 +97,7 @@ def first_error(div: str, gen: str, lo: float, hi: float, step: float) -> str:
 
 
 def argv(div: str, gen: str, lo: float, hi: float, step: float) -> list:
-    flags = [arg for _, flag in cli.DIVERGENCES[div].flags for arg in (flag, FLAGS[flag])]
+    flags = [arg for flag in cli.DIVERGENCES[div].flags for arg in (flag, FLAGS[flag])]
     # --flag=value, because argparse reads "-1e-86" as an option, not a number.
     return ["table", "--div", div, "--gen", gen, *flags,
             f"--grid-min={lo!r}", f"--grid-max={hi!r}", f"--grid-step={step!r}"]

@@ -150,9 +150,18 @@ def test_errors_keep_their_order():
         qcvx_bregman(LOG, (-1.0, 1.0), (1.0,))
     with pytest.raises(DomainError, match=r"value -1\.0 outside"):
         qcvx_bregman(LOG, -1.0, -2.0)
-    # mn_jensen checks both points before its weight.
-    with pytest.raises(DimensionError, match="dimension mismatch"):
+    # The weighted-mean Jensen forms check their weight before both points.
+    with pytest.raises(ValueError, match="mean weight"):
         mn_jensen(LOG, ARITH, ARITH, 2.0, (1.0,), (1.0, 2.0))
+    with pytest.raises(ValueError, match="mean weight"):
+        power_mean_jensen(LOG, 2.0, 2.0, (1.0,), (1.0, 2.0))
+    # A non-arithmetic argument mean needs 1-D points, and its kernel sees them
+    # only after the generator dimension check.
+    with pytest.raises(DimensionError, match="generator log has dimension 1, point has 2"):
+        mn_jensen(LOG, MeanSpec.maximum(), ARITH, 0.5, (1.0, 2.0), (2.0, 1.0))
+    with pytest.raises(DimensionError, match="non-arithmetic argument mean 'max'"):
+        mn_jensen(build_generator({"name": "log-norm-sq", "dim": 2}), MeanSpec.maximum(),
+                  ARITH, 0.5, (1.0, 2.0), (2.0, 1.0))
 
 
 # --------------------------------------------------------------------------

@@ -31,15 +31,15 @@ from .core import (
 def _linear_term(F: Generator, t, tp) -> float:
     """<theta - theta_p, grad F(theta_p)>; RangeError when it overflows."""
     g = _gradient(F, tp)
-    return _in_range(sum((x - y) * gi for x, y, gi in zip(t, tp, g)), "the linear term")
+    return _in_range(sum([(x - y) * gi for x, y, gi in zip(t, tp, g)]), "the linear term")
 
 
-def _branch(qt: float, qtp: float, finite) -> ExtReal:
-    """+inf when Q(theta) > Q(theta_p), else ``finite()``."""
+def _branch(qt: float, qtp: float, finite, *args) -> ExtReal:
+    """+inf when Q(theta) > Q(theta_p), else ``finite(*args)``."""
     tie = _tie_sensitive(qt, qtp)
     if qt > qtp:
-        return ExtReal(math.inf, tie_sensitive=tie)
-    return ExtReal(finite(), tie_sensitive=tie)
+        return ExtReal(math.inf, tie)
+    return ExtReal(finite(*args), tie)
 
 
 # Each divergence calls its kernel with the checked arguments, then the two
@@ -60,8 +60,11 @@ def bregman(F: Generator, theta, theta_p) -> float:
     return _bregman(F, t, tp, ft, ftp)
 
 
+# The finite branch is -<theta - theta_p, grad Q(theta_p)>: _bregman with both
+# values 0 gives 0.0 minus it, which differs from its negation only in the sign
+# of a zero, and ExtReal hands out no -0.0.
 def _qcvx_bregman(Q: Generator, t, tp, qt: float, qtp: float) -> ExtReal:
-    return _branch(qt, qtp, lambda: -_linear_term(Q, t, tp))
+    return _branch(qt, qtp, _bregman, Q, t, tp, 0.0, 0.0)
 
 
 def qcvx_bregman(Q: Generator, theta, theta_p) -> ExtReal:
@@ -83,18 +86,20 @@ def _ratio(fn: str, Q: Generator, delta: float) -> tuple:
     return (_validate_positive("averaging ratio delta", delta),)
 
 
-def _delta_averaged_qcvx_bregman(Q: Generator, d: float, t, tp, qt: float, qtp: float) -> ExtReal:
-    def finite():
-        extrap = tuple(y + d * (y - x) for x, y in zip(t, tp))
-        problem = Q.domain.violation(extrap)
-        if problem is not None:
-            raise DomainError(
-                f"delta-averaging needs the domain of {Q.name or 'generator'} to "
-                f"cover the extrapolated point {extrap}: {problem}"
-            )
-        return (_eval(Q, extrap) - qtp) / d
+def _averaged_gap(Q: Generator, d: float, t, tp, qtp: float) -> float:
+    """(Q(theta_p + d*(theta_p - theta)) - Q(theta_p)) / d."""
+    extrap = tuple(y + d * (y - x) for x, y in zip(t, tp))
+    problem = Q.domain.violation(extrap)
+    if problem is not None:
+        raise DomainError(
+            f"delta-averaging needs the domain of {Q.name or 'generator'} to "
+            f"cover the extrapolated point {extrap}: {problem}"
+        )
+    return (_eval(Q, extrap) - qtp) / d
 
-    return _branch(qt, qtp, finite)
+
+def _delta_averaged_qcvx_bregman(Q: Generator, d: float, t, tp, qt: float, qtp: float) -> ExtReal:
+    return _branch(qt, qtp, _averaged_gap, Q, d, t, tp, qtp)
 
 
 def delta_averaged_qcvx_bregman(Q: Generator, theta, theta_p, delta: float) -> ExtReal:
@@ -110,7 +115,7 @@ def delta_averaged_qcvx_bregman(Q: Generator, theta, theta_p, delta: float) -> E
 
 
 def _extended_bregman(Q: Generator, t, tp, qt: float, qtp: float) -> ExtReal:
-    return _branch(qt, qtp, lambda: qt - qtp - _linear_term(Q, t, tp))
+    return _branch(qt, qtp, _bregman, Q, t, tp, qt, qtp)
 
 
 def extended_bregman(Q: Generator, theta, theta_p) -> ExtReal:

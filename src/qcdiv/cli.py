@@ -21,7 +21,7 @@ from .bregman import (_bregman, _delta_averaged_qcvx_bregman, _extended_bregman,
 from .core import _fmt, _pair, build_generator, eval_generator
 from .jensen import _extended_jensen, _log_ratio_gap, _qccv_jensen, _qcvx_jensen, _skew
 from .means import (MeanSpec, _exponents, _mn_jensen, _power_mean_bregman, _power_mean_jensen,
-                    _r_exponent, _r_power_bregman, _weight)
+                    _power_weight, _r_exponent, _r_power_bregman, _weight)
 from .statdiv import ExpFamily, _exponent, _kl_power_nested
 
 
@@ -116,7 +116,7 @@ DIVERGENCES = {
     "ext-jensen": _Div("extended_jensen", _extended_jensen, ("--alpha",), _skew),
     "mn-jensen": _Div("mn_jensen", _mn_jensen, ("--alpha", "--mean-m", "--mean-n"), _weight),
     "power-jensen": _Div("power_mean_jensen", _power_mean_jensen, ("--alpha", "--delta"),
-                         _weight),
+                         _power_weight),
     "bregman": _Div("bregman", _bregman),
     "qcvx-bregman": _Div("qcvx_bregman", _qcvx_bregman),
     "delta-qcvx-bregman": _Div("delta_averaged_qcvx_bregman", _delta_averaged_qcvx_bregman,

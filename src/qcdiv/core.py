@@ -65,12 +65,10 @@ class ExtReal(float):
     __slots__ = ("tie_sensitive",)
 
     def __new__(cls, value: float, tie_sensitive: bool = False) -> "ExtReal":
-        v = float(value)
-        if math.isnan(v) or v == -math.inf:
+        v = float(value) + 0.0  # adding +0.0 turns -0.0 into 0.0 and keeps every other value
+        if v != v or v == -math.inf:
             raise ValueError(f"extended real must be finite or +inf, got {v!r}")
-        if v == 0.0:
-            v = 0.0  # never hand out -0.0
-        self = super().__new__(cls, v)
+        self = float.__new__(cls, v)
         self.tie_sensitive = bool(tie_sensitive)
         return self
 
@@ -107,10 +105,10 @@ def _fmt(value: float, mode: str = "csv") -> str:
 
 def as_vector(theta) -> Vector:
     """Coerce a ``numbers.Real`` or a sequence of reals to a finite coordinate tuple."""
-    # ints, floats and tuples are decided before the slower ABC check.
-    if isinstance(theta, (int, float)) or (
-        type(theta) is not tuple and isinstance(theta, numbers.Real)
-    ):
+    # Tuples, ints and floats are decided before the slower ABC check.
+    if type(theta) is tuple:
+        coords = tuple(map(float, theta))
+    elif isinstance(theta, (int, float)) or isinstance(theta, numbers.Real):
         coords = (float(theta),)
     else:
         try:
@@ -165,7 +163,8 @@ def interpolate(theta, theta_p, alpha: float) -> Vector:
 
 
 def _lerp(t: Vector, tp: Vector, a: float) -> Vector:
-    return tuple((1.0 - a) * x + a * y for x, y in zip(t, tp))
+    b = 1.0 - a
+    return tuple([b * x + a * y for x, y in zip(t, tp)])
 
 
 class _Record:
@@ -354,7 +353,8 @@ class Generator:
 def eval_generator(g: Generator, theta) -> float:
     """Evaluate g at theta with domain checking; the value must be finite."""
     t = as_vector(theta)
-    _check_dim(g, t)
+    if len(t) != g.dim:
+        _check_dim(g, t)
     return _eval(g, t)
 
 
@@ -366,7 +366,8 @@ def gradient(g: Generator, theta) -> Vector:
     attempted.
     """
     t = as_vector(theta)
-    _check_dim(g, t)
+    if len(t) != g.dim:
+        _check_dim(g, t)
     return _gradient(g, t)
 
 
@@ -386,7 +387,8 @@ def _pair(g: Generator, theta, theta_p):
     t, tp = as_vector(theta), as_vector(theta_p)
     if len(t) != len(tp):
         raise DimensionError(f"dimension mismatch: {len(t)} vs {len(tp)}")
-    _check_dim(g, t)
+    if len(t) != g.dim:
+        _check_dim(g, t)
     return t, tp, _eval(g, t), _eval(g, tp)
 
 
@@ -394,12 +396,14 @@ def _eval(g: Generator, t: Vector) -> float:
     """g at t, which must lie in the domain and give a finite value."""
     # A strictly interior point is finite; any other point, such as a derived
     # point that overflowed, gets the coordinate check of as_vector first.
-    domain = g.domain
-    if not domain.contains_interior(t):
-        _check_finite(t)
-        problem = domain.violation(t)
-        if problem is not None:
-            raise DomainError(f"{g.name or 'generator'}: {problem}")
+    # The loop is Box.contains_interior, inlined: this runs per evaluation.
+    for (lo, hi), x in zip(g.domain._bounds, t):
+        if not lo < x < hi:
+            _check_finite(t)
+            problem = g.domain.violation(t)
+            if problem is not None:
+                raise DomainError(f"{g.name or 'generator'}: {problem}")
+            break
     try:
         value = float(g.eval(t))
     except OverflowError:
@@ -412,10 +416,11 @@ def _eval(g: Generator, t: Vector) -> float:
 
 
 def _gradient(g: Generator, t: Vector) -> Vector:
-    if not g.domain.contains_interior(t):
-        raise GradientError(
-            f"gradient of {g.name or 'generator'} requires an interior point, got {t}"
-        )
+    for (lo, hi), x in zip(g.domain._bounds, t):  # Box.contains_interior, inlined
+        if not lo < x < hi:
+            raise GradientError(
+                f"gradient of {g.name or 'generator'} requires an interior point, got {t}"
+            )
     try:
         if g.grad is not None:
             grad = tuple(map(float, g.grad(t)))

@@ -41,8 +41,11 @@ class MeanSpec(_Frozen):
     def __init__(self, kind: str, delta: Optional[float] = None, f: Optional[Generator] = None):
         if kind not in MEAN_KINDS:
             raise ValueError(f"unknown mean kind {kind!r}")
-        if kind == "power" and delta is None:
-            raise ValueError("power mean needs an exponent delta")
+        if kind == "power":
+            if delta is None:
+                raise ValueError("power mean needs an exponent delta")
+            if math.isnan(float(delta)):
+                raise ValueError(f"power mean exponent delta must be a number, got {delta}")
         if kind == "quasi-arithmetic":
             if f is None:
                 raise ValueError("quasi-arithmetic mean needs a 1-D generator f")
@@ -159,9 +162,15 @@ def weighted_mean(spec: MeanSpec, x: float, y: float, alpha: float) -> float:
     return min(max(value, lo), hi)
 
 
-# The argument checks of the two weighted-mean Jensen divergences: alpha in [0, 1].
-def _weight(fn: str, F: Generator, alpha: float, *rest) -> tuple:
-    return (_validate_weight(alpha), *rest)
+# The argument checks of mn_jensen: alpha in [0, 1].
+def _weight(fn: str, F: Generator, alpha: float, M: MeanSpec, N: MeanSpec) -> tuple:
+    return _validate_weight(alpha), M, N
+
+
+# The argument checks of power_mean_jensen: alpha in [0, 1], then the exponent,
+# which the kernel takes as its power mean.
+def _power_weight(fn: str, F: Generator, alpha: float, delta: float) -> tuple:
+    return _validate_weight(alpha), MeanSpec.power(delta)
 
 
 # Each divergence calls its kernel with the checked arguments, then the two
@@ -191,10 +200,10 @@ def mn_jensen(F: Generator, M: MeanSpec, N: MeanSpec, alpha: float,
     return _mn_jensen(F, *_weight("mn_jensen", F, alpha, M, N), *_pair(F, theta, theta_p))
 
 
-def _power_mean_jensen(F: Generator, a: float, delta, t, tp, ft: float, ftp: float) -> float:
+def _power_mean_jensen(F: Generator, a: float, N: MeanSpec, t, tp, ft: float, ftp: float) -> float:
     if ft <= 0.0 or ftp <= 0.0:
         raise NonPositiveError(f"power_mean_jensen requires positive F values, got ({ft}, {ftp})")
-    return weighted_mean(MeanSpec.power(delta), ft, ftp, a) - _eval(F, _lerp(t, tp, a))
+    return weighted_mean(N, ft, ftp, a) - _eval(F, _lerp(t, tp, a))
 
 
 def power_mean_jensen(F: Generator, delta: float, alpha: float,
@@ -204,7 +213,7 @@ def power_mean_jensen(F: Generator, delta: float, alpha: float,
     Requires F(theta) > 0 and F(theta_p) > 0.  Tends to the quasiconvex
     Jensen divergence as delta grows.
     """
-    return _power_mean_jensen(F, *_weight("power_mean_jensen", F, alpha, delta),
+    return _power_mean_jensen(F, *_power_weight("power_mean_jensen", F, alpha, delta),
                               *_pair(F, theta, theta_p))
 
 
@@ -240,6 +249,8 @@ def _exponents(fn: str, F: Generator, delta1: float, delta2: float) -> tuple:
     d1, d2 = float(delta1), float(delta2)
     if d1 == 0.0 or d2 == 0.0:
         raise ValueError("power exponents delta1, delta2 must be nonzero")
+    if math.isnan(d1) or math.isnan(d2):
+        raise ValueError(f"power exponents delta1, delta2 must be numbers, got ({d1}, {d2})")
     if F.dim != 1:
         raise DimensionError(f"{fn} is defined for 1-D generators")
     return d1, d2
@@ -273,7 +284,7 @@ def power_mean_bregman(F: Generator, delta1: float, delta2: float,
 # The argument checks of r_power_bregman: r >= 1, a 1-D generator.
 def _r_exponent(fn: str, F: Generator, r: float) -> tuple:
     r = float(r)
-    if r < 1.0:
+    if not r >= 1.0:
         raise ValueError(f"r must be >= 1, got {r}")
     if F.dim != 1:
         raise DimensionError(f"{fn} is defined for 1-D generators")

@@ -20,7 +20,7 @@ from .core import (ExtReal, Generator, PreconditionError, RangeError, _check_dim
                    _fmt, _validate_positive, as_vector)
 from .bregman import _qcvx_bregman, qcvx_bregman
 from .jensen import _qcvx_jensen, _skew, qcvx_jensen
-from .means import _power_mean_jensen, _r_exponent, _r_power_bregman, _weight
+from .means import _power_mean_jensen, _power_weight, _r_exponent, _r_power_bregman
 
 # The QUADPACK qk15 rule (Piessens et al., QUADPACK, 1983) on [-1, 1]: 15 Kronrod
 # abscissae in increasing order with their weights, and the weights of the
@@ -344,7 +344,7 @@ def limit_power_jensen(F: Generator, theta, theta_p, k_max: int) -> LimitStudy:
         "power-jensen", F, theta, theta_p, k_max, k_min=0, k_top=1023, tol=1e-3,
         param=lambda k: 2.0**k,
         value=lambda delta, *pair: ExtReal(
-            _power_mean_jensen(F, *_weight("power_mean_jensen", F, 0.5, delta), *pair)),
+            _power_mean_jensen(F, *_power_weight("power_mean_jensen", F, 0.5, delta), *pair)),
         target=lambda t, tp: ExtReal(qcvx_jensen(F, t, tp, 0.5)))
 
 

@@ -5,8 +5,8 @@
 it issued (category and message, run-length encoded in order; they are
 recorded, so their file and line never reach stderr).  The corpus runs every
 ``--div`` under every ``--format`` with valid, boundary, non-finite,
-mismatched-dimension, missing-flag and malformed inputs, and the bad means
-of ``mn-jensen``.  It stays clear of argparse's own usage errors, whose text
+mismatched-dimension, missing-flag and malformed inputs, the bad means of
+``mn-jensen``, and NaN exponents.  It stays clear of argparse's own usage errors, whose text
 belongs to the Python version, not to qcdiv.  Regenerate the file with
 ``PYTHONPATH=src python tests/test_cli_pins.py``, and only for a deliberate
 change of the CLI's output.
@@ -142,6 +142,21 @@ def _two_rules(rng):
                    f"--mean-m={m}", "--mean-n=max", "--theta=1,2", "--theta-prime=2,1"]
 
 
+def _nan_exponents():
+    """A NaN exponent, first on valid points, then on a non-finite point it must precede."""
+    for theta in ("1", "nan"):
+        points = [f"--theta={theta}", "--theta-prime=2"]
+        yield ["eval", "--div", "power-jensen", "--gen=sqrt", "--alpha=0.3", "--delta=nan",
+               *points]
+        for m, n in (("arithmetic", "power:nan"), ("power:nan", "arithmetic")):
+            yield ["eval", "--div", "mn-jensen", "--gen=sqrt", "--alpha=0.3", f"--mean-m={m}",
+                   f"--mean-n={n}", *points]
+        for d1, d2 in (("nan", "2"), ("2", "nan")):
+            yield ["eval", "--div", "power-bregman", "--gen=quadratic", f"--delta1={d1}",
+                   f"--delta2={d2}", *points]
+        yield ["eval", "--div", "r-power-bregman", "--gen=sqrt", "--r=nan", *points]
+
+
 def _corpus() -> dict:
     """key -> argv; the key numbers the case and names its --div, format and kind."""
     rng = random.Random(13)
@@ -152,6 +167,8 @@ def _corpus() -> dict:
                 cases[f"{len(cases):03d} {div} {fmt} {kind}"] = _argv(rng, div, fmt, kind)
     for argv in _two_rules(rng):
         cases[f"{len(cases):03d} {argv[2]} two-rules"] = argv
+    for argv in _nan_exponents():
+        cases[f"{len(cases):03d} {argv[2]} nan-exponent"] = argv
     return cases
 
 

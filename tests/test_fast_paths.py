@@ -1,0 +1,416 @@
+"""The per-call fast paths against the versions they replaced, and the rules they keep.
+
+``core.as_vector``, ``_eval``, ``_gradient``, ``_lerp``, ``ExtReal.__new__`` and
+the three branch kernels of ``bregman`` were rewritten to cost less per call.
+The reference versions below are the previous code, kept verbatim; the
+properties check that the new code gives the same value (compared as
+``float.hex``, so the sign of a zero counts), the same ``tie_sensitive`` flag,
+or the same exception type and message.  The guards at the end keep the three
+rules the rewrite must not break: ``Generator.__call__`` reaches the module
+global ``eval_generator`` at call time, the tie tolerance and ``Box._bounds``
+are read only in ``core``, and every tie flag comes from ``_tie_sensitive``.
+"""
+
+import ast
+import math
+import numbers
+from fractions import Fraction
+from pathlib import Path
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from qcdiv import core
+from qcdiv.bregman import (
+    _delta_averaged_qcvx_bregman,
+    _extended_bregman,
+    _linear_term,
+    _qcvx_bregman,
+)
+from qcdiv.core import (
+    FD_STEP,
+    Box,
+    DimensionError,
+    DomainError,
+    ExtReal,
+    Generator,
+    GradientError,
+    Interval,
+    _check_finite,
+    build_generator,
+)
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "qcdiv"
+FAST = settings(derandomize=True, deadline=None, max_examples=200)
+
+
+# --------------------------------------------------------------------------
+# The previous versions, verbatim
+# --------------------------------------------------------------------------
+
+
+def ref_as_vector(theta):
+    """Coerce a ``numbers.Real`` or a sequence of reals to a finite coordinate tuple."""
+    # ints, floats and tuples are decided before the slower ABC check.
+    if isinstance(theta, (int, float)) or (
+        type(theta) is not tuple and isinstance(theta, numbers.Real)
+    ):
+        coords = (float(theta),)
+    else:
+        try:
+            coords = tuple(map(float, theta))
+        except TypeError:
+            # A 0-d array (numpy) is a scalar that neither iterates nor
+            # registers as numbers.Real.
+            if getattr(theta, "shape", None) != ():
+                raise
+            coords = (float(theta),)
+    if not coords:
+        raise DimensionError("parameter vector must have at least one coordinate")
+    _check_finite(coords)
+    return coords
+
+
+def ref_eval(g, t):
+    """g at t, which must lie in the domain and give a finite value."""
+    # A strictly interior point is finite; any other point, such as a derived
+    # point that overflowed, gets the coordinate check of as_vector first.
+    domain = g.domain
+    if not domain.contains_interior(t):
+        _check_finite(t)
+        problem = domain.violation(t)
+        if problem is not None:
+            raise DomainError(f"{g.name or 'generator'}: {problem}")
+    try:
+        value = float(g.eval(t))
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(
+            f"{g.name or 'generator'} evaluated to non-finite value {value} at {t}"
+        )
+    return value
+
+
+def ref_gradient(g, t):
+    if not g.domain.contains_interior(t):
+        raise GradientError(
+            f"gradient of {g.name or 'generator'} requires an interior point, got {t}"
+        )
+    try:
+        if g.grad is not None:
+            grad = tuple(map(float, g.grad(t)))
+        else:
+            out = []
+            for i, x in enumerate(t):
+                h = FD_STEP * max(1.0, abs(x))
+                hi = t[:i] + (x + h,) + t[i + 1 :]
+                lo = t[:i] + (x - h,) + t[i + 1 :]
+                if not (g.domain.contains(hi) and g.domain.contains(lo)):
+                    raise GradientError(
+                        f"finite differences for {g.name or 'generator'} need room "
+                        f"{x} +/- {h} inside the domain at coordinate {i}"
+                    )
+                out.append((g.eval(hi) - g.eval(lo)) / (2.0 * h))
+            grad = tuple(out)
+    except OverflowError:
+        raise GradientError(f"gradient of {g.name or 'generator'} overflowed at {t}") from None
+    if not all(map(math.isfinite, grad)):
+        raise GradientError(f"gradient of {g.name or 'generator'} is not finite at {t}: {grad}")
+    return grad
+
+
+def ref_lerp(t, tp, a):
+    return tuple((1.0 - a) * x + a * y for x, y in zip(t, tp))
+
+
+class RefExtReal(float):
+    __slots__ = ("tie_sensitive",)
+
+    def __new__(cls, value: float, tie_sensitive: bool = False) -> "RefExtReal":
+        v = float(value)
+        if math.isnan(v) or v == -math.inf:
+            raise ValueError(f"extended real must be finite or +inf, got {v!r}")
+        if v == 0.0:
+            v = 0.0  # never hand out -0.0
+        self = super().__new__(cls, v)
+        self.tie_sensitive = bool(tie_sensitive)
+        return self
+
+
+def ref_branch(qt, qtp, finite):
+    """+inf when Q(theta) > Q(theta_p), else ``finite()``."""
+    tie = core._tie_sensitive(qt, qtp)
+    if qt > qtp:
+        return ExtReal(math.inf, tie_sensitive=tie)
+    return ExtReal(finite(), tie_sensitive=tie)
+
+
+def ref_qcvx_bregman(Q, t, tp, qt, qtp):
+    return ref_branch(qt, qtp, lambda: -_linear_term(Q, t, tp))
+
+
+def ref_delta_averaged_qcvx_bregman(Q, d, t, tp, qt, qtp):
+    def finite():
+        extrap = tuple(y + d * (y - x) for x, y in zip(t, tp))
+        problem = Q.domain.violation(extrap)
+        if problem is not None:
+            raise DomainError(
+                f"delta-averaging needs the domain of {Q.name or 'generator'} to "
+                f"cover the extrapolated point {extrap}: {problem}"
+            )
+        return (core._eval(Q, extrap) - qtp) / d
+
+    return ref_branch(qt, qtp, finite)
+
+
+def ref_extended_bregman(Q, t, tp, qt, qtp):
+    return ref_branch(qt, qtp, lambda: qt - qtp - _linear_term(Q, t, tp))
+
+
+# --------------------------------------------------------------------------
+# Outcomes: the value with its exact bits, or the exception
+# --------------------------------------------------------------------------
+
+
+def _bits(value):
+    if isinstance(value, tuple):
+        return ("tuple", tuple(_bits(v) for v in value))
+    if isinstance(value, float):
+        flag = getattr(value, "tie_sensitive", None)
+        return (type(value).__name__.replace("Ref", ""), float.hex(value), flag, type(flag))
+    return (type(value), value)
+
+
+def outcome(fn, *args):
+    try:
+        return _bits(fn(*args))
+    except Exception as e:  # the type and message are the outcome
+        return ("raises", type(e), str(e))
+
+
+# --------------------------------------------------------------------------
+# Strategies
+# --------------------------------------------------------------------------
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+               1.7976931348623157e308, -1.7976931348623157e308, math.nan, math.inf, -math.inf]
+floats = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))
+reals = st.one_of(
+    floats,
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.integers(min_value=-5, max_value=5),
+    st.booleans(),
+    st.fractions(),
+    st.sampled_from([Fraction(1, 3), Fraction(-7, 2), Fraction(10**400, 3)]),
+)
+junk = st.sampled_from(["1.5", "x", "", None, b"1", object(), [None], (1.0, "x")])
+points = st.one_of(
+    reals,
+    st.tuples(reals),
+    st.lists(reals, max_size=3).map(tuple),
+    st.lists(reals, max_size=3),
+    junk,
+)
+
+
+def _gen(dim, ev, domain, grad=None, name=""):
+    return Generator(dim, ev, domain, grad, name=name)
+
+
+# Open, closed and half-open bounds, 1-D and 2-D boxes, and generators whose
+# value or gradient overflows, is NaN or is not a float.
+HALF_OPEN = Box((Interval(0.0, 1.0, upper_open=True),))
+BOX_2D = Box((Interval(0.0, 1.0), Interval(-1.0, 2.0, lower_open=True)))
+GENERATORS = [
+    build_generator("log"),
+    build_generator("cubic"),
+    build_generator({"name": "log-norm-sq", "dim": 2}),
+    build_generator({"separable": ["sqrt", "quadratic"]}),
+    _gen(1, lambda t: t[0] ** 3, core.bounded_box((-1.0, 1.0)), name="closed-cube"),
+    _gen(1, lambda t: Fraction(1, 3) + int(t[0] > 0.5), HALF_OPEN,
+         lambda t: (math.exp(1.0 / t[0]),)),
+    _gen(1, lambda t: math.inf * t[0], core.real_line(), lambda t: (math.nan,)),
+    _gen(2, lambda t: math.exp(t[0]) + t[1], BOX_2D),
+    _gen(2, lambda t: t[0] * t[1], BOX_2D, lambda t: (t[1], t[0]), name="product"),
+]
+
+
+def _bounds_of(g):
+    """Each axis's bounds, their neighbours and 0, as coordinate candidates."""
+    out = set()
+    for iv in g.domain.intervals:
+        for b in (iv.lower, iv.upper, 0.0):
+            if math.isfinite(b):
+                out.update((b, math.nextafter(b, math.inf), math.nextafter(b, -math.inf)))
+    return sorted(out)
+
+
+def coordinates(g, wild=True):
+    """Coordinate tuples of g's dimension: near a bound, inside, or (when wild) anything."""
+    coord = st.one_of(st.sampled_from(_bounds_of(g)), st.floats(-3.0, 3.0),
+                      *([floats] if wild else []))
+    return st.tuples(*[coord] * g.dim)
+
+
+def kernel_points(wild=True):
+    """(generator, a coordinate tuple of its dimension); unless wild, a point of its domain."""
+    return st.sampled_from(GENERATORS).flatmap(
+        lambda g: coordinates(g, wild).filter(lambda t: wild or g.domain.contains(t))
+        .map(lambda t: (g, t)))
+
+
+# --------------------------------------------------------------------------
+# The properties
+# --------------------------------------------------------------------------
+
+
+@FAST
+@given(theta=points)
+def test_as_vector_matches_the_reference(theta):
+    assert outcome(core.as_vector, theta) == outcome(ref_as_vector, theta)
+
+
+@FAST
+@given(case=kernel_points())
+def test_eval_matches_the_reference(case):
+    g, t = case
+    assert outcome(core._eval, g, t) == outcome(ref_eval, g, t)
+
+
+@FAST
+@given(case=kernel_points())
+def test_gradient_matches_the_reference(case):
+    g, t = case
+    assert outcome(core._gradient, g, t) == outcome(ref_gradient, g, t)
+
+
+@FAST
+@given(t=st.lists(floats, min_size=1, max_size=3), data=st.data(),
+       a=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, 5e-324, 0.5]), floats))
+def test_lerp_matches_the_reference(t, data, a):
+    tp = data.draw(st.lists(floats, min_size=len(t), max_size=len(t)))
+    assert outcome(core._lerp, tuple(t), tuple(tp), a) == outcome(ref_lerp, tuple(t), tuple(tp), a)
+
+
+@FAST
+@given(value=st.one_of(reals, st.sampled_from(["1.5", "-inf", "nan", "x", None])),
+       tie=st.one_of(st.booleans(), st.sampled_from([0, 1, 2, None, "", "no", 0.0, math.nan])))
+def test_extreal_matches_the_reference(value, tie):
+    assert outcome(ExtReal, value, tie) == outcome(RefExtReal, value, tie)
+    assert outcome(ExtReal, value) == outcome(RefExtReal, value)
+
+
+BRANCH_KERNELS = [
+    (_qcvx_bregman, ref_qcvx_bregman),
+    (_extended_bregman, ref_extended_bregman),
+]
+
+
+@FAST
+@given(case=kernel_points(wild=False), data=st.data())
+def test_branch_kernels_match_the_reference(case, data):
+    g, t = case
+    # The second point is the first, a point near a bound, or anything; a
+    # generator with a zero gradient (the cubic at 0) gives a zero linear term.
+    tp = data.draw(st.one_of(st.just(t), coordinates(g, wild=False).filter(g.domain.contains)))
+    try:
+        qt, qtp = core._eval(g, t), core._eval(g, tp)
+    except ValueError:
+        assume(False)
+    for new, ref in BRANCH_KERNELS:
+        assert outcome(new, g, t, tp, qt, qtp) == outcome(ref, g, t, tp, qt, qtp)
+    d = data.draw(st.one_of(st.floats(1e-3, 10.0), st.sampled_from([0.5, 1e300])))
+    assert (outcome(_delta_averaged_qcvx_bregman, g, d, t, tp, qt, qtp)
+            == outcome(ref_delta_averaged_qcvx_bregman, g, d, t, tp, qt, qtp))
+
+
+@FAST
+@given(gen=st.sampled_from(["quadratic", "cubic", "abs", "linear", "log", "sqrt"]),
+       t=st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0, 1.0, -1.0])),
+       tp=st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0, 1.0, -1.0])))
+def test_public_branch_divergences_match_the_reference_at_zero_gradients(gen, t, tp):
+    # The quadratic at 0, the cubic at 0 and abs at 0 have a zero gradient, so
+    # the finite branch is a signed zero there.
+    g = build_generator(gen)
+    try:
+        qt, qtp = core._eval(g, (t,)), core._eval(g, (tp,))
+    except DomainError:
+        assume(False)
+    for new, ref in BRANCH_KERNELS:
+        assert outcome(new, g, (t,), (tp,), qt, qtp) == outcome(ref, g, (t,), (tp,), qt, qtp)
+
+
+# --------------------------------------------------------------------------
+# Guards
+# --------------------------------------------------------------------------
+
+
+def test_generator_call_reaches_the_module_global_eval_generator(monkeypatch):
+    # The benchmark's tracer rebinds module globals, so a call must look the
+    # global up each time rather than hold the function.
+    calls = []
+    original = core.eval_generator
+
+    def counting(g, theta):
+        calls.append(theta)
+        return original(g, theta)
+
+    monkeypatch.setattr(core, "eval_generator", counting)
+    g = build_generator("log")
+    assert g(2.0) == math.log(2.0)
+    assert g((3.0,)) == math.log(3.0)
+    assert calls == [2.0, (3.0,)]
+
+
+def _trees():
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+
+
+def test_the_tie_tolerance_and_box_bounds_are_read_only_in_core():
+    readers = set()
+    for module, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id == "_TIE_REL_TOL":
+                readers.add((module, "_TIE_REL_TOL"))
+            elif isinstance(node, ast.alias) and node.name == "_TIE_REL_TOL":
+                readers.add((module, "_TIE_REL_TOL"))
+            elif isinstance(node, ast.Attribute) and node.attr == "_bounds":
+                readers.add((module, "_bounds"))
+            elif isinstance(node, ast.Constant) and node.value == "_bounds":
+                readers.add((module, "_bounds"))
+    assert readers == {("core", "_TIE_REL_TOL"), ("core", "_bounds")}
+
+
+def _functions(tree):
+    return {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+
+def _tie_flag(call):
+    """The tie flag argument of an ``ExtReal(...)`` call, or None."""
+    if len(call.args) > 1:
+        return call.args[1]
+    return next((kw.value for kw in call.keywords if kw.arg == "tie_sensitive"), None)
+
+
+def test_every_tie_flag_comes_from_tie_sensitive():
+    setters = set()
+    for module, tree in _trees().items():
+        for name, fn in _functions(tree).items():
+            ties = {target.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
+                    and isinstance(node.value, ast.Call)
+                    and getattr(node.value.func, "id", None) == "_tie_sensitive"
+                    for target in node.targets}
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ExtReal":
+                    flag = _tie_flag(node)
+                    if flag is not None:
+                        assert isinstance(flag, ast.Name) and flag.id in ties, (module, name)
+                        setters.add((module, name))
+    # bregman's one branch rule, and the nested-support KLs of statdiv.
+    assert setters == {("bregman", "_branch"), ("statdiv", "_kl_power_nested")}
+    kernels = _functions(_trees()["bregman"])
+    for name in ("_qcvx_bregman", "_delta_averaged_qcvx_bregman", "_extended_bregman"):
+        calls = {getattr(node.func, "id", None) for node in ast.walk(kernels[name])
+                 if isinstance(node, ast.Call)}
+        assert "_branch" in calls, name

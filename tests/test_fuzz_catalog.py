@@ -1,0 +1,151 @@
+"""Every catalog divergence, fuzzed: a valid value or a typed error, never NaN or -inf.
+
+For each ``cli.DIVERGENCES`` entry the property draws its float flags from
+in-range, boundary, NaN, infinite and huge values, and its points from
+in-domain, near-boundary, huge and non-finite ones.  The public library
+function must return a finite value or ``+inf``, or raise a ``ValueError``
+(every qcdiv error type is one).  ``qcdiv eval`` on the same input, in
+process, must exit 0, 1 or 2 without a traceback and print no ``nan`` or
+``-inf``; it must print the library's value, or exit 2 when the library raised.
+"""
+
+import inspect
+import io
+import math
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+import qcdiv
+from qcdiv import cli
+from qcdiv.core import _fmt
+from qcdiv.statdiv import ExpFamily
+
+ONE_D = ["log", "sqrt", "quadratic", "cubic", "abs", "neg-gauss", "linear", "sine",
+         '{"affine": {"a": 2, "b": 1, "inner": "log"}}',
+         '{"name": "linear-fractional", "c": -1, "d": 2}']
+CONVEX = ["quadratic", "abs", '{"affine": {"a": 0.5, "b": -1, "inner": "quadratic"}}']
+TWO_D = ['{"name": "log-norm-sq", "dim": 2}', '{"separable": ["quadratic", "log"]}']
+
+# Each flag's in-range values, then the values on or past its edge.
+IN_RANGE = {
+    "--alpha": st.floats(0.01, 0.99),
+    "--delta": st.floats(0.1, 8.0),
+    "--delta1": st.sampled_from([1.0, 2.0, 3.0, -1.0, 0.5]),
+    "--delta2": st.sampled_from([1.0, 2.0, 3.0, -1.0, 0.5]),
+    "--r": st.floats(1.0, 50.0),
+    "--exponent": st.floats(1.01, 5.0),
+}
+EDGE = [0.0, -0.0, 1.0, 5e-324, -1.0, 1e300, -1e300, 1.7976931348623157e308, 2.0**1023,
+        math.nan, math.inf, -math.inf]
+MEANS = ["arithmetic", "max", "min", "power:2", "power:-1", "power:0", "qa:log", "qa:sqrt",
+         "power:nan", "power:inf", "power:-inf", "power:1e300"]
+POINT_EDGE = [0.0, -0.0, 5e-324, 1e-300, 1.0, 1e154, 1e308, -1e308, 1.7976931348623157e308,
+              math.nan, math.inf, -math.inf]
+# The library parameter each flag binds to.
+PARAM = {"--alpha": "alpha", "--delta": "delta", "--delta1": "delta1", "--delta2": "delta2",
+         "--r": "r", "--exponent": "alpha", "--mean-m": "M", "--mean-n": "N"}
+
+
+# power_mean_bregman raises ZeroDivisionError by design when F(q) = 0, or when
+# F(p) = 0 with delta2 < 0 (tests/test_means.py pins both).  The third message
+# is a known defect, logged in CHANGES.md: with negative F values the direct
+# form's denominator d2 * F(q)^(d2-1) can underflow to 0, and the log-domain
+# fallback only covers positive bases.
+ARITHMETIC = {
+    "power-bregman": ("power_mean_bregman: F(q) = 0", "F(p)^delta2: zero base with exponent",
+                      "float division by zero"),
+}
+
+
+def _generators(div):
+    spec = cli.DIVERGENCES[div]
+    if spec.subject is None:
+        return [None]
+    if spec.subject == "family":
+        return CONVEX
+    return ONE_D if spec.scalar else ONE_D + TWO_D
+
+
+@st.composite
+def cases(draw):
+    div = draw(st.sampled_from(list(cli.DIVERGENCES)))
+    spec = cli.DIVERGENCES[div]
+    gen = draw(st.sampled_from(_generators(div)))
+    dim = 2 if gen in TWO_D else 1
+    flags = {}
+    for flag in spec.flags:
+        if flag.startswith("--mean-"):
+            flags[flag] = draw(st.sampled_from(MEANS))
+        else:
+            flags[flag] = draw(st.one_of(IN_RANGE[flag], st.sampled_from(EDGE)))
+    coord = st.one_of(st.floats(0.05, 4.0), st.floats(-4.0, 4.0), st.sampled_from(POINT_EDGE))
+    points = [tuple(draw(coord) for _ in range(dim)) for _ in spec.points]
+    return div, gen, flags, points
+
+
+def _mean(text, flag):
+    if text.startswith("power:"):  # the library's own check, not the CLI's message
+        return qcdiv.MeanSpec.power(float(text[len("power:"):]))
+    return cli._parse_mean(text, flag)
+
+
+def library_call(div, gen, flags, points):
+    """The public function of ``div`` on these inputs."""
+    spec = cli.DIVERGENCES[div]
+    fn = getattr(qcdiv, spec.name)
+    names = list(inspect.signature(fn).parameters)
+    kwargs = {}
+    if spec.subject is not None:
+        g = qcdiv.build_generator(gen)
+        kwargs[names.pop(0)] = ExpFamily(g) if spec.subject == "family" else g
+    for flag, value in flags.items():
+        name = PARAM[flag]
+        names.remove(name)
+        kwargs[name] = _mean(value, flag) if flag.startswith("--mean-") else value
+    for name, point in zip(names, points):
+        kwargs[name] = point[0] if spec.scalar else point
+    return fn(**kwargs)
+
+
+def argv_for(div, gen, flags, points):
+    argv = ["eval", "--div", div] + ([] if gen is None else [f"--gen={gen}"])
+    argv += [f"{flag}={value!r}" if isinstance(value, float) else f"{flag}={value}"
+             for flag, value in flags.items()]
+    argv += [f"{flag}={','.join(map(repr, point))}"
+             for flag, point in zip(cli.DIVERGENCES[div].points, points)]
+    return argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(case=cases())
+def test_every_divergence_returns_a_valid_value_or_a_typed_error(case):
+    div, gen, flags, points = case
+    value = None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # sign-guarantee warnings are by design
+        try:
+            value = library_call(div, gen, flags, points)
+        except ValueError as e:
+            event(f"{div}: {type(e).__name__}")
+        except ZeroDivisionError as e:
+            assert str(e).startswith(ARITHMETIC.get(div, ())), (div, e)
+            event(f"{div}: {e}")
+        else:
+            event(f"{div}: value")
+            assert isinstance(value, float), (div, value)
+            assert not math.isnan(value) and value != -math.inf, (div, value)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv_for(div, gen, flags, points))
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    tokens = out.getvalue().replace(",", " ").replace(":", " ").replace("}", " ").split()
+    assert "nan" not in tokens and "-inf" not in tokens, out.getvalue()
+    # eval agrees with the library: its value in plain format, or exit 2 and no stdout.
+    if value is None:
+        assert (code, out.getvalue()) == (2, "")
+    else:
+        assert (code, out.getvalue()) == (0, _fmt(value, "plain") + "\n")

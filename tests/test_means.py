@@ -276,3 +276,37 @@ class TestRPowerBregman:
     def test_needs_positive_values(self):
         with pytest.raises(NonPositiveError):
             r_power_bregman(build_generator("linear"), 2, -1, 1)
+
+
+NAN = float("nan")
+
+
+class TestNanExponents:
+    """A NaN exponent is an argument error, reported before any point check."""
+
+    def test_power_mean_spec(self):
+        with pytest.raises(ValueError, match="power mean exponent delta must be a number, got nan"):
+            MeanSpec.power(NAN)
+        with pytest.raises(ValueError, match="got nan"):
+            MeanSpec("power", delta=NAN)
+        assert MeanSpec.power(math.inf).delta == math.inf
+
+    @pytest.mark.parametrize("theta", [1.0, NAN, -1.0])
+    def test_power_mean_jensen(self, theta):
+        with pytest.raises(ValueError, match="power mean exponent delta must be a number, got nan"):
+            power_mean_jensen(build_generator("sqrt"), NAN, 0.3, theta, 2.0)
+
+    @pytest.mark.parametrize("theta", [1.0, NAN, -1.0])
+    @pytest.mark.parametrize("delta1, delta2", [(NAN, 2.0), (2.0, NAN), (NAN, NAN)])
+    def test_power_mean_bregman(self, delta1, delta2, theta):
+        with pytest.raises(ValueError, match=r"delta1, delta2 must be numbers, got \("):
+            power_mean_bregman(build_generator("quadratic"), delta1, delta2, theta, 2.0)
+
+    def test_a_zero_exponent_is_reported_first(self):
+        with pytest.raises(ValueError, match="must be nonzero"):
+            power_mean_bregman(build_generator("quadratic"), 0.0, NAN, 1.0, 2.0)
+
+    @pytest.mark.parametrize("theta", [1.0, NAN, -1.0])
+    def test_r_power_bregman(self, theta):
+        with pytest.raises(ValueError, match="r must be >= 1, got nan"):
+            r_power_bregman(build_generator("sqrt"), NAN, theta, 2.0)

@@ -4,25 +4,24 @@ The pinned runs in ``data/suite_pins.json`` hold every suite's
 ``(checked, failed, failures)`` and report lines on a few ``(samples, seed)``
 pairs, and on forced-failure runs in which one library function, as
 ``checks.py`` sees it, is replaced so that each property fails and its
-witness format shows.  Regenerate the file with
-``PYTHONPATH=src python tests/test_checks.py``; the suites' output must not
-change without a reason, so do that only for a deliberate change.
+witness format shows.  ``PYTHONPATH=src python tests/pins.py`` regenerates
+the file; the suites' output must not change without a reason, so only a
+deliberate change should.
 """
 
 import ast
-import json
 import re
 from pathlib import Path
 
 import pytest
 
+import pins
 import qcdiv.checks
 from qcdiv.checks import SUITES, SuiteResult, run_suite
 from qcdiv.core import ExtReal
 from qcdiv.oracles import NonConvergenceError
 
 ROOT = Path(__file__).resolve().parent.parent
-PINS = Path(__file__).resolve().parent / "data" / "suite_pins.json"
 
 
 SMALL = {
@@ -149,36 +148,34 @@ FORCED = {
 }
 FORCED_SAMPLES, FORCED_SEED = 12, 1
 
-# key -> (suite, samples, seed, replaced attribute or None, replacement factory)
-RUNS = {f"{suite} {samples} {seed}": (suite, samples, seed, None, None)
-        for suite in sorted(SUITES)
-        for samples, seed in ((1, 0), (7, 3), (40, 11), (120, 4242))}
-RUNS.update({f"{name}: {suite} {FORCED_SAMPLES} {FORCED_SEED}":
-             (suite, FORCED_SAMPLES, FORCED_SEED, attr, replace)
-             for name, (attr, replace, suites) in FORCED.items() for suite in suites})
+
+def _pinned_run(suite, samples, seed, attr=None, replace=None):
+    """The pinned record of one suite run, with ``attr`` replaced when it is given."""
+    def run():
+        with pytest.MonkeyPatch.context() as mp:
+            if attr is not None:
+                mp.setattr(qcdiv.checks, attr, replace(getattr(qcdiv.checks, attr)))
+            r = run_suite(suite, samples, seed)
+        return {"checked": r.checked, "failed": r.failed, "failures": r.failures,
+                "report": list(r.report_lines())}
+    return run
 
 
-def _pinned_run(key, monkeypatch):
-    suite, samples, seed, attr, replace = RUNS[key]
-    if attr is not None:
-        monkeypatch.setattr(qcdiv.checks, attr, replace(getattr(qcdiv.checks, attr)))
-    r = run_suite(suite, samples, seed)
-    return {"checked": r.checked, "failed": r.failed, "failures": r.failures,
-            "report": list(r.report_lines())}
+CORPUS = {f"{suite} {samples} {seed}": _pinned_run(suite, samples, seed)
+          for suite in sorted(SUITES)
+          for samples, seed in ((1, 0), (7, 3), (40, 11), (120, 4242))}
+CORPUS.update({f"{name}: {suite} {FORCED_SAMPLES} {FORCED_SEED}":
+               _pinned_run(suite, FORCED_SAMPLES, FORCED_SEED, attr, replace)
+               for name, (attr, replace, suites) in FORCED.items() for suite in suites})
 
 
-@pytest.fixture(scope="module")
-def pins():
-    return json.loads(PINS.read_text(encoding="utf-8"))
+def record(run):
+    return run()
 
 
-def test_the_pins_cover_every_run(pins):
-    assert sorted(pins) == sorted(RUNS)
-
-
-@pytest.mark.parametrize("key", sorted(RUNS))
-def test_suite_matches_its_pinned_run(key, pins, monkeypatch):
-    assert _pinned_run(key, monkeypatch) == pins[key]
+@pytest.mark.parametrize("key", sorted(CORPUS))
+def test_suite_matches_its_pinned_run(key):
+    assert record(CORPUS[key]) == pins.load("suite_pins.json")[key]
 
 
 def _row_labels():
@@ -196,8 +193,9 @@ def _row_labels():
     return labels
 
 
-def test_the_forced_runs_fail_every_property(pins):
-    witnessed = {w.split(": ", 1)[0] for pin in pins.values() for w in pin["failures"]}
+def test_the_forced_runs_fail_every_property():
+    witnessed = {w.split(": ", 1)[0] for pin in pins.load("suite_pins.json").values()
+                 for w in pin["failures"]}
     assert witnessed == {label for labels in _row_labels().values() for label in labels}
 
 
@@ -220,12 +218,3 @@ def test_the_driver_is_the_only_check_call_site():
                   if isinstance(node, ast.FunctionDef) and node.name == "_run")
     assert len(calls) == 1 and calls[0] in ast.walk(driver)
 
-
-if __name__ == "__main__":
-    PINS.parent.mkdir(exist_ok=True)
-    with pytest.MonkeyPatch.context() as mp:
-        out = {}
-        for key in sorted(RUNS):
-            out[key] = _pinned_run(key, mp)
-            mp.undo()
-    PINS.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n", encoding="utf-8")

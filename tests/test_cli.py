@@ -1,15 +1,14 @@
-import io
 import json
 import os
 import subprocess
 import sys
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pins
 from qcdiv import checks, cli
 from qcdiv.bregman import qcvx_bregman
 from qcdiv.core import ExtReal, build_generator
@@ -182,16 +181,14 @@ class TestCheckCommand:
 @given(suite=st.sampled_from(sorted(checks.SUITES)), samples=st.integers(-2, 12),
        seed=st.integers(-2**31, 2**31))
 def test_check_prints_the_suite_report_or_exits_2(suite, samples, seed):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(["check", "--suite", suite, "--samples", str(samples), "--seed", str(seed)])
+    run = pins.run_cli(["check", "--suite", suite, "--samples", str(samples), "--seed", str(seed)])
     if samples < 1:
-        assert (code, out.getvalue()) == (2, "")
-        assert err.getvalue() == f"qcdiv: error: --samples must be >= 1, got {samples}\n"
+        assert (run["exit"], run["stdout"]) == (2, "")
+        assert run["stderr"] == f"qcdiv: error: --samples must be >= 1, got {samples}\n"
         return
     result = checks.run_suite(suite, samples, seed)
-    assert out.getvalue() == "".join(line + "\n" for line in result.report_lines())
-    assert (code, err.getvalue()) == (0 if result.passed else 1, "")
+    assert run["stdout"] == "".join(line + "\n" for line in result.report_lines())
+    assert (run["exit"], run["stderr"]) == (0 if result.passed else 1, "")
 
 
 class TestTableCommand:

@@ -1,29 +1,21 @@
 """`qcdiv eval` on a seeded corpus of argument vectors, pinned byte for byte.
 
 ``data/cli_pins.json`` holds, for every argv of the corpus below, what
-``cli.main`` did in process: the exit code, stdout, stderr, and the warnings
-it issued (category and message, run-length encoded in order; they are
-recorded, so their file and line never reach stderr).  The corpus runs every
-``--div`` under every ``--format`` with valid, boundary, non-finite,
-mismatched-dimension, missing-flag and malformed inputs, the bad means of
-``mn-jensen``, and NaN exponents.  It stays clear of argparse's own usage errors, whose text
-belongs to the Python version, not to qcdiv.  Regenerate the file with
-``PYTHONPATH=src python tests/test_cli_pins.py``, and only for a deliberate
-change of the CLI's output.
+``cli.main`` did in process (``pins.run_cli``): the exit code, stdout, stderr,
+and the warnings it issued.  The corpus runs every ``--div`` under every
+``--format`` with valid, boundary, non-finite, mismatched-dimension,
+missing-flag and malformed inputs, the bad means of ``mn-jensen``, and NaN
+exponents.  It stays clear of argparse's own usage errors, whose text belongs
+to the Python version, not to qcdiv.  ``PYTHONPATH=src python tests/pins.py``
+regenerates the file, and only a deliberate change of the CLI's output should.
 """
 
-import io
-import json
 import random
-import warnings
-from contextlib import redirect_stderr, redirect_stdout
-from pathlib import Path
 
 import pytest
 
+import pins
 from qcdiv import cli
-
-PINS = Path(__file__).resolve().parent / "data" / "cli_pins.json"
 
 FORMATS = ("plain", "csv", "json")
 # Generators per --div, 1-D unless the spec says otherwise; the pools mix
@@ -44,16 +36,6 @@ GENS = {
     "kl-nested-uniform": [None], "kl-power-nested": [None],
     "expfam-kl": CONVEX, "expfam-entropy": CONVEX, "expfam-cross-entropy": CONVEX,
 }
-# Required parameter flags per --div, in the order the CLI checks them.
-FLAGS = {
-    "qcvx-jensen": ["--alpha"], "qccv-jensen": ["--alpha"], "log-ratio": ["--alpha"],
-    "ext-jensen": ["--alpha"], "mn-jensen": ["--alpha", "--mean-m", "--mean-n"],
-    "power-jensen": ["--alpha", "--delta"], "delta-qcvx-bregman": ["--delta"],
-    "power-bregman": ["--delta1", "--delta2"], "r-power-bregman": ["--r"],
-    "kl-power-nested": ["--exponent"],
-}
-UNARY = {"expfam-entropy"}
-SCALAR = {"power-bregman", "r-power-bregman", "kl-nested-uniform", "kl-power-nested"}
 MEANS = ["arithmetic", "max", "min", "power:2", "power:-1", "power:0", "qa:log", "qa:sqrt"]
 BAD_MEANS = ["median", "power:x", "power:", "qa:nope", 'qa:{"name": "log-norm-sq", "dim": 2}',
              "qa:{", "Max"]
@@ -81,14 +63,14 @@ def _point(rng, dim: int) -> str:
 
 
 def _argv(rng, div: str, fmt: str, kind: str) -> list:
-    gen = rng.choice(GENS[div])
-    dim = 1
-    if gen is not None and div not in SCALAR and kind == "mismatch" and rng.random() < 0.5:
+    spec, gen = cli.DIVERGENCES[div], rng.choice(GENS[div])
+    dim, unary = 1, len(spec.points) == 1
+    if gen is not None and not spec.scalar and kind == "mismatch" and rng.random() < 0.5:
         gen = rng.choice(TWO_D)  # 1-D or 2-D points against a 2-D generator
         dim = rng.choice((1, 2))
-    flags = {flag: VALUES[flag][0](rng) for flag in FLAGS.get(div, [])}
+    flags = {flag: VALUES[flag][0](rng) for flag in spec.flags}
     points = {"--theta": _point(rng, dim)}
-    if div not in UNARY or rng.random() < 0.3:
+    if not unary or rng.random() < 0.3:
         points["--theta-prime"] = _point(rng, dim)
     if kind == "edge":
         if flags and rng.random() < 0.5:
@@ -101,7 +83,7 @@ def _argv(rng, div: str, fmt: str, kind: str) -> list:
     elif kind == "mismatch" and dim == 1:
         points[rng.choice(list(points))] = _point(rng, rng.choice((2, 3)))
     elif kind == "missing":
-        required = list(flags) + ([] if div in UNARY else ["--theta-prime"])
+        required = list(flags) + ([] if unary else ["--theta-prime"])
         required += [] if gen is None else ["--gen"]
         for flag in rng.sample(required, rng.choice((1, min(2, len(required))))):
             flags.pop(flag, None)
@@ -117,9 +99,7 @@ def _argv(rng, div: str, fmt: str, kind: str) -> list:
         else:
             flag = rng.choice(list(flags) or ["--theta"])
             flags[flag] = rng.choice(VALUES[flag][1]) if flag in VALUES else "x"
-    argv = ["eval", "--div", div]
-    if gen is not None:
-        argv.append(f"--gen={gen}")
+    argv = ["eval", "--div", div] + ([] if gen is None else [f"--gen={gen}"])
     # --flag=value, because argparse reads "-1e308" as an option, not a number.
     argv += [f"{flag}={value}" for flag, value in {**flags, **points}.items()]
     return argv + ([] if fmt == "plain" and rng.random() < 0.5 else [f"--format={fmt}"])
@@ -130,9 +110,8 @@ def _two_rules(rng):
     for div in ("mn-jensen", "power-jensen"):
         for alpha in ("1.5", "-0.25", "nan"):
             for theta, theta_p in (("1,2", "3"), ("nan", "2"), ("1e309", "2"), ("1", "x")):
-                flags = [f"--{name}={value}" for name, value in
-                         (("mean-m", "max"), ("mean-n", "arithmetic"))] if div == "mn-jensen" \
-                    else [f"--delta={rng.uniform(0.5, 8.0)!r}"]
+                flags = (["--mean-m=max", "--mean-n=arithmetic"] if div == "mn-jensen"
+                         else [f"--delta={rng.uniform(0.5, 8.0)!r}"])
                 yield ["eval", "--div", div, "--gen=quadratic", f"--alpha={alpha}", *flags,
                        f"--theta={theta}", f"--theta-prime={theta_p}"]
     # A non-arithmetic argument mean on 2-D points meets the generator's dimension.
@@ -173,53 +152,20 @@ def _corpus() -> dict:
 
 
 CORPUS = _corpus()
+record = pins.run_cli
 
 
-def _outcome(argv) -> dict:
-    out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), \
-            redirect_stderr(err):
-        warnings.simplefilter("always")
-        try:
-            code = cli.main(argv)
-        except SystemExit as e:  # argparse; the corpus is meant not to reach it
-            code = e.code
-    runs = []
-    for w in caught:
-        key = [w.category.__name__, str(w.message)]
-        if runs and runs[-1][:2] == key:
-            runs[-1][2] += 1
-        else:
-            runs.append(key + [1])
-    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue(),
-            "warnings": runs}
-
-
-@pytest.fixture(scope="module")
-def pins():
-    return json.loads(PINS.read_text(encoding="utf-8"))
-
-
-def test_the_pins_cover_every_case(pins):
-    assert {key: pin["argv"] for key, pin in pins.items()} == CORPUS
-
-
-def test_the_corpus_reaches_every_div_format_and_exit_code(pins):
+def test_the_corpus_reaches_every_div_format_and_exit_code():
     assert {argv[2] for argv in CORPUS.values()} == set(cli.DIVERGENCES)
     formats = {arg.split("=")[1] for argv in CORPUS.values() for arg in argv
                if arg.startswith("--format=")}
     assert formats == set(FORMATS)
-    assert {pin["exit"] for pin in pins.values()} == {0, 2}
-    assert not any("usage:" in pin["stderr"] for pin in pins.values())
-    assert any(pin["warnings"] for pin in pins.values())
+    pinned = pins.load("cli_pins.json").values()
+    assert {pin["exit"] for pin in pinned} == {0, 2}
+    assert not any("usage:" in pin["stderr"] for pin in pinned)
+    assert any(pin["warnings"] for pin in pinned)
 
 
 @pytest.mark.parametrize("key", sorted(CORPUS))
-def test_eval_matches_its_pin(key, pins):
-    assert _outcome(CORPUS[key]) == pins[key]
-
-
-if __name__ == "__main__":
-    PINS.parent.mkdir(exist_ok=True)
-    out = {key: _outcome(CORPUS[key]) for key in sorted(CORPUS)}
-    PINS.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+def test_eval_matches_its_pin(key):
+    assert record(CORPUS[key]) == pins.load("cli_pins.json")[key]

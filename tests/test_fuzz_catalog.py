@@ -9,19 +9,15 @@ process, must exit 0, 1 or 2 without a traceback and print no ``nan`` or
 ``-inf``; it must print the library's value, or exit 2 when the library raised.
 """
 
-import inspect
-import io
 import math
 import warnings
-from contextlib import redirect_stderr, redirect_stdout
 
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-import qcdiv
+from pins import library_call, run_cli
 from qcdiv import cli
 from qcdiv.core import _fmt
-from qcdiv.statdiv import ExpFamily
 
 ONE_D = ["log", "sqrt", "quadratic", "cubic", "abs", "neg-gauss", "linear", "sine",
          '{"affine": {"a": 2, "b": 1, "inner": "log"}}',
@@ -44,11 +40,6 @@ MEANS = ["arithmetic", "max", "min", "power:2", "power:-1", "power:0", "qa:log",
          "power:nan", "power:inf", "power:-inf", "power:1e300"]
 POINT_EDGE = [0.0, -0.0, 5e-324, 1e-300, 1.0, 1e154, 1e308, -1e308, 1.7976931348623157e308,
               math.nan, math.inf, -math.inf]
-# The library parameter each flag binds to.
-PARAM = {"--alpha": "alpha", "--delta": "delta", "--delta1": "delta1", "--delta2": "delta2",
-         "--r": "r", "--exponent": "alpha", "--mean-m": "M", "--mean-n": "N"}
-
-
 # power_mean_bregman raises ZeroDivisionError by design when F(q) = 0, or when
 # F(p) = 0 with delta2 < 0 (tests/test_means.py pins both).  The third message
 # is a known defect, logged in CHANGES.md: with negative F values the direct
@@ -86,30 +77,6 @@ def cases(draw):
     return div, gen, flags, points
 
 
-def _mean(text, flag):
-    if text.startswith("power:"):  # the library's own check, not the CLI's message
-        return qcdiv.MeanSpec.power(float(text[len("power:"):]))
-    return cli._parse_mean(text, flag)
-
-
-def library_call(div, gen, flags, points):
-    """The public function of ``div`` on these inputs."""
-    spec = cli.DIVERGENCES[div]
-    fn = getattr(qcdiv, spec.name)
-    names = list(inspect.signature(fn).parameters)
-    kwargs = {}
-    if spec.subject is not None:
-        g = qcdiv.build_generator(gen)
-        kwargs[names.pop(0)] = ExpFamily(g) if spec.subject == "family" else g
-    for flag, value in flags.items():
-        name = PARAM[flag]
-        names.remove(name)
-        kwargs[name] = _mean(value, flag) if flag.startswith("--mean-") else value
-    for name, point in zip(names, points):
-        kwargs[name] = point[0] if spec.scalar else point
-    return fn(**kwargs)
-
-
 def argv_for(div, gen, flags, points):
     argv = ["eval", "--div", div] + ([] if gen is None else [f"--gen={gen}"])
     argv += [f"{flag}={value!r}" if isinstance(value, float) else f"{flag}={value}"
@@ -137,15 +104,13 @@ def test_every_divergence_returns_a_valid_value_or_a_typed_error(case):
             event(f"{div}: value")
             assert isinstance(value, float), (div, value)
             assert not math.isnan(value) and value != -math.inf, (div, value)
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = cli.main(argv_for(div, gen, flags, points))
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
-    tokens = out.getvalue().replace(",", " ").replace(":", " ").replace("}", " ").split()
-    assert "nan" not in tokens and "-inf" not in tokens, out.getvalue()
+    run = run_cli(argv_for(div, gen, flags, points))
+    assert run["exit"] in (0, 1, 2)
+    assert "Traceback" not in run["stderr"]
+    tokens = run["stdout"].replace(",", " ").replace(":", " ").replace("}", " ").split()
+    assert "nan" not in tokens and "-inf" not in tokens, run["stdout"]
     # eval agrees with the library: its value in plain format, or exit 2 and no stdout.
     if value is None:
-        assert (code, out.getvalue()) == (2, "")
+        assert (run["exit"], run["stdout"]) == (2, "")
     else:
-        assert (code, out.getvalue()) == (0, _fmt(value, "plain") + "\n")
+        assert (run["exit"], run["stdout"]) == (0, _fmt(value, "plain") + "\n")

@@ -1,71 +1,28 @@
 """The oracles' outputs on a seeded corpus, pinned bit for bit.
 
 ``data/oracle_pins.json`` holds, for every call of the corpus below, what the
-oracle returned or raised: values as ``float.hex``, tie flags, ``converged``,
-``panels`` and ``error_bound``, the error type and message, and the
-``GeneratorClassWarning``s it issued with their counts.  The corpus covers
+oracle returned or raised, as ``pins.outcome`` encodes it: values as
+``float.hex``, tie flags, ``converged``, ``panels`` and ``error_bound``, the
+error type and message, and the ``GeneratorClassWarning``s it issued with
+their counts.  The corpus covers
 ``integrate``, ``kl_quadrature``, ``integrate_delta_average`` and the three
 limit studies on both branches, a quasiconcave generator and error cases, all
 on inputs that every version of the oracles accepts or rejects alike: finite
 intervals with finite integrands and schedules up to ``k_max = 40``.
-Regenerate the file with ``PYTHONPATH=src python tests/test_oracle_pins.py``,
-and only for a deliberate change of the oracles' output.
+``PYTHONPATH=src python tests/pins.py`` regenerates the file, and only a
+deliberate change of the oracles' output should.
 """
 
-import json
 import math
 import random
-import warnings
-from pathlib import Path
 
 import pytest
 
+import pins
 from qcdiv import oracles
 from qcdiv.checks import sample_point, sweep_catalog
 from qcdiv.core import build_generator
 from qcdiv.statdiv import NestedUniform, PowerNested
-
-PINS = Path(__file__).resolve().parent / "data" / "oracle_pins.json"
-
-
-def _hex(v) -> str:
-    return float(v).hex()
-
-
-def _ext(v) -> list:
-    return [_hex(v), getattr(v, "tie_sensitive", None)]
-
-
-def _encode(result):
-    if isinstance(result, oracles.QuadratureResult):
-        return {"value": _hex(result.value), "error_bound": _hex(result.error_bound),
-                "panels": result.panels, "converged": result.converged}
-    if isinstance(result, oracles.LimitStudy):
-        return {"name": result.name, "ks": list(result.ks),
-                "params": [_hex(p) for p in result.params],
-                "values": [_ext(v) for v in result.values], "target": _ext(result.target),
-                "tol": _hex(result.tol), "scale": _hex(result.scale),
-                "converged": result.converged}
-    return _ext(result)
-
-
-def _outcome(call) -> dict:
-    """What ``call()`` returned or raised, and its warnings run-length encoded in order."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            out = {"result": _encode(call())}
-        except Exception as e:  # the pin records every error type and message
-            out = {"error": [type(e).__name__, str(e)]}
-    runs = []
-    for w in caught:
-        key = [w.category.__name__, str(w.message)]
-        if runs and runs[-1][:2] == key:
-            runs[-1][2] += 1
-        else:
-            runs.append(key + [1])
-    out["warnings"] = runs
-    return out
 
 
 def _integrate_cases(rng):
@@ -118,8 +75,8 @@ def _delta_cases(rng):
             delta = rng.uniform(0.1, 1.5)
             yield (f"{Q.name} {t!r} : {tp!r} delta={delta!r}",
                    lambda Q=Q, t=t, tp=tp, d=delta: oracles.integrate_delta_average(Q, t, tp, d))
-    log, sine = build_generator("log"), build_generator("sine")
-    quad = build_generator("quadratic")
+    log, sine, quad = map(build_generator, ("log", "sine", "quadratic"))
+    two_d = build_generator({"name": "log-norm-sq", "dim": 2})
     calls = {
         "sine infinite integrand": (sine, 0.0, 3.0, 1.0),
         "neg(log) shifted point leaves the domain": (build_generator({"negate": "log"}),
@@ -131,10 +88,8 @@ def _delta_cases(rng):
         "delta nan": (quad, 1.0, 2.0, math.nan),
         "theta nan": (quad, math.nan, 2.0, 0.5),
         "theta_p out of domain": (log, 1.0, -2.0, 0.5),
-        "2-D points": (build_generator({"name": "log-norm-sq", "dim": 2}),
-                       (1.0, 2.0), (2.0, 3.0), 0.5),
-        "generator dimension": (build_generator({"name": "log-norm-sq", "dim": 2}),
-                                1.0, 2.0, 0.5),
+        "2-D points": (two_d, (1.0, 2.0), (2.0, 3.0), 0.5),
+        "generator dimension": (two_d, 1.0, 2.0, 0.5),
     }
     for label, args in calls.items():
         yield label, lambda args=args: oracles.integrate_delta_average(*args)
@@ -164,9 +119,8 @@ def _limit_cases(rng):
                        lambda fn=fn, g=g, t=t, tp=tp, k=k_max: fn(g, t, tp, k))
             yield (f"{study} {spec} identical k_max=12",
                    lambda fn=fn, g=g, t=0.5 * (lo + hi): fn(g, t, t, 12))
-    log, quad = build_generator("log"), build_generator("quadratic")
+    log, quad, concave = map(build_generator, ("log", "quadratic", '{"negate": "quadratic"}'))
     two_d = build_generator({"name": "log-norm-sq", "dim": 2})
-    concave = build_generator('{"negate": "quadratic"}')
     calls = {
         "scaled_jensen k_max=3": ("scaled_jensen", log, 1.0, 2.0, 3),
         "power_jensen k_max=3": ("power_jensen", log, 1.0, 2.0, 3),
@@ -191,32 +145,14 @@ def _limit_cases(rng):
         yield label, lambda fn=getattr(oracles, "limit_" + study), args=args: fn(*args)
 
 
-def _corpus() -> dict:
-    """key -> call; each source draws from its own seeded generator."""
-    sources = (("integrate", _integrate_cases, 1), ("kl_quadrature", _kl_cases, 2),
-               ("integrate_delta_average", _delta_cases, 3), ("limit", _limit_cases, 4))
-    return {f"{name}: {label}": call
-            for name, cases, seed in sources for label, call in cases(random.Random(seed))}
-
-
-CORPUS = _corpus()
-
-
-@pytest.fixture(scope="module")
-def pins():
-    return json.loads(PINS.read_text(encoding="utf-8"))
-
-
-def test_the_pins_cover_every_case(pins):
-    assert sorted(pins) == sorted(CORPUS)
+# key -> call; each source draws from its own seeded generator.
+SOURCES = (("integrate", _integrate_cases, 1), ("kl_quadrature", _kl_cases, 2),
+           ("integrate_delta_average", _delta_cases, 3), ("limit", _limit_cases, 4))
+CORPUS = {f"{name}: {label}": call
+          for name, cases, seed in SOURCES for label, call in cases(random.Random(seed))}
+record = pins.outcome
 
 
 @pytest.mark.parametrize("key", sorted(CORPUS))
-def test_oracle_matches_its_pin(key, pins):
-    assert _outcome(CORPUS[key]) == pins[key]
-
-
-if __name__ == "__main__":
-    PINS.parent.mkdir(exist_ok=True)
-    out = {key: _outcome(CORPUS[key]) for key in sorted(CORPUS)}
-    PINS.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+def test_oracle_matches_its_pin(key):
+    assert record(CORPUS[key]) == pins.load("oracle_pins.json")[key]

@@ -4,12 +4,13 @@ write per grid row, and an empty stdout whenever the command exits 2."""
 import dataclasses
 import io
 import math
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import redirect_stdout
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from pins import run_cli
 from qcdiv import (
     ExpFamily,
     MeanSpec,
@@ -104,10 +105,8 @@ def argv(div: str, gen: str, lo: float, hi: float, step: float) -> list:
 
 
 def run_table(args) -> tuple:
-    out = io.StringIO()
-    with redirect_stdout(out):
-        code = cli.main(args)
-    return code, out.getvalue()
+    run = run_cli(args)
+    return run["exit"], run["stdout"]
 
 
 @pytest.mark.parametrize("div", BINARY)
@@ -146,14 +145,13 @@ def test_a_101_by_101_table_makes_one_write_per_grid_row():
        lo=st.floats(-4.0, 4.0), step=st.floats(0.05, 2.0), intervals=st.integers(1, 20))
 def test_table_exits_0_with_the_reference_or_2_with_empty_stdout(div, gen, lo, step, intervals):
     hi = lo + intervals * step
-    err = io.StringIO()
-    with redirect_stderr(err):
-        code, out = run_table(argv(div, gen, lo, hi, step))
+    run = run_cli(argv(div, gen, lo, hi, step))
+    code, out = run["exit"], run["stdout"]
     event(f"exit {code}")
     assert code in (0, 2)
     if code == 2:
         assert out == ""
-        assert err.getvalue() == f"qcdiv: error: {first_error(div, gen, lo, hi, step)}\n"
+        assert run["stderr"] == f"qcdiv: error: {first_error(div, gen, lo, hi, step)}\n"
         return
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
     assert count <= 21

@@ -22,8 +22,10 @@ from qcdiv import cli, oracles
 DATA = Path(__file__).resolve().parent / "data"
 # pin file -> the test module that owns its corpus
 GROUPS = {
+    "catalog_pins.json": "test_catalog_pins",
     "cli_pins.json": "test_cli_pins",
     "oracle_pins.json": "test_oracle_pins",
+    "study_table_pins.json": "test_study_table_pins",
     "suite_pins.json": "test_checks",
 }
 

@@ -408,6 +408,8 @@ def _eval(g: Generator, t: Vector) -> float:
         value = float(g.eval(t))
     except OverflowError:
         value = math.inf
+    except (ValueError, ZeroDivisionError) as e:  # e.g. a term that underflows to 0
+        raise DomainError(f"{g.name or 'generator'} cannot be evaluated at {t}: {e}") from None
     if not math.isfinite(value):
         raise DomainError(
             f"{g.name or 'generator'} evaluated to non-finite value {value} at {t}"
@@ -437,8 +439,13 @@ def _gradient(g: Generator, t: Vector) -> Vector:
                     )
                 out.append((g.eval(hi) - g.eval(lo)) / (2.0 * h))
             grad = tuple(out)
+    except GradientError:
+        raise
     except OverflowError:
         raise GradientError(f"gradient of {g.name or 'generator'} overflowed at {t}") from None
+    except (ValueError, ZeroDivisionError) as e:
+        raise GradientError(
+            f"gradient of {g.name or 'generator'} cannot be evaluated at {t}: {e}") from None
     if not all(map(math.isfinite, grad)):
         raise GradientError(f"gradient of {g.name or 'generator'} is not finite at {t}: {grad}")
     return grad

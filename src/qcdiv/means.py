@@ -15,6 +15,7 @@ from .core import (
     ExtReal,
     Generator,
     NonPositiveError,
+    RangeError,
     _Frozen,
     _eval,
     _gradient,
@@ -221,7 +222,7 @@ def _real_pow(base: float, expo: float, what: str) -> float:
     if base == 0.0:
         if expo > 0.0:
             return 0.0
-        raise ZeroDivisionError(f"{what}: zero base with exponent {expo}")
+        raise RangeError(f"{what}: zero base with exponent {expo}")
     if base < 0.0 and expo != int(expo):
         raise NonPositiveError(f"{what}: negative base {base} with non-integer exponent {expo}")
     return math.pow(base, expo)
@@ -231,9 +232,12 @@ def _power_gap(direct, x: float, y: float, d: float) -> float:
     """``direct()``'s (x^d - y^d) / (d y^(d-1)), or (y/d)((x/y)^d - 1) in logs if that fails."""
     try:
         gap = direct()
-    except (OverflowError, ZeroDivisionError) as e:
-        if isinstance(e, ZeroDivisionError) and not (x > 0.0 and y > 0.0):
-            raise
+    except OverflowError:
+        gap = math.inf
+    except ZeroDivisionError:  # d y^(d-1) underflowed to 0
+        if not (x > 0.0 and y > 0.0):
+            raise RangeError(
+                f"power gap: d * y^(d-1) underflows to 0 at y = {y}, d = {d}") from None
         gap = math.inf
     if math.isfinite(gap) or not (x > 0.0 and y > 0.0):
         return gap
@@ -263,7 +267,7 @@ def _power_mean_bregman(F: Generator, d1: float, d2: float, p: float, q: float) 
         raise NonPositiveError(f"power_mean_bregman requires p, q > 0, got ({p}, {q})")
     fp, fq = _eval(F, (p,)), _eval(F, (q,))
     if fq == 0.0:
-        raise ZeroDivisionError("power_mean_bregman: F(q) = 0")
+        raise RangeError("power_mean_bregman: F(q) = 0")
     fprime = _gradient(F, (q,))[0]
     term1 = _power_gap(lambda: (_real_pow(fp, d2, "F(p)^delta2") - _real_pow(fq, d2, "F(q)^delta2"))
                        / (d2 * _real_pow(fq, d2 - 1.0, "F(q)^(delta2-1)")), fp, fq, d2)
@@ -276,7 +280,9 @@ def power_mean_bregman(F: Generator, delta1: float, delta2: float,
     """Two-exponent power-mean Bregman divergence of a scalar generator.
 
     (F(p)^d2 - F(q)^d2) / (d2 * F(q)^(d2-1)) - (p^d1 - q^d1) / (d1 * q^(d1-1)) * F'(q)
-    with d1, d2 nonzero and p, q > 0; RangeError when the value leaves the floats.
+    with d1, d2 nonzero and p, q > 0.  RangeError when F(q) = 0, when F(p) = 0
+    meets d2 < 0, when d2 * F(q)^(d2-1) underflows to 0 for F values that are
+    not both positive, or when the value leaves the floats.
     """
     return _power_mean_bregman(F, *_exponents("power_mean_bregman", F, delta1, delta2), p, q)
 

@@ -210,11 +210,11 @@ class TestPowerMeanBregman:
 
     def test_zero_generator_value_at_q(self):
         F = build_generator({"affine": {"a": 1, "b": -2, "inner": {"name": "linear"}}})
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(RangeError, match=r"^power_mean_bregman: F\(q\) = 0$"):
             power_mean_bregman(F, 1, 2, 1, 2)
 
     def test_zero_generator_value_at_p_with_a_negative_exponent(self):
-        with pytest.raises(ZeroDivisionError, match=r"^F\(p\)\^delta2: zero base with exponent -1"):
+        with pytest.raises(RangeError, match=r"^F\(p\)\^delta2: zero base with exponent -1"):
             power_mean_bregman(build_generator("cubic"), 1, -1, 9.08e-172, 9.86e-05)
 
     def test_underflowing_denominator_falls_back_to_the_log_domain(self):
@@ -223,6 +223,12 @@ class TestPowerMeanBregman:
         exact = (p**6 - q**6) / (3 * q**4) - (p - q) * 2 * q
         value = power_mean_bregman(build_generator("quadratic"), 1, 3, 1e-25, 1e-100)
         assert value == pytest.approx(float(exact), rel=1e-12)
+
+    def test_underflowing_denominator_of_negative_values_raises_range_error(self):
+        # neg-gauss(1) < 0, and 1e300 * F(q)^(1e300 - 1) underflows to 0; the
+        # log-domain form covers positive values only.
+        with pytest.raises(RangeError, match=r"^power gap: d \* y\^\(d-1\) underflows to 0"):
+            power_mean_bregman(build_generator("neg-gauss"), 1.0, 1e300, 1.0, 1.0)
 
     def test_needs_positive_points(self):
         with pytest.raises(NonPositiveError):

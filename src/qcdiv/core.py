@@ -439,7 +439,7 @@ def _gradient(g: Generator, t: Vector) -> Vector:
                     )
                 out.append((g.eval(hi) - g.eval(lo)) / (2.0 * h))
             grad = tuple(out)
-    except GradientError:
+    except GradientError:  # the finite-difference room check, already typed
         raise
     except OverflowError:
         raise GradientError(f"gradient of {g.name or 'generator'} overflowed at {t}") from None

@@ -112,10 +112,13 @@ def load(name: str) -> dict:
 
 
 def regenerate() -> None:
+    """Rewrite every pin file from its group; nothing is written unless every group ran."""
+    texts = {}
     for name, module in GROUPS.items():
         group = importlib.import_module(module)
         pins = {key: group.record(group.CORPUS[key]) for key in sorted(group.CORPUS)}
-        text = json.dumps(pins, indent=1, sort_keys=True) + "\n"
+        texts[name] = json.dumps(pins, indent=1, sort_keys=True) + "\n"
+    for name, text in texts.items():
         (DATA / name).write_text(text, encoding="utf-8")
 
 

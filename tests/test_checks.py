@@ -11,6 +11,7 @@ deliberate change should.
 
 import ast
 import re
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -151,21 +152,20 @@ FORCED_SAMPLES, FORCED_SEED = 12, 1
 
 def _pinned_run(suite, samples, seed, attr=None, replace=None):
     """The pinned record of one suite run, with ``attr`` replaced when it is given."""
-    def run():
-        with pytest.MonkeyPatch.context() as mp:
-            if attr is not None:
-                mp.setattr(qcdiv.checks, attr, replace(getattr(qcdiv.checks, attr)))
-            r = run_suite(suite, samples, seed)
-        return {"checked": r.checked, "failed": r.failed, "failures": r.failures,
-                "report": list(r.report_lines())}
-    return run
+    with pytest.MonkeyPatch.context() as mp:
+        if attr is not None:
+            mp.setattr(qcdiv.checks, attr, replace(getattr(qcdiv.checks, attr)))
+        r = run_suite(suite, samples, seed)
+    return {"checked": r.checked, "failed": r.failed, "failures": r.failures,
+            "report": list(r.report_lines())}
 
 
-CORPUS = {f"{suite} {samples} {seed}": _pinned_run(suite, samples, seed)
+# key -> a zero-argument call that makes the run's record
+CORPUS = {f"{suite} {samples} {seed}": partial(_pinned_run, suite, samples, seed)
           for suite in sorted(SUITES)
           for samples, seed in ((1, 0), (7, 3), (40, 11), (120, 4242))}
 CORPUS.update({f"{name}: {suite} {FORCED_SAMPLES} {FORCED_SEED}":
-               _pinned_run(suite, FORCED_SAMPLES, FORCED_SEED, attr, replace)
+               partial(_pinned_run, suite, FORCED_SAMPLES, FORCED_SEED, attr, replace)
                for name, (attr, replace, suites) in FORCED.items() for suite in suites})
 
 

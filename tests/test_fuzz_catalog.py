@@ -40,6 +40,8 @@ MEANS = ["arithmetic", "max", "min", "power:2", "power:-1", "power:0", "qa:log",
          "power:nan", "power:inf", "power:-inf", "power:1e300"]
 POINT_EDGE = [0.0, -0.0, 5e-324, 1e-300, 1.0, 1e154, 1e308, -1e308, 1.7976931348623157e308,
               math.nan, math.inf, -math.inf]
+
+
 def _generators(div):
     spec = cli.DIVERGENCES[div]
     if spec.subject is None:

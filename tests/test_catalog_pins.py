@@ -112,7 +112,7 @@ def record(case) -> dict:
             **pins.outcome(lambda: pins.library_call(div, gen, flags_in, points_in))}
 
 
-def test_the_corpus_reaches_every_div_both_orders_and_errors():
+def test_the_corpus_reaches_every_div_values_errors_and_a_tie():
     assert {case[0] for case in CORPUS.values()} == set(cli.DIVERGENCES)
     pinned = pins.load("catalog_pins.json").values()
     assert {"result", "error"} <= {key for pin in pinned for key in pin}

@@ -46,12 +46,8 @@ def _load_generator(args):
 
 
 def _parse_mean(text: str, flag: str) -> MeanSpec:
-    if text == "arithmetic":
-        return MeanSpec.arithmetic()
-    if text == "max":
-        return MeanSpec.maximum()
-    if text == "min":
-        return MeanSpec.minimum()
+    if text in ("arithmetic", "max", "min"):
+        return MeanSpec(text)
     if text.startswith("power:"):
         try:
             return MeanSpec.power(float(text[len("power:"):]))
@@ -202,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--grid-min", type=float, required=True)
     p_table.add_argument("--grid-max", type=float, required=True)
     p_table.add_argument("--grid-step", type=float, required=True)
-    p_table.add_argument("--format", choices=("csv",), default="csv")
 
     return parser
 

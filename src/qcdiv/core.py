@@ -221,17 +221,6 @@ class Interval(_Frozen):
             return x < self.upper
         return x <= self.upper
 
-    def contains_interval(self, other: "Interval") -> bool:
-        if other.lower < self.lower or (
-            other.lower == self.lower and self.lower_open and not other.lower_open
-        ):
-            return False
-        if other.upper > self.upper or (
-            other.upper == self.upper and self.upper_open and not other.upper_open
-        ):
-            return False
-        return True
-
     @property
     def bounded(self) -> bool:
         return math.isfinite(self.lower) and math.isfinite(self.upper)
@@ -268,11 +257,6 @@ class Box(_Frozen):
             if not lo < x < hi:
                 return False
         return True
-
-    def contains_box(self, other: "Box") -> bool:
-        return self.dim == other.dim and all(
-            a.contains_interval(b) for a, b in zip(self.intervals, other.intervals)
-        )
 
     @property
     def bounded(self) -> bool:
@@ -671,7 +655,7 @@ def _segments(g: Generator, box: Box, n_lines: int, n_points: int, seed: int):
     """Yield (p, q, alphas, values) for n_lines seeded segments p -> q in box.
 
     ``values`` are g at ``n_points`` equally spaced points, endpoints included.
-    The box must be bounded and inside g's domain.
+    The box must be bounded, and its closed hull inside g's domain.
     """
     if n_points < 3:
         raise ValueError("n_points must be >= 3")
@@ -679,7 +663,9 @@ def _segments(g: Generator, box: Box, n_lines: int, n_points: int, seed: int):
         raise ValueError("n_lines must be >= 1")
     if not box.bounded:
         raise ValueError("sampling requires a bounded box")
-    if not g.domain.contains_box(box):
+    # rng.uniform can return either end, so the box's two corners, and with
+    # them its closed hull, must lie in the domain.
+    if box.dim != g.dim or not all(map(g.domain.contains, zip(*box._bounds))):
         raise DomainError(f"box is not inside the domain of {g.name or 'generator'}")
     rng = random.Random(seed)
     alphas = [i / (n_points - 1) for i in range(n_points)]

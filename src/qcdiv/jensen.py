@@ -14,22 +14,16 @@ import warnings
 from .core import Generator, GeneratorClassWarning, NonPositiveError, _eval, _lerp, _pair
 
 
-def validate_skew(alpha: float) -> float:
-    """Skew parameters live strictly inside (0, 1)."""
-    a = float(alpha)
-    if not 0.0 < a < 1.0:
-        raise ValueError(f"skew alpha must lie in (0, 1), got {a}")
-    return a
-
-
 # The declared classes that void each divergence's sign guarantees.
 _VOIDING = {"qcvx_jensen": ("quasiconcave",), "qccv_jensen": ("convex", "quasiconvex")}
 
 
-# fn's argument checks: validate_skew(alpha), then a warning from the caller of
-# fn when the declared class of Q voids fn's sign guarantees.
+# fn's argument checks: alpha strictly inside (0, 1), then a warning from the
+# caller of fn when the declared class of Q voids fn's sign guarantees.
 def _skew(fn: str, Q: Generator, alpha: float) -> tuple:
-    a = validate_skew(alpha)
+    a = float(alpha)
+    if not 0.0 < a < 1.0:
+        raise ValueError(f"skew alpha must lie in (0, 1), got {a}")
     if Q.declared_class in _VOIDING.get(fn, ()):
         warnings.warn(f"{fn} with {Q.declared_class} generator {Q.name or '?'}: "
                       "sign guarantees do not apply", GeneratorClassWarning, stacklevel=3)

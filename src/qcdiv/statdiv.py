@@ -9,6 +9,7 @@ are with respect to Lebesgue measure on an interval.
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple
 
 from .core import (
@@ -23,11 +24,10 @@ from .core import (
     _pair,
     _points,
     _segments,
-    _tie_sensitive,
     _validate_positive,
     as_vector,
 )
-from .bregman import bregman
+from .bregman import _branch, bregman
 
 
 # The support (0, e^theta) of both densities; RangeError when e^theta leaves the floats.
@@ -82,15 +82,13 @@ class PowerNested(_Frozen):
 
 
 # The nested-support KL kernel takes the points as given: it checks theta and
-# theta_p before it compares them.  kl_nested_uniform is its own kernel.
+# theta_p before it compares them.  kl_nested_uniform is its own kernel.  It is
+# the branch rule of the quasiconvex Bregman divergence on the identity.
 def _kl_power_nested(a: float, theta, theta_p) -> ExtReal:
     """a * (theta_p - theta) when theta <= theta_p, else +inf: the nested-support KL."""
     t = _validate_positive("theta", theta)
     tp = _validate_positive("theta_p", theta_p)
-    tie = _tie_sensitive(t, tp)
-    if t <= tp:
-        return ExtReal(a * (tp - t), tie_sensitive=tie)
-    return ExtReal(math.inf, tie_sensitive=tie)
+    return _branch(t, tp, operator.mul, a, tp - t)
 
 
 def kl_nested_uniform(theta: float, theta_p: float) -> ExtReal:

@@ -423,8 +423,8 @@ def test_every_tie_flag_comes_from_tie_sensitive():
                     if flag is not None:
                         assert isinstance(flag, ast.Name) and flag.id in ties, (module, name)
                         setters.add((module, name))
-    # bregman's one branch rule, and the nested-support KLs of statdiv.
-    assert setters == {("bregman", "_branch"), ("statdiv", "_kl_power_nested")}
+    # bregman's one branch rule, which the nested-support KLs of statdiv share.
+    assert setters == {("bregman", "_branch")}
     kernels = _functions(_trees()["bregman"])
     for name in ("_qcvx_bregman", "_delta_averaged_qcvx_bregman", "_extended_bregman"):
         calls = {getattr(node.func, "id", None) for node in ast.walk(kernels[name])

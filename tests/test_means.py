@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcdiv.core import DimensionError, NonPositiveError, RangeError, build_generator
 from qcdiv.jensen import extended_jensen, qcvx_jensen
@@ -113,6 +115,30 @@ class TestWeightedMean:
                     for k in range(11)]
             assert all(b <= a + 1e-15 * top for a, b in zip(errs, errs[1:]))
             assert errs[-1] <= 1e-3 * top
+
+
+# Catalog generators increasing on the positive reals (linear-fractional below
+# 2), each with the largest argument at which it stays finite.
+INCREASING = [("linear", 1e308), ("quadratic", 1e154), ("cubic", 1e102), ("sqrt", 1e308),
+              ("log", 1e308), ("abs", 1e308), ("neg-gauss", 1e308),
+              ('{"affine": {"a": 2, "b": 1, "inner": "log"}}', 1e308),
+              ('{"name": "linear-fractional", "c": -1, "d": 2}', 1.9999999999999998)]
+WEIGHTS = st.sampled_from([0.0, 1.0, 5e-324, 1.0 - 2.0**-53]) | st.floats(0.0, 1.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.sampled_from(INCREASING), st.data(), WEIGHTS)
+def test_the_quasi_arithmetic_target_rounds_only_within_the_bracket(case, data, a):
+    # (1-a) f(x) + a f(y) is a convex combination of f(x) and f(y): rounding can
+    # move it past the bracket [f(lo), f(hi)], but never by 1e-12 (1 + |end|).
+    spec, top = case
+    f = build_generator(spec)
+    x, y = data.draw(st.floats(5e-324, top)), data.draw(st.floats(5e-324, top))
+    fx, fy = f(x), f(y)
+    flo, fhi = (fx, fy) if x <= y else (fy, fx)
+    target = (1.0 - a) * fx + a * fy
+    assert flo - 1e-12 * (1.0 + abs(flo)) <= target <= fhi + 1e-12 * (1.0 + abs(fhi))
+    assert min(x, y) <= weighted_mean(MeanSpec.quasi_arithmetic(f), x, y, a) <= max(x, y)
 
 
 class TestMnJensen:

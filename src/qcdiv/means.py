@@ -93,8 +93,8 @@ def _power_mean(x: float, y: float, alpha: float, delta: float) -> float:
     m = max(x, y) if delta > 0.0 else min(x, y)
     # Both ratios^delta are <= 1 by the choice of m, so s <= 1 up to rounding.
     s = min((1.0 - alpha) * _ratio_pow(x, m, delta) + alpha * _ratio_pow(y, m, delta), 1.0)
-    if s == 0.0:
-        return m
+    if s == 0.0:  # m has weight 0 and the other term underflowed: the mean is the other
+        return min(x, y) if delta > 0.0 else max(x, y)
     return m * math.exp(math.log(s) / delta)
 
 

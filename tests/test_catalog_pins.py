@@ -37,8 +37,9 @@ FLAGS = {
 }
 POINT_EDGE = ["0", "-0.0", "5e-324", "1e-300", "1e154", "1e308", "-1e308", "nan", "inf", "-inf"]
 KINDS = ("valid", "valid", "valid", "edge-flag", "edge-point", "edge-point", "error", "error")
-# Equal values at distinct points, and inputs that raised a bare ValueError or
-# ZeroDivisionError from the formulas.
+# Equal values at distinct points, inputs that raised a bare ValueError or
+# ZeroDivisionError from the formulas, a power mean whose dominating argument
+# has weight 0, and the argument checks of power-bregman.
 NAMED = {
     "tie at distinct points": ("qcvx-bregman", "quadratic", {}, [["1"], ["-1"]]),
     "underflowing log-norm-sq": ("qcvx-bregman", TWO_D[0], {}, [["1e-170", "1e-170"], ["1", "1"]]),
@@ -50,6 +51,13 @@ NAMED = {
     "negative F, underflowing denominator": ("power-bregman", "neg-gauss",
                                              {"--delta1": "1", "--delta2": "1e300"},
                                              [["1"], ["1"]]),
+    "power mean at weight 1": ("power-jensen", "sqrt", {"--alpha": "1", "--delta": "1000"},
+                               [["4"], ["1e-20"]]),
+    "2-D generator": ("power-bregman", TWO_D[0], {"--delta1": "2", "--delta2": "3"},
+                      [["1"], ["2"]]),
+    "negative F with a non-integer delta2": ("power-bregman", "neg-gauss",
+                                             {"--delta1": "1", "--delta2": "0.5"},
+                                             [["1"], ["2"]]),
 }
 
 

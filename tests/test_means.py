@@ -57,6 +57,20 @@ class TestWeightedMean:
         assert weighted_mean(MeanSpec.power(2.0**20), 1.0, 5.0, 0.5) == pytest.approx(5.0, rel=1e-5)
         assert weighted_mean(MeanSpec.power(-(2.0**20)), 1.0, 5.0, 0.5) == pytest.approx(1.0, rel=1e-5)
 
+    @pytest.mark.parametrize("delta", [1000.0, -1000.0])
+    @pytest.mark.parametrize("x, y", [(1.0, 1e-10), (1e-10, 1.0)])
+    def test_power_mean_at_an_end_weight_is_that_argument(self, delta, x, y):
+        # The other argument's (ratio)^delta underflows to 0, so the weighted
+        # sum is 0 exactly when the dominating argument has weight 0.
+        assert weighted_mean(MeanSpec.power(delta), x, y, 0.0) == x
+        assert weighted_mean(MeanSpec.power(delta), x, y, 1.0) == y
+
+    @pytest.mark.parametrize("x, y", [(0.5, 3.0), (3.0, 0.5)])
+    def test_quasi_arithmetic_at_an_end_weight_is_that_argument(self, x, y):
+        qa = MeanSpec.quasi_arithmetic(build_generator("log"))
+        assert weighted_mean(qa, x, y, 0.0) == x
+        assert weighted_mean(qa, x, y, 1.0) == y
+
     def test_quasi_arithmetic_identity_and_log(self):
         qa_id = MeanSpec.quasi_arithmetic(build_generator("linear"))
         qa_log = MeanSpec.quasi_arithmetic(build_generator("log"))
@@ -193,6 +207,18 @@ class TestMnJensen:
 
 
 class TestPowerMeanJensen:
+    @pytest.mark.parametrize("delta", [1000.0, -1000.0])
+    @pytest.mark.parametrize("t, tp", [(4.0, 1e-20), (1e-20, 4.0)])
+    def test_an_end_weight_gives_zero(self, delta, t, tp):
+        # At alpha = 0 or 1 the mean of the F values is F at that end, which
+        # is also the interpolated point: sqrt's values 2 and 1e-10 lie 1000
+        # orders of magnitude apart once raised to +-1000.
+        F = build_generator("sqrt")
+        N = MeanSpec.power(delta)
+        for a in (0.0, 1.0):
+            assert power_mean_jensen(F, delta, a, t, tp) == 0.0
+            assert mn_jensen(F, MeanSpec.arithmetic(), N, a, t, tp) == 0.0
+
     def test_delta_one_is_arithmetic_jensen(self):
         F = build_generator({"affine": {"a": 1, "b": 1, "inner": {"name": "quadratic"}}})
         assert power_mean_jensen(F, 1.0, 0.5, 0, 2) == pytest.approx(1.0, rel=1e-13)

@@ -376,17 +376,22 @@ def _pair(g: Generator, theta, theta_p):
     return t, tp, _eval(g, t), _eval(g, tp)
 
 
+def _check_domain(g: Generator, t: Vector) -> None:
+    """DomainError unless t lies in g's domain, the coordinate check of as_vector first."""
+    _check_finite(t)
+    problem = g.domain.violation(t)
+    if problem is not None:
+        raise DomainError(f"{g.name or 'generator'}: {problem}")
+
+
 def _eval(g: Generator, t: Vector) -> float:
     """g at t, which must lie in the domain and give a finite value."""
     # A strictly interior point is finite; any other point, such as a derived
-    # point that overflowed, gets the coordinate check of as_vector first.
+    # point that overflowed, gets the full domain check.
     # The loop is Box.contains_interior, inlined: this runs per evaluation.
     for (lo, hi), x in zip(g.domain._bounds, t):
         if not lo < x < hi:
-            _check_finite(t)
-            problem = g.domain.violation(t)
-            if problem is not None:
-                raise DomainError(f"{g.name or 'generator'}: {problem}")
+            _check_domain(g, t)
             break
     try:
         value = float(g.eval(t))

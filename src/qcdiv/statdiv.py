@@ -19,6 +19,7 @@ from .core import (
     RangeError,
     _Frozen,
     _check_dim,
+    _check_domain,
     _eval,
     _gradient,
     _pair,
@@ -140,8 +141,8 @@ class ExpFamily(NamedTuple):
         return True
 
 
-# The cross-entropy takes the gradient at theta before the value at theta_p,
-# so it is its own kernel, over the points as given.
+# The cross-entropy checks theta and takes the gradient there before the value
+# at theta_p, so it is its own kernel, over the points as given.
 def expfam_cross_entropy(fam: ExpFamily, theta, theta_p) -> float:
     """Cross-entropy h(p_theta : p_theta_p) = F(theta_p) - <theta_p, grad F(theta)>.
 
@@ -150,6 +151,7 @@ def expfam_cross_entropy(fam: ExpFamily, theta, theta_p) -> float:
     """
     t, tp = _points(theta, theta_p)
     _check_dim(fam.F, t)
+    _check_domain(fam.F, t)
     g = _gradient(fam.F, t)
     return _eval(fam.F, tp) - sum(y * gi for y, gi in zip(tp, g))
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -141,6 +142,11 @@ class TestGradient:
         with pytest.raises(GradientError):
             gradient(g, 1e-9)
 
+    def test_dim_mismatch(self):
+        with pytest.raises(DimensionError,
+                           match="^generator quadratic has dimension 1, point has 2$"):
+            gradient(build_generator("quadratic"), (1, 2))
+
 
 class TestOverflow:
     """A generator or gradient that overflows raises a typed error, not OverflowError."""
@@ -199,6 +205,15 @@ class TestGeneratorFields:
             Generator(1, f, real_line(), None, "convex", True, "x")
         g = Generator(1, f, real_line(), None, "convex", name="x")
         assert (g.name, g.declared_class, g.spec) == ("x", "convex", None)
+
+    @pytest.mark.parametrize("dim, domain, cls, error, message", [
+        (0, real_line(), "convex", ValueError, "generator dimension must be >= 1"),
+        (2, real_line(), "convex", DimensionError, "domain dimension 1 != generator dimension 2"),
+        (1, real_line(), "concave", ValueError, "unknown declared class 'concave'"),
+    ])
+    def test_invalid_fields(self, dim, domain, cls, error, message):
+        with pytest.raises(error, match="^" + re.escape(message) + "$"):
+            Generator(dim, lambda t: t[0], domain, None, cls)
 
     def test_replace_keeps_the_other_fields(self):
         g = build_generator("log")
@@ -352,6 +367,13 @@ class TestCheckQuasiconvex:
             check_quasiconvex(g, Box((Interval(0.0, math.inf),)), 4, 11, 0)
         with pytest.raises(DomainError):
             check_quasiconvex(build_generator("log"), bounded_box((-1, 1)), 4, 11, 0)
+        with pytest.raises(ValueError, match="^n_lines must be >= 1$"):
+            check_quasiconvex(g, bounded_box((-5, 5)), 0, 11, 0)
+
+    def test_a_box_may_end_on_a_closed_domain_end(self):
+        g = Generator(1, lambda t: t[0] ** 2, bounded_box((0, 1)), None, "convex", name="sq")
+        report = check_quasiconvex(g, bounded_box((0, 1)), 4, 5, 0)
+        assert report.verdict == "no-violation-found"
 
 
 def _quasiconvex(g, box):
@@ -376,6 +398,19 @@ class TestSegmentValues:
             sampler(build_generator("quadratic"), bounded_box((-1e308, 1e308)))
 
 
+# rng.uniform can return either end of a box, open or not: (0, 1] would draw
+# sqrt's excluded 0.  A box of another dimension is outside the domain too.
+@pytest.mark.parametrize("sampler", [_quasiconvex, _convex])
+@pytest.mark.parametrize("box", [
+    Box((Interval(0.0, 1.0, lower_open=True),)),
+    Box((Interval(0.0, 1.0, lower_open=True, upper_open=True),)),
+    bounded_box((1, 2), (1, 2)),
+], ids=["(0, 1]", "(0, 1)", "2-D"])
+def test_a_box_whose_closed_hull_leaves_the_domain_is_a_domain_error(sampler, box):
+    with pytest.raises(DomainError, match="^box is not inside the domain of sqrt$"):
+        sampler(build_generator("sqrt"), box)
+
+
 class TestSegmentViolation:
     ALPHAS = [0.0, 0.25, 0.5, 0.75, 1.0]
 
@@ -388,6 +423,11 @@ class TestSegmentViolation:
         w = _segment_violation((0.0,), (1.0,), self.ALPHAS, [6, 1, 4, 3, 5], 0.0)
         assert w.alphas == (0.25, 0.5, 0.75)
         assert w.values == (1, 4, 3)
+
+    def test_witness_text(self):
+        w = _segment_violation((0.0,), (1.0,), self.ALPHAS, [5, 3, 4, 1, 6], 0.0)
+        assert str(w) == ("segment (0.0,) -> (1.0,): alpha=0.25 value=3, "
+                          "alpha=0.5 value=4, alpha=0.75 value=1")
 
     def test_unimodal_has_no_witness(self):
         assert _segment_violation((0.0,), (1.0,), self.ALPHAS, [5, 3, 1, 4, 6], 0.0) is None

@@ -4,7 +4,7 @@ import random
 import pytest
 
 import qcdiv.oracles
-from qcdiv.core import PreconditionError, RangeError, build_generator
+from qcdiv.core import POS_INF, ExtReal, PreconditionError, RangeError, build_generator
 from qcdiv.bregman import delta_averaged_qcvx_bregman
 from qcdiv.jensen import qcvx_jensen
 from qcdiv.oracles import (
@@ -12,6 +12,7 @@ from qcdiv.oracles import (
     GK15_NODES,
     GK15_WEIGHTS,
     InfiniteIntegrandError,
+    LimitStudy,
     NonConvergenceError,
     integrate,
     integrate_delta_average,
@@ -412,3 +413,17 @@ def test_csv_rows_infinite_token():
     study = limit_r_power_bregman(build_generator("quadratic"), 2, 1, 12)
     rows = list(study.csv_rows())
     assert any(",inf," in row or row.endswith("inf") for row in rows[1:])
+
+
+@pytest.mark.parametrize("values, trend", [
+    ((1.0, 2.0, math.inf), True),
+    ((1.0, 2.0, 3e6), True),  # past UNBOUNDED_FACTOR * scale
+    ((1.0, 2.0, 3.0), False),
+    ((1.0, math.inf, 2.0), False),  # a finite value after an inf one
+    ((1.0, 3.0, 2.0, math.inf), False),  # a finite prefix that does not increase
+])
+def test_unbounded_trend(values, trend):
+    study = LimitStudy("scaled-jensen", tuple(range(4, 4 + len(values))),
+                       (0.5,) * len(values), tuple(map(ExtReal, values)), POS_INF, 1e-4, 1.0)
+    assert study.unbounded_trend is trend
+    assert study.converged is trend

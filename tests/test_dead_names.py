@@ -1,11 +1,13 @@
-"""Every public module-level name in qcdiv is exported or used somewhere.
+"""Every public name in qcdiv is exported or used somewhere.
 
 A function, class or constant that is neither in ``qcdiv.__all__`` nor
-referenced from ``src/``, ``tests/`` or ``bench/`` is a dead or parallel list;
-this guard keeps new ones from landing.
+referenced from ``src/``, ``tests/`` or ``bench/`` is a dead or parallel list,
+and so is a public method or property that nothing there reads; this guard
+keeps new ones from landing.
 """
 
 import ast
+import functools
 import types
 from collections import Counter
 from pathlib import Path
@@ -29,6 +31,15 @@ def _definitions(tree):
         yield from (name for name in names if not name.startswith("_"))
 
 
+def _members(tree):
+    """(class, name) of the public methods and properties of one module's classes."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield node.name, item.name
+
+
 def _uses(tree):
     """Names read, attributes accessed and names imported anywhere in one file."""
     for node in ast.walk(tree):
@@ -40,11 +51,17 @@ def _uses(tree):
             yield node.name.rsplit(".", 1)[-1]
 
 
-def test_no_unused_public_module_names():
+@functools.cache
+def _all_uses() -> Counter:
     uses = Counter()
     for folder in ("src", "tests", "bench"):
         for path in (ROOT / folder).rglob("*.py"):
             uses.update(_uses(ast.parse(path.read_text(), str(path))))
+    return uses
+
+
+def test_no_unused_public_module_names():
+    uses = _all_uses()
     dead = [
         f"{path.name}: {name}"
         for path in sorted(PACKAGE.glob("*.py"))
@@ -52,6 +69,15 @@ def test_no_unused_public_module_names():
         if name not in qcdiv.__all__ and not uses[name]
     ]
     assert dead == []
+
+
+def test_no_unused_public_methods_or_properties():
+    # A member is read as an attribute, so its name is used wherever it is.
+    uses = _all_uses()
+    members = [(path.name, cls, name) for path in sorted(PACKAGE.glob("*.py"))
+               for cls, name in _members(ast.parse(path.read_text(), str(path)))]
+    assert len(members) > 20  # the walk reaches the class bodies
+    assert [f"{path}: {cls}.{name}" for path, cls, name in members if not uses[name]] == []
 
 
 def test_public_api_is_what_the_package_imports():

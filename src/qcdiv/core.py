@@ -644,7 +644,9 @@ def check_quasiconvex(g: Generator, box: Box, n_lines: int, n_points: int,
     Refutes when an interior sample exceeds both endpoint values, or the
     values along a segment are not decreasing-then-increasing, beyond a
     tolerance of 1e-12 * (1 + max |value|).  Sampling can never certify
-    quasiconvexity, hence the "no-violation-found" verdict.
+    quasiconvexity, hence the "no-violation-found" verdict.  The box must be
+    bounded, and its closed hull inside g's domain, open ends or not: the
+    sampler can return either end of the box.
     """
     witnesses = []
     for p, q, alphas, values in _segments(g, box, n_lines, n_points, seed):

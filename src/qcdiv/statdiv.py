@@ -130,7 +130,8 @@ class ExpFamily(NamedTuple):
         """False when a second difference of F along a seeded segment in box is negative.
 
         The preconditions are those of ``check_quasiconvex``: ``n_points >= 3``,
-        ``n_lines >= 1``, and a bounded box inside the domain of F.
+        ``n_lines >= 1``, and a bounded box whose closed hull lies inside the
+        domain of F.
         """
         for _, _, _, vals in _segments(self.F, box, n_lines, n_points, seed):
             scale = 1.0 + max(abs(v) for v in vals)

@@ -211,8 +211,8 @@ class TestPowerMeanJensen:
     @pytest.mark.parametrize("t, tp", [(4.0, 1e-20), (1e-20, 4.0)])
     def test_an_end_weight_gives_zero(self, delta, t, tp):
         # At alpha = 0 or 1 the mean of the F values is F at that end, which
-        # is also the interpolated point: sqrt's values 2 and 1e-10 lie 1000
-        # orders of magnitude apart once raised to +-1000.
+        # is also the interpolated point.  sqrt's values 2 and 1e-10 are far
+        # enough apart that the other end's ratio^delta underflows to 0.
         F = build_generator("sqrt")
         N = MeanSpec.power(delta)
         for a in (0.0, 1.0):

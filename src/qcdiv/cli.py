@@ -102,7 +102,7 @@ class _Div(NamedTuple):
 # The divergence catalog: argparse choices (in this order), eval and table.
 # power-bregman checks p, q > 0 together, the two KLs check theta and theta_p
 # before they compare them, expfam-cross-entropy takes a gradient at theta
-# before the value at theta_p, expfam-kl is the public bregman with its points
+# before the value at theta_p, expfam-kl checks its pair with the points
 # swapped, and expfam-entropy is the cross-entropy at theta: their kernels take
 # the points raw.
 DIVERGENCES = {

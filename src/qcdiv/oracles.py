@@ -17,10 +17,10 @@ import sys
 from typing import NamedTuple
 
 from .core import (ExtReal, Generator, PreconditionError, RangeError, _check_dim, _eval,
-                   _fmt, _validate_positive, as_vector)
-from .bregman import _qcvx_bregman, qcvx_bregman
-from .jensen import _qcvx_jensen, _skew, qcvx_jensen
-from .means import _power_mean_jensen, _power_weight, _r_exponent, _r_power_bregman
+                   _fmt, _pair, _validate_positive, as_vector)
+from .bregman import _qcvx_bregman
+from .jensen import _qcvx_jensen, _skew
+from .means import MeanSpec, _power_mean_jensen, _r_exponent, _r_power_bregman
 
 # The QUADPACK qk15 rule (Piessens et al., QUADPACK, 1983) on [-1, 1]: 15 Kronrod
 # abscissae in increasing order with their weights, and the weights of the
@@ -299,28 +299,28 @@ class LimitStudy(NamedTuple):
             yield f"{k},{_fmt(p)},{_fmt(v)},{_fmt(e)}"
 
 
-def _dyadic_study(name, Q, theta, theta_p, k_max, *, k_min, k_top, param, value, target,
-                  tol) -> LimitStudy:
-    """``value(param(k), t, tp, Q(t), Q(tp))`` for k = k_min..k_max against ``target(t, tp)``.
+def _dyadic_study(name, Q, theta, theta_p, k_max, *, k_min, k_top, param, target, check,
+                  value, tol) -> LimitStudy:
+    """``value(Q, param(k), *pair)`` for k = k_min..k_max against ``target(Q, *pair)``.
 
-    Past ``k_top`` the parameter leaves the floats the step accepts.  The
-    unbounded-trend scale is 1 + |Q(theta) - Q(theta_p)|.
+    ``pair`` is (t, tp, Q(t), Q(tp)), theta and theta_p checked and evaluated once;
+    the argument ``check`` runs once, after the target.  Past ``k_top`` the parameter
+    leaves the floats the step accepts.  The unbounded-trend scale is 1 + |Q(t) - Q(tp)|.
     """
     if k_max < 4:
         raise ValueError("k_max must be >= 4")
     if k_max > k_top:
         raise ValueError(f"k_max must be <= {k_top}: the {name} schedule leaves the floats "
                          f"past it, got {k_max}")
-    t, tp = as_vector(theta), as_vector(theta_p)
-    goal = target(t, tp)
-    # Every target is a public divergence of Q, so t and tp are validated here,
-    # and each step runs only its argument check and its divergence's kernel.
-    qt, qtp = _eval(Q, t), _eval(Q, tp)
-    scale = 1.0 + abs(qt - qtp)
+    t, tp, qt, qtp = _pair(Q, theta, theta_p)
+    goal = target(Q, t, tp, qt, qtp)
+    # Every alpha_k lies in (0, 1) and every r_k is >= 1, so no step can fail a
+    # range check: what is left of the steps' argument checks runs once here.
+    check()
     ks = tuple(range(k_min, k_max + 1))
     params = tuple(param(k) for k in ks)
-    values = tuple(value(p, t, tp, qt, qtp) for p in params)
-    return LimitStudy(name, ks, params, values, goal, tol, scale)
+    values = tuple(value(Q, p, t, tp, qt, qtp) for p in params)
+    return LimitStudy(name, ks, params, values, goal, tol, 1.0 + abs(qt - qtp))
 
 
 def limit_scaled_jensen(Q: Generator, theta, theta_p, k_max: int) -> LimitStudy:
@@ -332,26 +332,25 @@ def limit_scaled_jensen(Q: Generator, theta, theta_p, k_max: int) -> LimitStudy:
     """
     return _dyadic_study(
         "scaled-jensen", Q, theta, theta_p, k_max, k_min=4, k_top=53, tol=1e-4,
-        param=lambda k: 1.0 - 2.0 ** (-k),
-        value=lambda alpha, *pair: ExtReal(_qcvx_jensen(Q, *_skew("qcvx_jensen", Q, alpha), *pair)
-                                           / (alpha * (1.0 - alpha))),
-        target=lambda t, tp: qcvx_bregman(Q, t, tp))
+        param=lambda k: 1.0 - 2.0 ** (-k), target=_qcvx_bregman,
+        check=lambda: _skew("qcvx_jensen", Q, 0.5),
+        value=lambda Q, alpha, *pair: ExtReal(_qcvx_jensen(Q, alpha, *pair)
+                                              / (alpha * (1.0 - alpha))))
 
 
 def limit_power_jensen(F: Generator, theta, theta_p, k_max: int) -> LimitStudy:
     """Power-mean Jensen values at delta_k = 2^k, k <= 1023, against qcvx_jensen at alpha = 1/2."""
     return _dyadic_study(
         "power-jensen", F, theta, theta_p, k_max, k_min=0, k_top=1023, tol=1e-3,
-        param=lambda k: 2.0**k,
-        value=lambda delta, *pair: ExtReal(
-            _power_mean_jensen(F, *_power_weight("power_mean_jensen", F, 0.5, delta), *pair)),
-        target=lambda t, tp: ExtReal(qcvx_jensen(F, t, tp, 0.5)))
+        param=lambda k: 2.0**k, target=lambda F, *pair: ExtReal(_qcvx_jensen(F, 0.5, *pair)),
+        check=lambda: _skew("qcvx_jensen", F, 0.5),
+        value=lambda F, delta, *pair: ExtReal(
+            _power_mean_jensen(F, 0.5, MeanSpec.power(delta), *pair)))
 
 
 def limit_r_power_bregman(F: Generator, theta, theta_p, k_max: int) -> LimitStudy:
-    """r-power Bregman values at r_k = 2^k, k <= 1023, against qcvx_bregman (1-D)."""
+    """r-power Bregman values at r_k = 2^k >= 1, k <= 1023, against qcvx_bregman (1-D)."""
     return _dyadic_study(
         "r-power-bregman", F, theta, theta_p, k_max, k_min=0, k_top=1023, tol=1e-3,
-        param=lambda k: 2.0**k,
-        value=lambda r, *pair: _r_power_bregman(F, *_r_exponent("r_power_bregman", F, r), *pair),
-        target=lambda t, tp: qcvx_bregman(F, t, tp))
+        param=lambda k: 2.0**k, target=_qcvx_bregman,
+        check=lambda: _r_exponent("r_power_bregman", F, 1.0), value=_r_power_bregman)

@@ -28,7 +28,7 @@ from .core import (
     _validate_positive,
     as_vector,
 )
-from .bregman import _branch, bregman
+from .bregman import _branch, _bregman
 
 
 # The support (0, e^theta) of both densities; RangeError when e^theta leaves the floats.
@@ -163,11 +163,11 @@ def expfam_entropy(fam: ExpFamily, theta) -> float:
     return expfam_cross_entropy(fam, t, t)
 
 
-# expfam_kl is the public bregman with its points swapped, and its own kernel,
-# over the points as given.
+# expfam_kl is the Bregman kernel on its checked pair with the points swapped,
+# and its own kernel, over the points as given.
 def expfam_kl(fam: ExpFamily, theta, theta_p) -> float:
     """KL between family members is the reverse Bregman divergence of the cumulant."""
-    return bregman(fam.F, theta_p, theta)
+    return _bregman(fam.F, *_pair(fam.F, theta_p, theta))
 
 
 def qcvx_bregman_from_kl(fam: ExpFamily, theta, theta_p) -> ExtReal:
@@ -183,4 +183,4 @@ def qcvx_bregman_from_kl(fam: ExpFamily, theta, theta_p) -> ExtReal:
             f"qcvx_bregman_from_kl needs F(theta_p) <= F(theta); "
             f"got F(theta_p)={ftp} > F(theta)={ft}: query the reverse orientation"
         )
-    return ExtReal(expfam_kl(fam, t, tp) + ft - ftp)
+    return ExtReal(_bregman(fam.F, tp, t, ftp, ft) + ft - ftp)

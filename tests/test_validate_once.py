@@ -6,13 +6,16 @@ message and order for invalid points, the coordinate check on derived points,
 and the raw generator work per call.
 """
 
+import ast
 import dataclasses
 import math
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import qcdiv
 from qcdiv import core, oracles
 from qcdiv.bregman import (
     bregman,
@@ -40,34 +43,35 @@ from qcdiv.statdiv import (
 )
 
 LOG = build_generator("log")
-FAM = ExpFamily(LOG)
 ARITH = MeanSpec.arithmetic()
 
-# name -> (call(theta, theta_p), unary)
+# name -> (call(theta, theta_p, g=LOG), unary)
 ENTRY_POINTS = {
-    "qcvx_jensen": (lambda t, tp: qcvx_jensen(LOG, t, tp, 0.5), False),
-    "qccv_jensen": (lambda t, tp: qccv_jensen(LOG, t, tp, 0.5), False),
-    "log_ratio_gap": (lambda t, tp: log_ratio_gap(LOG, t, tp, 0.5), False),
-    "extended_jensen": (lambda t, tp: extended_jensen(LOG, t, tp, 0.5), False),
-    "bregman": (lambda t, tp: bregman(LOG, t, tp), False),
-    "qcvx_bregman": (lambda t, tp: qcvx_bregman(LOG, t, tp), False),
+    "qcvx_jensen": (lambda t, tp, g=LOG: qcvx_jensen(g, t, tp, 0.5), False),
+    "qccv_jensen": (lambda t, tp, g=LOG: qccv_jensen(g, t, tp, 0.5), False),
+    "log_ratio_gap": (lambda t, tp, g=LOG: log_ratio_gap(g, t, tp, 0.5), False),
+    "extended_jensen": (lambda t, tp, g=LOG: extended_jensen(g, t, tp, 0.5), False),
+    "bregman": (lambda t, tp, g=LOG: bregman(g, t, tp), False),
+    "qcvx_bregman": (lambda t, tp, g=LOG: qcvx_bregman(g, t, tp), False),
     "delta_averaged_qcvx_bregman":
-        (lambda t, tp: delta_averaged_qcvx_bregman(LOG, t, tp, 0.5), False),
-    "extended_bregman": (lambda t, tp: extended_bregman(LOG, t, tp), False),
-    "mn_jensen": (lambda t, tp: mn_jensen(LOG, ARITH, ARITH, 0.5, t, tp), False),
-    "power_mean_jensen": (lambda t, tp: power_mean_jensen(LOG, 2.0, 0.5, t, tp), False),
-    "r_power_bregman": (lambda t, tp: r_power_bregman(LOG, 2.0, t, tp), False),
-    "expfam_kl": (lambda t, tp: expfam_kl(FAM, t, tp), False),
-    "expfam_entropy": (lambda t, tp: expfam_entropy(FAM, t), True),
-    "expfam_cross_entropy": (lambda t, tp: expfam_cross_entropy(FAM, t, tp), False),
-    "qcvx_bregman_from_kl": (lambda t, tp: qcvx_bregman_from_kl(FAM, t, tp), False),
+        (lambda t, tp, g=LOG: delta_averaged_qcvx_bregman(g, t, tp, 0.5), False),
+    "extended_bregman": (lambda t, tp, g=LOG: extended_bregman(g, t, tp), False),
+    "mn_jensen": (lambda t, tp, g=LOG: mn_jensen(g, ARITH, ARITH, 0.5, t, tp), False),
+    "power_mean_jensen": (lambda t, tp, g=LOG: power_mean_jensen(g, 2.0, 0.5, t, tp), False),
+    "r_power_bregman": (lambda t, tp, g=LOG: r_power_bregman(g, 2.0, t, tp), False),
+    "expfam_kl": (lambda t, tp, g=LOG: expfam_kl(ExpFamily(g), t, tp), False),
+    "expfam_entropy": (lambda t, tp, g=LOG: expfam_entropy(ExpFamily(g), t), True),
+    "expfam_cross_entropy":
+        (lambda t, tp, g=LOG: expfam_cross_entropy(ExpFamily(g), t, tp), False),
+    "qcvx_bregman_from_kl":
+        (lambda t, tp, g=LOG: qcvx_bregman_from_kl(ExpFamily(g), t, tp), False),
     "integrate_delta_average":
-        (lambda t, tp: oracles.integrate_delta_average(LOG, t, tp, 0.5), False),
+        (lambda t, tp, g=LOG: oracles.integrate_delta_average(g, t, tp, 0.5), False),
     "limit_scaled_jensen":
-        (lambda t, tp: oracles.limit_scaled_jensen(LOG, t, tp, 4), False),
-    "limit_power_jensen": (lambda t, tp: oracles.limit_power_jensen(LOG, t, tp, 4), False),
+        (lambda t, tp, g=LOG: oracles.limit_scaled_jensen(g, t, tp, 4), False),
+    "limit_power_jensen": (lambda t, tp, g=LOG: oracles.limit_power_jensen(g, t, tp, 4), False),
     "limit_r_power_bregman":
-        (lambda t, tp: oracles.limit_r_power_bregman(LOG, t, tp, 4), False),
+        (lambda t, tp, g=LOG: oracles.limit_r_power_bregman(g, t, tp, 4), False),
 }
 
 ONE_D_ONLY = "the quadrature cross-check is defined for 1-D parameters"
@@ -89,6 +93,22 @@ SLOTS = [(name, slot) for name in ENTRY_POINTS
 def test_valid_points_pass(name):
     call, _ = ENTRY_POINTS[name]
     call(*VALID.get(name, ((1.5,), (2.0,))))
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_each_point_is_evaluated_at_most_once(name):
+    # Derived points (midpoints, shifted nodes) may be evaluated too; theta and
+    # theta_p themselves are checked and evaluated once per call.
+    seen = []
+
+    def ev(t):
+        seen.append(t)
+        return LOG.eval(t)
+
+    call, _ = ENTRY_POINTS[name]
+    points = VALID.get(name, ((1.5,), (2.0,)))
+    call(*points, g=dataclasses.replace(LOG, eval=ev))
+    assert max(map(seen.count, points)) <= 1, seen
 
 
 @pytest.mark.parametrize("name", BINARY)
@@ -194,18 +214,18 @@ WORK_PER_CALL = [
     ("power_mean_jensen", "quadratic", lambda g: power_mean_jensen(g, 2.0, 0.3, 1.0, 2.0), 3, 0),
     ("r_power_bregman", "quadratic", lambda g: r_power_bregman(g, 2.0, 1.0, 2.0), 2, 1),
     ("qcvx_bregman_from_kl", "quadratic",
-     lambda g: qcvx_bregman_from_kl(ExpFamily(g), 2.0, 1.0), 4, 1),
-    # The target validates the points and Q is evaluated there once; then each
-    # step costs only its kernel's work: 5 steps from k = 4, 9 steps from k = 0.
+     lambda g: qcvx_bregman_from_kl(ExpFamily(g), 2.0, 1.0), 2, 1),
+    # Q is evaluated at the points once; then the target and each step cost
+    # only their kernel's work: 5 steps from k = 4, 9 steps from k = 0.
     ("limit_scaled_jensen finite", "log",
-     lambda g: oracles.limit_scaled_jensen(g, 1.0, 2.0, 8), 9, 1),
+     lambda g: oracles.limit_scaled_jensen(g, 1.0, 2.0, 8), 7, 1),
     ("limit_scaled_jensen infinite", "log",
-     lambda g: oracles.limit_scaled_jensen(g, 2.0, 1.0, 8), 9, 0),
-    ("limit_power_jensen", "sqrt", lambda g: oracles.limit_power_jensen(g, 1.0, 2.0, 8), 14, 0),
+     lambda g: oracles.limit_scaled_jensen(g, 2.0, 1.0, 8), 7, 0),
+    ("limit_power_jensen", "sqrt", lambda g: oracles.limit_power_jensen(g, 1.0, 2.0, 8), 12, 0),
     ("limit_r_power_bregman finite", "sqrt",
-     lambda g: oracles.limit_r_power_bregman(g, 1.0, 2.0, 8), 4, 10),
+     lambda g: oracles.limit_r_power_bregman(g, 1.0, 2.0, 8), 2, 10),
     ("limit_r_power_bregman infinite", "sqrt",
-     lambda g: oracles.limit_r_power_bregman(g, 2.0, 1.0, 8), 4, 9),
+     lambda g: oracles.limit_r_power_bregman(g, 2.0, 1.0, 8), 2, 9),
     # 15 nodes of one panel, 2 evaluations and 1 gradient each.
     ("integrate_delta_average", "log",
      lambda g: oracles.integrate_delta_average(g, 1.0, 2.0, 0.5), 32, 15),
@@ -218,6 +238,21 @@ def test_generator_work_per_call(label, gen, call, evals, grads):
     g, counts = _counted(gen)
     call(g)
     assert counts == {"eval": evals, "grad": grads}
+
+
+@pytest.mark.parametrize("module", ["oracles", "statdiv"])
+def test_oracles_call_kernels_only(module):
+    # A public divergence checks and evaluates its points again, so the oracles
+    # and the KL identity import the kernels: of the public names of jensen,
+    # bregman and means only MeanSpec, and none of those modules whole.
+    public = set(qcdiv.__all__) - {"MeanSpec"}
+    source = Path(qcdiv.__file__).with_name(f"{module}.py").read_text(encoding="utf-8")
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names = {alias.name for alias in node.names}
+            if node.module in ("jensen", "bregman", "means"):
+                assert not names & public, (module, node.module, names & public)
+            assert not (node.module is None and names & {"jensen", "bregman", "means"}), module
 
 
 def test_delta_average_coerces_only_its_arguments(monkeypatch):

@@ -108,7 +108,10 @@ def _ratio_pow(v: float, m: float, delta: float) -> float:
 
 def _qa_inverse(f: Generator, target: float, lo: float, hi: float,
                 flo: float, fhi: float) -> float:
-    """Solve f(z) = target for z in [lo, hi] by bisection to 1e-13; flo, fhi = f(lo), f(hi)."""
+    """Solve f(z) = target for z in [lo, hi], where flo, fhi = f(lo), f(hi).
+
+    Bisects until the midpoint rounds to an end, that is down to adjacent floats.
+    """
     fe = f.eval
     if not flo <= fhi:
         raise NonPositiveError(
@@ -120,15 +123,15 @@ def _qa_inverse(f: Generator, target: float, lo: float, hi: float,
         return lo
     if target >= fhi:
         return hi
-    while hi - lo > 1e-13:
-        mid = 0.5 * (lo + hi)
+    # Halving each end first keeps the midpoint of two huge ends finite.
+    while True:
+        mid = 0.5 * lo + 0.5 * hi
         if mid <= lo or mid >= hi:
-            break
+            return mid
         if fe((mid,)) < target:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
 
 
 def weighted_mean(spec: MeanSpec, x: float, y: float, alpha: float) -> float:

@@ -83,6 +83,20 @@ class TestWeightedMean:
             assert abs(weighted_mean(qa_id, x, y, a) - arith) <= 1e-10 * (1 + arith)
             assert abs(weighted_mean(qa_log, x, y, a) - geom) <= 1e-10 * (1 + geom)
 
+    @pytest.mark.parametrize("a", [0.1, 0.5, 0.9])
+    def test_quasi_arithmetic_of_tiny_arguments_is_not_their_midpoint(self, a):
+        # Bisection to an absolute width stopped at once on arguments below it.
+        qa = MeanSpec.quasi_arithmetic(build_generator("log"))
+        geom = 1e-20 * 4.0**a
+        assert weighted_mean(qa, 1e-20, 4e-20, a) == pytest.approx(geom, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("x, y, geom", [(1e-300, 1.0, 1e-150),
+                                            (1e308, 1.7e308, math.sqrt(1.7) * 1e308)])
+    def test_quasi_arithmetic_across_the_float_range(self, x, y, geom):
+        # The midpoint of two huge ends must not overflow to the upper end.
+        qa = MeanSpec.quasi_arithmetic(build_generator("log"))
+        assert weighted_mean(qa, x, y, 0.5) == pytest.approx(geom, rel=1e-13, abs=0.0)
+
     def test_positivity_required(self):
         with pytest.raises(NonPositiveError):
             weighted_mean(MeanSpec.power(2.0), -1, 4, 0.5)

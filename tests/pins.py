@@ -25,6 +25,7 @@ GROUPS = {
     "catalog_pins.json": "test_catalog_pins",
     "cli_pins.json": "test_cli_pins",
     "oracle_pins.json": "test_oracle_pins",
+    "spec_pins.json": "test_spec_pins",
     "study_table_pins.json": "test_study_table_pins",
     "suite_pins.json": "test_checks",
 }

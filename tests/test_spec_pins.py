@@ -1,0 +1,127 @@
+"""Generator specs in every form ``build_generator`` takes, pinned bit for bit.
+
+``data/spec_pins.json`` holds, for every spec below, what ``build_generator``
+made of it: the canonical ``spec``, ``name``, ``declared_class``, ``dim`` and
+``str(domain)``, and the value and gradient at two interior points as
+``float.hex``; or, for a spec it rejects, the error type and message.  The
+corpus has every built-in with its keys left out and written out, each as a
+bare name, JSON text and a dict, nested ``affine``/``negate``/``separable``
+trees, and every ``SpecError`` path of the schema.  ``PYTHONPATH=src python
+tests/pins.py`` regenerates the file.
+"""
+
+import json
+
+import pytest
+
+import pins
+from qcdiv.core import _BUILTINS, build_generator, eval_generator, gradient
+
+NESTED = {
+    "affine of log": {"affine": {"a": 2, "b": 1, "inner": "log"}},
+    "affine without b": {"affine": {"a": 0.5, "inner": {"name": "quadratic"}}},
+    "negate of affine of negate": {"negate": {"affine": {"a": 3, "b": -1,
+                                                         "inner": {"negate": "sqrt"}}}},
+    "separable of three": {"separable": ["quadratic", {"negate": "log"},
+                                         {"affine": {"a": 2, "inner": "abs"}}]},
+    "negate of separable": {"negate": {"separable": ["quadratic", "abs"]}},
+    "affine of 2-D neg-gauss": {"affine": {"a": 1, "b": -2,
+                                           "inner": {"name": "neg-gauss", "dim": 2}}},
+    "separable of linear-fractionals": {"separable": [
+        {"name": "linear-fractional", "c": 1, "d": 2},
+        {"affine": {"a": 1, "inner": {"name": "linear-fractional", "c": -1, "d": 2}}}]},
+}
+# Each SpecError path of the schema, and the errors of specs that are not specs.
+ERRORS = {
+    "unknown key next to a name": {"name": "log", "dim": 2},
+    "unknown key next to a tag": {"negate": "log", "scale": 2},
+    "unknown key inside affine": {"affine": {"a": 1, "inner": "log", "c": 2}},
+    "unknown key deep inside": {"separable": ["quadratic", {"negate": {"name": "abs", "x": 1}}]},
+    "dim 0": {"name": "neg-gauss", "dim": 0},
+    "dim 1.5": {"name": "log-norm-sq", "dim": 1.5},
+    "dim as text": {"name": "neg-gauss", "dim": "2"},
+    "affine a = 0": {"affine": {"a": 0, "inner": "log"}},
+    "affine a < 0": {"affine": {"a": -1, "b": 2, "inner": "quadratic"}},
+    "affine without inner": {"affine": {"a": 1}},
+    "linear-fractional c = 0, d = 0": {"name": "linear-fractional", "c": 0, "d": 0},
+    "linear-fractional c = 0, d < 0": {"name": "linear-fractional", "c": 0, "d": -1},
+    "2-D separable component": {"separable": ["quadratic", {"name": "log-norm-sq"}]},
+    "empty separable": {"separable": []},
+    "a number": 3,
+    "a list": ["log"],
+    "None": None,
+    "unknown name": "nope",
+    "unknown name in a dict": {"name": 7},
+    "two tags": {"name": "log", "negate": "log"},
+    "no tag": {},
+    "invalid JSON": '{"name": "log"',
+}
+
+
+def _forms(label, spec):
+    """The spec as a dict and as JSON text, and as a bare name when it is one."""
+    cases = {f"{label}: dict": spec, f"{label}: json": json.dumps(spec)}
+    if list(spec) == ["name"]:
+        cases[f"{label}: name"] = spec["name"]
+    return cases
+
+
+def _corpus() -> dict:
+    cases = {}
+    for name, (_, keys) in _BUILTINS.items():
+        cases.update(_forms(f"built-in {name}", {"name": name}))
+        if keys:
+            cases.update(_forms(f"built-in {name} explicit", {"name": name, **keys}))
+    cases.update(_forms("built-in neg-gauss dim 3", {"name": "neg-gauss", "dim": 3}))
+    cases.update(_forms("built-in log-norm-sq dim 3", {"name": "log-norm-sq", "dim": 3}))
+    cases.update(_forms("built-in linear-fractional c > 0",
+                        {"name": "linear-fractional", "a": 2, "b": -1, "c": 1, "d": 2}))
+    cases.update(_forms("built-in linear-fractional c < 0",
+                        {"name": "linear-fractional", "c": -1, "d": 2}))
+    for label, spec in NESTED.items():
+        cases.update(_forms(f"nested {label}", spec))
+    cases.update({f"error {label}": spec for label, spec in ERRORS.items()})
+    return cases
+
+
+CORPUS = _corpus()
+
+
+def _hex(values) -> list:
+    return [float(v).hex() for v in values]
+
+
+def record(spec) -> dict:
+    """What ``build_generator(spec)`` made, with eval and grad at 0.75 and 1.5 (+0.25 per axis)."""
+    try:
+        g = build_generator(spec)
+    except Exception as e:  # the pin records every error type and message
+        return {"error": [type(e).__name__, str(e)]}
+    points = [tuple(x + 0.25 * i for i in range(g.dim)) for x in (0.75, 1.5)]
+    return {"spec": g.spec, "name": g.name, "declared_class": g.declared_class, "dim": g.dim,
+            "domain": str(g.domain), "points": [_hex(p) for p in points],
+            "eval": _hex(eval_generator(g, p) for p in points),
+            "grad": [_hex(gradient(g, p)) for p in points]}
+
+
+def test_the_forms_of_a_spec_build_the_same_generator():
+    pinned = pins.load("spec_pins.json")
+    for key in CORPUS:
+        if key.endswith(": dict"):
+            label = key[: -len(": dict")]
+            forms = [pinned[f"{label}: {form}"] for form in ("dict", "json", "name")
+                     if f"{label}: {form}" in pinned]
+            assert all(pin == forms[0] for pin in forms), label
+
+
+def test_every_error_case_raises_spec_error_and_every_other_case_builds():
+    for key, pin in pins.load("spec_pins.json").items():
+        if key.startswith("error "):
+            assert pin["error"][0] == "SpecError", key
+        else:
+            assert "error" not in pin, key
+
+
+@pytest.mark.parametrize("key", sorted(CORPUS))
+def test_spec_matches_its_pin(key):
+    assert record(CORPUS[key]) == pins.load("spec_pins.json")[key]

@@ -17,11 +17,11 @@ import math
 import random
 from typing import NamedTuple
 
-from .core import (Box, ExtReal, Generator, _Record, bounded_box, build_generator,
+from .core import (Box, ExtReal, Generator, _Record, _eval, _pair, bounded_box, build_generator,
                    sample_point)
-from .jensen import extended_jensen, qccv_jensen, qcvx_jensen
-from .bregman import delta_averaged_qcvx_bregman, qcvx_bregman
-from .means import MeanSpec, mn_jensen, weighted_mean
+from .jensen import _extended_jensen, _qccv_jensen, _qcvx_jensen
+from .bregman import _delta_averaged_qcvx_bregman, _qcvx_bregman
+from .means import MeanSpec, _mn_jensen, weighted_mean
 from .statdiv import (
     ExpFamily,
     NestedUniform,
@@ -107,20 +107,21 @@ def _close(a: float, b: float, rel: float) -> bool:
     return abs(a - b) <= rel * (1.0 + max(abs(a), abs(b)))
 
 
-def _two(rng: random.Random, box: Box):
-    return sample_point(rng, box), sample_point(rng, box)
+def _two(Q: Generator, rng: random.Random, box: Box):
+    """(t, tp, Q(t), Q(tp)) at two points of box, checked once by core._pair."""
+    return _pair(Q, sample_point(rng, box), sample_point(rng, box))
 
 
-def _order(Q: Generator, t, tp):
-    """(t, tp) ordered so that Q(t) <= Q(tp); a tie keeps the given order."""
-    return (tp, t) if Q(t) > Q(tp) else (t, tp)
+def _order(t, tp, qt, qtp):
+    """The pair ordered so that qt <= qtp; a tie keeps the given order."""
+    return (tp, t, qtp, qt) if qt > qtp else (t, tp, qt, qtp)
 
 
 def _catalog_pairs(rng: random.Random, cases):
-    """Draw i is (i, Q, t, tp, alpha) from the case that i cycles to."""
+    """Draw i is (i, Q, t, tp, qt, qtp, alpha) from the case that i cycles to."""
     def draw(i):
-        case = cases[i % len(cases)]
-        return (i, case.generator, *_two(rng, case.box), rng.uniform(0.05, 0.95))
+        Q, box = cases[i % len(cases)]
+        return (i, Q, *_two(Q, rng, box), rng.uniform(0.05, 0.95))
     return draw
 
 
@@ -147,52 +148,53 @@ def suite_identities(samples: int, seed: int) -> SuiteResult:
          bounded_box((-4, 4), (-4, 4))),
     )
 
-    def negate(i, Q, t, tp, alpha):
-        lhs = qccv_jensen(negated[i % len(cases)], t, tp, alpha)  # the negation is quasiconcave
-        rhs = qcvx_jensen(Q, t, tp, alpha)
+    # The wrappers are other generators, evaluated at the points the draw checked.
+    def negate(i, Q, t, tp, qt, qtp, alpha):
+        H = negated[i % len(cases)]  # the negation is quasiconcave
+        lhs = _qccv_jensen(H, alpha, t, tp, _eval(H, t), _eval(H, tp))
+        rhs = _qcvx_jensen(Q, alpha, t, tp, qt, qtp)
         return (abs(lhs - rhs) <= 1e-14 * (1.0 + abs(rhs))
                 or f"{Q.name} t={t} tp={tp} a={alpha}: {lhs} vs {rhs}")
 
-    def scaling(i, Q, t, tp, alpha):
+    def scaling(i, Q, t, tp, qt, qtp, alpha):
         wrapped, a = scaled[i % period], _SCALE_FACTORS[i % 3]
-        lhs, rhs = qcvx_jensen(wrapped, t, tp, alpha), a * qcvx_jensen(Q, t, tp, alpha)
+        lhs = _qcvx_jensen(wrapped, alpha, t, tp, _eval(wrapped, t), _eval(wrapped, tp))
+        rhs = a * _qcvx_jensen(Q, alpha, t, tp, qt, qtp)
         return _close(lhs, rhs, 1e-10) or f"{wrapped.name} t={t} tp={tp} a={alpha}: {lhs} vs {rhs}"
 
-    def half(i, Q, t, tp, alpha):
-        qt, qtp = Q(t), Q(tp)
-        lhs = qcvx_jensen(Q, t, tp, 0.5)
-        rhs = extended_jensen(Q, t, tp, 0.5) + 0.5 * abs(qt - qtp)
+    def half(i, Q, t, tp, qt, qtp, alpha):
+        lhs = _qcvx_jensen(Q, 0.5, t, tp, qt, qtp)
+        rhs = _extended_jensen(Q, 0.5, t, tp, qt, qtp) + 0.5 * abs(qt - qtp)
         return _close(lhs, rhs, 1e-10) or f"{Q.name} t={t} tp={tp}: {lhs} vs {rhs}"
 
-    def skewed(i, Q, t, tp, alpha):
-        qt, qtp = Q(t), Q(tp)
-        lhs = qcvx_jensen(Q, t, tp, alpha)
-        rhs = (extended_jensen(Q, t, tp, alpha) + 0.5 * abs(qt - qtp)
+    def skewed(i, Q, t, tp, qt, qtp, alpha):
+        lhs = _qcvx_jensen(Q, alpha, t, tp, qt, qtp)
+        rhs = (_extended_jensen(Q, alpha, t, tp, qt, qtp) + 0.5 * abs(qt - qtp)
                + qt * (alpha - 0.5) + qtp * (0.5 - alpha))
         return _close(lhs, rhs, 1e-10) or f"{Q.name} t={t} tp={tp} a={alpha}: {lhs} vs {rhs}"
 
-    def below(i, Q, t, tp, alpha):
-        ej, qj = extended_jensen(Q, t, tp, alpha), qcvx_jensen(Q, t, tp, alpha)
+    def below(i, Q, t, tp, qt, qtp, alpha):
+        ej, qj = _extended_jensen(Q, alpha, t, tp, qt, qtp), _qcvx_jensen(Q, alpha, t, tp, qt, qtp)
         return (ej <= qj + 1e-10 * (1.0 + abs(qj))
                 or f"{Q.name} t={t} tp={tp} a={alpha}: {ej} > {qj}")
 
-    def above(i, Q, t, tp, alpha):
-        lower = -0.5 * abs(Q(t) - Q(tp))
-        ej = extended_jensen(Q, t, tp, 0.5)
+    def above(i, Q, t, tp, qt, qtp, alpha):
+        lower = -0.5 * abs(qt - qtp)
+        ej = _extended_jensen(Q, 0.5, t, tp, qt, qtp)
         return (ej >= lower - 1e-10 * (1.0 + abs(lower))
                 or f"{Q.name} t={t} tp={tp}: {ej} < {lower}")
 
     def fam_pairs(i):
         fam, box = fams[i % len(fams)]
-        return (fam, *_two(rng, box))
+        return fam, sample_point(rng, box), sample_point(rng, box)
 
     def cross_entropy(fam, t, tp):
         kl, ce, h = expfam_kl(fam, t, tp), expfam_cross_entropy(fam, t, tp), expfam_entropy(fam, t)
         return _close(kl, ce - h, 1e-10) or f"t={t} tp={tp}: {kl} vs {ce - h}"
 
     def from_kl(fam, t, tp):
-        tp, t = _order(fam.F, tp, t)  # F(tp) <= F(t)
-        lhs, rhs = qcvx_bregman_from_kl(fam, t, tp), qcvx_bregman(fam.F, tp, t)
+        tp, t, ftp, ft = _order(*_pair(fam.F, tp, t))  # F(tp) <= F(t)
+        lhs, rhs = qcvx_bregman_from_kl(fam, t, tp), _qcvx_bregman(fam.F, tp, t, ftp, ft)
         return _close(float(lhs), float(rhs), 1e-10) or f"t={t} tp={tp}: {lhs} vs {rhs}"
 
     return _run("identities", (
@@ -206,8 +208,8 @@ def suite_identities(samples: int, seed: int) -> SuiteResult:
     ))
 
 
-def _first_order(Q, t, tp):
-    v = float(qcvx_bregman(Q, t, tp))
+def _first_order(Q, t, tp, qt, qtp):
+    v = float(_qcvx_bregman(Q, t, tp, qt, qtp))
     return v >= -1e-9 or f"{Q.name} t={t} tp={tp}: {v}"
 
 
@@ -217,14 +219,14 @@ def suite_first_order(samples: int, seed: int) -> SuiteResult:
 
     def ordered(case):
         Q = case.generator
-        return lambda i: (Q, *_order(Q, *_two(rng, case.box)))
+        return lambda i: (Q, *_order(*_two(Q, rng, case.box)))
 
     return _run("first-order", tuple((samples, ordered(case), (("first-order", _first_order),))
                                      for case in sweep_catalog()))
 
 
-def _one_sided(Q, t, tp):
-    fwd, rev = qcvx_bregman(Q, t, tp), qcvx_bregman(Q, tp, t)
+def _one_sided(Q, t, tp, qt, qtp):
+    fwd, rev = _qcvx_bregman(Q, t, tp, qt, qtp), _qcvx_bregman(Q, tp, t, qtp, qt)
     return fwd.is_inf != rev.is_inf or f"{Q.name} t={t} tp={tp}: fwd={fwd} rev={rev}"
 
 
@@ -235,17 +237,19 @@ def suite_one_sided_infinity(samples: int, seed: int) -> SuiteResult:
     def distinct(case):
         def draw(i):
             while True:  # redraw both points until Q(t) != Q(tp)
-                t, tp = _two(rng, case.box)
-                if case.generator(t) != case.generator(tp):
-                    return case.generator, t, tp
+                t, tp, qt, qtp = _two(case.generator, rng, case.box)
+                if qt != qtp:
+                    return case.generator, t, tp, qt, qtp
         return draw
 
     return _run("one-sided-infinity", tuple((samples, distinct(case), (("one-sided", _one_sided),))
                                             for case in sweep_catalog()))
 
 
-def _positive(Q, t, tp, delta):
-    v = float(delta_averaged_qcvx_bregman(Q, t, tp, delta))
+# ``pair`` is (t, tp, Q(t), Q(tp)) from core._pair; the witness shows t and tp
+# as drawn, so the cubic row's witnesses print scalars.
+def _positive(Q, t, tp, delta, pair):
+    v = float(_delta_averaged_qcvx_bregman(Q, delta, *pair))
     return v > 0.0 or f"{Q.name} t={t} tp={tp} delta={delta}: {v}"
 
 
@@ -264,10 +268,10 @@ def suite_delta_positivity(samples: int, seed: int) -> SuiteResult:
     def cubic_pair(i):
         delta = rng.uniform(0.05, 2.0)
         if i % 10 == 0:
-            return cubic, rng.uniform(-4.0, -0.01), 0.0, delta  # inflection point of the cubic
-        a, b = rng.uniform(-4, 4), rng.uniform(-4, 4)
-        # cubic is increasing: Q(tp) >= Q(t)
-        return None if a == b else (cubic, min(a, b), max(a, b), delta)
+            t, tp = rng.uniform(-4.0, -0.01), 0.0  # inflection point of the cubic
+        else:  # cubic is increasing: Q(tp) >= Q(t)
+            t, tp = sorted((rng.uniform(-4, 4), rng.uniform(-4, 4)))
+        return None if t == tp else (cubic, t, tp, delta, _pair(cubic, t, tp))
 
     def radial_pair(i):
         Q = quad2 if i % 2 == 0 else gauss2
@@ -275,9 +279,9 @@ def suite_delta_positivity(samples: int, seed: int) -> SuiteResult:
         a1, a2 = rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi)
         if a1 == a2:
             return None
-        t, tp = _order(Q, (r * math.cos(a1), r * math.sin(a1)),
-                       (r * math.cos(a2), r * math.sin(a2)))
-        return Q, t, tp, rng.uniform(0.05, 2.0)
+        pair = _order(*_pair(Q, (r * math.cos(a1), r * math.sin(a1)),
+                             (r * math.cos(a2), r * math.sin(a2))))
+        return Q, *pair[:2], rng.uniform(0.05, 2.0), pair
 
     return _run("delta-positivity", (
         (samples, cubic_pair, (("delta-positivity", _positive),)),
@@ -385,8 +389,9 @@ def suite_means(samples: int, seed: int) -> SuiteResult:
     def limit_reached(x, y, top, errs):
         return errs[-1] <= 1e-3 * top or f"x={x} y={y}: {errs[-1]}"
 
-    def mn_skewed(i, F, t, tp, alpha):
-        lhs, rhs = mn_jensen(F, arith, arith, alpha, t, tp), extended_jensen(F, t, tp, alpha)
+    def mn_skewed(i, F, t, tp, ft, ftp, alpha):
+        lhs = _mn_jensen(F, alpha, arith, arith, t, tp, ft, ftp)
+        rhs = _extended_jensen(F, alpha, t, tp, ft, ftp)
         return _close(lhs, rhs, 1e-12) or f"{F.name} t={t} tp={tp} a={alpha}: {lhs} vs {rhs}"
 
     return _run("means", (

@@ -127,14 +127,14 @@ def _arithmetic_shifted(real):
 # name -> (the checks attribute replaced, its replacement built from the real
 # function, the suites run with it).  Together they make every property fail.
 FORCED = {
-    "qccv_jensen+1": ("qccv_jensen", _shifted(1.0), ("identities",)),
-    "qcvx_jensen+1": ("qcvx_jensen", _shifted(1.0), ("identities",)),
-    "extended_jensen+1e3": ("extended_jensen", _shifted(1e3), ("identities", "means")),
-    "extended_jensen-1e3": ("extended_jensen", _shifted(-1e3), ("identities", "means")),
+    "qccv_jensen+1": ("_qccv_jensen", _shifted(1.0), ("identities",)),
+    "qcvx_jensen+1": ("_qcvx_jensen", _shifted(1.0), ("identities",)),
+    "extended_jensen+1e3": ("_extended_jensen", _shifted(1e3), ("identities", "means")),
+    "extended_jensen-1e3": ("_extended_jensen", _shifted(-1e3), ("identities", "means")),
     "expfam_kl+1": ("expfam_kl", _shifted(1.0), ("identities",)),
-    "qcvx_bregman=-1": ("qcvx_bregman", _constant(-1.0),
+    "qcvx_bregman=-1": ("_qcvx_bregman", _constant(-1.0),
                         ("identities", "first-order", "one-sided-infinity")),
-    "delta_averaged_qcvx_bregman=0": ("delta_averaged_qcvx_bregman", _constant(0.0),
+    "delta_averaged_qcvx_bregman=0": ("_delta_averaged_qcvx_bregman", _constant(0.0),
                                       ("delta-positivity",)),
     "kl_nested_uniform=7": ("kl_nested_uniform", _constant(7.0), ("kl-quadrature",)),
     "kl_power_nested=7": ("kl_power_nested", _constant(7.0), ("kl-quadrature",)),
@@ -145,7 +145,7 @@ FORCED = {
     "weighted_mean+1e3": ("weighted_mean", _shifted(1e3), ("means",)),
     "weighted_mean power negated": ("weighted_mean", _power_negated, ("means",)),
     "weighted_mean arithmetic+1": ("weighted_mean", _arithmetic_shifted, ("means",)),
-    "mn_jensen+1": ("mn_jensen", _shifted(1.0), ("means",)),
+    "mn_jensen+1": ("_mn_jensen", _shifted(1.0), ("means",)),
 }
 FORCED_SAMPLES, FORCED_SEED = 12, 1
 

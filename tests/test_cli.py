@@ -168,7 +168,7 @@ class TestCheckCommand:
         assert r.returncode == 2
 
     def test_a_failing_suite_exits_1_with_at_most_five_witnesses(self, monkeypatch, capsys):
-        monkeypatch.setattr(checks, "qcvx_bregman", lambda *args: ExtReal(-1.0))
+        monkeypatch.setattr(checks, "_qcvx_bregman", lambda *args: ExtReal(-1.0))
         code = cli.main(["check", "--suite", "first-order", "--samples", "3"])
         head, *witnesses = capsys.readouterr().out.splitlines()
         assert code == 1

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import qcdiv
-from qcdiv import core, oracles
+from qcdiv import checks, core, oracles
 from qcdiv.bregman import (
     bregman,
     delta_averaged_qcvx_bregman,
@@ -240,12 +240,14 @@ def test_generator_work_per_call(label, gen, call, evals, grads):
     assert counts == {"eval": evals, "grad": grads}
 
 
-@pytest.mark.parametrize("module", ["oracles", "statdiv"])
+@pytest.mark.parametrize("module", ["oracles", "statdiv", "checks", "cli"])
 def test_oracles_call_kernels_only(module):
-    # A public divergence checks and evaluates its points again, so the oracles
-    # and the KL identity import the kernels: of the public names of jensen,
-    # bregman and means only MeanSpec, and none of those modules whole.
-    public = set(qcdiv.__all__) - {"MeanSpec"}
+    # A public divergence checks and evaluates its points again, so the oracles,
+    # the KL identity, the suites and the CLI import the kernels: of the public
+    # names of jensen, bregman and means only MeanSpec, and none of those
+    # modules whole.  The means suite tests weighted_mean itself.
+    allowed = {"MeanSpec", "weighted_mean"} if module == "checks" else {"MeanSpec"}
+    public = set(qcdiv.__all__) - allowed
     source = Path(qcdiv.__file__).with_name(f"{module}.py").read_text(encoding="utf-8")
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
@@ -253,6 +255,32 @@ def test_oracles_call_kernels_only(module):
             if node.module in ("jensen", "bregman", "means"):
                 assert not names & public, (module, node.module, names & public)
             assert not (node.module is None and names & {"jensen", "bregman", "means"}), module
+
+
+def test_each_suite_draw_evaluates_its_points_once(monkeypatch):
+    # 9 catalog cases x 10 draws, each checked and evaluated once by core._pair:
+    # 2 evaluations per draw, and 1 gradient for its one finite orientation.
+    counts = {"eval": 0, "grad": 0}
+
+    def counted(case):
+        g = case.generator
+
+        def ev(t):
+            counts["eval"] += 1
+            return g.eval(t)
+
+        def gr(t):
+            counts["grad"] += 1
+            return g.grad(t)
+
+        return case._replace(generator=dataclasses.replace(g, eval=ev, grad=gr))
+
+    real = checks.sweep_catalog
+    monkeypatch.setattr(checks, "sweep_catalog", lambda: tuple(map(counted, real())))
+    for suite in ("first-order", "one-sided-infinity"):
+        counts.update(eval=0, grad=0)
+        checks.run_suite(suite, 10, 1)
+        assert counts == {"eval": 180, "grad": 90}, suite
 
 
 def test_delta_average_coerces_only_its_arguments(monkeypatch):

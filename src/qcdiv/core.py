@@ -473,7 +473,8 @@ def build_generator(spec) -> Generator:
       {"name": "linear-fractional", "a": 1, "b": 0, "c": 0, "d": 1}
       {"affine": {"a": >0, "b": 0, "inner": spec}} or {"negate": spec}
       {"separable": [spec, ...]} of 1-D component specs
-    Any other key, or a dim that is not a whole number >= 1, raises SpecError.
+    Any other key, a numeric key that is not a finite number (text, bool and
+    null included), or a dim that is not a whole number >= 1, raises SpecError.
     """
     spec = _parse(spec)
     g = _build(spec)
@@ -508,16 +509,29 @@ def _only(obj: dict, keys, where: str) -> None:
 
 
 def _dim(name: str, value) -> int:
-    if isinstance(value, numbers.Real) and value >= 1 and value % 1 == 0:
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and value >= 1 and value % 1 == 0):
         return int(value)
     raise SpecError(f"{name} dim must be a whole number >= 1, got {value!r}")
+
+
+def _real(form: str, key: str, value) -> float:
+    """A numeric spec value: a finite real that is not a bool, as a float."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an int or a fraction past the float range
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise SpecError(f"{form} {key} must be a finite number, got {value!r}")
 
 
 def _affine(obj) -> Generator:
     if not isinstance(obj, dict) or "inner" not in obj or "a" not in obj:
         raise SpecError('affine spec needs {"a": >0, "b": real, "inner": spec}')
-    a = float(obj["a"])
-    b = float(obj.get("b", 0.0))
+    a = _real("affine", "a", obj["a"])
+    b = _real("affine", "b", obj.get("b", 0.0))
     if not a > 0.0:
         raise SpecError(f"affine wrap requires a > 0, got {a}")
     inner = _build(obj["inner"])
@@ -601,7 +615,7 @@ def _build(spec) -> Generator:
     if not isinstance(name, str) or name not in _BUILTINS:
         raise SpecError(f"unknown generator name {name!r}")
     entry, keys = _BUILTINS[name]
-    params = {k: _dim(name, spec.get(k, v)) if k == "dim" else float(spec.get(k, v))
+    params = {k: _dim(name, spec.get(k, v)) if k == "dim" else _real(name, k, spec.get(k, v))
               for k, v in keys.items()}
     ev, domain, grad, cls, *label = entry(**params) if keys else entry
     _only(spec, ("name", *keys), f"spec {name!r}")

@@ -121,6 +121,14 @@ class TestEval:
                     "--theta", "1", "--theta-prime", "2")
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("b", ["null", "[1]"])
+    def test_a_spec_number_that_is_not_a_number_exits_2(self, b):
+        r = run_cli("eval", "--div", "qcvx-bregman", "--gen",
+                    f'{{"affine": {{"a": 1, "b": {b}, "inner": "log"}}}}',
+                    "--theta", "1", "--theta-prime", "2")
+        assert (r.returncode, r.stdout) == (2, b"")
+        assert r.stderr.startswith(b"qcdiv: error: affine b must be a finite number, got ")
+
 
 class TestLimitStudyCommand:
     def test_log_converges_exit_zero(self):

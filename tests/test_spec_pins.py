@@ -40,6 +40,17 @@ ERRORS = {
     "dim 0": {"name": "neg-gauss", "dim": 0},
     "dim 1.5": {"name": "log-norm-sq", "dim": 1.5},
     "dim as text": {"name": "neg-gauss", "dim": "2"},
+    "dim true": {"name": "neg-gauss", "dim": True},
+    "affine b null": {"affine": {"a": 1, "b": None, "inner": "log"}},
+    "affine a as a list": {"affine": {"a": [2], "inner": "log"}},
+    "affine a as text": {"affine": {"a": "2", "inner": "log"}},
+    "affine a true": {"affine": {"a": True, "inner": "log"}},
+    "affine a Infinity": {"affine": {"a": float("inf"), "inner": "log"}},
+    "affine a past the floats": {"affine": {"a": 10**400, "inner": "log"}},
+    "linear-fractional c NaN": {"name": "linear-fractional", "c": float("nan")},
+    "linear-fractional c NaN in JSON text": '{"name": "linear-fractional", "c": NaN}',
+    "linear-fractional c 'nan'": {"name": "linear-fractional", "c": "nan"},
+    "linear-fractional c 'abc'": {"name": "linear-fractional", "c": "abc"},
     "affine a = 0": {"affine": {"a": 0, "inner": "log"}},
     "affine a < 0": {"affine": {"a": -1, "b": 2, "inner": "quadratic"}},
     "affine without inner": {"affine": {"a": 1}},

@@ -13,6 +13,7 @@ does not apply to the draw.  The rows draw from the suite's
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from typing import NamedTuple
@@ -134,12 +135,7 @@ def suite_identities(samples: int, seed: int) -> SuiteResult:
     rng = random.Random(seed)
     cases = sweep_catalog()
     negated = tuple(build_generator({"negate": c.generator.spec}) for c in cases)
-    # Draw i scales case i % len(cases) by a, b from i % 3 and (i // 3) % 3, so
-    # the wrapper repeats with period lcm(len(cases), 9).
-    period = math.lcm(len(cases), 9)
-    scaled = tuple(build_generator({"affine": {
-        "a": _SCALE_FACTORS[j % 3], "b": _SCALE_OFFSETS[(j // 3) % 3],
-        "inner": cases[j % len(cases)].generator.spec}}) for j in range(period))
+    n = len(cases)
     pairs = _catalog_pairs(rng, cases)
     half_quad = {"affine": {"a": 0.5, "b": 0.0, "inner": {"name": "quadratic"}}}
     fams = (
@@ -150,14 +146,22 @@ def suite_identities(samples: int, seed: int) -> SuiteResult:
 
     # The wrappers are other generators, evaluated at the points the draw checked.
     def negate(i, Q, t, tp, qt, qtp, alpha):
-        H = negated[i % len(cases)]  # the negation is quasiconcave
+        H = negated[i % n]  # the negation is quasiconcave
         lhs = _qccv_jensen(H, alpha, t, tp, _eval(H, t), _eval(H, tp))
         rhs = _qcvx_jensen(Q, alpha, t, tp, qt, qtp)
         return (abs(lhs - rhs) <= 1e-14 * (1.0 + abs(rhs))
                 or f"{Q.name} t={t} tp={tp} a={alpha}: {lhs} vs {rhs}")
 
+    # Draw i scales case i % n by a, b from k = (i // n) % 9, so the first 9n
+    # draws cover every (case, a, b).  A wrapper is built on its first draw.
+    @functools.cache
+    def scaled(j):  # j = i % 9n
+        a, b = _SCALE_FACTORS[j // n % 3], _SCALE_OFFSETS[j // n // 3]
+        inner = cases[j % n].generator.spec
+        return a, build_generator({"affine": {"a": a, "b": b, "inner": inner}})
+
     def scaling(i, Q, t, tp, qt, qtp, alpha):
-        wrapped, a = scaled[i % period], _SCALE_FACTORS[i % 3]
+        a, wrapped = scaled(i % (9 * n))
         lhs = _qcvx_jensen(wrapped, alpha, t, tp, _eval(wrapped, t), _eval(wrapped, tp))
         rhs = a * _qcvx_jensen(Q, alpha, t, tp, qt, qtp)
         return _close(lhs, rhs, 1e-10) or f"{wrapped.name} t={t} tp={tp} a={alpha}: {lhs} vs {rhs}"

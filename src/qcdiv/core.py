@@ -494,7 +494,7 @@ def _parse(spec):
         if text.startswith("{"):
             try:
                 return json.loads(text)
-            except json.JSONDecodeError as e:
+            except ValueError as e:  # JSONDecodeError, or an integer past the digit limit
                 raise SpecError(f"invalid generator spec JSON: {e}") from None
         return {"name": text}
     return spec

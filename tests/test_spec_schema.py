@@ -44,6 +44,13 @@ def test_combinators_are_the_documented_tags():
         assert f'{{"{tag}": ' in build_generator.__doc__
 
 
+def test_an_integer_past_the_digit_limit_is_a_spec_error():
+    # json.loads raises a bare ValueError for an integer longer than Python's
+    # int-to-str digit limit (4300 digits by default).
+    with pytest.raises(SpecError):
+        build_generator('{"affine": {"a": 1' + "0" * 5000 + ', "inner": "log"}}')
+
+
 # Values each built-in key takes; d > 0 keeps a linear-fractional with c = 0 valid.
 VALUES = {
     "dim": st.integers(1, 3),

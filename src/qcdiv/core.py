@@ -517,13 +517,10 @@ def _dim(name: str, value) -> int:
 
 def _real(form: str, key: str, value) -> float:
     """A numeric spec value: a finite real that is not a bool, as a float."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            x = float(value)
-        except OverflowError:  # an int or a fraction past the float range
-            x = math.inf
-        if math.isfinite(x):
-            return x
+    # The bounds reject NaN, the infinities, and ints or fractions past the floats.
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and -sys.float_info.max <= value <= sys.float_info.max):
+        return float(value)
     raise SpecError(f"{form} {key} must be a finite number, got {value!r}")
 
 

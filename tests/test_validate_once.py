@@ -184,9 +184,10 @@ def test_errors_keep_their_order():
 # --------------------------------------------------------------------------
 
 
-def _counted(name):
-    g = build_generator(name)
-    counts = {"eval": 0, "grad": 0}
+def _counted(spec, counts=None):
+    """The generator of spec, counting its evaluations and gradients in counts."""
+    g = build_generator(spec)
+    counts = {"eval": 0, "grad": 0} if counts is None else counts
 
     def ev(t):
         counts["eval"] += 1
@@ -261,22 +262,9 @@ def test_each_suite_draw_evaluates_its_points_once(monkeypatch):
     # 9 catalog cases x 10 draws, each checked and evaluated once by core._pair:
     # 2 evaluations per draw, and 1 gradient for its one finite orientation.
     counts = {"eval": 0, "grad": 0}
-
-    def counted(case):
-        g = case.generator
-
-        def ev(t):
-            counts["eval"] += 1
-            return g.eval(t)
-
-        def gr(t):
-            counts["grad"] += 1
-            return g.grad(t)
-
-        return case._replace(generator=dataclasses.replace(g, eval=ev, grad=gr))
-
     real = checks.sweep_catalog
-    monkeypatch.setattr(checks, "sweep_catalog", lambda: tuple(map(counted, real())))
+    monkeypatch.setattr(checks, "sweep_catalog", lambda: tuple(
+        case._replace(generator=_counted(case.generator.spec, counts)[0]) for case in real()))
     for suite in ("first-order", "one-sided-infinity"):
         counts.update(eval=0, grad=0)
         checks.run_suite(suite, 10, 1)

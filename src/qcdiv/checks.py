@@ -14,6 +14,7 @@ does not apply to the draw.  The rows draw from the suite's
 from __future__ import annotations
 
 import functools
+import json
 import math
 import random
 from typing import NamedTuple
@@ -70,22 +71,27 @@ class SweepCase(NamedTuple):
     box: Box
 
 
+# The suites' generators, one per spec text, each built on first use and kept
+# for the process.  The key is text, never a generator, so a catalog patched
+# with other generators cannot leave them here.
+_generator = functools.cache(build_generator)
+
+
+@functools.cache
 def sweep_catalog():
-    """The quasiconvex catalog with sampling boxes for randomized sweeps."""
+    """The quasiconvex catalog with sampling boxes for randomized sweeps, built once."""
     return (
-        SweepCase(build_generator("linear"), bounded_box((-5, 5))),
-        SweepCase(build_generator("quadratic"), bounded_box((-5, 5))),
-        SweepCase(build_generator("cubic"), bounded_box((-4, 4))),
-        SweepCase(build_generator("sqrt"), bounded_box((0.1, 10))),
-        SweepCase(build_generator("log"), bounded_box((0.1, 10))),
-        SweepCase(build_generator("abs"), bounded_box((-5, 5))),
-        SweepCase(build_generator("neg-gauss"), bounded_box((-3, 3))),
-        SweepCase(build_generator({"name": "log-norm-sq", "dim": 2}),
+        SweepCase(_generator("linear"), bounded_box((-5, 5))),
+        SweepCase(_generator("quadratic"), bounded_box((-5, 5))),
+        SweepCase(_generator("cubic"), bounded_box((-4, 4))),
+        SweepCase(_generator("sqrt"), bounded_box((0.1, 10))),
+        SweepCase(_generator("log"), bounded_box((0.1, 10))),
+        SweepCase(_generator("abs"), bounded_box((-5, 5))),
+        SweepCase(_generator("neg-gauss"), bounded_box((-3, 3))),
+        SweepCase(_generator('{"name": "log-norm-sq", "dim": 2}'),
                   bounded_box((0.1, 10), (0.1, 10))),
-        SweepCase(
-            build_generator({"name": "linear-fractional", "a": 1, "b": 0, "c": 1, "d": 2}),
-            bounded_box((-1.5, 10)),
-        ),
+        SweepCase(_generator('{"name": "linear-fractional", "a": 1, "b": 0, "c": 1, "d": 2}'),
+                  bounded_box((-1.5, 10))),
     )
 
 
@@ -134,13 +140,13 @@ def suite_identities(samples: int, seed: int) -> SuiteResult:
     """Algebraic identities of the Jensen/Bregman/KL formulas, 1e-10 relative."""
     rng = random.Random(seed)
     cases = sweep_catalog()
-    negated = tuple(build_generator({"negate": c.generator.spec}) for c in cases)
+    negated = tuple(_generator(json.dumps({"negate": c.generator.spec})) for c in cases)
     n = len(cases)
     pairs = _catalog_pairs(rng, cases)
-    half_quad = {"affine": {"a": 0.5, "b": 0.0, "inner": {"name": "quadratic"}}}
+    half_quad = '{"affine": {"a": 0.5, "b": 0.0, "inner": {"name": "quadratic"}}}'
     fams = (
-        (ExpFamily(build_generator(half_quad)), bounded_box((-4, 4))),
-        (ExpFamily(build_generator({"separable": [half_quad, half_quad]})),
+        (ExpFamily(_generator(half_quad)), bounded_box((-4, 4))),
+        (ExpFamily(_generator(f'{{"separable": [{half_quad}, {half_quad}]}}')),
          bounded_box((-4, 4), (-4, 4))),
     )
 
@@ -153,12 +159,11 @@ def suite_identities(samples: int, seed: int) -> SuiteResult:
                 or f"{Q.name} t={t} tp={tp} a={alpha}: {lhs} vs {rhs}")
 
     # Draw i scales case i % n by a, b from k = (i // n) % 9, so the first 9n
-    # draws cover every (case, a, b).  A wrapper is built on its first draw.
-    @functools.cache
+    # draws cover every (case, a, b).
     def scaled(j):  # j = i % 9n
         a, b = _SCALE_FACTORS[j // n % 3], _SCALE_OFFSETS[j // n // 3]
         inner = cases[j % n].generator.spec
-        return a, build_generator({"affine": {"a": a, "b": b, "inner": inner}})
+        return a, _generator(json.dumps({"affine": {"a": a, "b": b, "inner": inner}}))
 
     def scaling(i, Q, t, tp, qt, qtp, alpha):
         a, wrapped = scaled(i % (9 * n))
@@ -265,9 +270,9 @@ def suite_delta_positivity(samples: int, seed: int) -> SuiteResult:
     generator values.
     """
     rng = random.Random(seed)
-    cubic = build_generator("cubic")
-    quad2 = build_generator({"separable": [{"name": "quadratic"}, {"name": "quadratic"}]})
-    gauss2 = build_generator({"name": "neg-gauss", "dim": 2})
+    cubic = _generator("cubic")
+    quad2 = _generator('{"separable": [{"name": "quadratic"}, {"name": "quadratic"}]}')
+    gauss2 = _generator('{"name": "neg-gauss", "dim": 2}')
 
     def cubic_pair(i):
         delta = rng.uniform(0.05, 2.0)
@@ -346,8 +351,8 @@ def suite_means(samples: int, seed: int) -> SuiteResult:
     """Mean axioms: in-betweenness, power-mean monotonicity, special cases, max limit."""
     rng = random.Random(seed)
     arith, geo = MeanSpec.arithmetic(), MeanSpec.power(0.0)
-    qa_id = MeanSpec.quasi_arithmetic(build_generator("linear"))
-    qa_log = MeanSpec.quasi_arithmetic(build_generator("log"))
+    qa_id = MeanSpec.quasi_arithmetic(_generator("linear"))
+    qa_log = MeanSpec.quasi_arithmetic(_generator("log"))
     kinds = (arith, MeanSpec.power(-2.0), MeanSpec.power(-1.0), geo, MeanSpec.power(0.5),
              MeanSpec.power(1.0), MeanSpec.power(3.0), qa_id, qa_log, MeanSpec.maximum(),
              MeanSpec.minimum())

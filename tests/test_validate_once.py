@@ -9,7 +9,10 @@ and the raw generator work per call.
 import ast
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -258,13 +261,18 @@ def test_oracles_call_kernels_only(module):
             assert not (node.module is None and names & {"jensen", "bregman", "means"}), module
 
 
+def _counting_catalog(monkeypatch, counts):
+    """Patch checks.sweep_catalog to return the catalog counting its work in counts."""
+    real = checks.sweep_catalog
+    monkeypatch.setattr(checks, "sweep_catalog", lambda: tuple(
+        case._replace(generator=_counted(case.generator.spec, counts)[0]) for case in real()))
+
+
 def test_each_suite_draw_evaluates_its_points_once(monkeypatch):
     # 9 catalog cases x 10 draws, each checked and evaluated once by core._pair:
     # 2 evaluations per draw, and 1 gradient for its one finite orientation.
     counts = {"eval": 0, "grad": 0}
-    real = checks.sweep_catalog
-    monkeypatch.setattr(checks, "sweep_catalog", lambda: tuple(
-        case._replace(generator=_counted(case.generator.spec, counts)[0]) for case in real()))
+    _counting_catalog(monkeypatch, counts)
     for suite in ("first-order", "one-sided-infinity"):
         counts.update(eval=0, grad=0)
         checks.run_suite(suite, 10, 1)
@@ -284,6 +292,54 @@ def test_delta_average_coerces_only_its_arguments(monkeypatch):
     monkeypatch.setattr(oracles, "as_vector", counted)
     oracles.integrate_delta_average(LOG, 1.0, 2.0, 0.5)
     assert calls == [1.0, 2.0]
+
+
+# --------------------------------------------------------------------------
+# Build once: the suites build each fixed-spec generator once per process
+# --------------------------------------------------------------------------
+
+
+def _run_every_suite(seed):
+    # 25 samples, as in a benchmark batch; which scaling wrappers a run uses
+    # depends on the sample count only.
+    for name in checks.SUITES:
+        checks.run_suite(name, 25, seed)
+
+
+def test_a_warm_suite_builds_no_generator(monkeypatch):
+    # Rebuilt on every call, one batch of the five sweep suites made 77 builds.
+    _run_every_suite(1)
+    builds = []
+    real = core._build
+    monkeypatch.setattr(core, "_build", lambda spec: builds.append(spec) or real(spec))
+    _run_every_suite(2)
+    assert builds == []
+
+
+def test_a_patched_catalog_leaves_nothing_in_the_memo(monkeypatch):
+    counts = {"eval": 0, "grad": 0}
+    with monkeypatch.context() as patched:
+        _counting_catalog(patched, counts)
+        _run_every_suite(1)
+    assert counts["eval"] > 0
+    seen = dict(counts)
+    _run_every_suite(1)
+    assert counts == seen
+
+
+def test_import_builds_no_generator():
+    # In a fresh interpreter: importing the package and the CLI leaves both
+    # memos empty and no Generator alive, so start-up builds nothing.
+    code = ("import gc, qcdiv, qcdiv.cli\n"
+            "from qcdiv import checks, core\n"
+            "print(checks._generator.cache_info().currsize,"
+            " checks.sweep_catalog.cache_info().currsize,"
+            " sum(isinstance(o, core.Generator) for o in gc.get_objects()))\n")
+    src = str(Path(qcdiv.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout == "0 0 0\n"
 
 
 # --------------------------------------------------------------------------

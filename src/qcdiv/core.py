@@ -474,7 +474,8 @@ def build_generator(spec) -> Generator:
       {"affine": {"a": >0, "b": 0, "inner": spec}} or {"negate": spec}
       {"separable": [spec, ...]} of 1-D component specs
     Any other key, a numeric key that is not a finite number (text, bool and
-    null included), or a dim that is not a whole number >= 1, raises SpecError.
+    null included), a number JSON cannot hold, or a dim that is not a whole
+    number from 1 to MAX_DIM (10000), raises SpecError.
     """
     spec = _parse(spec)
     g = _build(spec)
@@ -483,8 +484,13 @@ def build_generator(spec) -> Generator:
     return g
 
 
+def _not_json(value):
+    # The key checks let through only numbers, so a value JSON cannot hold is one.
+    raise SpecError(f"generator spec value {_shown(value)} is not a JSON number")
+
+
 # One encoder for every spec: json.dumps would build a new one per call.
-_canonical_json = json.JSONEncoder(sort_keys=True).encode
+_canonical_json = json.JSONEncoder(sort_keys=True, default=_not_json).encode
 
 
 def _parse(spec):
@@ -508,11 +514,26 @@ def _only(obj: dict, keys, where: str) -> None:
             raise SpecError(f"{where} takes only the keys {list(keys)}, not {key!r}")
 
 
+def _shown(value) -> str:
+    """repr(value), or a stand-in for an int past Python's int-to-str digit limit."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
+
+
+# A domain holds one Interval per coordinate, so a larger dim is refused
+# before anything is built.
+MAX_DIM = 10_000
+
+
 def _dim(name: str, value) -> int:
     if (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and value >= 1 and value % 1 == 0):
+        if value > MAX_DIM:
+            raise SpecError(f"{name} dim must be at most {MAX_DIM}, got {_shown(value)}")
         return int(value)
-    raise SpecError(f"{name} dim must be a whole number >= 1, got {value!r}")
+    raise SpecError(f"{name} dim must be a whole number >= 1, got {_shown(value)}")
 
 
 def _real(form: str, key: str, value) -> float:
@@ -521,7 +542,7 @@ def _real(form: str, key: str, value) -> float:
     if (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and -sys.float_info.max <= value <= sys.float_info.max):
         return float(value)
-    raise SpecError(f"{form} {key} must be a finite number, got {value!r}")
+    raise SpecError(f"{form} {key} must be a finite number, got {_shown(value)}")
 
 
 def _affine(obj) -> Generator:

@@ -129,6 +129,12 @@ class TestEval:
         assert (r.returncode, r.stdout) == (2, b"")
         assert r.stderr.startswith(b"qcdiv: error: affine b must be a finite number, got ")
 
+    def test_a_dim_past_the_maximum_exits_2(self):
+        r = run_cli("eval", "--div", "qcvx-bregman", "--gen",
+                    '{"name": "neg-gauss", "dim": 10001}', "--theta", "1", "--theta-prime", "2")
+        assert (r.returncode, r.stdout) == (2, b"")
+        assert r.stderr == b"qcdiv: error: neg-gauss dim must be at most 10000, got 10001\n"
+
 
 class TestLimitStudyCommand:
     def test_log_converges_exit_zero(self):

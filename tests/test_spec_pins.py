@@ -15,7 +15,7 @@ import json
 import pytest
 
 import pins
-from qcdiv.core import _BUILTINS, build_generator, eval_generator, gradient
+from qcdiv.core import _BUILTINS, MAX_DIM, build_generator, eval_generator, gradient
 
 NESTED = {
     "affine of log": {"affine": {"a": 2, "b": 1, "inner": "log"}},
@@ -41,6 +41,10 @@ ERRORS = {
     "dim 1.5": {"name": "log-norm-sq", "dim": 1.5},
     "dim as text": {"name": "neg-gauss", "dim": "2"},
     "dim true": {"name": "neg-gauss", "dim": True},
+    # Refused before any Interval of the domain is built.
+    "dim past the maximum": {"name": "neg-gauss", "dim": MAX_DIM + 1},
+    "dim 1e12": {"name": "neg-gauss", "dim": 1e12},
+    "dim 10**5000": {"name": "log-norm-sq", "dim": 10**5000},
     "affine b null": {"affine": {"a": 1, "b": None, "inner": "log"}},
     "affine a as a list": {"affine": {"a": [2], "inner": "log"}},
     "affine a as text": {"affine": {"a": "2", "inner": "log"}},

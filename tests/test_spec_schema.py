@@ -7,13 +7,14 @@ import json
 import math
 import random
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcdiv.core import _BUILTINS, _COMBINATORS, SpecError, build_generator
+from qcdiv.core import _BUILTINS, _COMBINATORS, MAX_DIM, SpecError, build_generator
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 TABLE = {name: keys for name, (_, keys) in _BUILTINS.items()}
@@ -49,6 +50,23 @@ def test_an_integer_past_the_digit_limit_is_a_spec_error():
     # int-to-str digit limit (4300 digits by default).
     with pytest.raises(SpecError):
         build_generator('{"affine": {"a": 1' + "0" * 5000 + ', "inner": "log"}}')
+
+
+def test_a_number_json_cannot_hold_is_a_spec_error():
+    # A Fraction is a finite real, so it passes the key checks; the canonical
+    # JSON of the spec is what refuses it.
+    with pytest.raises(SpecError, match=re.escape("spec value Fraction(1, 3) is not a JSON")):
+        build_generator({"affine": {"a": Fraction(1, 3), "inner": "log"}})
+
+
+def test_a_numpy_integer_is_a_spec_error():
+    np = pytest.importorskip("numpy")
+    with pytest.raises(SpecError, match="is not a JSON number"):
+        build_generator({"name": "neg-gauss", "dim": np.int64(2)})
+
+
+def test_the_largest_dim_builds():
+    assert build_generator({"name": "neg-gauss", "dim": MAX_DIM}).dim == MAX_DIM
 
 
 # Values each built-in key takes; d > 0 keeps a linear-fractional with c = 0 valid.

@@ -26,6 +26,7 @@ from .core import (
 
 _LOG_MAX = math.log(sys.float_info.max)  # ~709.78, the overflow threshold
 _NORMAL_MIN = sys.float_info.min
+_SMALL_DELTA = 2.0**-10  # power means with |delta| up to this sum expm1 terms
 
 MEAN_KINDS = ("arithmetic", "power", "quasi-arithmetic", "max", "min")
 
@@ -85,17 +86,30 @@ def _validate_weight(alpha: float) -> float:
 
 
 def _power_mean(x: float, y: float, alpha: float, delta: float) -> float:
-    if delta == 0.0:
+    # Below 1e-300 the power mean is the geometric mean to the last bit, and
+    # delta * log(v / m) could be subnormal.
+    if abs(delta) < 1e-300:
         return math.exp((1.0 - alpha) * math.log(x) + alpha * math.log(y))
     # Normalize by the dominating argument so |ratio| <= 1 before powering:
     # max for delta > 0, min for delta < 0.  Underflow of the other term is
     # exactly the max/min limit.
     m = max(x, y) if delta > 0.0 else min(x, y)
+    if abs(delta) <= _SMALL_DELTA:
+        # log(s) / delta would divide the rounding of s by delta.  Each
+        # delta * log(v / m) lies in [-1.43, 0] for positive floats, so the sum
+        # of the expm1 terms is in [-0.76, 0] and log1p cancels nothing.
+        lm = math.log(m)
+        s = ((1.0 - alpha) * math.expm1(delta * (math.log(x) - lm))
+             + alpha * math.expm1(delta * (math.log(y) - lm)))
+        return math.exp(lm + math.log1p(s) / delta)
     # Both ratios^delta are <= 1 by the choice of m, so s <= 1 up to rounding.
     s = min((1.0 - alpha) * _ratio_pow(x, m, delta) + alpha * _ratio_pow(y, m, delta), 1.0)
     if s == 0.0:  # m has weight 0 and the other term underflowed: the mean is the other
         return min(x, y) if delta > 0.0 else max(x, y)
-    return m * math.exp(math.log(s) / delta)
+    z = math.log(s) / delta
+    # Past exp's normal range m * exp(z) overflows or keeps few digits, where
+    # the mean itself may not.
+    return m * math.exp(z) if abs(z) < 708.0 else math.exp(math.log(m) + z)
 
 
 def _ratio_pow(v: float, m: float, delta: float) -> float:

@@ -33,6 +33,22 @@ class TestWeightedMean:
         value = weighted_mean(MeanSpec.power(delta), 1e200, 1e-200, 0.5)
         assert value == pytest.approx(exact, rel=1e-5, abs=0.0)
 
+    @pytest.mark.parametrize("delta, x, y", [(1e-16, 1.0, 4.0), (-1e-16, 1.0, 4.0),
+                                             (1e-20, 1e-300, 1.0), (1e-12, 1.0, 4.0),
+                                             (5e-324, 1.0, 4.0)])
+    def test_a_small_exponent_gives_the_geometric_mean(self, delta, x, y):
+        # Taking log(s) / delta of s = sum of weighted ratio powers divides the
+        # rounding of s by delta: 4.0 for the first case, 1.0 for the third.
+        geo = weighted_mean(MeanSpec.power(0.0), x, y, 0.5)
+        tol = 1e-13 + abs(delta) * math.log(x / y) ** 2  # bounds P_delta / P_0 - 1
+        assert weighted_mean(MeanSpec.power(delta), x, y, 0.5) == pytest.approx(geo, rel=tol)
+
+    @pytest.mark.parametrize("delta", [-1.0, -(2.0**-9)])
+    def test_a_mean_past_exp_of_its_normaliser_stays_finite(self, delta):
+        # The mean is 1e308 = 0.25 * exp(710.6): exp alone overflows.
+        value = weighted_mean(MeanSpec.power(delta), 1e308, 0.25, 0.0)
+        assert value == pytest.approx(1e308, rel=1e-12)
+
     def test_max_min_ignore_weight(self):
         for a in (0.0, 0.3, 1.0):
             assert weighted_mean(MeanSpec.maximum(), 2, 5, a) == 5.0
@@ -143,6 +159,22 @@ class TestWeightedMean:
                     for k in range(11)]
             assert all(b <= a + 1e-15 * top for a, b in zip(errs, errs[1:]))
             assert errs[-1] <= 1e-3 * top
+
+
+SMALL = 2.0**-10  # the largest |delta| the power mean sums as expm1 terms
+NEAR_SMALL = st.sampled_from([s * d for s in (1, -1) for d in (
+    SMALL, math.nextafter(SMALL, 0), math.nextafter(SMALL, 1), 2 * SMALL, 1e-300, 0.0)])
+POSITIVE = st.floats(5e-324, 1.7e308)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(POSITIVE, POSITIVE, st.floats(0.0, 1.0),
+       st.lists(NEAR_SMALL | st.floats(-3 * SMALL, 3 * SMALL), min_size=2, max_size=2))
+def test_the_power_mean_stays_monotone_in_delta_across_its_switch(x, y, a, deltas):
+    d1, d2 = sorted(deltas)
+    p1 = weighted_mean(MeanSpec.power(d1), x, y, a)
+    p2 = weighted_mean(MeanSpec.power(d2), x, y, a)
+    assert p1 <= p2 * (1 + 1e-12)
 
 
 # Catalog generators increasing on the positive reals (linear-fractional below

@@ -287,7 +287,7 @@ def bounded_box(*bounds) -> Box:
 
 def sample_point(rng: random.Random, box: Box) -> Vector:
     """A uniform point of a bounded box: one ``rng.uniform`` per coordinate, in order."""
-    return tuple(rng.uniform(iv.lower, iv.upper) for iv in box.intervals)
+    return tuple([rng.uniform(lo, hi) for lo, hi in box._bounds])
 
 
 # The declared classes, each mapped to the class of the negated generator.

@@ -10,6 +10,7 @@ import ast
 import dataclasses
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -277,6 +278,27 @@ def test_each_suite_draw_evaluates_its_points_once(monkeypatch):
         counts.update(eval=0, grad=0)
         checks.run_suite(suite, 10, 1)
         assert counts == {"eval": 180, "grad": 90}, suite
+
+
+def test_sweep_boxes_hold_what_the_suites_skip_checking():
+    # checks._two hands sample_point's tuples to core._eval without coercing
+    # them: each box has its generator's dimension, is bounded and lies
+    # strictly inside the domain, so every drawn coordinate is a finite float.
+    for g, box in checks.sweep_catalog():
+        assert box.dim == g.dim and box.bounded, g.name
+        for inner, outer in zip(box.intervals, g.domain.intervals):
+            assert outer.lower < inner.lower < inner.upper < outer.upper, g.name
+
+
+def test_sample_point_draws_one_uniform_per_coordinate_in_order():
+    boxes = [box for _, box in checks.sweep_catalog()] + [Box((Interval(-2.0, 3.0),) * 5)]
+    for seed in range(3):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for box in boxes * 4:
+            point = core.sample_point(rng, box)
+            assert type(point) is tuple
+            assert point == tuple(ref.uniform(iv.lower, iv.upper) for iv in box.intervals)
+        assert rng.random() == ref.random()
 
 
 def test_delta_average_coerces_only_its_arguments(monkeypatch):

@@ -39,7 +39,11 @@ def _parse_vector(text: str, flag: str):
 def _load_generator(args):
     if getattr(args, "gen_file", None):
         with open(args.gen_file, "r", encoding="utf-8") as fh:
-            return build_generator(json.load(fh))
+            try:
+                spec = json.load(fh)
+            except RecursionError:  # nested past the decoder's recursion limit
+                raise CliError("--gen-file: the JSON nests too deeply to decode") from None
+        return build_generator(spec)
     if getattr(args, "gen", None):
         return build_generator(args.gen)
     raise CliError("this divergence needs a generator: pass --gen or --gen-file")

@@ -474,8 +474,10 @@ def build_generator(spec) -> Generator:
       {"affine": {"a": >0, "b": 0, "inner": spec}} or {"negate": spec}
       {"separable": [spec, ...]} of 1-D component specs
     Any other key, a numeric key that is not a finite number (text, bool and
-    null included), a number JSON cannot hold, or a dim that is not a whole
-    number from 1 to MAX_DIM (10000), raises SpecError.
+    null included), a number JSON cannot hold, a dim that is not a whole
+    number from 1 to MAX_DIM (10000), a separable list of more than MAX_DIM
+    specs, or a spec nested more than MAX_DEPTH (32) levels deep raises
+    SpecError.
     """
     spec = _parse(spec)
     g = _build(spec)
@@ -502,6 +504,8 @@ def _parse(spec):
                 return json.loads(text)
             except ValueError as e:  # JSONDecodeError, or an integer past the digit limit
                 raise SpecError(f"invalid generator spec JSON: {e}") from None
+            except RecursionError:  # nested past the decoder's recursion limit
+                raise SpecError("invalid generator spec JSON: nests too deeply to decode") from None
         return {"name": text}
     return spec
 
@@ -511,20 +515,23 @@ def _parse(spec):
 def _only(obj: dict, keys, where: str) -> None:
     for key in obj:
         if key not in keys:
-            raise SpecError(f"{where} takes only the keys {list(keys)}, not {key!r}")
+            raise SpecError(f"{where} takes only the keys {list(keys)}, not {_shown(key)}")
 
 
-def _shown(value) -> str:
-    """repr(value), or a stand-in for an int past Python's int-to-str digit limit."""
+def _shown(value, form=repr) -> str:
+    """form(value), or a stand-in for an int past Python's int-to-str digit limit
+    or a container nested past the recursion limit."""
     try:
-        return repr(value)
-    except ValueError:
+        return form(value)
+    except (ValueError, RecursionError):
         return f"<{type(value).__name__} too long to print>"
 
 
-# A domain holds one Interval per coordinate, so a larger dim is refused
-# before anything is built.
+# A domain holds one Interval per coordinate, so a larger dim, or a separable
+# list of more components, is refused before anything is built.
 MAX_DIM = 10_000
+# Each level of a spec is one recursive _build call.
+MAX_DEPTH = 32
 
 
 def _dim(name: str, value) -> int:
@@ -545,14 +552,14 @@ def _real(form: str, key: str, value) -> float:
     raise SpecError(f"{form} {key} must be a finite number, got {_shown(value)}")
 
 
-def _affine(obj) -> Generator:
+def _affine(obj, depth: int) -> Generator:
     if not isinstance(obj, dict) or "inner" not in obj or "a" not in obj:
         raise SpecError('affine spec needs {"a": >0, "b": real, "inner": spec}')
     a = _real("affine", "a", obj["a"])
     b = _real("affine", "b", obj.get("b", 0.0))
     if not a > 0.0:
         raise SpecError(f"affine wrap requires a > 0, got {a}")
-    inner = _build(obj["inner"])
+    inner = _build(obj["inner"], depth)
     _only(obj, ("a", "b", "inner"), "affine object")
     ie, ig = inner.eval, inner.grad
     grad = None if ig is None else (lambda t: tuple(a * c for c in ig(t)))
@@ -560,18 +567,20 @@ def _affine(obj) -> Generator:
                      inner.declared_class, name=f"affine({a},{b},{inner.name})")
 
 
-def _negate(inner_spec) -> Generator:
-    inner = _build(inner_spec)
+def _negate(inner_spec, depth: int) -> Generator:
+    inner = _build(inner_spec, depth)
     ie, ig = inner.eval, inner.grad
     grad = None if ig is None else (lambda t: tuple(-c for c in ig(t)))
     return Generator(inner.dim, lambda t: -ie(t), inner.domain, grad,
                      _NEGATED_CLASS[inner.declared_class], name=f"neg({inner.name})")
 
 
-def _separable(items) -> Generator:
+def _separable(items, depth: int) -> Generator:
     if not isinstance(items, (list, tuple)) or not items:
         raise SpecError("separable spec needs a non-empty list of 1-D specs")
-    comps = [_build(item) for item in items]
+    if len(items) > MAX_DIM:
+        raise SpecError(f"separable spec takes at most {MAX_DIM} components, got {len(items)}")
+    comps = [_build(item, depth) for item in items]
     for g in comps:
         if g.dim != 1:
             raise SpecError(f"separable component {g.name!r} must be 1-D, has dim {g.dim}")
@@ -615,7 +624,11 @@ _BUILTINS = {
 _COMBINATORS = {"affine": _affine, "negate": _negate, "separable": _separable}
 
 
-def _build(spec) -> Generator:
+def _build(spec, depth: int = 1) -> Generator:
+    """The generator of a spec at nesting level ``depth``: a combinator's value
+    is one level deeper than the combinator."""
+    if depth > MAX_DEPTH:
+        raise SpecError(f"generator spec nests deeper than {MAX_DEPTH} levels")
     spec = _parse(spec)
     if not isinstance(spec, dict):
         raise SpecError(f"generator spec must be a dict or name, got {type(spec).__name__}")
@@ -623,15 +636,16 @@ def _build(spec) -> Generator:
     tags = [k for k in forms if k in spec]
     if len(tags) != 1:
         raise SpecError(
-            f"generator spec needs exactly one of {'/'.join(forms)}, got {sorted(spec, key=str)}")
+            f"generator spec needs exactly one of {'/'.join(forms)}, got "
+            f"[{', '.join(map(_shown, sorted(spec, key=lambda k: _shown(k, str))))}]")
     tag = tags[0]
     if tag != "name":
-        g = _COMBINATORS[tag](spec[tag])
+        g = _COMBINATORS[tag](spec[tag], depth + 1)
         _only(spec, (tag,), f"spec {tag!r}")
         return g
     name = spec["name"]
     if not isinstance(name, str) or name not in _BUILTINS:
-        raise SpecError(f"unknown generator name {name!r}")
+        raise SpecError(f"unknown generator name {_shown(name)}")
     entry, keys = _BUILTINS[name]
     params = {k: _dim(name, spec.get(k, v)) if k == "dim" else _real(name, k, spec.get(k, v))
               for k, v in keys.items()}

@@ -135,6 +135,14 @@ class TestEval:
         assert (r.returncode, r.stdout) == (2, b"")
         assert r.stderr == b"qcdiv: error: neg-gauss dim must be at most 10000, got 10001\n"
 
+    def test_a_gen_file_nested_past_the_decoder_exits_2(self, tmp_path):
+        spec = tmp_path / "deep.json"
+        spec.write_text('{"negate": ' * 5000 + '"log"' + "}" * 5000)
+        r = run_cli("eval", "--div", "qcvx-bregman", "--gen-file", str(spec),
+                    "--theta", "1", "--theta-prime", "2")
+        assert (r.returncode, r.stdout) == (2, b"")
+        assert r.stderr == b"qcdiv: error: --gen-file: the JSON nests too deeply to decode\n"
+
 
 class TestLimitStudyCommand:
     def test_log_converges_exit_zero(self):

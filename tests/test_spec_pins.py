@@ -15,7 +15,13 @@ import json
 import pytest
 
 import pins
-from qcdiv.core import _BUILTINS, MAX_DIM, build_generator, eval_generator, gradient
+from qcdiv.core import _BUILTINS, MAX_DEPTH, MAX_DIM, build_generator, eval_generator, gradient
+
+
+def negations(levels: int) -> str:
+    """JSON text of a spec ``levels`` deep: log under ``levels - 1`` negations."""
+    return '{"negate": ' * (levels - 1) + '"log"' + "}" * (levels - 1)
+
 
 NESTED = {
     "affine of log": {"affine": {"a": 2, "b": 1, "inner": "log"}},
@@ -70,6 +76,15 @@ ERRORS = {
     "two tags": {"name": "log", "negate": "log"},
     "no tag": {},
     "invalid JSON": '{"name": "log"',
+    # Refused before the level past the cap, or the component past MAX_DIM, is built.
+    "nested one past the depth cap": json.loads(negations(MAX_DEPTH + 1)),
+    "nested 500 deep as JSON text": negations(500),
+    "JSON text nested past the decoder's limit": negations(5000),
+    "separable past the maximum": {"separable": ["log"] * (MAX_DIM + 1)},
+    # Keys and names past the int-to-str digit limit are shown by a stand-in.
+    "an int key past the digit limit next to a name": {"name": "log", 10**5000: 1},
+    "an int key past the digit limit without a tag": {10**5000: 1},
+    "a name past the digit limit": {"name": 10**5000},
 }
 
 

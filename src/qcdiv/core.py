@@ -89,7 +89,9 @@ _TIE_REL_TOL = 1e-12
 
 
 def _tie_sensitive(a: float, b: float) -> bool:
-    return abs(a - b) <= _TIE_REL_TOL * max(abs(a), abs(b))
+    # The band is infinite when either value is, and a finite and an
+    # infinite value are never a near-tie.
+    return abs(a - b) <= _TIE_REL_TOL * max(abs(a), abs(b)) < math.inf
 
 
 def _fmt(value: float, mode: str = "csv") -> str:

@@ -17,6 +17,7 @@ from .core import (
     NonPositiveError,
     RangeError,
     _Frozen,
+    _check_finite,
     _eval,
     _gradient,
     _in_range,
@@ -27,6 +28,10 @@ from .core import (
 _LOG_MAX = math.log(sys.float_info.max)  # ~709.78, the overflow threshold
 _NORMAL_MIN = sys.float_info.min
 _SMALL_DELTA = 2.0**-10  # power means with |delta| up to this sum expm1 terms
+# The quasi-arithmetic inverse: secant steps that leave more than half the
+# bracket before bisection takes over, and how far inside an end it probes.
+_SLOW_STEPS = 8
+_PROBE_ULPS = 4.0
 
 MEAN_KINDS = ("arithmetic", "power", "quasi-arithmetic", "max", "min")
 
@@ -35,7 +40,9 @@ class MeanSpec(_Frozen):
     """A weighted bivariate mean: arithmetic, power(delta), quasi-arithmetic(f), max, or min.
 
     power(0) is the geometric mean; quasi-arithmetic needs a strictly
-    increasing 1-D generator f, inverted by bracketed bisection.
+    increasing 1-D generator f, inverted by bracketed regula falsi (Illinois)
+    finished by bisection: about 10 evaluations of f per mean, and
+    bisection's float whenever f is non-decreasing.
     """
 
     _fields = ("kind", "delta", "f")
@@ -124,7 +131,15 @@ def _qa_inverse(f: Generator, target: float, lo: float, hi: float,
                 flo: float, fhi: float) -> float:
     """Solve f(z) = target for z in [lo, hi], where flo, fhi = f(lo), f(hi).
 
-    Bisects until the midpoint rounds to an end, that is down to adjacent floats.
+    Every step keeps the bracket f(lo) < target <= f(hi).  Regula falsi with
+    the Illinois rule (Dowell and Jarratt, BIT 11, 1971) narrows it while its
+    point falls strictly inside, up to _SLOW_STEPS slow steps; then one probe
+    _PROBE_ULPS inside the end it moved last, and bisection down to adjacent
+    floats.  For arguments in [0.05, 20] that is about 10 evaluations of f
+    for log, sqrt and cubic and 4 for linear, where bisection alone takes
+    about 52.  When f is non-decreasing on the floats of [lo, hi] the
+    crossing is unique, so the result is bisection's float; the count exceeds
+    bisection's by at most the _SLOW_STEPS budget and a few steps.
     """
     fe = f.eval
     if not flo <= fhi:
@@ -137,6 +152,35 @@ def _qa_inverse(f: Generator, target: float, lo: float, hi: float,
         return lo
     if target >= fhi:
         return hi
+    # glo < 0 <= ghi are f - target at the ends; the end that stays put twice
+    # in a row has its value halved.  A step that leaves more than half the
+    # bracket is slow; slow steps are budgeted, so that a secant crawling
+    # across many decades falls back to bisection.
+    glo, ghi, side, slow = flo - target, fhi - target, 0, _SLOW_STEPS
+    while glo < 0.0 < ghi and slow:
+        z = lo + glo / (glo - ghi) * (hi - lo)
+        if not lo < z < hi:  # rounded onto an end, or NaN
+            break
+        width = hi - lo
+        gz = fe((z,)) - target
+        if gz < 0.0:
+            lo, glo = z, gz
+            if side < 0:
+                ghi *= 0.5
+            side = -1
+        else:
+            hi, ghi = z, gz
+            if side > 0:
+                glo *= 0.5
+            side = 1
+        if hi - lo > 0.5 * width:
+            slow -= 1
+    p = lo + _PROBE_ULPS * math.ulp(lo) if side < 0 else hi - _PROBE_ULPS * math.ulp(hi)
+    if lo < p < hi:
+        if fe((p,)) < target:
+            lo = p
+        else:
+            hi = p
     # Halving each end first keeps the midpoint of two huge ends finite.
     while True:
         mid = 0.5 * lo + 0.5 * hi
@@ -151,12 +195,14 @@ def _qa_inverse(f: Generator, target: float, lo: float, hi: float,
 def weighted_mean(spec: MeanSpec, x: float, y: float, alpha: float) -> float:
     """Evaluate the weighted mean M_alpha(x, y); alpha in [0, 1].
 
-    Power and quasi-arithmetic kinds require strictly positive arguments.
+    Every kind raises DomainError for a non-finite argument; power and
+    quasi-arithmetic kinds also require strictly positive arguments.
     The result is clamped into [min(x, y), max(x, y)] so in-betweenness holds
     exactly despite rounding.
     """
     a = _validate_weight(alpha)
     x, y = float(x), float(y)
+    _check_finite((x, y))
     if spec.kind == "arithmetic":
         return (1.0 - a) * x + a * y
     if spec.kind == "max":

@@ -13,6 +13,7 @@ import operator
 from typing import NamedTuple
 
 from .core import (
+    DomainError,
     ExtReal,
     Generator,
     PreconditionError,
@@ -76,10 +77,21 @@ class PowerNested(_Frozen):
         lo, hi = self.support()
         if not lo < x < hi:
             return 0.0
-        return self.alpha * x ** (self.alpha - 1.0) * math.exp(-self.theta * self.alpha)
+        # The density is at most alpha * e^-theta; a product past that, or
+        # one that raised, overflowed on the way, and the log form has it.
+        try:
+            p = self.alpha * x ** (self.alpha - 1.0) * math.exp(-self.theta * self.alpha)
+            if p < math.inf:
+                return p
+        except OverflowError:
+            pass
+        return math.exp(self.log_pdf(x))
 
     def log_pdf(self, x: float) -> float:
-        return math.log(self.alpha) + (self.alpha - 1.0) * math.log(x) - self.theta * self.alpha
+        """The log of the density formula at a finite x > 0; the support is not checked."""
+        if 0.0 < x < math.inf:
+            return math.log(self.alpha) + (self.alpha - 1.0) * math.log(x) - self.theta * self.alpha
+        raise DomainError(f"log_pdf needs a finite x > 0, got {x!r}")
 
 
 # The nested-support KL kernel takes the points as given: it checks theta and

@@ -1,11 +1,14 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcdiv import means
 from qcdiv.core import DimensionError, NonPositiveError, RangeError, build_generator
 from qcdiv.jensen import extended_jensen, qcvx_jensen
 from qcdiv.means import (
@@ -199,6 +202,86 @@ def test_the_quasi_arithmetic_target_rounds_only_within_the_bracket(case, data, 
     target = (1.0 - a) * fx + a * fy
     assert flo - 1e-12 * (1.0 + abs(flo)) <= target <= fhi + 1e-12 * (1.0 + abs(fhi))
     assert min(x, y) <= weighted_mean(MeanSpec.quasi_arithmetic(f), x, y, a) <= max(x, y)
+
+
+def ref_qa_inverse(f, target: float, lo: float, hi: float,
+                   flo: float, fhi: float) -> float:
+    """Solve f(z) = target for z in [lo, hi], where flo, fhi = f(lo), f(hi).
+
+    Bisects until the midpoint rounds to an end, that is down to adjacent floats.
+    """
+    fe = f.eval
+    if not flo <= fhi:
+        raise NonPositiveError(
+            f"quasi-arithmetic generator {f.name or '?'} is not increasing on [{lo}, {hi}]"
+        )
+    # The target is a convex combination of flo and fhi, so past either end
+    # it is only rounding.
+    if target <= flo:
+        return lo
+    if target >= fhi:
+        return hi
+    # Halving each end first keeps the midpoint of two huge ends finite.
+    while True:
+        mid = 0.5 * lo + 0.5 * hi
+        if mid <= lo or mid >= hi:
+            return mid
+        if fe((mid,)) < target:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _counted_qa(spec):
+    """The quasi-arithmetic mean of spec's generator, and a list counting its evaluations."""
+    g = build_generator(spec)
+    count = [0]
+
+    def ev(t):
+        count[0] += 1
+        return g.eval(t)
+
+    return MeanSpec.quasi_arithmetic(dataclasses.replace(g, eval=ev)), count
+
+
+# Increasing generators with the largest argument at which each stays finite
+# (past it the call raises before any inversion).
+SAME_FLOAT = [("log", 1e300), ("linear", 1e300), ("sqrt", 1e300), ("cubic", 5e102),
+              ('{"affine": {"a": 2, "b": 1, "inner": "log"}}', 1e300)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.sampled_from(SAME_FLOAT), st.data(), WEIGHTS)
+def test_the_quasi_arithmetic_inverse_returns_the_bisection_float(case, data, a):
+    # ref_qa_inverse is the bisection the secant inverse replaced, verbatim.
+    # Both run on one generator that counts its evaluations.
+    spec, top = case
+    qa, count = _counted_qa(spec)
+    arg = (st.floats(1e-300, top) | st.sampled_from([1e-300, 1.0, top])
+           | st.floats(-300.0, math.log10(top)).map(lambda e: 10.0**e))
+    x = data.draw(arg)
+    near = st.sampled_from([x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)])
+    y = data.draw(near | arg)
+    value = weighted_mean(qa, x, y, a)
+    evals, count[0] = count[0], 0
+    with mock.patch.object(means, "_qa_inverse", ref_qa_inverse):
+        ref = weighted_mean(qa, x, y, a)
+    assert value.hex() == ref.hex()
+    # Past bisection's count: 8 slow secant steps, the probe, and a step each
+    # phase can lose to where its bracket ends fall.
+    assert evals <= count[0] + 11
+
+
+@pytest.mark.parametrize("spec, per_mean", [("log", 13), ("sqrt", 13), ("cubic", 13),
+                                            ("linear", 6)])
+def test_the_quasi_arithmetic_inverse_costs_about_ten_evaluations(spec, per_mean):
+    # Arguments as the means suite draws them; per_mean counts f at x and y
+    # too.  Bisection alone made about 54 evaluations per mean here.
+    qa, count = _counted_qa(spec)
+    rng = random.Random(0)
+    for _ in range(500):
+        weighted_mean(qa, rng.uniform(0.05, 20.0), rng.uniform(0.05, 20.0), rng.random())
+    assert count[0] <= 500 * per_mean
 
 
 class TestMnJensen:

@@ -8,6 +8,7 @@ from qcdiv.core import (
     DomainError,
     PreconditionError,
     RangeError,
+    _tie_sensitive,
     bounded_box,
     build_generator,
     real_line,
@@ -100,6 +101,27 @@ class TestDensities:
     def test_pdf_is_zero_on_the_open_support_ends(self, density):
         assert density.pdf(0.0) == 0.0
         assert density.pdf(math.exp(density.theta)) == 0.0
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, -1.0, -math.inf, math.nan, math.inf])
+    def test_power_log_pdf_outside_zero_to_inf_is_a_domain_error(self, x):
+        # math.log(x) raised a bare "math domain error" for x <= 0.
+        with pytest.raises(DomainError, match="log_pdf needs a finite x > 0, got"):
+            PowerNested(2.5, 1.0).log_pdf(x)
+
+    @pytest.mark.parametrize("alpha, theta, x", [(2.5, 700.0, 1e300), (2.5, 700.0, 2e205),
+                                                 (100.0, 7.2, 1290.0), (100.0, 7.2, 1300.0)])
+    def test_power_pdf_past_the_direct_product_uses_the_log_form(self, alpha, theta, x):
+        # x^(alpha-1) raised OverflowError (1e300, 1300) or alpha * x^(alpha-1)
+        # overflowed to inf, which the exponential turned into inf or NaN.
+        p = PowerNested(alpha, theta)
+        assert p.pdf(x) == math.exp(p.log_pdf(x))
+
+    def test_power_pdf_keeps_the_direct_product(self):
+        rng = random.Random(13)
+        for _ in range(200):
+            p = PowerNested(rng.uniform(1.2, 4), rng.uniform(0.3, 2.5))
+            x = rng.uniform(0.0, math.exp(p.theta))
+            assert p.pdf(x) == p.alpha * x ** (p.alpha - 1.0) * math.exp(-p.theta * p.alpha)
 
     def test_power_pdf_normalizes(self):
         rng = random.Random(7)
@@ -259,3 +281,14 @@ class TestTiePolicy:
                 assert expected == (k < 10**6)
                 assert kl_nested_uniform(a, b).tie_sensitive == expected
                 assert kl_power_nested(2.5, a, b).tie_sensitive == expected
+
+    @pytest.mark.parametrize("a, b", [(1.0, math.inf), (math.inf, 1.0), (1.7e308, math.inf),
+                                      (-1.0, -math.inf), (math.inf, math.inf)])
+    def test_an_infinite_value_is_no_near_tie(self, a, b):
+        # The 1e-12 band around an infinite value is infinite, so inf - 1.0
+        # used to fall inside it.
+        assert not _tie_sensitive(a, b)
+
+    def test_an_infinite_theta_p_is_no_near_tie(self):
+        for v in (kl_nested_uniform(1.0, math.inf), kl_power_nested(2.0, 1.0, math.inf)):
+            assert float(v) == math.inf and not v.tie_sensitive

@@ -1,0 +1,88 @@
+"""Totality rows: a public entry point returns a valid float or raises a typed error.
+
+Each row of ``ROWS`` names an entry point, the call and the edge values of
+each argument: finite, boundary, huge, NaN and infinite floats.  Every
+combination of edge values is called, and then draws that mix them with any
+float.
+A call must return a finite float, or +inf where its row documents it, or
+raise a ``ValueError`` with the library's own message: one of the
+``qcdiv.core`` subclasses, or a plain ``ValueError`` from an argument check.
+It never returns NaN or -inf, and never raises ``OverflowError``,
+``ZeroDivisionError`` or a bare "math domain error".
+
+The density table holds valid parameters whose log density stays in the
+floats.  The constructors still accept parameters past that, an infinite
+theta or an alpha * theta past the floats, and log_pdf then returns -inf:
+an open defect, not a row.
+"""
+
+import itertools
+import math
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qcdiv.core import build_generator
+from qcdiv.means import MeanSpec, weighted_mean
+from qcdiv.statdiv import NestedUniform, PowerNested
+
+MAX = sys.float_info.max
+# 2e205 and 1290.0 are where alpha * x^(alpha-1) overflows without raising
+# for PowerNested(2.5, 700.0) and PowerNested(100.0, 7.2).
+EDGE = (0.0, -0.0, 5e-324, 1e-300, 0.3, 1.0, 2.5, 1290.0, 2e205, 1e300, MAX,
+        -1.0, -1e300, -MAX, math.nan, math.inf, -math.inf)
+WEIGHT = (0.0, 1.0, 0.5, 5e-324, 1.0 - 2.0**-53, math.nan, math.inf, -1.0)
+STRAY = ("math domain error", "math range error")
+
+QA_LOG = MeanSpec.quasi_arithmetic(build_generator("log"))
+DENSITIES = (NestedUniform(1e-300), NestedUniform(1.0), NestedUniform(709.0),
+             NestedUniform(1e300), PowerNested(1.0 + 2.0**-52, 1e-300), PowerNested(2.5, 1.0),
+             PowerNested(2.5, 700.0), PowerNested(100.0, 7.2), PowerNested(1e300, 1.0),
+             PowerNested(2.0, 1e300))
+
+# (label, call, the edge values of each argument, +inf documented)
+ROWS = [
+    ("weighted_mean arithmetic",
+     lambda x, y, a: weighted_mean(MeanSpec.arithmetic(), x, y, a), (EDGE, EDGE, WEIGHT), False),
+    ("weighted_mean power",
+     lambda d, x, y, a: weighted_mean(MeanSpec.power(d), x, y, a),
+     (EDGE, EDGE, EDGE, WEIGHT), False),
+    ("weighted_mean quasi-arithmetic",
+     lambda x, y, a: weighted_mean(QA_LOG, x, y, a), (EDGE, EDGE, WEIGHT), False),
+    ("weighted_mean max",
+     lambda x, y, a: weighted_mean(MeanSpec.maximum(), x, y, a), (EDGE, EDGE, WEIGHT), False),
+    ("weighted_mean min",
+     lambda x, y, a: weighted_mean(MeanSpec.minimum(), x, y, a), (EDGE, EDGE, WEIGHT), False),
+    ("pdf", lambda p, x: p.pdf(x), (DENSITIES, EDGE), False),
+    ("log_pdf", lambda p, x: p.log_pdf(x), (DENSITIES, EDGE), False),
+]
+IDS = [row[0] for row in ROWS]
+
+
+def assert_total(label, call, args, inf_ok):
+    try:
+        value = call(*args)
+    except ValueError as e:
+        assert type(e) is ValueError or type(e).__module__ == "qcdiv.core", (label, args, e)
+        assert str(e) not in STRAY, (label, args, e)
+        return
+    assert type(value) is float, (label, args, value)
+    assert math.isfinite(value) or (inf_ok and value == math.inf), (label, args, value)
+
+
+@pytest.mark.parametrize("label, call, edges, inf_ok", ROWS, ids=IDS)
+def test_every_combination_of_edge_arguments(label, call, edges, inf_ok):
+    for args in itertools.product(*edges):
+        assert_total(label, call, args, inf_ok)
+
+
+@pytest.mark.parametrize("label, call, edges, inf_ok", ROWS, ids=IDS)
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(data=st.data())
+def test_any_float_argument(label, call, edges, inf_ok, data):
+    # Float arguments are drawn from all floats too; the others from their edges.
+    args = [data.draw(st.sampled_from(e) | st.floats() if type(e[0]) is float
+                      else st.sampled_from(e)) for e in edges]
+    assert_total(label, call, args, inf_ok)

@@ -37,7 +37,7 @@ from qcdiv.core import (
     eval_generator,
 )
 from qcdiv.jensen import extended_jensen, log_ratio_gap, qccv_jensen, qcvx_jensen
-from qcdiv.means import MeanSpec, mn_jensen, power_mean_jensen, r_power_bregman
+from qcdiv.means import MeanSpec, mn_jensen, power_mean_jensen, r_power_bregman, weighted_mean
 from qcdiv.statdiv import (
     ExpFamily,
     expfam_cross_entropy,
@@ -217,6 +217,12 @@ WORK_PER_CALL = [
     ("extended_bregman finite", "log", lambda g: extended_bregman(g, 1.0, 2.0), 2, 1),
     ("mn_jensen", "quadratic", lambda g: mn_jensen(g, ARITH, ARITH, 0.3, 1.0, 2.0), 3, 0),
     ("power_mean_jensen", "quadratic", lambda g: power_mean_jensen(g, 2.0, 0.3, 1.0, 2.0), 3, 0),
+    # f at both arguments, then the inverse: regula falsi, one probe and the
+    # last bisection steps, where bisection alone took 52 evaluations.
+    ("weighted_mean qa(log)", "log",
+     lambda g: weighted_mean(MeanSpec.quasi_arithmetic(g), 1.0, 2.0, 0.3), 13, 0),
+    ("weighted_mean qa(linear)", "linear",
+     lambda g: weighted_mean(MeanSpec.quasi_arithmetic(g), 1.0, 2.0, 0.3), 6, 0),
     ("r_power_bregman", "quadratic", lambda g: r_power_bregman(g, 2.0, 1.0, 2.0), 2, 1),
     ("qcvx_bregman_from_kl", "quadratic",
      lambda g: qcvx_bregman_from_kl(ExpFamily(g), 2.0, 1.0), 2, 1),

@@ -32,46 +32,27 @@ from .core import (
 from .bregman import _branch, _bregman
 
 
-# The support (0, e^theta) of both densities; RangeError when e^theta leaves the floats.
-def _support(theta: float) -> tuple:
-    try:
-        return (0.0, math.exp(theta))
-    except OverflowError:
-        raise RangeError(f"the support (0, e^theta) leaves the floats: theta = {theta!r}") from None
+# The argument check of PowerNested and kl_power_nested, which shows alpha as given.
+def _alpha(alpha) -> float:
+    a = float(alpha)
+    if not a > 1.0:
+        raise ValueError(f"power family exponent alpha must be > 1, got {alpha}")
+    return a
 
 
-class NestedUniform(_Frozen):
-    """Uniform density on (0, e^theta): p(x) = exp(-theta) there, 0 elsewhere."""
-
-    _fields = ("theta",)
-
-    def __init__(self, theta: float):
-        object.__setattr__(self, "theta", _validate_positive("theta", theta))
-
-    def support(self):
-        return _support(self.theta)
-
-    def pdf(self, x: float) -> float:
-        lo, hi = self.support()
-        return math.exp(-self.theta) if lo < x < hi else 0.0
-
-    def log_pdf(self, x: float) -> float:
-        return -self.theta
-
-
-class PowerNested(_Frozen):
-    """Density alpha * x^(alpha-1) * exp(-theta*alpha) on (0, e^theta), alpha > 1."""
-
-    _fields = ("alpha", "theta")
+class _PowerFamily(_Frozen):
+    """Density alpha * x^(alpha-1) * exp(-theta*alpha) on (0, e^theta), alpha >= 1."""
 
     def __init__(self, alpha: float, theta: float):
-        if not float(alpha) > 1.0:
-            raise ValueError(f"power family exponent alpha must be > 1, got {alpha}")
-        object.__setattr__(self, "alpha", float(alpha))
+        object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "theta", _validate_positive("theta", theta))
 
     def support(self):
-        return _support(self.theta)
+        """(0, e^theta); RangeError when e^theta leaves the floats."""
+        try:
+            return (0.0, math.exp(self.theta))
+        except OverflowError:
+            raise RangeError(f"the support (0, e^theta) leaves the floats: theta = {self.theta!r}") from None
 
     def pdf(self, x: float) -> float:
         lo, hi = self.support()
@@ -94,6 +75,24 @@ class PowerNested(_Frozen):
         raise DomainError(f"log_pdf needs a finite x > 0, got {x!r}")
 
 
+class NestedUniform(_PowerFamily):
+    """Uniform density on (0, e^theta): p(x) = exp(-theta) there, 0 elsewhere (alpha = 1)."""
+
+    _fields = ("theta",)
+
+    def __init__(self, theta: float):
+        super().__init__(1.0, theta)
+
+
+class PowerNested(_PowerFamily):
+    """Density alpha * x^(alpha-1) * exp(-theta*alpha) on (0, e^theta), alpha > 1."""
+
+    _fields = ("alpha", "theta")
+
+    def __init__(self, alpha: float, theta: float):
+        super().__init__(_alpha(alpha), theta)
+
+
 # The nested-support KL kernel takes the points as given: it checks theta and
 # theta_p before it compares them.  kl_nested_uniform is its own kernel.  It is
 # the branch rule of the quasiconvex Bregman divergence on the identity.
@@ -114,12 +113,9 @@ def kl_nested_uniform(theta: float, theta_p: float) -> ExtReal:
     return _kl_power_nested(1.0, theta, theta_p)
 
 
-# The argument check of kl_power_nested: alpha > 1.
+# The argument check of kl_power_nested, which shows alpha as a float.
 def _exponent(fn: str, alpha: float) -> tuple:
-    a = float(alpha)
-    if not a > 1.0:
-        raise ValueError(f"power family exponent alpha must be > 1, got {a}")
-    return (a,)
+    return (_alpha(float(alpha)),)
 
 
 def kl_power_nested(alpha: float, theta: float, theta_p: float) -> ExtReal:

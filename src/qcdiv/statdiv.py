@@ -44,24 +44,35 @@ class _PowerFamily(_Frozen):
     """Density alpha * x^(alpha-1) * exp(-theta*alpha) on (0, e^theta), alpha >= 1."""
 
     def __init__(self, alpha: float, theta: float):
+        t = _validate_positive("theta", theta)
+        # On the floats log x > -745, so |log density| < alpha * (theta + 745).
+        if not math.isfinite(alpha * (t + 745.0)):
+            raise RangeError(f"the log density leaves the floats: alpha = {alpha!r}, theta = {t!r}")
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "theta", _validate_positive("theta", theta))
+        object.__setattr__(self, "theta", t)
+        # Per-call constants, computed once: e^theta (inf past the floats),
+        # log alpha and theta * alpha.
+        try:
+            hi = math.exp(t)
+        except OverflowError:
+            hi = math.inf
+        object.__setattr__(self, "_hi", hi)
+        object.__setattr__(self, "_log_alpha", math.log(alpha))
+        object.__setattr__(self, "_theta_alpha", t * alpha)
 
     def support(self):
         """(0, e^theta); RangeError when e^theta leaves the floats."""
-        try:
-            return (0.0, math.exp(self.theta))
-        except OverflowError:
-            raise RangeError(f"the support (0, e^theta) leaves the floats: theta = {self.theta!r}") from None
+        if self._hi < math.inf:
+            return (0.0, self._hi)
+        raise RangeError(f"the support (0, e^theta) leaves the floats: theta = {self.theta!r}")
 
     def pdf(self, x: float) -> float:
-        lo, hi = self.support()
-        if not lo < x < hi:
+        if not 0.0 < x < self._hi:
             return 0.0
         # The density is at most alpha * e^-theta; a product past that, or
         # one that raised, overflowed on the way, and the log form has it.
         try:
-            p = self.alpha * x ** (self.alpha - 1.0) * math.exp(-self.theta * self.alpha)
+            p = self.alpha * x ** (self.alpha - 1.0) * math.exp(-self._theta_alpha)
             if p < math.inf:
                 return p
         except OverflowError:
@@ -69,10 +80,10 @@ class _PowerFamily(_Frozen):
         return math.exp(self.log_pdf(x))
 
     def log_pdf(self, x: float) -> float:
-        """The log of the density formula at a finite x > 0; the support is not checked."""
-        if 0.0 < x < math.inf:
-            return math.log(self.alpha) + (self.alpha - 1.0) * math.log(x) - self.theta * self.alpha
-        raise DomainError(f"log_pdf needs a finite x > 0, got {x!r}")
+        """The log density at x in (0, e^theta); DomainError elsewhere, where the density is 0."""
+        if 0.0 < x < self._hi:
+            return self._log_alpha + (self.alpha - 1.0) * math.log(x) - self._theta_alpha
+        raise DomainError(f"log_pdf needs x in (0, e^theta) = (0.0, {self._hi!r}), got {x!r}")
 
 
 class NestedUniform(_PowerFamily):

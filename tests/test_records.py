@@ -22,6 +22,7 @@ from qcdiv import (
     PowerNested,
     QuadratureResult,
     QuasiconvexityReport,
+    RangeError,
     SuiteResult,
     ViolationWitness,
     build_generator,
@@ -139,6 +140,13 @@ INVALID = [
     (lambda: PowerNested(1, 1), ValueError, "power family exponent alpha must be > 1, got 1"),
     (lambda: PowerNested(2.0, 0.0), ValueError, "theta must be > 0, got 0.0"),
     (lambda: PowerNested(1.0, -1.0), ValueError, "power family exponent alpha must be > 1, got 1.0"),
+    # Parameters whose log density leaves the floats: log_pdf returned -inf.
+    (lambda: NestedUniform(math.inf), RangeError,
+     "the log density leaves the floats: alpha = 1.0, theta = inf"),
+    (lambda: PowerNested(2.0, 1e308), RangeError,
+     "the log density leaves the floats: alpha = 2.0, theta = 1e+308"),
+    (lambda: PowerNested(1.7976931348623157e308, 1e-300), RangeError,
+     "the log density leaves the floats: alpha = 1.7976931348623157e+308, theta = 1e-300"),
 ]
 
 

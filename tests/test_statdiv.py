@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 
 import pytest
@@ -105,8 +106,25 @@ class TestDensities:
     @pytest.mark.parametrize("x", [0.0, -0.0, -1.0, -math.inf, math.nan, math.inf])
     def test_power_log_pdf_outside_zero_to_inf_is_a_domain_error(self, x):
         # math.log(x) raised a bare "math domain error" for x <= 0.
-        with pytest.raises(DomainError, match="log_pdf needs a finite x > 0, got"):
+        message = f"log_pdf needs x in (0, e^theta) = (0.0, {math.exp(1.0)!r}), got {x!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             PowerNested(2.5, 1.0).log_pdf(x)
+
+    @pytest.mark.parametrize("density", [NestedUniform(1.0), PowerNested(2.5, 1.0)])
+    @pytest.mark.parametrize("x", [-5.0, math.exp(1.0), 10.0, math.nan])
+    def test_log_pdf_outside_the_support_is_a_domain_error(self, density, x):
+        # The density is 0 there; log_pdf returned -theta or a finite log.
+        assert density.pdf(x) == 0.0
+        with pytest.raises(DomainError, match=r"^log_pdf needs x in \(0, e\^theta\)"):
+            density.log_pdf(x)
+
+    def test_log_pdf_past_the_largest_support_needs_only_x_finite(self):
+        # e^theta is inf for theta past about 709.78: support() raises, the density does not.
+        p = PowerNested(2.0, 800.0)
+        assert p.log_pdf(1e300) == math.log(2.0) + math.log(1e300) - 1600.0
+        assert p.pdf(1.0) == 0.0 and NestedUniform(800.0).log_pdf(sys.float_info.max) == -800.0
+        with pytest.raises(DomainError, match=r"= \(0\.0, inf\), got inf$"):
+            p.log_pdf(math.inf)
 
     @pytest.mark.parametrize("alpha, theta, x", [(2.5, 700.0, 1e300), (2.5, 700.0, 2e205),
                                                  (100.0, 7.2, 1290.0), (100.0, 7.2, 1300.0)])

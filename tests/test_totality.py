@@ -10,10 +10,10 @@ raise a ``ValueError`` with the library's own message: one of the
 It never returns NaN or -inf, and never raises ``OverflowError``,
 ``ZeroDivisionError`` or a bare "math domain error".
 
-The density table holds valid parameters whose log density stays in the
-floats.  The constructors still accept parameters past that, an infinite
-theta or an alpha * theta past the floats, and log_pdf then returns -inf:
-an open defect, not a row.
+The density rows call the constructors too, over edge alpha and theta, and
+feed what they build to ``pdf`` and ``log_pdf``: ``pdf`` is a float in
+[0, inf), 0 outside the support (0, e^theta), where ``log_pdf`` raises
+``DomainError``.
 """
 
 import itertools
@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcdiv.core import build_generator
+from qcdiv.core import DomainError, RangeError, build_generator
 from qcdiv.means import MeanSpec, weighted_mean
 from qcdiv.statdiv import NestedUniform, PowerNested
 
@@ -41,6 +41,26 @@ DENSITIES = (NestedUniform(1e-300), NestedUniform(1.0), NestedUniform(709.0),
              NestedUniform(1e300), PowerNested(1.0 + 2.0**-52, 1e-300), PowerNested(2.5, 1.0),
              PowerNested(2.5, 700.0), PowerNested(100.0, 7.2), PowerNested(1e300, 1.0),
              PowerNested(2.0, 1e300))
+# Edge parameters: alpha at and just past 1, theta where e^theta and
+# alpha * theta leave the floats.
+ALPHA = EDGE + (2.0, 1.0 + 2.0**-52, 100.0)
+THETA = EDGE + (709.0, 709.79, 800.0, 1e308)
+
+
+def density_at(p, x):
+    """p.log_pdf(x) after checking p.pdf(x); outside the support, pdf's 0.0."""
+    try:
+        hi = p.support()[1]
+    except RangeError:  # e^theta past the floats
+        hi = math.inf
+    d = p.pdf(x)
+    assert type(d) is float and 0.0 <= d < math.inf, (p, x, d)
+    if 0.0 < x < hi:
+        return p.log_pdf(x)
+    assert d == 0.0, (p, x, d)
+    with pytest.raises(DomainError):
+        p.log_pdf(x)
+    return d
 
 # (label, call, the edge values of each argument, +inf documented)
 ROWS = [
@@ -57,6 +77,8 @@ ROWS = [
      lambda x, y, a: weighted_mean(MeanSpec.minimum(), x, y, a), (EDGE, EDGE, WEIGHT), False),
     ("pdf", lambda p, x: p.pdf(x), (DENSITIES, EDGE), False),
     ("log_pdf", lambda p, x: p.log_pdf(x), (DENSITIES, EDGE), False),
+    ("NestedUniform", lambda t, x: density_at(NestedUniform(t), x), (THETA, EDGE), False),
+    ("PowerNested", lambda a, t, x: density_at(PowerNested(a, t), x), (ALPHA, THETA, EDGE), False),
 ]
 IDS = [row[0] for row in ROWS]
 

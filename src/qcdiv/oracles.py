@@ -58,6 +58,10 @@ G7_WEIGHTS = (
 # 50 * epsilon times that mass.
 _ROUNDING_FLOOR = 50.0 * sys.float_info.epsilon
 
+# The most leaf panels one integral may use, as QUADPACK's ``limit``: far above
+# the 43 that the library's own integrals reach.
+MAX_PANELS = 2000
+
 # A finite run cannot witness +inf; a value past this many multiples of the
 # problem scale counts as an unbounded trend.
 UNBOUNDED_FACTOR = 1e6
@@ -110,8 +114,9 @@ def integrate(f, a: float, b: float, abs_tol: float = 1e-10,
     split, once it has been bisected ``max_depth + 1`` times, i.e. its width is
     (b - a) / 2^(max_depth + 1), or once its estimate is at the rounding floor.
     Splitting also stops when the final panels' estimates alone exceed
-    ``abs_tol``, since no further split can then meet it.  So the work stays
-    bounded when ``abs_tol`` cannot be met, and ``converged`` reads False.
+    ``abs_tol``, since no further split can then meet it, and once there are
+    ``MAX_PANELS`` leaf panels.  So f is called at most 15 * (2 * MAX_PANELS
+    - 1) times, and ``converged`` reads False when ``abs_tol`` was not met.
 
     ``panels`` counts the leaf panels summed into ``value``.  Nodes are
     strictly interior, so integrands that are singular exactly at an endpoint
@@ -145,7 +150,7 @@ def integrate(f, a: float, b: float, abs_tol: float = 1e-10,
 
     final_err = 0.0
     total = add(a, b, 0)
-    while heap and final_err <= tol < total:
+    while heap and final_err <= tol < total and len(final) + len(heap) < MAX_PANELS:
         neg_err, lo, hi, depth, _ = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         total += add(lo, mid, depth + 1) + add(mid, hi, depth + 1) + neg_err

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -11,6 +12,7 @@ from qcdiv.oracles import (
     G7_WEIGHTS,
     GK15_NODES,
     GK15_WEIGHTS,
+    MAX_PANELS,
     InfiniteIntegrandError,
     LimitStudy,
     NonConvergenceError,
@@ -181,6 +183,24 @@ class TestConvergenceFlag:
         r = integrate(lambda x: x**-0.9, 0.0, 1.0, max_depth=3)
         assert not r.converged
         assert r.panels <= 2**4
+
+    @pytest.mark.parametrize("b", [1e6, 1e300])
+    def test_the_panel_budget_bounds_the_work(self, b):
+        # sin over [0, 1e300] has no final panel before depth 41, and over
+        # [0, 1e6] needs more panels than the budget: the heap grew toward 2^41
+        # panels, and neither call returned within 20 s.
+        calls = 0
+
+        def f(x):
+            nonlocal calls
+            calls += 1
+            return math.sin(x)
+
+        start = time.perf_counter()
+        r = integrate(f, 0.0, b)
+        assert time.perf_counter() - start < 1.0
+        assert (r.panels, r.converged) == (MAX_PANELS, False)
+        assert calls == 15 * (2 * MAX_PANELS - 1)
 
 
 class TestNonConvergenceRaises:

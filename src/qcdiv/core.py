@@ -370,9 +370,7 @@ def _check_dim(g: Generator, t: Vector) -> None:
 
 def _pair(g: Generator, theta, theta_p):
     """(t, tp, g(t), g(tp)): both points coerced and checked, then g at each."""
-    t, tp = as_vector(theta), as_vector(theta_p)
-    if len(t) != len(tp):
-        raise DimensionError(f"dimension mismatch: {len(t)} vs {len(tp)}")
+    t, tp = _points(theta, theta_p)
     if len(t) != g.dim:
         _check_dim(g, t)
     return t, tp, _eval(g, t), _eval(g, tp)

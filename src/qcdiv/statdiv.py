@@ -1,9 +1,12 @@
 """KL divergence for nested-support families and exponential-family identities.
 
-The two families here have parameter-ordered supports (0, e^theta), so the KL
-divergence is finite in exactly one orientation, which is what connects it to
-the quasiconvex Bregman divergence of the identity generator.  All densities
-are with respect to Lebesgue measure on an interval.
+The power family alpha * x^(alpha-1) * exp(-theta*alpha), alpha >= 1, has
+parameter-ordered supports (0, e^theta), so the KL divergence is finite in
+exactly one orientation, which is what connects it to the quasiconvex Bregman
+divergence of the identity generator.  ``NestedUniform`` is its member at
+alpha = 1 and ``PowerNested`` the members past it; one private base class
+computes both.  All densities are with respect to Lebesgue measure on an
+interval.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ import math
 import random
 from typing import NamedTuple
 
-from .core import (Box, ExtReal, Generator, _Record, _eval, _pair, bounded_box, build_generator,
+from .core import (Box, ExtReal, Generator, _eval, _pair, bounded_box, build_generator,
                    sample_point)
 from .jensen import _extended_jensen, _qccv_jensen, _qcvx_jensen
 from .bregman import _delta_averaged_qcvx_bregman, _qcvx_bregman
@@ -40,22 +40,17 @@ from .oracles import NonConvergenceError, integrate, kl_quadrature
 MAX_WITNESSES = 50
 
 
-class SuiteResult(_Record):
-    _fields = ("suite", "checked", "failures", "failed")
+class SuiteResult(NamedTuple):
+    """One suite run: its checks, failures and the first MAX_WITNESSES witnesses."""
 
-    def __init__(self, suite: str, checked: int = 0, failures=None, failed: int = 0):
-        self.suite, self.checked, self.failed = suite, checked, failed
-        self.failures = [] if failures is None else failures  # the first MAX_WITNESSES witnesses
+    suite: str
+    checked: int = 0
+    failures: tuple = ()
+    failed: int = 0
 
     @property
     def passed(self) -> bool:
-        return not self.failures
-
-    def check(self, ok: bool, witness) -> None:
-        self.checked += 1
-        self.failed += not ok
-        if not ok and len(self.failures) < MAX_WITNESSES:
-            self.failures.append(witness() if callable(witness) else witness)
+        return not self.failed
 
     def report_lines(self):
         status = "PASS" if self.passed else "FAIL"
@@ -97,7 +92,8 @@ def sweep_catalog():
 
 def _run(suite: str, rows) -> SuiteResult:
     """Run property rows in order; a witness reads ``"<label>: <detail>"``."""
-    res = SuiteResult(suite)
+    passed = failed = 0
+    witnesses = []
     for count, draw, checks in rows:
         for i in range(count):
             drawn = draw(i)
@@ -106,10 +102,12 @@ def _run(suite: str, rows) -> SuiteResult:
             for label, check in checks:
                 out = check(*drawn)
                 if out is True:
-                    res.checked += 1
+                    passed += 1
                 elif out is not None:
-                    res.check(False, f"{label}: {out}")
-    return res
+                    failed += 1
+                    if failed <= MAX_WITNESSES:
+                        witnesses.append(f"{label}: {out}")
+    return SuiteResult(suite, passed + failed, tuple(witnesses), failed)
 
 
 def _close(a: float, b: float, rel: float) -> bool:

@@ -169,8 +169,10 @@ def _lerp(t: Vector, tp: Vector, a: float) -> Vector:
     return tuple([b * x + a * y for x, y in zip(t, tp)])
 
 
-class _Record:
-    """Repr and equality over the fields named in ``_fields``, as a dataclass has them."""
+# Fields kept in the instance dict are the fastest attribute reads, and the
+# densities, means and intervals are read per quadrature node or per sample.
+class _Frozen:
+    """Repr, equality and hash over ``_fields``; ``__init__`` checks them, then sets them once."""
 
     def _astuple(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -182,20 +184,14 @@ class _Record:
     def __eq__(self, other):
         return self._astuple() == other._astuple() if type(other) is type(self) else NotImplemented
 
-
-# Fields kept in the instance dict are the fastest attribute reads, and the
-# densities, means and intervals are read per quadrature node or per sample.
-class _Frozen(_Record):
-    """A hashable _Record whose ``__init__`` checks its fields, then sets them once."""
+    def __hash__(self) -> int:
+        return hash(self._astuple())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
-
-    def __hash__(self) -> int:
-        return hash(self._astuple())
 
 
 class Interval(_Frozen):

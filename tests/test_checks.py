@@ -54,32 +54,34 @@ def test_unknown_suite():
         run_suite("nosuch", 10, 0)
 
 
+def _stub_rows(*outs):
+    """One row whose checks return ``outs`` in order on a single draw."""
+    return ((1, lambda i: (), tuple((f"p{k}", lambda out=out: out) for k, out in enumerate(outs))),)
+
+
 def test_result_collects_witnesses():
-    r = SuiteResult("demo")
-    r.check(True, "unused")
-    r.check(False, lambda: "first witness")
-    r.check(False, "second witness")
+    r = qcdiv.checks._run("demo", _stub_rows(True, "first witness", None, "second witness"))
     assert not r.passed
-    assert r.checked == 3
-    assert r.failures == ["first witness", "second witness"]
+    assert (r.checked, r.failed) == (3, 2)
+    assert r.failures == ("p1: first witness", "p3: second witness")
     lines = list(r.report_lines())
-    assert lines[0].endswith("FAIL")
-    assert any("first witness" in ln for ln in lines)
+    assert lines == ["suite demo: 3 checks, 2 failures -> FAIL",
+                     "  witness: p1: first witness", "  witness: p3: second witness"]
 
 
 def test_report_counts_failures_past_the_witness_cap():
-    r = SuiteResult("x")
-    for i in range(80):
-        r.check(False, f"witness {i}")
+    rows = ((80, lambda i: (i,), (("p", lambda i: f"witness {i}"),)),)
+    r = qcdiv.checks._run("x", rows)
     assert (r.checked, r.failed, len(r.failures)) == (80, 80, qcdiv.checks.MAX_WITNESSES)
+    assert r.failures[-1] == f"p: witness {qcdiv.checks.MAX_WITNESSES - 1}"
     assert next(r.report_lines()) == "suite x: 80 checks, 80 failures -> FAIL"
 
 
 def test_report_for_passing_suite():
-    r = SuiteResult("demo")
-    r.check(True, "unused")
+    r = qcdiv.checks._run("demo", _stub_rows(True, None))
+    assert r.passed and (r.checked, r.failures, r.failed) == (1, (), 0)
     lines = list(r.report_lines())
-    assert len(lines) == 1 and lines[0].endswith("PASS")
+    assert lines == ["suite demo: 1 checks, 0 failures -> PASS"]
 
 
 def test_kl_quadrature_non_convergence_fails_the_check(monkeypatch):
@@ -156,7 +158,7 @@ def _pinned_run(suite, samples, seed, attr=None, replace=None):
         if attr is not None:
             mp.setattr(qcdiv.checks, attr, replace(getattr(qcdiv.checks, attr)))
         r = run_suite(suite, samples, seed)
-    return {"checked": r.checked, "failed": r.failed, "failures": r.failures,
+    return {"checked": r.checked, "failed": r.failed, "failures": list(r.failures),
             "report": list(r.report_lines())}
 
 
@@ -209,12 +211,11 @@ def test_readme_lists_each_suites_property_labels():
     assert listed == _row_labels()
 
 
-def test_the_driver_is_the_only_check_call_site():
-    """Every property is a row; a hand-written sample loop would call check itself."""
+def test_the_driver_is_the_only_place_that_builds_a_result():
+    """Every property is a row; a hand-written sample loop would build its own SuiteResult."""
     tree = ast.parse((ROOT / "src" / "qcdiv" / "checks.py").read_text(encoding="utf-8"))
     calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
-             and isinstance(node.func, ast.Attribute) and node.func.attr == "check"]
+             and isinstance(node.func, ast.Name) and node.func.id == "SuiteResult"]
     driver = next(node for node in tree.body
                   if isinstance(node, ast.FunctionDef) and node.name == "_run")
     assert len(calls) == 1 and calls[0] in ast.walk(driver)
-

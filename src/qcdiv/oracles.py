@@ -62,6 +62,9 @@ _ROUNDING_FLOOR = 50.0 * sys.float_info.epsilon
 # the 43 that the library's own integrals reach.
 MAX_PANELS = 2000
 
+# Past this many bisections a panel is final, never split.
+MAX_DEPTH = 40
+
 # A finite run cannot witness +inf; a value past this many multiples of the
 # problem scale counts as an unbounded trend.
 UNBOUNDED_FACTOR = 1e6
@@ -104,15 +107,14 @@ def _gk15(f, a: float, b: float):
     return h * k15, err, mass
 
 
-def integrate(f, a: float, b: float, abs_tol: float = 1e-10,
-              max_depth: int = 40) -> QuadratureResult:
+def integrate(f, a: float, b: float, abs_tol: float = 1e-10) -> QuadratureResult:
     """Globally adaptive Gauss-Kronrod (G7/K15) quadrature of f on [a, b].
 
     Each panel costs 15 calls of f; its value is the Kronrod estimate and its
     error estimate |K15 - G7|.  The panel with the largest estimate is bisected
     until the estimates sum to at most ``abs_tol``.  A panel is final, never
-    split, once it has been bisected ``max_depth + 1`` times, i.e. its width is
-    (b - a) / 2^(max_depth + 1), or once its estimate is at the rounding floor.
+    split, once it has been bisected ``MAX_DEPTH + 1`` (41) times, i.e. its width
+    is (b - a) / 2^41, or once its estimate is at the rounding floor.
     Splitting also stops when the final panels' estimates alone exceed
     ``abs_tol``, since no further split can then meet it, and once there are
     ``MAX_PANELS`` leaf panels.  So f is called at most 15 * (2 * MAX_PANELS
@@ -134,14 +136,13 @@ def integrate(f, a: float, b: float, abs_tol: float = 1e-10,
     if not math.isfinite(b - a):
         raise ValueError(f"integration interval must have finite ends and width: [{a}, {b}]")
     tol = float(abs_tol)
-    finest = int(max_depth) + 1
     final = []  # (value, error) of panels that are never split
     heap = []  # (-error, lo, hi, depth, value) of panels that may be split
 
     def add(lo, hi, depth):
         nonlocal final_err
         value, err, mass = _gk15(f, lo, hi)
-        if depth >= finest or err <= _ROUNDING_FLOOR * mass:
+        if depth > MAX_DEPTH or err <= _ROUNDING_FLOOR * mass:
             final.append((value, err))
             final_err += err
         else:

@@ -39,8 +39,6 @@ def _integrate_cases(rng):
                                      abs_tol=1e-8))
     yield ("1e9(1+sin) on [-2, 2.3]",
            lambda: oracles.integrate(lambda x: 1e9 * (1.0 + math.sin(x)), -2.0, 2.3))
-    yield ("x^-0.9 max_depth=3",
-           lambda: oracles.integrate(lambda x: x**-0.9, 0.0, 1.0, max_depth=3))
     yield "x^-0.35 misses", lambda: oracles.integrate(lambda x: x**-0.35, 0.0, 1.0)
     yield "empty interval", lambda: oracles.integrate(math.sin, 1.0, 1.0)
     yield "reversed interval", lambda: oracles.integrate(math.sin, 2.0, 1.0)

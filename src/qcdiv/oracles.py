@@ -188,7 +188,9 @@ def integrate_delta_average(Q: Generator, theta: float, theta_p: float,
     delta*(theta_p - theta) and must match the closed form for differentiable
     Q.  An infinite integrand value anywhere in the range contradicts the
     nestedness of the shifted sublevel values and is reported, not averaged;
-    an integral that misses abs_tol 1e-10 raises NonConvergenceError.
+    an integral that misses abs_tol 1e-10 raises NonConvergenceError.  A range
+    so long that theta + u and theta_p + u round to one float at its far end
+    raises RangeError: the integrand reads 0 there, not the divergence.
     """
     d = _validate_positive("averaging ratio delta", delta)
     t, tp = as_vector(theta), as_vector(theta_p)
@@ -204,6 +206,9 @@ def integrate_delta_average(Q: Generator, theta: float, theta_p: float,
     span = d * (y - x)
     if span == 0.0:
         return 0.0
+    if math.isfinite(span) and x + span == y + span:
+        raise RangeError(f"delta-average quadrature: theta + u and theta_p + u are one float "
+                         f"at u = {span}")
 
     # Q is checked, and _eval checks the shifted points: pointwise runs the kernel.
     def pointwise(u: float) -> float:

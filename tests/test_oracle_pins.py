@@ -88,6 +88,9 @@ def _delta_cases(rng):
         "theta_p out of domain": (log, 1.0, -2.0, 0.5),
         "2-D points": (two_d, (1.0, 2.0), (2.0, 3.0), 0.5),
         "generator dimension": (two_d, 1.0, 2.0, 0.5),
+        "quadratic shifted points merge": (quad, 0.5, 1.0, 1e19),
+        "cubic shifted points merge": (build_generator("cubic"), -1.0, 0.5, 3e18),
+        "log shifted points merge": (log, 1.0, 2.0, 1e50),
     }
     for label, args in calls.items():
         yield label, lambda args=args: oracles.integrate_delta_average(*args)

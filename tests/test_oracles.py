@@ -252,6 +252,20 @@ class TestIntegrateDeltaAverage:
         with pytest.raises(InfiniteIntegrandError):
             integrate_delta_average(sine, 0.0, 3.0, 1.0)
 
+    @pytest.mark.parametrize("spec, t, tp, delta", [
+        ("quadratic", 0.5, 1.0, 1e19),  # closed form 2.5e18
+        ("cubic", -1.0, 0.5, 3e18),  # 3.04e37
+        ("log", 1.0, 2.0, 1e50),  # 1.14e-48
+    ])
+    def test_shifted_points_that_merge_are_a_range_error(self, spec, t, tp, delta):
+        # Far along the range x + u == y + u, where the integrand is 0: every
+        # node read 0 and the call returned a converged 0.0.
+        Q = build_generator(spec)
+        assert float(delta_averaged_qcvx_bregman(Q, t, tp, delta)) > 0.0
+        with pytest.raises(RangeError, match="^delta-average quadrature: theta [+] u and "
+                                             "theta_p [+] u are one float at u = "):
+            integrate_delta_average(Q, t, tp, delta)
+
     def test_agrees_with_closed_form_on_catalog(self):
         rng = random.Random(67)
         for case in sweep_catalog():

@@ -159,7 +159,8 @@ def _add_common_div_flags(p):
     p.add_argument("--div", required=True, choices=DIVERGENCES, metavar="DIV")
     p.add_argument("--gen", help="generator spec, inline JSON or built-in name")
     p.add_argument("--gen-file", help="path to a JSON generator spec")
-    p.add_argument("--alpha", type=float, help="skew parameter in (0,1)")
+    p.add_argument("--alpha", type=float,
+                   help="skew in (0,1), or weight in [0,1] for mn-jensen and power-jensen")
     p.add_argument("--delta", type=float,
                    help="power exponent (power-jensen) or averaging ratio (delta-qcvx-bregman)")
     p.add_argument("--delta1", type=float, help="first power-bregman exponent")

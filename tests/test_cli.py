@@ -100,6 +100,20 @@ class TestEval:
                     "--mean-m", "arithmetic", "--mean-n", "max")
         assert r.stdout == b"3\n"  # equals the qcvx Jensen divergence
 
+    def test_alpha_help_gives_each_divergence_its_range(self):
+        # The help gives [0,1] to the divergences it names after it, (0,1) to the rest.
+        text = pins.run_cli(["eval", "--help"])["stdout"]
+        weights = " ".join(text.split("[0,1] for", 1)[1].split("--delta", 1)[0].split())
+        others = {"--delta": "2", "--mean-m": "arithmetic", "--mean-n": "arithmetic"}
+        for name, div in cli.DIVERGENCES.items():
+            if "--alpha" not in div.flags:
+                continue
+            rest = [a for f in div.flags if f != "--alpha" for a in (f, others[f])]
+            codes = {pins.run_cli(["eval", "--div", name, "--gen", "sqrt", "--theta", "1",
+                                   "--theta-prime", "2", "--alpha", a, *rest])["exit"]
+                     for a in ("0", "1")}
+            assert codes == ({0} if name in weights.split(" and ") else {2}), name
+
     def test_missing_required_flag_exits_2(self):
         r = run_cli("eval", "--div", "qcvx-jensen", "--gen", '{"name":"log"}',
                     "--theta", "1", "--theta-prime", "2")

@@ -91,6 +91,7 @@ def _delta_cases(rng):
         "quadratic shifted points merge": (quad, 0.5, 1.0, 1e19),
         "cubic shifted points merge": (build_generator("cubic"), -1.0, 0.5, 3e18),
         "log shifted points merge": (log, 1.0, 2.0, 1e50),
+        "quadratic infinite span": (quad, 1.0, 3.0, 1e308),
     }
     for label, args in calls.items():
         yield label, lambda args=args: oracles.integrate_delta_average(*args)

@@ -211,7 +211,7 @@ def test_readme_lists_each_suites_property_labels():
     assert listed == _row_labels()
 
 
-def test_the_driver_is_the_only_place_that_builds_a_result():
+def test_only_run_builds_a_suite_result():
     """Every property is a row; a hand-written sample loop would build its own SuiteResult."""
     tree = ast.parse((ROOT / "src" / "qcdiv" / "checks.py").read_text(encoding="utf-8"))
     calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)

@@ -155,10 +155,14 @@ def _arguments(args):
     return div, lead, params
 
 
-def _add_common_div_flags(p):
-    p.add_argument("--div", required=True, choices=DIVERGENCES, metavar="DIV")
+def _add_generator_flags(p):
     p.add_argument("--gen", help="generator spec, inline JSON or built-in name")
     p.add_argument("--gen-file", help="path to a JSON generator spec")
+
+
+def _add_common_div_flags(p):
+    p.add_argument("--div", required=True, choices=DIVERGENCES, metavar="DIV")
+    _add_generator_flags(p)
     p.add_argument("--alpha", type=float,
                    help="skew in (0,1), or weight in [0,1] for mn-jensen and power-jensen")
     p.add_argument("--delta", type=float,
@@ -180,25 +184,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate one divergence")
+    p_eval.set_defaults(run=cmd_eval)
     _add_common_div_flags(p_eval)
     p_eval.add_argument("--theta", required=True, help="comma-separated reals")
     p_eval.add_argument("--theta-prime", help="comma-separated reals")
     p_eval.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
 
     p_limit = sub.add_parser("limit-study", help="run a dyadic convergence study")
+    p_limit.set_defaults(run=cmd_limit_study)
     p_limit.add_argument("--study", required=True, choices=STUDIES)
-    p_limit.add_argument("--gen", help="generator spec, inline JSON or built-in name")
-    p_limit.add_argument("--gen-file", help="path to a JSON generator spec")
+    _add_generator_flags(p_limit)
     p_limit.add_argument("--theta", required=True)
     p_limit.add_argument("--theta-prime", required=True)
     p_limit.add_argument("--k-max", type=int, default=20)
 
     p_check = sub.add_parser("check", help="run a randomized property suite")
+    p_check.set_defaults(run=cmd_check)
     p_check.add_argument("--suite", required=True, choices=sorted(checks.SUITES))
     p_check.add_argument("--samples", type=int, default=10000)
     p_check.add_argument("--seed", type=int, default=0)
 
     p_table = sub.add_parser("table", help="emit a divergence grid as CSV")
+    p_table.set_defaults(run=cmd_table)
     _add_common_div_flags(p_table)
     p_table.add_argument("--grid-min", type=float, required=True)
     p_table.add_argument("--grid-max", type=float, required=True)
@@ -313,14 +320,8 @@ def _join_negative_values(argv):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
-    command = {
-        "eval": cmd_eval,
-        "limit-study": cmd_limit_study,
-        "check": cmd_check,
-        "table": cmd_table,
-    }[args.command]
     try:
-        return command(args)
+        return args.run(args)
     except (CliError, ValueError, KeyError, OSError, ArithmeticError) as e:
         print(f"qcdiv: error: {e}", file=sys.stderr)
         return 2

@@ -24,6 +24,7 @@ from .core import (
     _lerp,
     _pair,
 )
+from .bregman import _linear_term
 
 _LOG_MAX = math.log(sys.float_info.max)  # ~709.78, the overflow threshold
 _NORMAL_MIN = sys.float_info.min
@@ -83,6 +84,9 @@ class MeanSpec(_Frozen):
     @classmethod
     def minimum(cls) -> "MeanSpec":
         return cls("min")
+
+
+_ARITHMETIC = MeanSpec("arithmetic")
 
 
 def _validate_weight(alpha: float) -> float:
@@ -265,7 +269,7 @@ def mn_jensen(F: Generator, M: MeanSpec, N: MeanSpec, alpha: float,
 def _power_mean_jensen(F: Generator, a: float, N: MeanSpec, t, tp, ft: float, ftp: float) -> float:
     if ft <= 0.0 or ftp <= 0.0:
         raise NonPositiveError(f"power_mean_jensen requires positive F values, got ({ft}, {ftp})")
-    return weighted_mean(N, ft, ftp, a) - _eval(F, _lerp(t, tp, a))
+    return _mn_jensen(F, a, _ARITHMETIC, N, t, tp, ft, ftp)
 
 
 def power_mean_jensen(F: Generator, delta: float, alpha: float,
@@ -366,8 +370,7 @@ def _r_power_bregman(F: Generator, r: float, t, tp, ft: float, ftp: float) -> Ex
         log_term = r * (math.log(ft) - math.log(ftp)) + math.log(ftp) - math.log(r)
     if log_term > _LOG_MAX:
         return ExtReal(math.inf)
-    fprime = _gradient(F, tp)[0]
-    return ExtReal(math.exp(log_term) - ftp / r - (t[0] - tp[0]) * fprime)
+    return ExtReal(math.exp(log_term) - ftp / r - _linear_term(F, t, tp))
 
 
 def r_power_bregman(F: Generator, r: float, theta: float, theta_p: float) -> ExtReal:

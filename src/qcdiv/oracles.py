@@ -17,8 +17,8 @@ import sys
 from typing import NamedTuple
 
 from .core import (ExtReal, Generator, PreconditionError, RangeError, _check_dim, _eval,
-                   _fmt, _pair, _validate_positive, as_vector)
-from .bregman import _qcvx_bregman
+                   _fmt, _pair, as_vector)
+from .bregman import _qcvx_bregman, _ratio
 from .jensen import _qcvx_jensen, _skew
 from .means import MeanSpec, _power_mean_jensen, _r_exponent, _r_power_bregman
 
@@ -192,7 +192,7 @@ def integrate_delta_average(Q: Generator, theta: float, theta_p: float,
     so long that theta + u and theta_p + u round to one float at its far end
     raises RangeError: the integrand reads 0 there, not the divergence.
     """
-    d = _validate_positive("averaging ratio delta", delta)
+    d, = _ratio("integrate_delta_average", Q, delta)
     t, tp = as_vector(theta), as_vector(theta_p)
     if len(t) != 1 or len(tp) != 1:
         raise ValueError("the quadrature cross-check is defined for 1-D parameters")

@@ -51,7 +51,7 @@ def _branch(qt: float, qtp: float, finite, *args) -> ExtReal:
 
 
 def _bregman(F: Generator, t, tp, ft: float, ftp: float) -> float:
-    return ft - ftp - _linear_term(F, t, tp)
+    return _in_range(ft - ftp - _linear_term(F, t, tp), "the Bregman value")
 
 
 def bregman(F: Generator, theta, theta_p) -> float:
@@ -95,7 +95,7 @@ def _averaged_gap(Q: Generator, d: float, t, tp, qtp: float) -> float:
             f"delta-averaging needs the domain of {Q.name or 'generator'} to "
             f"cover the extrapolated point {extrap}: {problem}"
         )
-    return (_eval(Q, extrap) - qtp) / d
+    return _in_range((_eval(Q, extrap) - qtp) / d, "delta_averaged_qcvx_bregman value")
 
 
 def _delta_averaged_qcvx_bregman(Q: Generator, d: float, t, tp, qt: float, qtp: float) -> ExtReal:

@@ -11,7 +11,7 @@ import math
 import sys
 import warnings
 
-from .core import Generator, GeneratorClassWarning, NonPositiveError, _eval, _lerp, _pair
+from .core import Generator, GeneratorClassWarning, NonPositiveError, _eval, _in_range, _lerp, _pair
 
 
 # The declared classes that void each divergence's sign guarantees.
@@ -37,7 +37,7 @@ def _skew(fn: str, Q: Generator, alpha: float) -> tuple:
 
 
 def _qcvx_jensen(Q: Generator, a: float, t, tp, qt: float, qtp: float) -> float:
-    return max(qt, qtp) - _eval(Q, _lerp(t, tp, a))
+    return _in_range(max(qt, qtp) - _eval(Q, _lerp(t, tp, a)), "qcvx_jensen value")
 
 
 def qcvx_jensen(Q: Generator, theta, theta_p, alpha: float) -> float:
@@ -49,7 +49,7 @@ def qcvx_jensen(Q: Generator, theta, theta_p, alpha: float) -> float:
 
 
 def _qccv_jensen(H: Generator, a: float, t, tp, ht: float, htp: float) -> float:
-    return _eval(H, _lerp(t, tp, a)) - min(ht, htp)
+    return _in_range(_eval(H, _lerp(t, tp, a)) - min(ht, htp), "qccv_jensen value")
 
 
 def qccv_jensen(H: Generator, theta, theta_p, alpha: float) -> float:
@@ -85,7 +85,7 @@ def log_ratio_gap(Q: Generator, theta, theta_p, alpha: float) -> float:
 
 
 def _extended_jensen(Q: Generator, a: float, t, tp, qt: float, qtp: float) -> float:
-    return (1.0 - a) * qt + a * qtp - _eval(Q, _lerp(t, tp, a))
+    return _in_range((1.0 - a) * qt + a * qtp - _eval(Q, _lerp(t, tp, a)), "extended_jensen value")
 
 
 def extended_jensen(Q: Generator, theta, theta_p, alpha: float) -> float:

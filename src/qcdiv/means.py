@@ -252,7 +252,7 @@ def _mn_jensen(F: Generator, a: float, M, N, t, tp, ft: float, ftp: float) -> fl
         raise DimensionError(f"non-arithmetic argument mean {M.kind!r} requires 1-D parameters")
     else:
         mpoint = (weighted_mean(M, t[0], tp[0], a),)
-    return weighted_mean(N, ft, ftp, a) - _eval(F, mpoint)
+    return _in_range(weighted_mean(N, ft, ftp, a) - _eval(F, mpoint), "the (M, N)-Jensen gap")
 
 
 def mn_jensen(F: Generator, M: MeanSpec, N: MeanSpec, alpha: float,
@@ -276,8 +276,9 @@ def power_mean_jensen(F: Generator, delta: float, alpha: float,
                       theta, theta_p) -> float:
     """Weighted power mean of the F values minus F at the interpolated point.
 
-    Requires F(theta) > 0 and F(theta_p) > 0.  Tends to the quasiconvex
-    Jensen divergence as delta grows.
+    mn_jensen's (arithmetic, P_delta) comparative Jensen gap.  Requires
+    F(theta) > 0 and F(theta_p) > 0.  Tends to the quasiconvex Jensen
+    divergence as delta grows.
     """
     return _power_mean_jensen(F, *_power_weight("power_mean_jensen", F, alpha, delta),
                               *_pair(F, theta, theta_p))
@@ -370,7 +371,8 @@ def _r_power_bregman(F: Generator, r: float, t, tp, ft: float, ftp: float) -> Ex
         log_term = r * (math.log(ft) - math.log(ftp)) + math.log(ftp) - math.log(r)
     if log_term > _LOG_MAX:
         return ExtReal(math.inf)
-    return ExtReal(math.exp(log_term) - ftp / r - _linear_term(F, t, tp))
+    return ExtReal(_in_range(math.exp(log_term) - ftp / r - _linear_term(F, t, tp),
+                             "r_power_bregman value"))
 
 
 def r_power_bregman(F: Generator, r: float, theta: float, theta_p: float) -> ExtReal:
@@ -379,6 +381,7 @@ def r_power_bregman(F: Generator, r: float, theta: float, theta_p: float) -> Ext
     F(theta)^r / (r * F(theta_p)^(r-1)) - F(theta_p)/r - (theta - theta_p) * F'(theta_p),
     with the first term evaluated in the log domain.  Returns +inf once the
     log-domain exponent passes the float overflow threshold, matching the
-    analytic r -> inf divergence when F(theta) > F(theta_p).
+    analytic r -> inf divergence when F(theta) > F(theta_p).  Below it,
+    RangeError when the linear term or the value leaves the floats.
     """
     return _r_power_bregman(F, *_r_exponent("r_power_bregman", F, r), *_pair(F, theta, theta_p))

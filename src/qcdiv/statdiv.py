@@ -26,6 +26,7 @@ from .core import (
     _check_domain,
     _eval,
     _gradient,
+    _in_range,
     _pair,
     _points,
     _segments,
@@ -114,6 +115,8 @@ def _kl_power_nested(a: float, theta, theta_p) -> ExtReal:
     """a * (theta_p - theta) when theta <= theta_p, else +inf: the nested-support KL."""
     t = _validate_positive("theta", theta)
     tp = _validate_positive("theta_p", theta_p)
+    if t <= tp < math.inf:  # at theta_p = inf, +inf is the answer, not an overflow
+        _in_range(a * (tp - t), "kl_power_nested value")
     return _branch(t, tp, operator.mul, a, tp - t)
 
 
@@ -176,7 +179,7 @@ def expfam_cross_entropy(fam: ExpFamily, theta, theta_p) -> float:
     _check_dim(fam.F, t)
     _check_domain(fam.F, t)
     g = _gradient(fam.F, t)
-    return _eval(fam.F, tp) - sum(y * gi for y, gi in zip(tp, g))
+    return _in_range(_eval(fam.F, tp) - sum(y * gi for y, gi in zip(tp, g)), "the cross-entropy")
 
 
 def expfam_entropy(fam: ExpFamily, theta) -> float:
@@ -205,4 +208,5 @@ def qcvx_bregman_from_kl(fam: ExpFamily, theta, theta_p) -> ExtReal:
             f"qcvx_bregman_from_kl needs F(theta_p) <= F(theta); "
             f"got F(theta_p)={ftp} > F(theta)={ft}: query the reverse orientation"
         )
-    return ExtReal(_bregman(fam.F, tp, t, ftp, ft) + ft - ftp)
+    return ExtReal(_in_range(_bregman(fam.F, tp, t, ftp, ft) + ft - ftp,
+                             "qcvx_bregman_from_kl value"))

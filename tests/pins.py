@@ -107,6 +107,16 @@ def library_call(div, gen, flags, points):
     return fn(**kwargs)
 
 
+def eval_argv(div, gen, flags, points):
+    """The ``qcdiv eval`` argv of ``library_call(div, gen, flags, points)``."""
+    argv = ["eval", "--div", div] + ([] if gen is None else [f"--gen={gen}"])
+    argv += [f"{flag}={value!r}" if isinstance(value, float) else f"{flag}={value}"
+             for flag, value in flags.items()]
+    argv += [f"{flag}={','.join(map(repr, point))}"
+             for flag, point in zip(cli.DIVERGENCES[div].points, points)]
+    return argv
+
+
 @functools.cache
 def load(name: str) -> dict:
     return json.loads((DATA / name).read_text(encoding="utf-8"))

@@ -15,13 +15,16 @@ import warnings
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from pins import library_call, run_cli
+from pins import eval_argv, library_call, run_cli
 from qcdiv import cli
 from qcdiv.core import _fmt
 
 ONE_D = ["log", "sqrt", "quadratic", "cubic", "abs", "neg-gauss", "linear", "sine",
          '{"affine": {"a": 2, "b": 1, "inner": "log"}}',
-         '{"name": "linear-fractional", "c": -1, "d": 2}']
+         '{"name": "linear-fractional", "c": -1, "d": 2}',
+         # values near the float limit, so that a gap or a term of it can overflow
+         '{"affine": {"a": 1e308, "b": 0, "inner": "sine"}}',
+         '{"affine": {"a": 1e300, "b": 0, "inner": "log"}}']
 CONVEX = ["quadratic", "abs", '{"affine": {"a": 0.5, "b": -1, "inner": "quadratic"}}']
 TWO_D = ['{"name": "log-norm-sq", "dim": 2}', '{"separable": ["quadratic", "log"]}']
 
@@ -68,15 +71,6 @@ def cases(draw):
     return div, gen, flags, points
 
 
-def argv_for(div, gen, flags, points):
-    argv = ["eval", "--div", div] + ([] if gen is None else [f"--gen={gen}"])
-    argv += [f"{flag}={value!r}" if isinstance(value, float) else f"{flag}={value}"
-             for flag, value in flags.items()]
-    argv += [f"{flag}={','.join(map(repr, point))}"
-             for flag, point in zip(cli.DIVERGENCES[div].points, points)]
-    return argv
-
-
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(case=cases())
 def test_every_divergence_returns_a_valid_value_or_a_typed_error(case):
@@ -92,7 +86,7 @@ def test_every_divergence_returns_a_valid_value_or_a_typed_error(case):
             event(f"{div}: value")
             assert isinstance(value, float), (div, value)
             assert not math.isnan(value) and value != -math.inf, (div, value)
-    run = run_cli(argv_for(div, gen, flags, points))
+    run = run_cli(eval_argv(div, gen, flags, points))
     assert run["exit"] in (0, 1, 2)
     assert "Traceback" not in run["stderr"]
     tokens = run["stdout"].replace(",", " ").replace(":", " ").replace("}", " ").split()

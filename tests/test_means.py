@@ -19,7 +19,7 @@ from qcdiv.means import (
     r_power_bregman,
     weighted_mean,
 )
-from qcdiv.bregman import qcvx_bregman
+from qcdiv.bregman import bregman, qcvx_bregman
 from qcdiv.checks import sample_point, sweep_catalog
 
 
@@ -366,6 +366,33 @@ class TestPowerMeanJensen:
             power_mean_jensen(build_generator("linear"), 2.0, 0.5, -1, 1)
 
 
+def _hex_or_error(call):
+    try:
+        return float(call()).hex()
+    except ValueError as e:  # every qcdiv error type is one
+        return type(e)
+
+
+# power_mean_jensen is the (arithmetic, P_delta) comparative Jensen gap.
+FOLD_GENERATORS = ["sqrt", "log", "quadratic", "cubic", "neg-gauss", "linear", "sine",
+                   '{"affine": {"a": 1e308, "b": 0, "inner": "sine"}}',
+                   '{"name": "log-norm-sq", "dim": 2}']
+FOLD_EDGES = [0.0, 5e-324, 1.0, 1e300, -1.0, math.nan, math.inf, -math.inf]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.sampled_from(FOLD_GENERATORS), st.data())
+def test_power_mean_jensen_is_mn_jensen_with_an_arithmetic_argument_mean(spec, data):
+    F = build_generator(spec)
+    coord = st.floats(-4.0, 4.0) | st.floats(0.05, 1e10) | st.sampled_from(FOLD_EDGES)
+    t, tp = (tuple(data.draw(coord) for _ in range(F.dim)) for _ in range(2))
+    delta = data.draw(st.floats(-8.0, 8.0) | st.sampled_from([1000.0, -1000.0] + FOLD_EDGES))
+    a = data.draw(st.floats(0.0, 1.0) | st.sampled_from(FOLD_EDGES))
+    A = MeanSpec.arithmetic()
+    assert (_hex_or_error(lambda: power_mean_jensen(F, delta, a, t, tp))
+            == _hex_or_error(lambda: mn_jensen(F, A, MeanSpec.power(delta), a, t, tp)))
+
+
 class TestPowerMeanBregman:
     def test_unit_exponents_reduce_to_bregman(self):
         # B_F(3:1) = 9 - 1 - 2*2
@@ -463,6 +490,15 @@ class TestRPowerBregman:
     def test_needs_positive_values(self):
         with pytest.raises(NonPositiveError):
             r_power_bregman(build_generator("linear"), 2, -1, 1)
+
+    def test_an_overflowing_linear_term_raises_bregmans_error(self):
+        # At r = 1 the divergence is bregman's, and so is its linear-term check.
+        cubic = build_generator("cubic")
+        with pytest.raises(RangeError) as expected:
+            bregman(cubic, 1.0, 5.6e102)
+        with pytest.raises(RangeError) as raised:
+            r_power_bregman(cubic, 1.0, 1.0, 5.6e102)
+        assert str(raised.value) == str(expected.value) == "the linear term leaves the floats: -inf"
 
 
 NAN = float("nan")

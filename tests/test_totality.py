@@ -14,6 +14,10 @@ The density rows call the constructors too, over edge alpha and theta, and
 feed what they build to ``pdf`` and ``log_pdf``: ``pdf`` is a float in
 [0, inf), 0 outside the support (0, e^theta), where ``log_pdf`` raises
 ``DomainError``.
+
+The overflow witnesses are divergences whose finite value leaves the floats:
+the library raises ``RangeError`` and ``qcdiv eval`` exits 2 with no stdout,
+where the value was once -inf, a finite-branch +inf or a bare ``ValueError``.
 """
 
 import itertools
@@ -24,9 +28,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pins import eval_argv, library_call, run_cli
 from qcdiv.core import DomainError, RangeError, build_generator
 from qcdiv.means import MeanSpec, weighted_mean
-from qcdiv.statdiv import NestedUniform, PowerNested
+from qcdiv.statdiv import ExpFamily, NestedUniform, PowerNested, qcvx_bregman_from_kl
 
 MAX = sys.float_info.max
 # 2e205 and 1290.0 are where alpha * x^(alpha-1) overflows without raising
@@ -108,3 +113,45 @@ def test_any_float_argument(label, call, edges, inf_ok, data):
     args = [data.draw(st.sampled_from(e) | st.floats() if type(e[0]) is float
                       else st.sampled_from(e)) for e in edges]
     assert_total(label, call, args, inf_ok)
+
+
+# 1e308 * sin is -1e308 at -pi/2 and 3pi/2 and 1e308 at pi/2 and 5pi/2, so a
+# difference of two values or a gap over a quarter turn overflows.
+BIG_SINE = '{"affine": {"a": 1e308, "b": 0, "inner": "sine"}}'
+BIG_LOG = '{"affine": {"a": 1e300, "b": 0, "inner": "log"}}'
+H = math.pi / 2
+# (div, gen, flags, points), as pins.library_call takes them
+OVERFLOWS = [
+    ("qcvx-jensen", BIG_SINE, {"--alpha": 0.5}, [(-H,), (3 * H,)]),
+    ("qccv-jensen", BIG_SINE, {"--alpha": 0.5}, [(-H,), (3 * H,)]),
+    ("ext-jensen", BIG_SINE, {"--alpha": 0.5}, [(-H,), (3 * H,)]),
+    ("mn-jensen", BIG_SINE, {"--alpha": 0.5, "--mean-m": "arithmetic", "--mean-n": "arithmetic"},
+     [(-H,), (3 * H,)]),
+    ("power-jensen", BIG_SINE, {"--alpha": 0.5, "--delta": 2.0}, [(H,), (5 * H,)]),
+    ("bregman", BIG_SINE, {}, [(-H,), (H,)]),
+    ("ext-bregman", BIG_SINE, {}, [(-H,), (H,)]),
+    ("expfam-kl", BIG_SINE, {}, [(H,), (-H,)]),
+    ("delta-qcvx-bregman", BIG_SINE, {"--delta": 0.25}, [(-H,), (3 * H,)]),
+    ("expfam-cross-entropy", BIG_LOG, {}, [(1e-7,), (1e10,)]),
+    ("kl-power-nested", None, {"--exponent": 10.0}, [(1.0,), (1e308,)]),
+    ("r-power-bregman", "cubic", {"--r": 1.0}, [(1.0,), (5.6e102,)]),
+    ("r-power-bregman", "quadratic", {"--r": 1.0}, [(1.3e154,), (-3e153,)]),
+]
+
+
+SHORT = {BIG_SINE: "1e308 sine", BIG_LOG: "1e300 log"}
+
+
+@pytest.mark.parametrize("div, gen, flags, points", OVERFLOWS,
+                         ids=[f"{row[0]} {SHORT.get(row[1], row[1])}" for row in OVERFLOWS])
+def test_a_value_past_the_floats_raises_range_error(div, gen, flags, points):
+    with pytest.raises(RangeError, match="leaves the floats"):
+        library_call(div, gen, flags, points)
+    run = run_cli(eval_argv(div, gen, flags, points))
+    assert (run["exit"], run["stdout"]) == (2, "")
+    assert run["stderr"].startswith("qcdiv: error: ") and "leaves the floats" in run["stderr"]
+
+
+def test_a_recovered_qcvx_bregman_past_the_floats_raises_range_error():
+    with pytest.raises(RangeError, match="leaves the floats"):
+        qcvx_bregman_from_kl(ExpFamily(build_generator(BIG_SINE)), H, -H)

@@ -14,6 +14,7 @@ swapping, not a separate code path.
 from __future__ import annotations
 
 import math
+from operator import mul, sub
 
 from .core import (
     DomainError,
@@ -31,7 +32,7 @@ from .core import (
 def _linear_term(F: Generator, t, tp) -> float:
     """<theta - theta_p, grad F(theta_p)>; RangeError when it overflows."""
     g = _gradient(F, tp)
-    return _in_range(sum([(x - y) * gi for x, y, gi in zip(t, tp, g)]), "the linear term")
+    return _in_range(sum(map(mul, map(sub, t, tp), g)), "the linear term")
 
 
 def _branch(qt: float, qtp: float, finite, *args) -> ExtReal:

@@ -19,22 +19,13 @@ import math
 import random
 from typing import NamedTuple
 
-from .core import (Box, ExtReal, Generator, _eval, _pair, bounded_box, build_generator,
+from .core import (Box, ExtReal, Generator, _eval, _gradient, bounded_box, build_generator,
                    sample_point)
 from .jensen import _extended_jensen, _qccv_jensen, _qcvx_jensen
-from .bregman import _delta_averaged_qcvx_bregman, _qcvx_bregman
+from .bregman import _bregman, _delta_averaged_qcvx_bregman, _qcvx_bregman
 from .means import MeanSpec, _mn_jensen, weighted_mean
-from .statdiv import (
-    ExpFamily,
-    NestedUniform,
-    PowerNested,
-    expfam_cross_entropy,
-    expfam_entropy,
-    expfam_kl,
-    kl_nested_uniform,
-    kl_power_nested,
-    qcvx_bregman_from_kl,
-)
+from .statdiv import (NestedUniform, PowerNested, _cross_entropy, _from_kl, kl_nested_uniform,
+                      kl_power_nested)
 from .oracles import NonConvergenceError, integrate, kl_quadrature
 
 MAX_WITNESSES = 50
@@ -72,6 +63,18 @@ class SweepCase(NamedTuple):
 _generator = functools.cache(build_generator)
 
 
+# The identities suite's wrappers of a catalog generator, keyed on its spec
+# text for the same reason, so that a draw builds no JSON text.
+@functools.cache
+def _negated(spec: str) -> Generator:
+    return _generator(json.dumps({"negate": spec}))
+
+
+@functools.cache
+def _scaled(a: float, b: float, spec: str) -> Generator:
+    return _generator(json.dumps({"affine": {"a": a, "b": b, "inner": spec}}))
+
+
 @functools.cache
 def sweep_catalog():
     """The quasiconvex catalog with sampling boxes for randomized sweeps, built once."""
@@ -87,6 +90,19 @@ def sweep_catalog():
                   bounded_box((0.1, 10), (0.1, 10))),
         SweepCase(_generator('{"name": "linear-fractional", "a": 1, "b": 0, "c": 1, "d": 2}'),
                   bounded_box((-1.5, 10))),
+    )
+
+
+_HALF_QUAD = '{"affine": {"a": 0.5, "b": 0.0, "inner": {"name": "quadratic"}}}'
+
+
+@functools.cache
+def _cumulants():
+    """The cumulants of the identities suite's two exponential families, with boxes."""
+    return (
+        SweepCase(_generator(_HALF_QUAD), bounded_box((-4, 4))),
+        SweepCase(_generator(f'{{"separable": [{_HALF_QUAD}, {_HALF_QUAD}]}}'),
+                  bounded_box((-4, 4), (-4, 4))),
     )
 
 
@@ -114,6 +130,11 @@ def _close(a: float, b: float, rel: float) -> bool:
     return abs(a - b) <= rel * (1.0 + max(abs(a), abs(b)))
 
 
+def _valued(Q: Generator, t, tp):
+    """(t, tp, Q(t), Q(tp)) at float tuples of Q's dimension, which are not coerced."""
+    return t, tp, _eval(Q, t), _eval(Q, tp)
+
+
 def _two(Q: Generator, rng: random.Random, box: Box):
     """(t, tp, Q(t), Q(tp)) at two points of box.
 
@@ -121,8 +142,7 @@ def _two(Q: Generator, rng: random.Random, box: Box):
     inside Q's domain, so ``sample_point`` returns float tuples that
     ``_eval``'s domain check passes.
     """
-    t, tp = sample_point(rng, box), sample_point(rng, box)
-    return t, tp, _eval(Q, t), _eval(Q, tp)
+    return _valued(Q, sample_point(rng, box), sample_point(rng, box))
 
 
 def _order(t, tp, qt, qtp):
@@ -146,19 +166,13 @@ def suite_identities(samples: int, seed: int) -> SuiteResult:
     """Algebraic identities of the Jensen/Bregman/KL formulas, 1e-10 relative."""
     rng = random.Random(seed)
     cases = sweep_catalog()
-    negated = tuple(_generator(json.dumps({"negate": c.generator.spec})) for c in cases)
     n = len(cases)
     pairs = _catalog_pairs(rng, cases)
-    half_quad = '{"affine": {"a": 0.5, "b": 0.0, "inner": {"name": "quadratic"}}}'
-    fams = (
-        (ExpFamily(_generator(half_quad)), bounded_box((-4, 4))),
-        (ExpFamily(_generator(f'{{"separable": [{half_quad}, {half_quad}]}}')),
-         bounded_box((-4, 4), (-4, 4))),
-    )
+    cumulants = _cumulants()
 
     # The wrappers are other generators, evaluated at the points the draw checked.
     def negate(i, Q, t, tp, qt, qtp, alpha):
-        H = negated[i % n]  # the negation is quasiconcave
+        H = _negated(Q.spec)  # the negation is quasiconcave
         lhs = _qccv_jensen(H, alpha, t, tp, _eval(H, t), _eval(H, tp))
         rhs = _qcvx_jensen(Q, alpha, t, tp, qt, qtp)
         return (abs(lhs - rhs) <= 1e-14 * (1.0 + abs(rhs))
@@ -166,13 +180,10 @@ def suite_identities(samples: int, seed: int) -> SuiteResult:
 
     # Draw i scales case i % n by a, b from k = (i // n) % 9, so the first 9n
     # draws cover every (case, a, b).
-    def scaled(j):  # j = i % 9n
-        a, b = _SCALE_FACTORS[j // n % 3], _SCALE_OFFSETS[j // n // 3]
-        inner = cases[j % n].generator.spec
-        return a, _generator(json.dumps({"affine": {"a": a, "b": b, "inner": inner}}))
-
     def scaling(i, Q, t, tp, qt, qtp, alpha):
-        a, wrapped = scaled(i % (9 * n))
+        k = i // n % 9
+        a = _SCALE_FACTORS[k % 3]
+        wrapped = _scaled(a, _SCALE_OFFSETS[k // 3], Q.spec)
         lhs = _qcvx_jensen(wrapped, alpha, t, tp, _eval(wrapped, t), _eval(wrapped, tp))
         rhs = a * _qcvx_jensen(Q, alpha, t, tp, qt, qtp)
         return _close(lhs, rhs, 1e-10) or f"{wrapped.name} t={t} tp={tp} a={alpha}: {lhs} vs {rhs}"
@@ -199,17 +210,20 @@ def suite_identities(samples: int, seed: int) -> SuiteResult:
         return (ej >= lower - 1e-10 * (1.0 + abs(lower))
                 or f"{Q.name} t={t} tp={tp}: {ej} < {lower}")
 
+    # A family is its cumulant F; KL(p_t : p_tp) is the Bregman divergence B_F(tp : t).
     def fam_pairs(i):
-        fam, box = fams[i % len(fams)]
-        return fam, sample_point(rng, box), sample_point(rng, box)
+        F, box = cumulants[i % len(cumulants)]
+        return F, *_two(F, rng, box)
 
-    def cross_entropy(fam, t, tp):
-        kl, ce, h = expfam_kl(fam, t, tp), expfam_cross_entropy(fam, t, tp), expfam_entropy(fam, t)
+    def cross_entropy(F, t, tp, ft, ftp):
+        g = _gradient(F, t)  # grad F(t), shared by the cross-entropy and the entropy
+        kl = _bregman(F, tp, t, ftp, ft)
+        ce, h = _cross_entropy(g, tp, ftp), _cross_entropy(g, t, ft)
         return _close(kl, ce - h, 1e-10) or f"t={t} tp={tp}: {kl} vs {ce - h}"
 
-    def from_kl(fam, t, tp):
-        tp, t, ftp, ft = _order(*_pair(fam.F, tp, t))  # F(tp) <= F(t)
-        lhs, rhs = qcvx_bregman_from_kl(fam, t, tp), _qcvx_bregman(fam.F, tp, t, ftp, ft)
+    def from_kl(F, t, tp, ft, ftp):
+        tp, t, ftp, ft = _order(tp, t, ftp, ft)  # F(tp) <= F(t)
+        lhs, rhs = _from_kl(F, t, tp, ft, ftp), _qcvx_bregman(F, tp, t, ftp, ft)
         return _close(float(lhs), float(rhs), 1e-10) or f"t={t} tp={tp}: {lhs} vs {rhs}"
 
     return _run("identities", (
@@ -261,8 +275,8 @@ def suite_one_sided_infinity(samples: int, seed: int) -> SuiteResult:
                                             for case in sweep_catalog()))
 
 
-# ``pair`` is (t, tp, Q(t), Q(tp)) from core._pair; the witness shows t and tp
-# as drawn, so the cubic row's witnesses print scalars.
+# ``pair`` is (t, tp, Q(t), Q(tp)) over float tuples, from _valued; the witness
+# shows t and tp as drawn, so the cubic row's witnesses print scalars.
 def _positive(Q, t, tp, delta, pair):
     v = float(_delta_averaged_qcvx_bregman(Q, delta, *pair))
     return v > 0.0 or f"{Q.name} t={t} tp={tp} delta={delta}: {v}"
@@ -286,7 +300,7 @@ def suite_delta_positivity(samples: int, seed: int) -> SuiteResult:
             t, tp = rng.uniform(-4.0, -0.01), 0.0  # inflection point of the cubic
         else:  # cubic is increasing: Q(tp) >= Q(t)
             t, tp = sorted((rng.uniform(-4, 4), rng.uniform(-4, 4)))
-        return None if t == tp else (cubic, t, tp, delta, _pair(cubic, t, tp))
+        return None if t == tp else (cubic, t, tp, delta, _valued(cubic, (t,), (tp,)))
 
     def radial_pair(i):
         Q = quad2 if i % 2 == 0 else gauss2
@@ -294,8 +308,8 @@ def suite_delta_positivity(samples: int, seed: int) -> SuiteResult:
         a1, a2 = rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi)
         if a1 == a2:
             return None
-        pair = _order(*_pair(Q, (r * math.cos(a1), r * math.sin(a1)),
-                             (r * math.cos(a2), r * math.sin(a2))))
+        pair = _order(*_valued(Q, (r * math.cos(a1), r * math.sin(a1)),
+                               (r * math.cos(a2), r * math.sin(a2))))
         return Q, *pair[:2], rng.uniform(0.05, 2.0), pair
 
     return _run("delta-positivity", (

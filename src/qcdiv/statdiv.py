@@ -167,8 +167,12 @@ class ExpFamily(NamedTuple):
         return True
 
 
-# The cross-entropy checks theta and takes the gradient there before the value
-# at theta_p, so it is its own kernel, over the points as given.
+# The cross-entropy F(theta_p) - <theta_p, g> with g = grad F(theta), over
+# values already taken; the identities suite runs it on the pair it draws.
+def _cross_entropy(g, tp, ftp: float) -> float:
+    return _in_range(ftp - sum(map(operator.mul, tp, g)), "the cross-entropy")
+
+
 def expfam_cross_entropy(fam: ExpFamily, theta, theta_p) -> float:
     """Cross-entropy h(p_theta : p_theta_p) = F(theta_p) - <theta_p, grad F(theta)>.
 
@@ -177,9 +181,9 @@ def expfam_cross_entropy(fam: ExpFamily, theta, theta_p) -> float:
     """
     t, tp = _points(theta, theta_p)
     _check_dim(fam.F, t)
-    _check_domain(fam.F, t)
+    _check_domain(fam.F, t)  # theta and its gradient come before F(theta_p)
     g = _gradient(fam.F, t)
-    return _in_range(_eval(fam.F, tp) - sum(y * gi for y, gi in zip(tp, g)), "the cross-entropy")
+    return _cross_entropy(g, tp, _eval(fam.F, tp))
 
 
 def expfam_entropy(fam: ExpFamily, theta) -> float:
@@ -188,11 +192,21 @@ def expfam_entropy(fam: ExpFamily, theta) -> float:
     return expfam_cross_entropy(fam, t, t)
 
 
-# expfam_kl is the Bregman kernel on its checked pair with the points swapped,
-# and its own kernel, over the points as given.
+# expfam_kl is the Bregman kernel on its checked pair with the points swapped.
 def expfam_kl(fam: ExpFamily, theta, theta_p) -> float:
     """KL between family members is the reverse Bregman divergence of the cumulant."""
     return _bregman(fam.F, *_pair(fam.F, theta_p, theta))
+
+
+# The KL identity's precondition and value, over a checked pair and its values.
+def _from_kl(F: Generator, t, tp, ft: float, ftp: float) -> ExtReal:
+    if ftp > ft:
+        raise PreconditionError(
+            f"qcvx_bregman_from_kl needs F(theta_p) <= F(theta); "
+            f"got F(theta_p)={ftp} > F(theta)={ft}: query the reverse orientation"
+        )
+    return ExtReal(_in_range(_bregman(F, tp, t, ftp, ft) + ft - ftp,
+                             "qcvx_bregman_from_kl value"))
 
 
 def qcvx_bregman_from_kl(fam: ExpFamily, theta, theta_p) -> ExtReal:
@@ -202,11 +216,4 @@ def qcvx_bregman_from_kl(fam: ExpFamily, theta, theta_p) -> ExtReal:
     F(theta_p) <= F(theta); callers on the other branch should query the
     reverse orientation.
     """
-    t, tp, ft, ftp = _pair(fam.F, theta, theta_p)
-    if ftp > ft:
-        raise PreconditionError(
-            f"qcvx_bregman_from_kl needs F(theta_p) <= F(theta); "
-            f"got F(theta_p)={ftp} > F(theta)={ft}: query the reverse orientation"
-        )
-    return ExtReal(_in_range(_bregman(fam.F, tp, t, ftp, ft) + ft - ftp,
-                             "qcvx_bregman_from_kl value"))
+    return _from_kl(fam.F, *_pair(fam.F, theta, theta_p))

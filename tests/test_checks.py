@@ -133,7 +133,7 @@ FORCED = {
     "qcvx_jensen+1": ("_qcvx_jensen", _shifted(1.0), ("identities",)),
     "extended_jensen+1e3": ("_extended_jensen", _shifted(1e3), ("identities", "means")),
     "extended_jensen-1e3": ("_extended_jensen", _shifted(-1e3), ("identities", "means")),
-    "expfam_kl+1": ("expfam_kl", _shifted(1.0), ("identities",)),
+    "_bregman+1": ("_bregman", _shifted(1.0), ("identities",)),
     "qcvx_bregman=-1": ("_qcvx_bregman", _constant(-1.0),
                         ("identities", "first-order", "one-sided-infinity")),
     "delta_averaged_qcvx_bregman=0": ("_delta_averaged_qcvx_bregman", _constant(0.0),

@@ -87,3 +87,28 @@ def test_public_api_is_what_the_package_imports():
                 for alias in node.names}
     assert qcdiv.__all__ == sorted(imported)
     assert not any(isinstance(getattr(qcdiv, name), types.ModuleType) for name in qcdiv.__all__)
+
+
+def _imported(tree):
+    """(name, line) of each name a module's imports bind, ``__future__`` features aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((alias.asname or alias.name.split(".")[0], node.lineno)
+                        for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from ((alias.asname or alias.name, node.lineno) for alias in node.names)
+
+
+def test_every_imported_name_is_read():
+    # A stale import outlives the code that read it; the package's __init__
+    # imports to re-export, so it is the one module left out.
+    stale = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        stale += [f"{path.name}:{line}: {name}" for name, line in _imported(tree)
+                  if name not in read]
+    assert stale == []

@@ -251,12 +251,18 @@ def test_generator_work_per_call(label, gen, call, evals, grads):
     assert counts == {"eval": evals, "grad": grads}
 
 
+# The statdiv functions that check their points; the suites run their kernels.
+STATDIV_CHECKED = {"expfam_kl", "expfam_cross_entropy", "expfam_entropy", "qcvx_bregman_from_kl"}
+
+
 @pytest.mark.parametrize("module", ["oracles", "statdiv", "checks", "cli"])
 def test_oracles_call_kernels_only(module):
     # A public divergence checks and evaluates its points again, so the oracles,
     # the KL identity, the suites and the CLI import the kernels: of the public
     # names of jensen, bregman and means only MeanSpec, and none of those
-    # modules whole.  The means suite tests weighted_mean itself.
+    # modules whole.  The means suite tests weighted_mean itself.  The suites
+    # also take no checked statdiv function; the kl-quadrature suite's closed
+    # forms and densities are what it tests.
     allowed = {"MeanSpec", "weighted_mean"} if module == "checks" else {"MeanSpec"}
     public = set(qcdiv.__all__) - allowed
     source = Path(qcdiv.__file__).with_name(f"{module}.py").read_text(encoding="utf-8")
@@ -265,6 +271,8 @@ def test_oracles_call_kernels_only(module):
             names = {alias.name for alias in node.names}
             if node.module in ("jensen", "bregman", "means"):
                 assert not names & public, (module, node.module, names & public)
+            if node.module == "statdiv" and module == "checks":
+                assert not names & STATDIV_CHECKED, names & STATDIV_CHECKED
             assert not (node.module is None and names & {"jensen", "bregman", "means"}), module
 
 
@@ -286,11 +294,30 @@ def test_each_suite_draw_evaluates_its_points_once(monkeypatch):
         assert counts == {"eval": 180, "grad": 90}, suite
 
 
+@pytest.mark.parametrize("label", ["kl=cross-entropy", "qcvxB-from-kl"])
+def test_each_family_draw_evaluates_its_cumulant_twice(monkeypatch, label):
+    # 10 draws of the identities suite's family row alone.  Each evaluates F at
+    # its two points once and takes 2 gradients: grad F(t) for both
+    # cross-entropies and one in the Bregman value, or one each in the KL
+    # identity and in qcvx_bregman.  Through the public statdiv functions a
+    # draw made 4 evaluations and 3 or 2 gradients.
+    counts = {"eval": 0, "grad": 0}
+    cumulants = checks._cumulants()
+    monkeypatch.setattr(checks, "_cumulants", lambda: tuple(
+        case._replace(generator=_counted(case.generator.spec, counts)[0]) for case in cumulants))
+    run = checks._run
+    monkeypatch.setattr(checks, "_run", lambda suite, rows: run(
+        suite, tuple(row for row in rows if row[2][0][0] == label)))
+    assert checks.run_suite("identities", 10, 1).checked == 10
+    assert counts == {"eval": 20, "grad": 20}
+
+
 def test_sweep_boxes_hold_what_the_suites_skip_checking():
     # checks._two hands sample_point's tuples to core._eval without coercing
     # them: each box has its generator's dimension, is bounded and lies
     # strictly inside the domain, so every drawn coordinate is a finite float.
-    for g, box in checks.sweep_catalog():
+    # The identities suite draws its two cumulants' points the same way.
+    for g, box in checks.sweep_catalog() + checks._cumulants():
         assert box.dim == g.dim and box.bounded, g.name
         for inner, outer in zip(box.intervals, g.domain.intervals):
             assert outer.lower < inner.lower < inner.upper < outer.upper, g.name

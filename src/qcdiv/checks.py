@@ -19,8 +19,8 @@ import math
 import random
 from typing import NamedTuple
 
-from .core import (Box, ExtReal, Generator, _eval, _gradient, bounded_box, build_generator,
-                   sample_point)
+from .core import (Box, ExtReal, Generator, _count, _eval, _gradient, bounded_box,
+                   build_generator, sample_point)
 from .jensen import _extended_jensen, _qccv_jensen, _qcvx_jensen
 from .bregman import _bregman, _delta_averaged_qcvx_bregman, _qcvx_bregman
 from .means import MeanSpec, _mn_jensen, weighted_mean
@@ -448,4 +448,4 @@ SUITES = {
 def run_suite(name: str, samples: int, seed: int) -> SuiteResult:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name](samples, seed)
+    return SUITES[name](_count("samples", samples), seed)

@@ -9,6 +9,7 @@ uses 6 significant digits, csv and json use 17 (round-trip safe).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import re
@@ -327,5 +328,13 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> int:
+    """The process entry (``python -m qcdiv``, the ``qcdiv`` script): ``main()`` once the
+    import's heap is frozen, so no collection walks it again, at exit least of all.
+    ``main`` freezes nothing, so an in-process caller's heap is collected as before."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    sys.exit(run())

@@ -530,9 +530,20 @@ MAX_DIM = 10_000
 MAX_DEPTH = 32
 
 
+def _whole(value) -> bool:
+    """A real, not a bool, with no fractional part: NaN and the infinities have one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and value % 1 == 0
+
+
+def _count(name: str, value) -> int:
+    """A count argument (k_max, samples, n_lines, n_points) as an int; range checks follow."""
+    if _whole(value):
+        return int(value)
+    raise ValueError(f"{name} must be a whole number, got {_shown(value)}")
+
+
 def _dim(name: str, value) -> int:
-    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and value >= 1 and value % 1 == 0):
+    if _whole(value) and value >= 1:
         if value > MAX_DIM:
             raise SpecError(f"{name} dim must be at most {MAX_DIM}, got {_shown(value)}")
         return int(value)
@@ -697,7 +708,7 @@ def check_quasiconvex(g: Generator, box: Box, n_lines: int, n_points: int,
         if w is not None:
             witnesses.append(w)
     verdict = "refuted" if witnesses else "no-violation-found"
-    return QuasiconvexityReport(verdict, tuple(witnesses), n_lines, n_points)
+    return QuasiconvexityReport(verdict, tuple(witnesses), int(n_lines), int(n_points))
 
 
 def _segments(g: Generator, box: Box, n_lines: int, n_points: int, seed: int):
@@ -706,6 +717,7 @@ def _segments(g: Generator, box: Box, n_lines: int, n_points: int, seed: int):
     ``values`` are g at ``n_points`` equally spaced points, endpoints included.
     The box must be bounded, and its closed hull inside g's domain.
     """
+    n_lines, n_points = _count("n_lines", n_lines), _count("n_points", n_points)
     if n_points < 3:
         raise ValueError("n_points must be >= 3")
     if n_lines < 1:

@@ -16,8 +16,8 @@ import operator
 import sys
 from typing import NamedTuple
 
-from .core import (ExtReal, Generator, PreconditionError, RangeError, _check_dim, _eval,
-                   _fmt, _pair, as_vector)
+from .core import (ExtReal, Generator, PreconditionError, RangeError, _check_dim, _count,
+                   _eval, _fmt, _pair, as_vector)
 from .bregman import _qcvx_bregman, _ratio
 from .jensen import _qcvx_jensen, _skew
 from .means import MeanSpec, _power_mean_jensen, _r_exponent, _r_power_bregman
@@ -318,6 +318,7 @@ def _dyadic_study(name, Q, theta, theta_p, k_max, *, k_min, k_top, param, target
     the argument ``check`` runs once, after the target.  Past ``k_top`` the parameter
     leaves the floats the step accepts.  The unbounded-trend scale is 1 + |Q(t) - Q(tp)|.
     """
+    k_max = _count("k_max", k_max)
     if k_max < 4:
         raise ValueError("k_max must be >= 4")
     if k_max > k_top:

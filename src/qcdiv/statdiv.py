@@ -160,7 +160,7 @@ class ExpFamily(NamedTuple):
         """
         for _, _, _, vals in _segments(self.F, box, n_lines, n_points, seed):
             scale = 1.0 + max(abs(v) for v in vals)
-            for i in range(1, n_points - 1):
+            for i in range(1, len(vals) - 1):
                 second = vals[i - 1] - 2.0 * vals[i] + vals[i + 1]
                 if second <= -1e-9 * scale:
                     return False

@@ -8,14 +8,23 @@ missing-flag and malformed inputs, the bad means of ``mn-jensen``, and NaN
 exponents.  It stays clear of argparse's own usage errors, whose text belongs
 to the Python version, not to qcdiv.  ``PYTHONPATH=src python tests/pins.py``
 regenerates the file, and only a deliberate change of the CLI's output should.
+A fixed slice of the corpus, and one 101 x 101 table, also run through
+``python -m qcdiv`` and must exit, print and report as ``cli.main`` did.
 """
 
+import os
 import random
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
 import pins
 from qcdiv import cli
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 FORMATS = ("plain", "csv", "json")
 # Generators per --div, 1-D unless the spec says otherwise; the pools mix
@@ -169,3 +178,40 @@ def test_the_corpus_reaches_every_div_format_and_exit_code():
 @pytest.mark.parametrize("key", sorted(CORPUS))
 def test_eval_matches_its_pin(key):
     assert record(CORPUS[key]) == pins.load("cli_pins.json")[key]
+
+
+def _process(argv) -> dict:
+    """``python -m qcdiv argv`` in a child process: its exit code, stdout and stderr."""
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-m", "qcdiv", *argv], env=env, capture_output=True,
+                          text=True, timeout=60)
+    return {"exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}
+
+
+# The pins record cli.main in process.  A fixed slice of them runs through the
+# process entry too: every 16th key whose run issued no warning, since a
+# process prints its warnings to stderr.
+PROCESS_KEYS = [key for key in sorted(CORPUS)
+                if not pins.load("cli_pins.json")[key]["warnings"]][::16]
+
+
+@pytest.fixture(scope="module")
+def processes():
+    # Two children at a time: each spends most of its life starting Python.
+    with ThreadPoolExecutor(2) as pool:
+        return dict(zip(PROCESS_KEYS, pool.map(_process, (CORPUS[k] for k in PROCESS_KEYS))))
+
+
+@pytest.mark.parametrize("key", PROCESS_KEYS)
+def test_a_process_matches_the_pin(key, processes):
+    pin = pins.load("cli_pins.json")[key]
+    assert processes[key] == {name: pin[name] for name in ("exit", "stdout", "stderr")}
+
+
+def test_a_process_writes_a_whole_table():
+    # 101 x 101 rows, flushed through the pipe when the process exits.
+    argv = ["table", "--div", "qcvx-bregman", "--gen=log", "--grid-min=0.5", "--grid-max=13",
+            "--grid-step=0.125"]
+    run = _process(argv)
+    assert run["stdout"].count("\n") == 1 + 101 * 101
+    assert run == {name: pins.run_cli(argv)[name] for name in ("exit", "stdout", "stderr")}

@@ -1,8 +1,10 @@
 """qcdiv's import stays free of dataclass machinery it does not need.
 
 Most ``qcdiv`` processes evaluate one divergence, so their cost is mostly the
-import, and each ``@dataclass`` is built by ``dataclasses._process_class`` at
-import, which costs about ten times a ``NamedTuple``.  The records are named
+import and the exit.  ``cli.run`` freezes the heap the import left, so exit no
+longer collects it, and what the import builds is the larger part left.  Each
+``@dataclass`` is built by ``dataclasses._process_class`` at import, which
+costs about ten times a ``NamedTuple``.  The records are named
 tuples or small hand-written classes instead.  ``core.Generator`` is the one
 exception: ``bench/spans.py`` calls ``dataclasses.replace`` on every generator
 that ``build_generator`` returns, to wrap its ``eval`` and ``grad``, and it

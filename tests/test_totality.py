@@ -15,6 +15,10 @@ feed what they build to ``pdf`` and ``log_pdf``: ``pdf`` is a float in
 [0, inf), 0 outside the support (0, e^theta), where ``log_pdf`` raises
 ``DomainError``.
 
+The count rows pass k_max, samples, n_lines and n_points: a whole number
+counts as an int, and a bool, NaN, an infinity or a fraction raises
+``ValueError``, where ``range`` once raised ``TypeError``.
+
 The overflow witnesses are divergences whose finite value leaves the floats:
 the library raises ``RangeError`` and ``qcdiv eval`` exits 2 with no stdout,
 where the value was once -inf, a finite-branch +inf or a bare ``ValueError``.
@@ -29,8 +33,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pins import eval_argv, library_call, run_cli
-from qcdiv.core import DomainError, RangeError, build_generator
+from qcdiv.checks import run_suite
+from qcdiv.core import DomainError, RangeError, bounded_box, build_generator, check_quasiconvex
 from qcdiv.means import MeanSpec, weighted_mean
+from qcdiv.oracles import limit_power_jensen, limit_scaled_jensen
 from qcdiv.statdiv import ExpFamily, NestedUniform, PowerNested, qcvx_bregman_from_kl
 
 MAX = sys.float_info.max
@@ -50,6 +56,10 @@ DENSITIES = (NestedUniform(1e-300), NestedUniform(1.0), NestedUniform(709.0),
 # alpha * theta leave the floats.
 ALPHA = EDGE + (2.0, 1.0 + 2.0**-52, 100.0)
 THETA = EDGE + (709.0, 709.79, 800.0, 1e308)
+# Count arguments: whole numbers as ints and floats, then values outside the
+# range checks and values that are no count.  The first is an int, so the
+# draws below take only these.
+COUNT = (4, 20, 20.0, 3, 0, -1, True, 2.5, math.nan, math.inf, -math.inf)
 
 
 def density_at(p, x):
@@ -84,6 +94,17 @@ ROWS = [
     ("log_pdf", lambda p, x: p.log_pdf(x), (DENSITIES, EDGE), False),
     ("NestedUniform", lambda t, x: density_at(NestedUniform(t), x), (THETA, EDGE), False),
     ("PowerNested", lambda a, t, x: density_at(PowerNested(a, t), x), (ALPHA, THETA, EDGE), False),
+    ("limit_scaled_jensen k_max",
+     lambda k: float(limit_scaled_jensen(build_generator("log"), 1.0, 2.0, k).final_error),
+     (COUNT,), False),
+    ("limit_power_jensen k_max",
+     lambda k: float(limit_power_jensen(build_generator("sqrt"), 1.0, 2.0, k).final_error),
+     (COUNT,), False),
+    ("run_suite samples", lambda n: float(run_suite("identities", n, 1).failed), (COUNT,), False),
+    ("check_quasiconvex counts",
+     lambda lines, points: float(len(check_quasiconvex(
+         build_generator("quadratic"), bounded_box((-5, 5)), lines, points, 1).witnesses)),
+     (COUNT, COUNT), False),
 ]
 IDS = [row[0] for row in ROWS]
 

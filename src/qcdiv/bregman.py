@@ -47,8 +47,6 @@ def _branch(qt: float, qtp: float, finite, *args) -> ExtReal:
 # points that core._pair checked and their generator values; ``qcdiv eval`` and
 # ``qcdiv table`` call the same checks and kernels.  Call arguments are
 # evaluated left to right, so the argument checks run before the point checks.
-# The three divergences without arguments name the pair: a plain call is
-# cheaper than one that unpacks it.
 
 
 def _bregman(F: Generator, t, tp, ft: float, ftp: float) -> float:
@@ -57,8 +55,7 @@ def _bregman(F: Generator, t, tp, ft: float, ftp: float) -> float:
 
 def bregman(F: Generator, theta, theta_p) -> float:
     """F(theta) - F(theta_p) - <theta - theta_p, grad F(theta_p)>."""
-    t, tp, ft, ftp = _pair(F, theta, theta_p)
-    return _bregman(F, t, tp, ft, ftp)
+    return _bregman(F, *_pair(F, theta, theta_p))
 
 
 # The finite branch is -<theta - theta_p, grad Q(theta_p)>: _bregman with both
@@ -78,8 +75,7 @@ def qcvx_bregman(Q: Generator, theta, theta_p) -> ExtReal:
     generator ({"separable": [...]}) the branch compares the total values, so
     the divergence of the sum is not the sum of per-coordinate divergences.
     """
-    t, tp, qt, qtp = _pair(Q, theta, theta_p)
-    return _qcvx_bregman(Q, t, tp, qt, qtp)
+    return _qcvx_bregman(Q, *_pair(Q, theta, theta_p))
 
 
 # The argument check of delta_averaged_qcvx_bregman: delta > 0.
@@ -125,5 +121,4 @@ def extended_bregman(Q: Generator, theta, theta_p) -> ExtReal:
     For convex Q this collapses to the ordinary Bregman divergence; for merely
     quasiconvex Q the finite branch may be negative.
     """
-    t, tp, qt, qtp = _pair(Q, theta, theta_p)
-    return _extended_bregman(Q, t, tp, qt, qtp)
+    return _extended_bregman(Q, *_pair(Q, theta, theta_p))

@@ -252,8 +252,6 @@ def cmd_limit_study(args) -> int:
 
 
 def cmd_check(args) -> int:
-    if args.samples < 1:
-        raise CliError(f"--samples must be >= 1, got {args.samples}")
     result = checks.run_suite(args.suite, args.samples, args.seed)
     for line in result.report_lines():
         print(line)

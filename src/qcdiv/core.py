@@ -107,10 +107,8 @@ def _fmt(value: float, mode: str = "csv") -> str:
 
 def as_vector(theta) -> Vector:
     """Coerce a ``numbers.Real`` or a sequence of reals to a finite coordinate tuple."""
-    # Tuples, ints and floats are decided before the slower ABC check.
-    if type(theta) is tuple:
-        coords = tuple(map(float, theta))
-    elif isinstance(theta, (int, float)) or isinstance(theta, numbers.Real):
+    # Ints and floats are decided before the slower ABC check.
+    if isinstance(theta, (int, float)) or isinstance(theta, numbers.Real):
         coords = (float(theta),)
     else:
         try:
@@ -155,13 +153,17 @@ def _points(theta, theta_p):
     return t, tp
 
 
+def _validate_weight(alpha: float, what: str = "mean weight") -> float:
+    a = float(alpha)
+    if not 0.0 <= a <= 1.0:
+        raise ValueError(f"{what} must lie in [0, 1], got {a}")
+    return a
+
+
 def interpolate(theta, theta_p, alpha: float) -> Vector:
     """Weighted linear interpolation (1-alpha)*theta + alpha*theta_p."""
     t, tp = _points(theta, theta_p)
-    a = float(alpha)
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"interpolation weight must be in [0, 1], got {a}")
-    return _lerp(t, tp, a)
+    return _lerp(t, tp, _validate_weight(alpha, "interpolation weight"))
 
 
 def _lerp(t: Vector, tp: Vector, a: float) -> Vector:
@@ -335,8 +337,7 @@ class Generator:
 def eval_generator(g: Generator, theta) -> float:
     """Evaluate g at theta with domain checking; the value must be finite."""
     t = as_vector(theta)
-    if len(t) != g.dim:
-        _check_dim(g, t)
+    _check_dim(g, t)
     return _eval(g, t)
 
 
@@ -348,8 +349,7 @@ def gradient(g: Generator, theta) -> Vector:
     attempted.
     """
     t = as_vector(theta)
-    if len(t) != g.dim:
-        _check_dim(g, t)
+    _check_dim(g, t)
     return _gradient(g, t)
 
 
@@ -367,8 +367,7 @@ def _check_dim(g: Generator, t: Vector) -> None:
 def _pair(g: Generator, theta, theta_p):
     """(t, tp, g(t), g(tp)): both points coerced and checked, then g at each."""
     t, tp = _points(theta, theta_p)
-    if len(t) != g.dim:
-        _check_dim(g, t)
+    _check_dim(g, t)
     return t, tp, _eval(g, t), _eval(g, tp)
 
 
@@ -535,11 +534,13 @@ def _whole(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and value % 1 == 0
 
 
-def _count(name: str, value) -> int:
-    """A count argument (k_max, samples, n_lines, n_points) as an int; range checks follow."""
-    if _whole(value):
-        return int(value)
-    raise ValueError(f"{name} must be a whole number, got {_shown(value)}")
+def _count(name: str, value, least: int) -> int:
+    """A count argument (k_max, samples, n_lines, n_points) as an int of at least ``least``."""
+    if not _whole(value):
+        raise ValueError(f"{name} must be a whole number, got {_shown(value)}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return int(value)
 
 
 def _dim(name: str, value) -> int:
@@ -569,17 +570,16 @@ def _affine(obj, depth: int) -> Generator:
     inner = _build(obj["inner"], depth)
     _only(obj, ("a", "b", "inner"), "affine object")
     ie, ig = inner.eval, inner.grad
-    grad = None if ig is None else (lambda t: tuple(a * c for c in ig(t)))
-    return Generator(inner.dim, lambda t: a * ie(t) + b, inner.domain, grad,
+    return Generator(inner.dim, lambda t: a * ie(t) + b, inner.domain,
+                     lambda t: tuple(a * c for c in ig(t)),
                      inner.declared_class, name=f"affine({a},{b},{inner.name})")
 
 
 def _negate(inner_spec, depth: int) -> Generator:
     inner = _build(inner_spec, depth)
     ie, ig = inner.eval, inner.grad
-    grad = None if ig is None else (lambda t: tuple(-c for c in ig(t)))
-    return Generator(inner.dim, lambda t: -ie(t), inner.domain, grad,
-                     _NEGATED_CLASS[inner.declared_class], name=f"neg({inner.name})")
+    return Generator(inner.dim, lambda t: -ie(t), inner.domain,
+                     lambda t: tuple(-c for c in ig(t)), _NEGATED_CLASS[inner.declared_class], name=f"neg({inner.name})")
 
 
 def _separable(items, depth: int) -> Generator:
@@ -595,9 +595,9 @@ def _separable(items, depth: int) -> Generator:
     grads = [g.grad for g in comps]
     dim = len(comps)
     domain = Box(tuple(g.domain.intervals[0] for g in comps))
-    grad = None if None in grads else (lambda t: tuple(grads[i]((t[i],))[0] for i in range(dim)))
     cls = "convex" if all(g.declared_class == "convex" for g in comps) else "unknown"
-    return Generator(dim, lambda t: sum(evals[i]((t[i],)) for i in range(dim)), domain, grad,
+    return Generator(dim, lambda t: sum(evals[i]((t[i],)) for i in range(dim)), domain,
+                     lambda t: tuple(grads[i]((t[i],))[0] for i in range(dim)),
                      cls, name="sum(" + ",".join(g.name for g in comps) + ")")
 
 
@@ -717,11 +717,7 @@ def _segments(g: Generator, box: Box, n_lines: int, n_points: int, seed: int):
     ``values`` are g at ``n_points`` equally spaced points, endpoints included.
     The box must be bounded, and its closed hull inside g's domain.
     """
-    n_lines, n_points = _count("n_lines", n_lines), _count("n_points", n_points)
-    if n_points < 3:
-        raise ValueError("n_points must be >= 3")
-    if n_lines < 1:
-        raise ValueError("n_lines must be >= 1")
+    n_lines, n_points = _count("n_lines", n_lines, 1), _count("n_points", n_points, 3)
     if not box.bounded:
         raise ValueError("sampling requires a bounded box")
     # rng.uniform can return either end, so the box's two corners, and with

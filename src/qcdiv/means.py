@@ -23,6 +23,7 @@ from .core import (
     _in_range,
     _lerp,
     _pair,
+    _validate_weight,
 )
 from .bregman import _linear_term
 
@@ -87,13 +88,6 @@ class MeanSpec(_Frozen):
 
 
 _ARITHMETIC = MeanSpec("arithmetic")
-
-
-def _validate_weight(alpha: float) -> float:
-    a = float(alpha)
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"mean weight must lie in [0, 1], got {a}")
-    return a
 
 
 def _power_mean(x: float, y: float, alpha: float, delta: float) -> float:

@@ -318,9 +318,7 @@ def _dyadic_study(name, Q, theta, theta_p, k_max, *, k_min, k_top, param, target
     the argument ``check`` runs once, after the target.  Past ``k_top`` the parameter
     leaves the floats the step accepts.  The unbounded-trend scale is 1 + |Q(t) - Q(tp)|.
     """
-    k_max = _count("k_max", k_max)
-    if k_max < 4:
-        raise ValueError("k_max must be >= 4")
+    k_max = _count("k_max", k_max, 4)
     if k_max > k_top:
         raise ValueError(f"k_max must be <= {k_top}: the {name} schedule leaves the floats "
                          f"past it, got {k_max}")

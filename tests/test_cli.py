@@ -220,7 +220,7 @@ def test_check_prints_the_suite_report_or_exits_2(suite, samples, seed):
     run = pins.run_cli(["check", "--suite", suite, "--samples", str(samples), "--seed", str(seed)])
     if samples < 1:
         assert (run["exit"], run["stdout"]) == (2, "")
-        assert run["stderr"] == f"qcdiv: error: --samples must be >= 1, got {samples}\n"
+        assert run["stderr"] == "qcdiv: error: samples must be >= 1\n"
         return
     result = checks.run_suite(suite, samples, seed)
     assert run["stdout"] == "".join(line + "\n" for line in result.report_lines())

@@ -273,11 +273,12 @@ class Box(_Frozen):
 
 
 def real_line(dim: int = 1) -> Box:
-    return Box(tuple(Interval() for _ in range(dim)))
+    return Box(tuple(Interval() for _ in range(_count("dim", dim, 1))))
 
 
 def positive_ray(dim: int = 1) -> Box:
-    return Box(tuple(Interval(0.0, math.inf, lower_open=True) for _ in range(dim)))
+    return Box(tuple(Interval(0.0, math.inf, lower_open=True)
+                     for _ in range(_count("dim", dim, 1))))
 
 
 def bounded_box(*bounds) -> Box:
@@ -535,7 +536,7 @@ def _whole(value) -> bool:
 
 
 def _count(name: str, value, least: int) -> int:
-    """A count argument (k_max, samples, n_lines, n_points) as an int of at least ``least``."""
+    """A count argument (k_max, samples, n_lines, n_points, dim) as an int of at least ``least``."""
     if not _whole(value):
         raise ValueError(f"{name} must be a whole number, got {_shown(value)}")
     if value < least:

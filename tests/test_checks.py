@@ -54,6 +54,14 @@ def test_unknown_suite():
         run_suite("nosuch", 10, 0)
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_a_suite_needs_a_sample(name, samples):
+    # A suite of no draws would pass having checked nothing.
+    with pytest.raises(ValueError, match="^samples must be >= 1$"):
+        run_suite(name, samples, 1)
+
+
 def _stub_rows(*outs):
     """One row whose checks return ``outs`` in order on a single draw."""
     return ((1, lambda i: (), tuple((f"p{k}", lambda out=out: out) for k, out in enumerate(outs))),)

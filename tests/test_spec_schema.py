@@ -154,8 +154,10 @@ def test_spec_trees_rebuild_and_reject_unknown_keys(data):
     g = build_generator(data.draw(rendered(tree)))
     again = build_generator(g.spec)
     assert (again.spec, again.name, again.dim) == (g.spec, g.name, g.dim)
+    assert g.grad is not None  # every built-in and combinator passes a gradient on
     for t in interior_points(g):
         assert outcome(again.eval, t) == outcome(g.eval, t)
+        assert outcome(again.grad, t) == outcome(g.grad, t)
 
     bad = copy.deepcopy(tree)
     where = data.draw(st.sampled_from(list(sites(bad))))

@@ -8,14 +8,18 @@ A call must return a finite float, or +inf where its row documents it, or
 raise a ``ValueError`` with the library's own message: one of the
 ``qcdiv.core`` subclasses, or a plain ``ValueError`` from an argument check.
 It never returns NaN or -inf, and never raises ``OverflowError``,
-``ZeroDivisionError`` or a bare "math domain error".
+``ZeroDivisionError`` or a bare "math domain error".  An oracle may also
+raise the typed ``RuntimeError`` its docstring names, as ``REPORTS`` lists.
+A row reduces a tuple or record result to a float.  Every public function
+has a row, a ``cli.DIVERGENCES`` entry (``test_fuzz_catalog`` fuzzes those)
+or a property named in ``ELSEWHERE``.
 
 The density rows call the constructors too, over edge alpha and theta, and
 feed what they build to ``pdf`` and ``log_pdf``: ``pdf`` is a float in
 [0, inf), 0 outside the support (0, e^theta), where ``log_pdf`` raises
 ``DomainError``.
 
-The count rows pass k_max, samples, n_lines and n_points: a whole number
+The count rows pass k_max, samples, n_lines, n_points and dim: a whole number
 counts as an int, and a bool, NaN, an infinity or a fraction raises
 ``ValueError``, where ``range`` once raised ``TypeError``.
 
@@ -24,6 +28,7 @@ the library raises ``RangeError`` and ``qcdiv eval`` exits 2 with no stdout,
 where the value was once -inf, a finite-branch +inf or a bare ``ValueError``.
 """
 
+import inspect
 import itertools
 import math
 import sys
@@ -32,11 +37,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qcdiv
+import test_spec_schema
 from pins import eval_argv, library_call, run_cli
+from qcdiv import cli
 from qcdiv.checks import run_suite
-from qcdiv.core import DomainError, RangeError, bounded_box, build_generator, check_quasiconvex
+from qcdiv.core import (DomainError, Generator, RangeError, as_vector, bounded_box,
+                        build_generator, check_quasiconvex, eval_generator, gradient, interpolate,
+                        positive_ray, real_line)
 from qcdiv.means import MeanSpec, weighted_mean
-from qcdiv.oracles import limit_power_jensen, limit_scaled_jensen
+from qcdiv.oracles import (InfiniteIntegrandError, NonConvergenceError, integrate,
+                           integrate_delta_average, kl_quadrature, limit_power_jensen,
+                           limit_r_power_bregman, limit_scaled_jensen)
 from qcdiv.statdiv import ExpFamily, NestedUniform, PowerNested, qcvx_bregman_from_kl
 
 MAX = sys.float_info.max
@@ -60,6 +72,15 @@ THETA = EDGE + (709.0, 709.79, 800.0, 1e308)
 # range checks and values that are no count.  The first is an int, so the
 # draws below take only these.
 COUNT = (4, 20, 20.0, 3, 0, -1, True, 2.5, math.nan, math.inf, -math.inf)
+# Fewer edges for the oracles, whose calls integrate or run a limit schedule.
+POINT = (0.0, 5e-324, 0.3, 1.0, 2.5, 1e300, MAX, -1.0, -MAX, math.nan, math.inf, -math.inf)
+RATIO = (0.5, 5e-324, 1e300, 0.0, -1.0, math.nan, math.inf)
+# Generators whose points are checked, a 2-D one for the dimension check, and
+# a hand-built one without a gradient, which takes finite differences.
+GENS = (build_generator("log"), build_generator("cubic"),
+        build_generator('{"name": "neg-gauss", "dim": 2}'),
+        Generator(1, lambda t: t[0] ** 3, real_line()))
+VECTORS = EDGE + ((1.0, 2.0), (MAX, -MAX), (math.nan, 1.0), ())
 
 
 def density_at(p, x):
@@ -76,6 +97,12 @@ def density_at(p, x):
     with pytest.raises(DomainError):
         p.log_pdf(x)
     return d
+
+
+def quadrature(result):
+    """A QuadratureResult's value, once its error estimate is checked finite."""
+    assert math.isfinite(result.error_bound) and result.panels >= 1, result
+    return result.value
 
 # (label, call, the edge values of each argument, +inf documented)
 ROWS = [
@@ -105,19 +132,62 @@ ROWS = [
      lambda lines, points: float(len(check_quasiconvex(
          build_generator("quadratic"), bounded_box((-5, 5)), lines, points, 1).witnesses)),
      (COUNT, COUNT), False),
+    ("as_vector",
+     lambda x, y: max(as_vector((x, y)) + as_vector(x) + as_vector([y])), (EDGE, EDGE), False),
+    ("eval_generator", eval_generator, (GENS, VECTORS), False),
+    ("gradient", lambda g, t: max(gradient(g, t)), (GENS, VECTORS), False),
+    ("interpolate", lambda x, y, a: max(interpolate((x, -y), (y, -x), a)),
+     (EDGE, EDGE, WEIGHT), False),
+    ("integrate", lambda c, a, b: quadrature(integrate(lambda x: c, a, b)), (EDGE, EDGE, EDGE),
+     False),
+    ("integrate_delta_average",
+     lambda g, x, y, d: integrate_delta_average(g, x, y, d),
+     ((build_generator("quadratic"), build_generator("log")), POINT, POINT, RATIO), False),
+    ("kl_quadrature", lambda p, q: float(kl_quadrature(p, q)), (DENSITIES, DENSITIES), True),
+    ("limit_r_power_bregman",
+     lambda x, y: float(limit_r_power_bregman(build_generator("sqrt"), x, y, 8).final_error),
+     (POINT, POINT), True),
+    ("qcvx_bregman_from_kl",
+     lambda x, y: float(qcvx_bregman_from_kl(ExpFamily(build_generator("quadratic")), x, y)),
+     (POINT, POINT), True),
+    ("real_line", lambda d: float(real_line(d).dim), (COUNT,), False),
+    ("positive_ray", lambda d: float(positive_ray(d).dim), (COUNT,), False),
+    ("bounded_box", lambda lo, hi: float(bounded_box((lo, hi), (lo, hi)).dim), (EDGE, EDGE),
+     False),
 ]
 IDS = [row[0] for row in ROWS]
+# The typed errors an oracle reports besides ValueError, by the function a row's
+# label names first.
+REPORTS = {
+    "integrate_delta_average": (NonConvergenceError, InfiniteIntegrandError),
+    "kl_quadrature": (NonConvergenceError,),
+}
 
 
 def assert_total(label, call, args, inf_ok):
     try:
         value = call(*args)
+    except REPORTS.get(label.split()[0], ()):
+        return
     except ValueError as e:
         assert type(e) is ValueError or type(e).__module__ == "qcdiv.core", (label, args, e)
         assert str(e) not in STRAY, (label, args, e)
         return
     assert type(value) is float, (label, args, value)
     assert math.isfinite(value) or (inf_ok and value == math.inf), (label, args, value)
+
+
+# A public function without a row: the property that holds it to the same rule.
+ELSEWHERE = {"build_generator": test_spec_schema.test_spec_trees_rebuild_and_reject_unknown_keys}
+
+
+def test_every_public_function_has_a_totality_property():
+    # A row's label names its function first; test_fuzz_catalog fuzzes the
+    # catalog divergences.
+    covered = ({label.split()[0] for label in IDS} | set(ELSEWHERE)
+               | {div.name for div in cli.DIVERGENCES.values()})
+    public = {name for name in qcdiv.__all__ if inspect.isfunction(getattr(qcdiv, name))}
+    assert not public - covered, sorted(public - covered)
 
 
 @pytest.mark.parametrize("label, call, edges, inf_ok", ROWS, ids=IDS)

@@ -253,6 +253,9 @@ def test_generator_work_per_call(label, gen, call, evals, grads):
 
 # The statdiv functions that check their points; the suites run their kernels.
 STATDIV_CHECKED = {"expfam_kl", "expfam_cross_entropy", "expfam_entropy", "qcvx_bregman_from_kl"}
+# The core functions that coerce points: a suite draw checks its points itself
+# and evaluates them with _eval, so none of these runs per draw.
+CORE_COERCING = {"as_vector", "eval_generator", "gradient", "_points", "_pair"}
 
 
 @pytest.mark.parametrize("module", ["oracles", "statdiv", "checks", "cli"])
@@ -273,6 +276,8 @@ def test_oracles_call_kernels_only(module):
                 assert not names & public, (module, node.module, names & public)
             if node.module == "statdiv" and module == "checks":
                 assert not names & STATDIV_CHECKED, names & STATDIV_CHECKED
+            if node.module == "core" and module == "checks":
+                assert not names & CORE_COERCING, names & CORE_COERCING
             assert not (node.module is None and names & {"jensen", "bregman", "means"}), module
 
 

@@ -10,10 +10,13 @@ to the Python version, not to qcdiv.  ``PYTHONPATH=src python tests/pins.py``
 regenerates the file, and only a deliberate change of the CLI's output should.
 A fixed slice of the corpus, and one 101 x 101 table, also run through
 ``python -m qcdiv`` and must exit, print and report as ``cli.main`` did.
+A smaller slice runs under every other CPython from 3.10 up that is on
+``PATH``, since ``pyproject.toml`` declares ``requires-python = ">=3.10"``.
 """
 
 import os
 import random
+import shutil
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -180,10 +183,10 @@ def test_eval_matches_its_pin(key):
     assert record(CORPUS[key]) == pins.load("cli_pins.json")[key]
 
 
-def _process(argv) -> dict:
+def _process(argv, python=sys.executable) -> dict:
     """``python -m qcdiv argv`` in a child process: its exit code, stdout and stderr."""
     env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    proc = subprocess.run([sys.executable, "-m", "qcdiv", *argv], env=env, capture_output=True,
+    proc = subprocess.run([python, "-m", "qcdiv", *argv], env=env, capture_output=True,
                           text=True, timeout=60)
     return {"exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}
 
@@ -206,6 +209,29 @@ def processes():
 def test_a_process_matches_the_pin(key, processes):
     pin = pins.load("cli_pins.json")[key]
     assert processes[key] == {name: pin[name] for name in ("exit", "stdout", "stderr")}
+
+
+def _other_pythons():
+    """Each CPython 3.10 and up on PATH, but this one, that starts: ``-c pass`` exits 0."""
+    names = [f"python3.{minor}" for minor in range(10, 14) if minor != sys.version_info.minor]
+    found = [path for path in map(shutil.which, names) if path]
+    return [path for path in found
+            if subprocess.run([path, "-c", "pass"], capture_output=True, timeout=60).returncode == 0]
+
+
+def test_every_supported_python_matches_the_pins():
+    pythons = _other_pythons()
+    if not pythons:
+        pytest.skip("no other CPython from 3.10 up starts on PATH")
+    pinned = pins.load("cli_pins.json")
+    keys = [key for key in sorted(pinned) if not pinned[key]["warnings"]][::32]
+    for python in pythons:
+        with ThreadPoolExecutor(2) as pool:
+            runs = pool.map(lambda key: _process(pinned[key]["argv"], python), keys)
+            for key, run in zip(keys, runs):
+                pin = pinned[key]
+                assert run == {name: pin[name] for name in ("exit", "stdout", "stderr")}, \
+                    (python, key)
 
 
 def test_a_process_writes_a_whole_table():

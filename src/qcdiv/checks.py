@@ -446,7 +446,7 @@ SUITES = {
 
 
 def run_suite(name: str, samples: int, seed: int) -> SuiteResult:
-    """Suite ``name`` at ``samples`` draws, a whole number >= 1 (else ValueError), from ``seed``."""
+    """Suite ``name`` on ``samples`` draws from ``seed``; samples must be a whole number >= 1."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     return SUITES[name](_count("samples", samples, 1), seed)

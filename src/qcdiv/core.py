@@ -536,7 +536,7 @@ def _whole(value) -> bool:
 
 
 def _count(name: str, value, least: int) -> int:
-    """A count argument (k_max, samples, n_lines, n_points, dim) as an int of at least ``least``."""
+    """A count argument (k_max, samples, n_lines, n_points, dim) as an int >= ``least``."""
     if not _whole(value):
         raise ValueError(f"{name} must be a whole number, got {_shown(value)}")
     if value < least:
@@ -579,8 +579,8 @@ def _affine(obj, depth: int) -> Generator:
 def _negate(inner_spec, depth: int) -> Generator:
     inner = _build(inner_spec, depth)
     ie, ig = inner.eval, inner.grad
-    return Generator(inner.dim, lambda t: -ie(t), inner.domain,
-                     lambda t: tuple(-c for c in ig(t)), _NEGATED_CLASS[inner.declared_class], name=f"neg({inner.name})")
+    return Generator(inner.dim, lambda t: -ie(t), inner.domain, lambda t: tuple(-c for c in ig(t)),
+                     _NEGATED_CLASS[inner.declared_class], name=f"neg({inner.name})")
 
 
 def _separable(items, depth: int) -> Generator:

@@ -43,12 +43,6 @@ def _branch(qt: float, qtp: float, finite, *args) -> ExtReal:
     return ExtReal(finite(*args), tie)
 
 
-# Each divergence calls its kernel with the checked arguments, then the two
-# points that core._pair checked and their generator values; ``qcdiv eval`` and
-# ``qcdiv table`` call the same checks and kernels.  Call arguments are
-# evaluated left to right, so the argument checks run before the point checks.
-
-
 def _bregman(F: Generator, t, tp, ft: float, ftp: float) -> float:
     return _in_range(ft - ftp - _linear_term(F, t, tp), "the Bregman value")
 

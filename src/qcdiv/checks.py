@@ -14,7 +14,6 @@ does not apply to the draw.  The rows draw from the suite's
 from __future__ import annotations
 
 import functools
-import json
 import math
 import random
 from typing import NamedTuple
@@ -64,15 +63,15 @@ _generator = functools.cache(build_generator)
 
 
 # The identities suite's wrappers of a catalog generator, keyed on its spec
-# text for the same reason, so that a draw builds no JSON text.
+# text for the same reason, each built once, so that a draw builds nothing.
 @functools.cache
 def _negated(spec: str) -> Generator:
-    return _generator(json.dumps({"negate": spec}))
+    return build_generator({"negate": spec})
 
 
 @functools.cache
 def _scaled(a: float, b: float, spec: str) -> Generator:
-    return _generator(json.dumps({"affine": {"a": a, "b": b, "inner": spec}}))
+    return build_generator({"affine": {"a": a, "b": b, "inner": spec}})
 
 
 @functools.cache

@@ -26,15 +26,11 @@ from .means import (MeanSpec, _exponents, _mn_jensen, _power_mean_bregman, _powe
 from .statdiv import ExpFamily, _exponent, _kl_power_nested
 
 
-class CliError(Exception):
-    """Configuration problem detected after argument parsing; exits 2."""
-
-
 def _parse_vector(text: str, flag: str):
     try:
         return tuple(float(part) for part in text.split(","))
     except ValueError:
-        raise CliError(f"{flag} expects comma-separated reals, got {text!r}") from None
+        raise ValueError(f"{flag} expects comma-separated reals, got {text!r}") from None
 
 
 def _load_generator(args):
@@ -43,11 +39,11 @@ def _load_generator(args):
             try:
                 spec = json.load(fh)
             except RecursionError:  # nested past the decoder's recursion limit
-                raise CliError("--gen-file: the JSON nests too deeply to decode") from None
+                raise ValueError("--gen-file: the JSON nests too deeply to decode") from None
         return build_generator(spec)
     if getattr(args, "gen", None):
         return build_generator(args.gen)
-    raise CliError("this divergence needs a generator: pass --gen or --gen-file")
+    raise ValueError("this divergence needs a generator: pass --gen or --gen-file")
 
 
 def _parse_mean(text: str, flag: str) -> MeanSpec:
@@ -57,10 +53,10 @@ def _parse_mean(text: str, flag: str) -> MeanSpec:
         try:
             return MeanSpec.power(float(text[len("power:"):]))
         except ValueError:
-            raise CliError(f"{flag}: bad power exponent in {text!r}") from None
+            raise ValueError(f"{flag}: bad power exponent in {text!r}") from None
     if text.startswith("qa:"):
         return MeanSpec.quasi_arithmetic(build_generator(text[len("qa:"):]))
-    raise CliError(
+    raise ValueError(
         f"{flag}: unknown mean {text!r} "
         "(use arithmetic | max | min | power:<delta> | qa:<generator-spec>)"
     )
@@ -69,13 +65,13 @@ def _parse_mean(text: str, flag: str) -> MeanSpec:
 def _need(args, flag: str):
     value = getattr(args, flag[2:].replace("-", "_"))
     if value is None:
-        raise CliError(f"--div {args.div} requires {flag}")
+        raise ValueError(f"--div {args.div} requires {flag}")
     return value
 
 
 def _scalar(vec, flag: str) -> float:
     if len(vec) != 1:
-        raise CliError(f"{flag} must be a single real for this divergence")
+        raise ValueError(f"{flag} must be a single real for this divergence")
     return vec[0]
 
 
@@ -221,7 +217,7 @@ def cmd_eval(args) -> int:
     if args.theta_prime is not None:
         points.append(_parse_vector(args.theta_prime, "--theta-prime"))
     elif len(div.points) == 2:
-        raise CliError(f"--div {args.div} requires --theta-prime")
+        raise ValueError(f"--div {args.div} requires --theta-prime")
     if div.scalar:
         points = [_scalar(p, flag) for p, flag in zip(points, div.points)]
     # A unary divergence reads --theta only; a given --theta-prime was parsed above.
@@ -240,7 +236,7 @@ def cmd_eval(args) -> int:
 
 def cmd_limit_study(args) -> int:
     if not 4 <= args.k_max <= 40:
-        raise CliError(f"--k-max must lie in [4, 40], got {args.k_max}")
+        raise ValueError(f"--k-max must lie in [4, 40], got {args.k_max}")
     g = _load_generator(args)
     theta = _parse_vector(args.theta, "--theta")
     theta_p = _parse_vector(args.theta_prime, "--theta-prime")
@@ -264,15 +260,15 @@ _MAX_GRID_POINTS = 1001
 
 def cmd_table(args) -> int:
     if not args.grid_step > 0.0:
-        raise CliError(f"--grid-step must be > 0, got {args.grid_step}")
+        raise ValueError(f"--grid-step must be > 0, got {args.grid_step}")
     if not args.grid_min < args.grid_max:
-        raise CliError("--grid-min must be below --grid-max")
+        raise ValueError("--grid-min must be below --grid-max")
     div, lead, params = _arguments(args)
     if len(div.points) != 2:
-        raise CliError(f"--div {args.div} is unary; table needs a binary divergence")
+        raise ValueError(f"--div {args.div} is unary; table needs a binary divergence")
     steps = (args.grid_max - args.grid_min) / args.grid_step + 1e-9
     if not steps < _MAX_GRID_POINTS:
-        raise CliError(f"the grid has more than {_MAX_GRID_POINTS} points per axis")
+        raise ValueError(f"the grid has more than {_MAX_GRID_POINTS} points per axis")
     count = int(math.floor(steps)) + 1
     grid = [args.grid_min + i * args.grid_step for i in range(count)]
     axis = [x if div.raw and div.scalar else (x,) for x in grid]
@@ -321,7 +317,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.run(args)
-    except (CliError, ValueError, KeyError, OSError, ArithmeticError) as e:
+    except (ValueError, KeyError, OSError, ArithmeticError) as e:
         print(f"qcdiv: error: {e}", file=sys.stderr)
         return 2
 

@@ -95,21 +95,17 @@ def _tie_sensitive(a: float, b: float) -> bool:
 
 
 def _fmt(value: float, mode: str = "csv") -> str:
-    """The output rule: infinity is ``inf``, zero is never ``-0``, and plain
-    output has 6 significant digits where csv and json have 17."""
-    v = float(value)
-    if math.isinf(v):
-        return "inf"
-    if v == 0.0:
-        v = 0.0  # never print -0
-    return format(v, ".6g" if mode == "plain" else ".17g")
+    """The output rule: zero is never ``-0`` (+0.0 is added, as in ``ExtReal``), infinity is
+    ``inf``, and plain output has 6 significant digits where csv and json have 17."""
+    return format(float(value) + 0.0, ".6g" if mode == "plain" else ".17g")
 
 
 def as_vector(theta) -> Vector:
-    """Coerce a ``numbers.Real`` or a sequence of reals to a finite coordinate tuple."""
-    # Ints and floats are decided before the slower ABC check.
-    if isinstance(theta, (int, float)) or isinstance(theta, numbers.Real):
+    """Coerce a ``numbers.Real`` or a sequence of reals, not text, to a finite coordinate tuple."""
+    if isinstance(theta, numbers.Real):
         coords = (float(theta),)
+    elif isinstance(theta, (str, bytes, bytearray)):
+        raise TypeError(f"a point is a real or a sequence of reals, not {type(theta).__name__}")
     else:
         try:
             coords = tuple(map(float, theta))
@@ -282,8 +278,12 @@ def positive_ray(dim: int = 1) -> Box:
 
 
 def bounded_box(*bounds) -> Box:
-    """Closed bounded box from (lo, hi) pairs."""
-    return Box(tuple(Interval(float(lo), float(hi)) for lo, hi in bounds))
+    """Closed bounded box from (lo, hi) pairs; a bound that is not finite raises ValueError."""
+    pairs = [(float(lo), float(hi)) for lo, hi in bounds]
+    for x in sum(pairs, ()):
+        if not math.isfinite(x):
+            raise ValueError(f"bounded_box bounds must be finite, got {x}")
+    return Box(tuple(Interval(lo, hi) for lo, hi in pairs))
 
 
 def sample_point(rng: random.Random, box: Box) -> Vector:
@@ -365,6 +365,11 @@ def _check_dim(g: Generator, t: Vector) -> None:
         )
 
 
+# Each divergence (jensen, bregman, means) calls its kernel with the checked
+# arguments, then the two points that _pair checked and their generator values;
+# ``qcdiv eval`` and ``qcdiv table`` call the same checks and kernels.  Call
+# arguments are evaluated left to right, so the argument checks run before the
+# point checks.
 def _pair(g: Generator, theta, theta_p):
     """(t, tp, g(t), g(tp)): both points coerced and checked, then g at each."""
     t, tp = _points(theta, theta_p)

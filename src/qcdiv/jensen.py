@@ -30,12 +30,6 @@ def _skew(fn: str, Q: Generator, alpha: float) -> tuple:
     return (a,)
 
 
-# Each divergence calls its kernel with the checked arguments, then the two
-# points that core._pair checked and their generator values; ``qcdiv eval`` and
-# ``qcdiv table`` call the same checks and kernels.  Call arguments are
-# evaluated left to right, so the argument checks run before the point checks.
-
-
 def _qcvx_jensen(Q: Generator, a: float, t, tp, qt: float, qtp: float) -> float:
     return _in_range(max(qt, qtp) - _eval(Q, _lerp(t, tp, a)), "qcvx_jensen value")
 

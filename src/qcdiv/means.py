@@ -233,12 +233,6 @@ def _power_weight(fn: str, F: Generator, alpha: float, delta: float) -> tuple:
     return _validate_weight(alpha), MeanSpec.power(delta)
 
 
-# Each divergence calls its kernel with the checked arguments, then the two
-# points that core._pair checked and their generator values; ``qcdiv eval`` and
-# ``qcdiv table`` call the same checks and kernels.  Call arguments are
-# evaluated left to right, so the argument checks run before the point checks.
-
-
 def _mn_jensen(F: Generator, a: float, M, N, t, tp, ft: float, ftp: float) -> float:
     if M.kind == "arithmetic":
         mpoint = _lerp(t, tp, a)

@@ -22,35 +22,24 @@ from .bregman import _qcvx_bregman, _ratio
 from .jensen import _qcvx_jensen, _skew
 from .means import MeanSpec, _power_mean_jensen, _r_exponent, _r_power_bregman
 
-# The QUADPACK qk15 rule (Piessens et al., QUADPACK, 1983) on [-1, 1]: 15 Kronrod
-# abscissae in increasing order with their weights, and the weights of the
-# embedded 7-point Gauss rule, whose abscissae are GK15_NODES[1::2].
-GK15_NODES = (
-    -0.991455371120812639206854697526329, -0.949107912342758524526189684047851,
-    -0.864864423359769072789712788640926, -0.741531185599394439863864773280788,
-    -0.586087235467691130294144845693013, -0.405845151377397166906606412076961,
-    -0.207784955007898467600689403773245, 0.0,
-    0.207784955007898467600689403773245, 0.405845151377397166906606412076961,
-    0.586087235467691130294144845693013, 0.741531185599394439863864773280788,
-    0.864864423359769072789712788640926, 0.949107912342758524526189684047851,
-    0.991455371120812639206854697526329,
-)
-GK15_WEIGHTS = (
-    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
-    0.204432940075298892414161999234649, 0.190350578064785409913256402421014,
-    0.169004726639267902826583426598550, 0.140653259715525918745189590510238,
-    0.104790010322250183839876322541518, 0.063092092629978553290700663189204,
-    0.022935322010529224963732008058970,
-)
-G7_WEIGHTS = (
-    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
-    0.381830050505118944950369775488975, 0.279705391489276667901467771423780,
-    0.129484966168869693270611432679082,
-)
+# The QUADPACK qk15 rule (Piessens et al., QUADPACK, 1983) on [-1, 1] from its
+# half tables: the Kronrod abscissae xgk, from the right end in to the centre,
+# their weights wgk, and the weights wg of the embedded 7-point Gauss rule,
+# whose abscissae are xgk[1::2].  The full tables mirror them about the centre
+# node, which stays +0.0: GK15_NODES increase, and G7 takes GK15_NODES[1::2].
+_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+        0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245, 0.0)
+_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+GK15_NODES = tuple(-x for x in _XGK[:-1]) + _XGK[::-1]
+GK15_WEIGHTS = _WGK + _WGK[-2::-1]
+G7_WEIGHTS = _WG + _WG[-2::-1]
 
 # A panel whose error estimate is within this multiple of its absolute mass
 # (the K15 value of |f|) is at the rounding floor: splitting it further only
@@ -250,10 +239,10 @@ def kl_quadrature(p, q, abs_tol: float = 1e-10) -> ExtReal:
 class LimitStudy(NamedTuple):
     """One dyadic convergence run against a closed-form target.
 
-    ``errors[i]`` is |values[i] - target| when both are finite, 0.0 when both
-    are infinite, and inf when exactly one is.  ``tol`` is the final-error
-    criterion multiplier applied to (1 + |target|); ``scale`` feeds the
-    unbounded-trend threshold on the infinite branch.
+    Neither values nor target is NaN or -inf: ``errors[i]`` is 0.0 when values[i]
+    equals the target, +inf included, else |values[i] - target|.  ``tol`` is the
+    final-error criterion multiplier applied to (1 + |target|); ``scale`` feeds
+    the unbounded-trend threshold on the infinite branch.
     """
 
     name: str
@@ -266,16 +255,7 @@ class LimitStudy(NamedTuple):
 
     @property
     def errors(self) -> tuple:
-        out = []
-        for v in self.values:
-            vinf = math.isinf(v)
-            if vinf and self.target.is_inf:
-                out.append(0.0)
-            elif vinf or self.target.is_inf:
-                out.append(math.inf)
-            else:
-                out.append(abs(float(v) - float(self.target)))
-        return tuple(out)
+        return tuple(0.0 if v == self.target else abs(v - self.target) for v in self.values)
 
     @property
     def final_error(self) -> float:
@@ -287,16 +267,10 @@ class LimitStudy(NamedTuple):
 
     @property
     def unbounded_trend(self) -> bool:
-        """Finite prefix strictly increasing, then +inf or past the threshold."""
-        finite = [float(v) for v in self.values if math.isfinite(v)]
-        n_inf = len(self.values) - len(finite)
-        if n_inf and any(math.isfinite(v) for v in self.values[-n_inf:]):
-            return False  # an inf value must never be followed by a finite one
-        if any(b <= a for a, b in zip(finite, finite[1:])):
-            return False
-        if n_inf:
-            return True
-        return finite[-1] > UNBOUNDED_FACTOR * self.scale
+        """Each value below the next or both +inf, and the last +inf or past the threshold."""
+        vs = self.values
+        return (all(a < b or a == b == math.inf for a, b in zip(vs, vs[1:]))
+                and (vs[-1] == math.inf or vs[-1] > UNBOUNDED_FACTOR * self.scale))
 
     @property
     def converged(self) -> bool:

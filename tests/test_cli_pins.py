@@ -10,8 +10,10 @@ to the Python version, not to qcdiv.  ``PYTHONPATH=src python tests/pins.py``
 regenerates the file, and only a deliberate change of the CLI's output should.
 A fixed slice of the corpus, and one 101 x 101 table, also run through
 ``python -m qcdiv`` and must exit, print and report as ``cli.main`` did.
-A smaller slice runs under every other CPython from 3.10 up that is on
-``PATH``, since ``pyproject.toml`` declares ``requires-python = ">=3.10"``.
+A smaller slice, with a slice of the table and limit-study pins of
+``data/study_table_pins.json``, runs under every other CPython from 3.10 up
+that is on ``PATH``, since ``pyproject.toml`` declares
+``requires-python = ">=3.10"``.
 """
 
 import os
@@ -219,19 +221,25 @@ def _other_pythons():
             if subprocess.run([path, "-c", "pass"], capture_output=True, timeout=60).returncode == 0]
 
 
+# Warning-free pins that every other CPython replays: every 32nd eval pin and
+# every 8th table and limit-study pin.
+OTHER_PYTHON_SLICES = (("cli_pins.json", 32), ("study_table_pins.json", 8))
+
+
 def test_every_supported_python_matches_the_pins():
     pythons = _other_pythons()
     if not pythons:
         pytest.skip("no other CPython from 3.10 up starts on PATH")
-    pinned = pins.load("cli_pins.json")
-    keys = [key for key in sorted(pinned) if not pinned[key]["warnings"]][::32]
+    cases = []
+    for name, step in OTHER_PYTHON_SLICES:
+        pinned = pins.load(name)
+        cases += [pinned[key] for key in sorted(pinned) if not pinned[key]["warnings"]][::step]
     for python in pythons:
         with ThreadPoolExecutor(2) as pool:
-            runs = pool.map(lambda key: _process(pinned[key]["argv"], python), keys)
-            for key, run in zip(keys, runs):
-                pin = pinned[key]
+            runs = pool.map(lambda pin: _process(pin["argv"], python), cases)
+            for pin, run in zip(cases, runs):
                 assert run == {name: pin[name] for name in ("exit", "stdout", "stderr")}, \
-                    (python, key)
+                    (python, pin["argv"])
 
 
 def test_a_process_writes_a_whole_table():

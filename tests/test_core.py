@@ -5,6 +5,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcdiv.core import (
     Box,
@@ -104,6 +106,22 @@ class TestEvalGenerator:
     def test_as_vector_rejects_non_finite(self):
         with pytest.raises(DomainError):
             as_vector((1.0, math.inf))
+
+    # Text once iterated: "12" read as (1.0, 2.0), b"12" as (49.0, 50.0), and
+    # "1.5" raised float's bare message about '.'.
+    @pytest.mark.parametrize("text", ["12", "1.5", "", b"12", bytearray(b"12")],
+                             ids=["str", "decimal str", "empty str", "bytes", "bytearray"])
+    def test_text_is_no_point(self, text):
+        kind = type(text).__name__
+        with pytest.raises(TypeError, match=f"^a point is a real or a sequence of reals, not {kind}$"):
+            as_vector(text)
+        with pytest.raises(TypeError, match=f"not {kind}$"):
+            eval_generator(build_generator('{"name": "log-norm-sq", "dim": 2}'), text)
+
+    def test_none_and_numeric_strings_in_a_list_keep_their_outcomes(self):
+        with pytest.raises(TypeError, match="^'NoneType' object is not iterable$"):
+            as_vector(None)
+        assert as_vector(["1", "2"]) == (1.0, 2.0)
 
 
 class TestGradient:
@@ -431,6 +449,35 @@ class TestSegmentViolation:
 
     def test_unimodal_has_no_witness(self):
         assert _segment_violation((0.0,), (1.0,), self.ALPHAS, [5, 3, 1, 4, 6], 0.0) is None
+
+
+class TestBoundedBox:
+    @pytest.mark.parametrize("bounds,bad", [
+        (((0, math.inf),), "inf"),
+        (((-math.inf, 0),), "-inf"),
+        (((math.nan, 1),), "nan"),
+        (((1, math.nan),), "nan"),
+        (((0, 1), (2, math.inf)), "inf"),
+    ])
+    def test_a_bound_that_is_not_finite_is_an_error(self, bounds, bad):
+        with pytest.raises(ValueError, match=f"^bounded_box bounds must be finite, got {bad}$"):
+            bounded_box(*bounds)
+
+    def test_finite_bounds_of_infinite_width_stay_valid(self):
+        box = bounded_box((-1e308, 1e308))
+        assert box.bounded
+        assert math.isinf(box.intervals[0].upper - box.intervals[0].lower)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_size=3))
+    def test_every_box_it_returns_is_bounded(self, bounds):
+        try:
+            box = bounded_box(*bounds)
+        except ValueError:
+            assert not all(math.isfinite(x) and lo < hi for lo, hi in bounds for x in (lo, hi))
+            return
+        assert box.bounded
+        assert [(iv.lower, iv.upper) for iv in box.intervals] == bounds
 
 
 def test_degenerate_interval_rejected():

@@ -1,17 +1,22 @@
 """The per-call fast paths against the versions they replaced, and the rules they keep.
 
 ``core.as_vector``, ``_eval``, ``_gradient``, ``_lerp``, ``ExtReal.__new__`` and
-the three branch kernels of ``bregman`` were rewritten to cost less per call.
+the three branch kernels of ``bregman`` were rewritten to cost less per call;
+``LimitStudy.errors``, ``LimitStudy.unbounded_trend`` and ``core._fmt`` were
+rewritten to state their rule once, from ``ExtReal``'s order and its zero rule.
 The reference versions below are the previous code, kept verbatim; the
 properties check that the new code gives the same value (compared as
 ``float.hex``, so the sign of a zero counts), the same ``tie_sensitive`` flag,
-or the same exception type and message.  The guards at the end keep the three
+or the same exception type and message.  Two differences are deliberate: text
+is no point (``as_vector`` raises ``TypeError``), and ``_fmt(-inf)`` prints
+``-inf``, a value no entry point produces.  The guards at the end keep the three
 rules the rewrite must not break: ``Generator.__call__`` reaches the module
 global ``eval_generator`` at call time, the tie tolerance and ``Box._bounds``
 are read only in ``core``, and every tie flag comes from ``_tie_sensitive``.
 """
 
 import ast
+import itertools
 import math
 import numbers
 from fractions import Fraction
@@ -21,6 +26,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qcdiv import core
+from qcdiv.oracles import UNBOUNDED_FACTOR, LimitStudy
 from qcdiv.bregman import (
     _delta_averaged_qcvx_bregman,
     _extended_bregman,
@@ -136,6 +142,43 @@ class RefExtReal(float):
         self = super().__new__(cls, v)
         self.tie_sensitive = bool(tie_sensitive)
         return self
+
+
+def ref_errors(self) -> tuple:
+    out = []
+    for v in self.values:
+        vinf = math.isinf(v)
+        if vinf and self.target.is_inf:
+            out.append(0.0)
+        elif vinf or self.target.is_inf:
+            out.append(math.inf)
+        else:
+            out.append(abs(float(v) - float(self.target)))
+    return tuple(out)
+
+
+def ref_unbounded_trend(self) -> bool:
+    """Finite prefix strictly increasing, then +inf or past the threshold."""
+    finite = [float(v) for v in self.values if math.isfinite(v)]
+    n_inf = len(self.values) - len(finite)
+    if n_inf and any(math.isfinite(v) for v in self.values[-n_inf:]):
+        return False  # an inf value must never be followed by a finite one
+    if any(b <= a for a, b in zip(finite, finite[1:])):
+        return False
+    if n_inf:
+        return True
+    return finite[-1] > UNBOUNDED_FACTOR * self.scale
+
+
+def ref_fmt(value: float, mode: str = "csv") -> str:
+    """The output rule: infinity is ``inf``, zero is never ``-0``, and plain
+    output has 6 significant digits where csv and json have 17."""
+    v = float(value)
+    if math.isinf(v):
+        return "inf"
+    if v == 0.0:
+        v = 0.0  # never print -0
+    return format(v, ".6g" if mode == "plain" else ".17g")
 
 
 def ref_branch(qt, qtp, finite):
@@ -268,7 +311,11 @@ def kernel_points(wild=True):
 @FAST
 @given(theta=points)
 def test_as_vector_matches_the_reference(theta):
-    assert outcome(core.as_vector, theta) == outcome(ref_as_vector, theta)
+    expected = outcome(ref_as_vector, theta)
+    if isinstance(theta, (str, bytes, bytearray)):  # the reference iterated text
+        expected = ("raises", TypeError,
+                    f"a point is a real or a sequence of reals, not {type(theta).__name__}")
+    assert outcome(core.as_vector, theta) == expected
 
 
 def typed(ref, error, prefix):
@@ -315,6 +362,75 @@ def test_lerp_matches_the_reference(t, data, a):
 def test_extreal_matches_the_reference(value, tie):
     assert outcome(ExtReal, value, tie) == outcome(RefExtReal, value, tie)
     assert outcome(ExtReal, value) == outcome(RefExtReal, value)
+
+
+def _verdicts(study):
+    return [float.hex(e) for e in study.errors], study.unbounded_trend
+
+
+def _ref_verdicts(study):
+    return [float.hex(e) for e in ref_errors(study)], ref_unbounded_trend(study)
+
+
+def _study(values, target, scale):
+    ks = tuple(range(len(values)))
+    return LimitStudy("ref", ks, ks, tuple(map(ExtReal, values)), ExtReal(target), 1e-3, scale)
+
+
+# A study's values and target are ExtReals, so never NaN or -inf, and its
+# scale is 1 + |Q(t) - Q(tp)|: at least 1, and +inf once that difference
+# overflows; from about 1.8e302 up the threshold UNBOUNDED_FACTOR * scale is +inf.
+SCALES = st.one_of(st.floats(1.0, 1e12), st.sampled_from([1.0, 1.5, 3.0, 1e302, 1e303, math.inf]))
+EXT = st.floats(allow_nan=False).filter(lambda x: x != -math.inf)
+
+
+@st.composite
+def studies(draw):
+    """Increasing, flat, decreasing or drawn runs near the threshold, +inf runs after them,
+    and now and then a finite value after the +inf run; a finite or +inf target."""
+    scale = draw(SCALES)
+    edge = UNBOUNDED_FACTOR * scale
+    near = [edge, math.nextafter(edge, math.inf), math.nextafter(edge, -math.inf),
+            0.0, 1.0, 2.0, 3e6, math.inf]
+    value = st.one_of(EXT, st.sampled_from(near), st.floats(0.5 * edge, 2.0 * edge)
+                      if math.isfinite(2.0 * edge) else st.just(edge))
+    run = draw(st.lists(value, min_size=1, max_size=6))
+    shape = draw(st.sampled_from(["drawn", "increasing", "flat", "decreasing"]))
+    if shape == "increasing":
+        run = sorted(set(run))
+    elif shape == "flat":
+        run = run[:1] * len(run)
+    elif shape == "decreasing":
+        run = sorted(run, reverse=True)
+    run += [math.inf] * draw(st.integers(0, 3)) + draw(st.lists(value, max_size=1))
+    return _study(run, draw(st.one_of(value, st.just(math.inf))), scale)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(study=studies())
+def test_limit_verdicts_match_the_reference(study):
+    assert _verdicts(study) == _ref_verdicts(study)
+
+
+def test_limit_verdicts_match_the_reference_on_every_short_sequence():
+    # Past 1e6 * scale the trend holds at scale 1, and not at scale 3.
+    terms = (1.0, 2.0, 3e6, math.inf)
+    for n in range(1, 5):
+        for values in itertools.product(terms, repeat=n):
+            for target in terms:
+                for scale in (1.0, 3.0):
+                    study = _study(values, target, scale)
+                    assert _verdicts(study) == _ref_verdicts(study), (values, target, scale)
+
+
+@FAST
+@given(value=st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS),
+                       EXT.map(ExtReal),
+                       st.integers(-10**300, 10**300)),
+       mode=st.sampled_from(["plain", "csv", "json"]))
+def test_fmt_matches_the_reference_but_at_minus_infinity(value, mode):
+    expected = "-inf" if value == -math.inf else ref_fmt(value, mode)
+    assert core._fmt(value, mode) == expected
 
 
 BRANCH_KERNELS = [

@@ -7,12 +7,12 @@ builds one from a JSON-shaped spec.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
 import random
 import sys
-from dataclasses import KW_ONLY, dataclass
 from typing import Callable, NamedTuple, Optional
 
 Vector = tuple  # tuple of floats, length >= 1
@@ -301,8 +301,7 @@ _NEGATED_CLASS = {
 }
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(_Frozen):
     """A real-valued function on a box domain with optional analytic gradient.
 
     ``declared_class`` is the one claim a generator makes, and it is not a
@@ -310,29 +309,40 @@ class Generator:
     it.  ``name`` and ``spec`` are keyword-only.  ``spec`` is the canonical
     JSON text ``build_generator`` built it from (None otherwise);
     ``build_generator(g.spec)`` rebuilds the same function.
+    ``dataclasses.replace``, ``fields`` and ``is_dataclass`` work on an instance.
     """
 
-    dim: int
-    eval: Callable[[Vector], float]
-    domain: Box
-    grad: Optional[Callable[[Vector], Vector]] = None
-    declared_class: str = "unknown"
-    _: KW_ONLY
-    name: str = ""
-    spec: Optional[str] = None
+    _fields = ("dim", "eval", "domain", "grad", "declared_class", "name", "spec")
+    __match_args__ = _fields[:5]
+    # Read only by the dataclasses functions, so only their callers import the module.
+    __dataclass_fields__ = property(lambda self: _dataclass_fields())
 
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("generator dimension must be >= 1")
-        if self.domain.dim != self.dim:
-            raise DimensionError(
-                f"domain dimension {self.domain.dim} != generator dimension {self.dim}"
-            )
-        if self.declared_class not in _NEGATED_CLASS:
-            raise ValueError(f"unknown declared class {self.declared_class!r}")
+    def __init__(self, dim: int, eval: Callable[[Vector], float], domain: Box,
+                 grad: Optional[Callable[[Vector], Vector]] = None,
+                 declared_class: str = "unknown", *, name: str = "",
+                 spec: Optional[str] = None):
+        dim = _count("generator dimension", dim, 1)
+        if domain.dim != dim:
+            raise DimensionError(f"domain dimension {domain.dim} != generator dimension {dim}")
+        if declared_class not in _NEGATED_CLASS:
+            raise ValueError(f"unknown declared class {declared_class!r}")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "eval", eval)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "grad", grad)
+        object.__setattr__(self, "declared_class", declared_class)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "spec", spec)
 
     def __call__(self, theta) -> float:
         return eval_generator(self, theta)
+
+
+@functools.cache
+def _dataclass_fields() -> dict:
+    import dataclasses
+    record = dataclasses.make_dataclass("Generator", Generator._fields)
+    return {f.name: f for f in dataclasses.fields(record)}
 
 
 def eval_generator(g: Generator, theta) -> float:

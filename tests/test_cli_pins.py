@@ -13,7 +13,9 @@ A fixed slice of the corpus, and one 101 x 101 table, also run through
 A smaller slice, with a slice of the table and limit-study pins of
 ``data/study_table_pins.json``, runs under every other CPython from 3.10 up
 that is on ``PATH``, since ``pyproject.toml`` declares
-``requires-python = ">=3.10"``.
+``requires-python = ">=3.10"``.  Each of those also checks that importing the
+CLI leaves ``dataclasses`` out and that ``dataclasses.replace`` and
+``dataclasses.fields`` work on a generator.
 """
 
 import os
@@ -185,12 +187,16 @@ def test_eval_matches_its_pin(key):
     assert record(CORPUS[key]) == pins.load("cli_pins.json")[key]
 
 
+def _child(args, python=sys.executable) -> dict:
+    """``python args`` with ``src`` on the path: its exit code, stdout and stderr."""
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([python, *args], env=env, capture_output=True, text=True, timeout=60)
+    return {"exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}
+
+
 def _process(argv, python=sys.executable) -> dict:
     """``python -m qcdiv argv`` in a child process: its exit code, stdout and stderr."""
-    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    proc = subprocess.run([python, "-m", "qcdiv", *argv], env=env, capture_output=True,
-                          text=True, timeout=60)
-    return {"exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}
+    return _child(["-m", "qcdiv", *argv], python)
 
 
 # The pins record cli.main in process.  A fixed slice of them runs through the
@@ -240,6 +246,31 @@ def test_every_supported_python_matches_the_pins():
             for pin, run in zip(cases, runs):
                 assert run == {name: pin[name] for name in ("exit", "stdout", "stderr")}, \
                     (python, pin["argv"])
+
+
+# The CLI's import leaves dataclasses out, and a generator's dataclass API
+# imports it on first use.  Modules a site hook imported before qcdiv do not count.
+DATACLASS_API = """
+import sys
+before = set(sys.modules)
+import qcdiv.cli
+print("dataclasses" in set(sys.modules) - before)
+import dataclasses
+g = qcdiv.build_generator("log")
+h = dataclasses.replace(g, eval=abs, grad=None)
+print(h.eval(-2.0), h.grad, h.spec, h == g, [f.name for f in dataclasses.fields(g)])
+"""
+
+
+def test_every_supported_python_builds_the_dataclass_api_on_demand():
+    pythons = _other_pythons()
+    if not pythons:
+        pytest.skip("no other CPython from 3.10 up starts on PATH")
+    fields = ["dim", "eval", "domain", "grad", "declared_class", "name", "spec"]
+    stdout = f'False\n2.0 None {{"name": "log"}} False {fields}\n'
+    for python in pythons:
+        assert _child(["-c", DATACLASS_API], python) == {"exit": 0, "stdout": stdout,
+                                                         "stderr": ""}, python
 
 
 def test_a_process_writes_a_whole_table():

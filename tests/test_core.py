@@ -228,10 +228,21 @@ class TestGeneratorFields:
         (0, real_line(), "convex", ValueError, "generator dimension must be >= 1"),
         (2, real_line(), "convex", DimensionError, "domain dimension 1 != generator dimension 2"),
         (1, real_line(), "concave", ValueError, "unknown declared class 'concave'"),
+        # The dimension is a count: a bool, text or NaN is not a whole number.
+        (True, real_line(), "convex", ValueError,
+         "generator dimension must be a whole number, got True"),
+        ("1", real_line(), "convex", ValueError,
+         "generator dimension must be a whole number, got '1'"),
+        (math.nan, real_line(), "convex", ValueError,
+         "generator dimension must be a whole number, got nan"),
     ])
     def test_invalid_fields(self, dim, domain, cls, error, message):
         with pytest.raises(error, match="^" + re.escape(message) + "$"):
             Generator(dim, lambda t: t[0], domain, None, cls)
+
+    def test_a_whole_float_dimension_is_stored_as_an_int(self):
+        g = Generator(2.0, lambda t: t[0], real_line(2))
+        assert type(g.dim) is int and g.dim == 2
 
     def test_replace_keeps_the_other_fields(self):
         g = build_generator("log")

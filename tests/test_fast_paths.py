@@ -4,24 +4,31 @@
 the three branch kernels of ``bregman`` were rewritten to cost less per call;
 ``LimitStudy.errors``, ``LimitStudy.unbounded_trend`` and ``core._fmt`` were
 rewritten to state their rule once, from ``ExtReal``'s order and its zero rule.
+``Generator`` was a frozen dataclass and is now a ``_Frozen`` record, so that
+no import builds a dataclass.
 The reference versions below are the previous code, kept verbatim; the
 properties check that the new code gives the same value (compared as
 ``float.hex``, so the sign of a zero counts), the same ``tie_sensitive`` flag,
-or the same exception type and message.  Two differences are deliberate: text
-is no point (``as_vector`` raises ``TypeError``), and ``_fmt(-inf)`` prints
-``-inf``, a value no entry point produces.  The guards at the end keep the three
+or the same exception type and message.  Three differences are deliberate: text
+is no point (``as_vector`` raises ``TypeError``), ``_fmt(-inf)`` prints
+``-inf``, a value no entry point produces, and a generator's dimension is a
+count (a bool, text or NaN raises ``ValueError``; a whole float becomes an int).  The guards at the end keep the three
 rules the rewrite must not break: ``Generator.__call__`` reaches the module
 global ``eval_generator`` at call time, the tie tolerance and ``Box._bounds``
 are read only in ``core``, and every tie flag comes from ``_tie_sensitive``.
 """
 
 import ast
+import dataclasses
 import itertools
 import math
 import numbers
+from dataclasses import KW_ONLY, dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, Optional
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -42,8 +49,11 @@ from qcdiv.core import (
     Generator,
     GradientError,
     Interval,
+    Vector,
+    _NEGATED_CLASS,
     _check_finite,
     build_generator,
+    eval_generator,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qcdiv"
@@ -214,6 +224,40 @@ def ref_extended_bregman(Q, t, tp, qt, qtp):
 # --------------------------------------------------------------------------
 # Outcomes: the value with its exact bits, or the exception
 # --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RefGenerator:
+    """A real-valued function on a box domain with optional analytic gradient.
+
+    ``declared_class`` is the one claim a generator makes, and it is not a
+    certificate: ``check_quasiconvex`` can refute it by sampling, never prove
+    it.  ``name`` and ``spec`` are keyword-only.  ``spec`` is the canonical
+    JSON text ``build_generator`` built it from (None otherwise);
+    ``build_generator(g.spec)`` rebuilds the same function.
+    """
+
+    dim: int
+    eval: Callable[[Vector], float]
+    domain: Box
+    grad: Optional[Callable[[Vector], Vector]] = None
+    declared_class: str = "unknown"
+    _: KW_ONLY
+    name: str = ""
+    spec: Optional[str] = None
+
+    def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError("generator dimension must be >= 1")
+        if self.domain.dim != self.dim:
+            raise DimensionError(
+                f"domain dimension {self.domain.dim} != generator dimension {self.dim}"
+            )
+        if self.declared_class not in _NEGATED_CLASS:
+            raise ValueError(f"unknown declared class {self.declared_class!r}")
+
+    def __call__(self, theta) -> float:
+        return eval_generator(self, theta)
 
 
 def _bits(value):
@@ -471,6 +515,81 @@ def test_public_branch_divergences_match_the_reference_at_zero_gradients(gen, t,
         assume(False)
     for new, ref in BRANCH_KERNELS:
         assert outcome(new, g, (t,), (tp,), qt, qtp) == outcome(ref, g, (t,), (tp,), qt, qtp)
+
+
+# Generators built from specs, and constructor arguments drawn from small pools
+# so that equal draws occur.  The dimension is an int here: a bool, a float or
+# text follows the count rule now, which the reference did not apply.
+ONE_D = st.recursive(
+    st.sampled_from(["linear", "quadratic", "cubic", "sqrt", "log", "abs", "sine",
+                     {"name": "linear-fractional", "a": 2.0, "c": 1.0}]),
+    lambda inner: st.one_of(inner.map(lambda s: {"negate": s}),
+                            inner.map(lambda s: {"affine": {"a": 2.0, "b": 1.0, "inner": s}})),
+    max_leaves=3)
+SPECS = st.one_of(ONE_D, st.lists(ONE_D, min_size=1, max_size=3).map(lambda s: {"separable": s}),
+                  st.sampled_from([{"name": "neg-gauss", "dim": 2}, {"name": "log-norm-sq"}]))
+EVALS = [g.eval for g in GENERATORS[:3]]
+GRADS = [None, GENERATORS[0].grad]
+DOMAINS = [core.real_line(), core.real_line(2), HALF_OPEN, BOX_2D, None]
+
+
+def _fields_of(g):
+    return (g.dim, g.eval, g.domain, g.grad, g.declared_class), {"name": g.name, "spec": g.spec}
+
+
+generator_args = st.one_of(
+    SPECS.map(build_generator).map(_fields_of),
+    st.tuples(
+        st.sampled_from(DOMAINS).flatmap(lambda domain: st.tuples(
+            st.one_of(st.just(getattr(domain, "dim", 1)), st.integers(-1, 3)),
+            st.sampled_from(EVALS), st.just(domain), st.sampled_from(GRADS),
+            st.sampled_from([*_NEGATED_CLASS, "concave"])))
+        .flatmap(lambda args: st.integers(3, 5).map(lambda n: args[:n])),
+        st.fixed_dictionaries({}, optional={"name": st.sampled_from(["", "x"]),
+                                            "spec": st.sampled_from([None, '"log"'])})))
+
+
+def _made(cls, args, kwargs):
+    try:
+        return cls(*args, **kwargs)
+    except Exception as e:  # the type and message are the outcome
+        return ("raises", type(e), str(e))
+
+
+def _text(record):
+    """The repr without the class name."""
+    return repr(record).split("(", 1)[1]
+
+
+def _assignment_errors(record):
+    """What assigning and deleting each field, and a name that is not one, raise."""
+    raised = []
+    for name in (*RefGenerator.__match_args__, "name", "spec", "other"):
+        for act in (lambda: setattr(record, name, 1), lambda: delattr(record, name)):
+            with pytest.raises(AttributeError) as info:
+                act()
+            raised.append(str(info.value))
+    return raised
+
+
+@FAST
+@given(a=generator_args, b=generator_args, ev=st.sampled_from(EVALS), grad=st.sampled_from(GRADS))
+def test_generator_matches_the_dataclass_it_replaced(a, b, ev, grad):
+    new, ref = _made(Generator, *a), _made(RefGenerator, *a)
+    if isinstance(ref, tuple):
+        assert new == ref
+        return
+    assert _text(new) == _text(ref)
+    assert hash(new) == hash(ref)
+    assert (new == _made(Generator, *b)) == (ref == _made(RefGenerator, *b))
+    assert _assignment_errors(new) == _assignment_errors(ref)
+    assert type(dataclasses.replace(new, eval=ev, grad=grad)) is Generator
+    assert (_text(dataclasses.replace(new, eval=ev, grad=grad))
+            == _text(dataclasses.replace(ref, eval=ev, grad=grad)))
+    assert ([f.name for f in dataclasses.fields(new)]
+            == [f.name for f in dataclasses.fields(ref)])
+    assert dataclasses.is_dataclass(new)
+    assert Generator.__match_args__ == RefGenerator.__match_args__
 
 
 # --------------------------------------------------------------------------

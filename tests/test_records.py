@@ -110,9 +110,8 @@ def test_suite_result_is_immutable_with_empty_defaults():
     assert a == SuiteResult("x")
 
 
-# The two hand-written value types: ExtReal is a float with a tie flag, and
-# Generator holds callables.
-VALUE_TYPES = {"ExtReal", "Generator"}
+# The one hand-written value type: ExtReal is a float with a tie flag.
+VALUE_TYPES = {"ExtReal"}
 
 
 def _class_bases():

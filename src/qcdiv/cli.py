@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import math
 import re
 import sys
@@ -36,11 +35,7 @@ def _parse_vector(text: str, flag: str):
 def _load_generator(args):
     if getattr(args, "gen_file", None):
         with open(args.gen_file, "r", encoding="utf-8") as fh:
-            try:
-                spec = json.load(fh)
-            except RecursionError:  # nested past the decoder's recursion limit
-                raise ValueError("--gen-file: the JSON nests too deeply to decode") from None
-        return build_generator(spec)
+            return build_generator(fh.read())
     if getattr(args, "gen", None):
         return build_generator(args.gen)
     raise ValueError("this divergence needs a generator: pass --gen or --gen-file")

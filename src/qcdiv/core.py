@@ -8,6 +8,7 @@ builds one from a JSON-shaped spec.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import numbers
@@ -488,7 +489,7 @@ def build_generator(spec) -> Generator:
     null included), a number JSON cannot hold, a dim that is not a whole
     number from 1 to MAX_DIM (10000), a separable list of more than MAX_DIM
     specs, or a spec nested more than MAX_DEPTH (32) levels deep raises
-    SpecError.
+    SpecError, and so does JSON text nesting more than 2 * MAX_DEPTH - 1 brackets.
     """
     spec = _parse(spec)
     g = _build(spec)
@@ -511,14 +512,25 @@ def _parse(spec):
     if isinstance(spec, str):
         text = spec.strip()
         if text.startswith("{"):
+            # A spec of MAX_DEPTH levels nests at most 2 * MAX_DEPTH - 1 brackets: two per
+            # affine or separable level, one per negate level and one for the leaf.
+            # Deeper text is refused before the decoder can recurse into it.
+            if _nesting(text) > 2 * MAX_DEPTH - 1:
+                raise SpecError(f"generator spec nests deeper than {MAX_DEPTH} levels")
             try:
                 return json.loads(text)
             except ValueError as e:  # JSONDecodeError, or an integer past the digit limit
                 raise SpecError(f"invalid generator spec JSON: {e}") from None
-            except RecursionError:  # nested past the decoder's recursion limit
-                raise SpecError("invalid generator spec JSON: nests too deeply to decode") from None
         return {"name": text}
     return spec
+
+
+def _nesting(text: str) -> int:
+    """The deepest bracket nesting of JSON text outside its strings."""
+    # With escaped backslashes, then escaped quotes dropped, the even parts
+    # between quotes lie outside strings; an unclosed string runs to the end.
+    outside = "".join(text.replace("\\\\", "").replace('\\"', "").split('"')[::2])
+    return max(itertools.accumulate(((c in "[{") - (c in "]}") for c in outside), initial=0))
 
 
 # Each form checks its keys after it is built: a spec with an unknown key and

@@ -1,9 +1,11 @@
 """The one harness of qcdiv's golden corpora in ``data/``.
 
-Each pin file belongs to one group: a test module whose ``CORPUS`` maps a key
-to a case and whose ``record(case)`` makes the case's pinned record, built
-with the encoders below.  ``PYTHONPATH=src python tests/pins.py`` rewrites
-every pin file from its group, byte for byte where nothing moved.
+Each pin file belongs to one group: a module of ``corpora/`` whose ``CORPUS``
+maps a key to a case and whose ``record(case)`` makes the case's pinned
+record, built with the encoders below.  ``PYTHONPATH=src python
+tests/pins.py`` rewrites every pin file from its group, byte for byte where
+nothing moved.  It needs only the standard library, so it runs under any
+CPython from 3.10 up.
 """
 
 import functools
@@ -20,14 +22,14 @@ import qcdiv
 from qcdiv import cli, oracles
 
 DATA = Path(__file__).resolve().parent / "data"
-# pin file -> the test module that owns its corpus
+# pin file -> the module that owns its corpus
 GROUPS = {
-    "catalog_pins.json": "test_catalog_pins",
-    "cli_pins.json": "test_cli_pins",
-    "oracle_pins.json": "test_oracle_pins",
-    "spec_pins.json": "test_spec_pins",
-    "study_table_pins.json": "test_study_table_pins",
-    "suite_pins.json": "test_checks",
+    "catalog_pins.json": "corpora.catalog",
+    "cli_pins.json": "corpora.cli",
+    "oracle_pins.json": "corpora.oracle",
+    "spec_pins.json": "corpora.spec",
+    "study_table_pins.json": "corpora.study_table",
+    "suite_pins.json": "corpora.suite",
 }
 
 
@@ -122,14 +124,19 @@ def load(name: str) -> dict:
     return json.loads((DATA / name).read_text(encoding="utf-8"))
 
 
-def regenerate() -> None:
-    """Rewrite every pin file from its group; nothing is written unless every group ran."""
-    texts = {}
+def texts() -> dict:
+    """Pin file -> its text, made from its group."""
+    made = {}
     for name, module in GROUPS.items():
         group = importlib.import_module(module)
         pins = {key: group.record(group.CORPUS[key]) for key in sorted(group.CORPUS)}
-        texts[name] = json.dumps(pins, indent=1, sort_keys=True) + "\n"
-    for name, text in texts.items():
+        made[name] = json.dumps(pins, indent=1, sort_keys=True) + "\n"
+    return made
+
+
+def regenerate() -> None:
+    """Rewrite every pin file from its group; nothing is written unless every group ran."""
+    for name, text in texts().items():
         (DATA / name).write_text(text, encoding="utf-8")
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pins
+from corpora.spec import negations
 from qcdiv import checks, cli
 from qcdiv.bregman import qcvx_bregman
 from qcdiv.core import ExtReal, build_generator
@@ -79,6 +80,20 @@ class TestEval:
                     "--theta", "3", "--theta-prime", "1")
         assert r.returncode == 0
         assert r.stdout == b"4\n"
+
+    # A --gen-file holds exactly what --gen takes: the same text, the same run.
+    @pytest.mark.parametrize("text", ["log", '"log"', '["log"]', '{"name": "log",}',
+                                      '{"name": "log"}', negations(5000)],
+                             ids=["name", "JSON string", "JSON list", "trailing comma",
+                                  "JSON object", "5000 levels"])
+    def test_gen_and_gen_file_agree(self, text, tmp_path):
+        spec = tmp_path / "gen.json"
+        spec.write_text(text, encoding="utf-8")
+        points = ["--theta", "1", "--theta-prime", "2"]
+        runs = [pins.run_cli(["eval", "--div", "qcvx-bregman", *gen, *points])
+                for gen in ([f"--gen={text}"], ["--gen-file", str(spec)])]
+        by_text, by_file = ({k: run[k] for k in ("exit", "stdout", "stderr")} for run in runs)
+        assert by_text == by_file
 
     def test_expfam_entropy_is_unary(self):
         r = run_cli("eval", "--div", "expfam-entropy",
@@ -155,7 +170,7 @@ class TestEval:
         r = run_cli("eval", "--div", "qcvx-bregman", "--gen-file", str(spec),
                     "--theta", "1", "--theta-prime", "2")
         assert (r.returncode, r.stdout) == (2, b"")
-        assert r.stderr == b"qcdiv: error: --gen-file: the JSON nests too deeply to decode\n"
+        assert r.stderr == b"qcdiv: error: generator spec nests deeper than 32 levels\n"
 
 
 class TestLimitStudyCommand:

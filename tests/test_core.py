@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import random
 import re
@@ -26,7 +27,7 @@ from qcdiv.core import (
     interpolate,
     real_line,
 )
-from qcdiv.core import _segment_violation
+from qcdiv.core import _nesting, _segment_violation
 from qcdiv.bregman import bregman, qcvx_bregman
 from qcdiv.checks import sample_point, sweep_catalog
 from qcdiv.jensen import qcvx_jensen
@@ -360,6 +361,27 @@ def test_unknown_keys_and_non_whole_dims_are_spec_errors(spec, message):
 def test_a_whole_float_dim_is_a_dim():
     g = build_generator({"name": "neg-gauss", "dim": 2.0})
     assert (g.dim, g.spec) == (2, '{"dim": 2.0, "name": "neg-gauss"}')
+
+
+def _depth(value) -> int:
+    """How deep a decoded JSON value nests its lists and objects."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    return 1 + max(map(_depth, value), default=0) if isinstance(value, list) else 0
+
+
+_JSON_TEXT = st.text(alphabet='[]{}"\\ab\n\u00e9', max_size=6)
+_JSON = st.recursive(st.none() | st.integers() | _JSON_TEXT,
+                     lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(_JSON_TEXT, inner, max_size=3), max_leaves=40)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(_JSON, st.booleans())
+def test_the_depth_rule_counts_the_nesting_the_decoder_sees(value, ascii_only):
+    # Brackets, quotes and backslashes inside strings are not nesting.
+    text = json.dumps(value, ensure_ascii=ascii_only)
+    assert _nesting(text) == _depth(value)
 
 
 class TestCheckQuasiconvex:

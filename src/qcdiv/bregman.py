@@ -29,9 +29,12 @@ from .core import (
 )
 
 
-def _linear_term(F: Generator, t, tp) -> float:
+# The kernels that read grad F(theta_p) take its source ``grad``, called as
+# grad(F, theta_p): every public function passes core._gradient, and ``qcdiv
+# table`` a memo that takes each column's gradient once.
+def _linear_term(F: Generator, grad, t, tp) -> float:
     """<theta - theta_p, grad F(theta_p)>; RangeError when it overflows."""
-    g = _gradient(F, tp)
+    g = grad(F, tp)
     return _in_range(sum(map(mul, map(sub, t, tp), g)), "the linear term")
 
 
@@ -43,20 +46,20 @@ def _branch(qt: float, qtp: float, finite, *args) -> ExtReal:
     return ExtReal(finite(*args), tie)
 
 
-def _bregman(F: Generator, t, tp, ft: float, ftp: float) -> float:
-    return _in_range(ft - ftp - _linear_term(F, t, tp), "the Bregman value")
+def _bregman(F: Generator, grad, t, tp, ft: float, ftp: float) -> float:
+    return _in_range(ft - ftp - _linear_term(F, grad, t, tp), "the Bregman value")
 
 
 def bregman(F: Generator, theta, theta_p) -> float:
     """F(theta) - F(theta_p) - <theta - theta_p, grad F(theta_p)>."""
-    return _bregman(F, *_pair(F, theta, theta_p))
+    return _bregman(F, _gradient, *_pair(F, theta, theta_p))
 
 
 # The finite branch is -<theta - theta_p, grad Q(theta_p)>: _bregman with both
 # values 0 gives 0.0 minus it, which differs from its negation only in the sign
 # of a zero, and ExtReal hands out no -0.0.
-def _qcvx_bregman(Q: Generator, t, tp, qt: float, qtp: float) -> ExtReal:
-    return _branch(qt, qtp, _bregman, Q, t, tp, 0.0, 0.0)
+def _qcvx_bregman(Q: Generator, grad, t, tp, qt: float, qtp: float) -> ExtReal:
+    return _branch(qt, qtp, _bregman, Q, grad, t, tp, 0.0, 0.0)
 
 
 def qcvx_bregman(Q: Generator, theta, theta_p) -> ExtReal:
@@ -69,7 +72,7 @@ def qcvx_bregman(Q: Generator, theta, theta_p) -> ExtReal:
     generator ({"separable": [...]}) the branch compares the total values, so
     the divergence of the sum is not the sum of per-coordinate divergences.
     """
-    return _qcvx_bregman(Q, *_pair(Q, theta, theta_p))
+    return _qcvx_bregman(Q, _gradient, *_pair(Q, theta, theta_p))
 
 
 # The argument check of delta_averaged_qcvx_bregman: delta > 0.
@@ -105,8 +108,8 @@ def delta_averaged_qcvx_bregman(Q: Generator, theta, theta_p, delta: float) -> E
                                         *_pair(Q, theta, theta_p))
 
 
-def _extended_bregman(Q: Generator, t, tp, qt: float, qtp: float) -> ExtReal:
-    return _branch(qt, qtp, _bregman, Q, t, tp, qt, qtp)
+def _extended_bregman(Q: Generator, grad, t, tp, qt: float, qtp: float) -> ExtReal:
+    return _branch(qt, qtp, _bregman, Q, grad, t, tp, qt, qtp)
 
 
 def extended_bregman(Q: Generator, theta, theta_p) -> ExtReal:
@@ -115,4 +118,4 @@ def extended_bregman(Q: Generator, theta, theta_p) -> ExtReal:
     For convex Q this collapses to the ordinary Bregman divergence; for merely
     quasiconvex Q the finite branch may be negative.
     """
-    return _extended_bregman(Q, *_pair(Q, theta, theta_p))
+    return _extended_bregman(Q, _gradient, *_pair(Q, theta, theta_p))

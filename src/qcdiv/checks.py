@@ -216,13 +216,13 @@ def suite_identities(samples: int, seed: int) -> SuiteResult:
 
     def cross_entropy(F, t, tp, ft, ftp):
         g = _gradient(F, t)  # grad F(t), shared by the cross-entropy and the entropy
-        kl = _bregman(F, tp, t, ftp, ft)
+        kl = _bregman(F, _gradient, tp, t, ftp, ft)
         ce, h = _cross_entropy(g, tp, ftp), _cross_entropy(g, t, ft)
         return _close(kl, ce - h, 1e-10) or f"t={t} tp={tp}: {kl} vs {ce - h}"
 
     def from_kl(F, t, tp, ft, ftp):
         tp, t, ftp, ft = _order(tp, t, ftp, ft)  # F(tp) <= F(t)
-        lhs, rhs = _from_kl(F, t, tp, ft, ftp), _qcvx_bregman(F, tp, t, ftp, ft)
+        lhs, rhs = _from_kl(F, t, tp, ft, ftp), _qcvx_bregman(F, _gradient, tp, t, ftp, ft)
         return _close(float(lhs), float(rhs), 1e-10) or f"t={t} tp={tp}: {lhs} vs {rhs}"
 
     return _run("identities", (
@@ -237,7 +237,7 @@ def suite_identities(samples: int, seed: int) -> SuiteResult:
 
 
 def _first_order(Q, t, tp, qt, qtp):
-    v = float(_qcvx_bregman(Q, t, tp, qt, qtp))
+    v = float(_qcvx_bregman(Q, _gradient, t, tp, qt, qtp))
     return v >= -1e-9 or f"{Q.name} t={t} tp={tp}: {v}"
 
 
@@ -254,7 +254,8 @@ def suite_first_order(samples: int, seed: int) -> SuiteResult:
 
 
 def _one_sided(Q, t, tp, qt, qtp):
-    fwd, rev = _qcvx_bregman(Q, t, tp, qt, qtp), _qcvx_bregman(Q, tp, t, qtp, qt)
+    fwd, rev = (_qcvx_bregman(Q, _gradient, t, tp, qt, qtp),
+                _qcvx_bregman(Q, _gradient, tp, t, qtp, qt))
     return fwd.is_inf != rev.is_inf or f"{Q.name} t={t} tp={tp}: fwd={fwd} rev={rev}"
 
 

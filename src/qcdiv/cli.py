@@ -9,6 +9,7 @@ uses 6 significant digits, csv and json use 17 (round-trip safe).
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import math
 import re
@@ -18,7 +19,7 @@ from typing import Callable, NamedTuple, Optional
 from . import checks, oracles, statdiv
 from .bregman import (_bregman, _delta_averaged_qcvx_bregman, _extended_bregman,
                       _qcvx_bregman, _ratio)
-from .core import _fmt, _pair, build_generator, eval_generator
+from .core import _CSV, _fill, _fmt, _gradient, _pair, build_generator, eval_generator
 from .jensen import _extended_jensen, _log_ratio_gap, _qccv_jensen, _qcvx_jensen, _skew
 from .means import (MeanSpec, _exponents, _mn_jensen, _power_mean_bregman, _power_mean_jensen,
                     _power_weight, _r_exponent, _r_power_bregman, _weight)
@@ -78,13 +79,14 @@ class _Div(NamedTuple):
     kernel's checked arguments; ``name`` is the library function's, for the
     check's messages.  ``points`` are the point flags; a unary divergence has
     one.  ``scalar`` divergences take single reals.  ``subject`` is the
-    leading argument: the generator, its ExpFamily, or nothing.
+    leading argument: the generator, its ExpFamily, or nothing.  A ``grad``
+    kernel reads grad Q(theta_p), and takes its source after the subject.
     """
 
     # The kernel takes the subject, the checked arguments, then two points
     # that core._pair checked and their generator values.  A ``raw`` kernel
     # takes the subject, the checked arguments and the points as given, and
-    # checks the points itself.
+    # checks the points itself; it takes no gradient source.
     name: str
     kernel: Callable
     flags: tuple = ()
@@ -93,6 +95,7 @@ class _Div(NamedTuple):
     scalar: bool = False
     subject: Optional[str] = "generator"
     raw: bool = False
+    grad: bool = False
 
 
 # The divergence catalog: argparse choices (in this order), eval and table.
@@ -109,15 +112,15 @@ DIVERGENCES = {
     "mn-jensen": _Div("mn_jensen", _mn_jensen, ("--alpha", "--mean-m", "--mean-n"), _weight),
     "power-jensen": _Div("power_mean_jensen", _power_mean_jensen, ("--alpha", "--delta"),
                          _power_weight),
-    "bregman": _Div("bregman", _bregman),
-    "qcvx-bregman": _Div("qcvx_bregman", _qcvx_bregman),
+    "bregman": _Div("bregman", _bregman, grad=True),
+    "qcvx-bregman": _Div("qcvx_bregman", _qcvx_bregman, grad=True),
     "delta-qcvx-bregman": _Div("delta_averaged_qcvx_bregman", _delta_averaged_qcvx_bregman,
                                ("--delta",), _ratio),
-    "ext-bregman": _Div("extended_bregman", _extended_bregman),
+    "ext-bregman": _Div("extended_bregman", _extended_bregman, grad=True),
     "power-bregman": _Div("power_mean_bregman", _power_mean_bregman, ("--delta1", "--delta2"),
                           _exponents, scalar=True, raw=True),
     "r-power-bregman": _Div("r_power_bregman", _r_power_bregman, ("--r",), _r_exponent,
-                            scalar=True),
+                            scalar=True, grad=True),
     "kl-nested-uniform": _Div("kl_nested_uniform", statdiv.kl_nested_uniform, scalar=True,
                               subject=None, raw=True),
     "kl-power-nested": _Div("kl_power_nested", _kl_power_nested, ("--exponent",), _exponent,
@@ -218,7 +221,8 @@ def cmd_eval(args) -> int:
     # A unary divergence reads --theta only; a given --theta-prime was parsed above.
     points = points[:len(div.points)]
     extra = div.check(div.name, *lead, *params) if div.check else ()
-    value = div.kernel(*lead, *extra, *(points if div.raw else _pair(lead[0], *points)))
+    grad = (_gradient,) if div.grad else ()
+    value = div.kernel(*lead, *grad, *extra, *(points if div.raw else _pair(lead[0], *points)))
     text = _fmt(value, args.format)
     if args.format == "json":
         print('{"value": "inf"}' if math.isinf(value) else f'{{"value": {text}}}')
@@ -267,25 +271,35 @@ def cmd_table(args) -> int:
     count = int(math.floor(steps)) + 1
     grid = [args.grid_min + i * args.grid_step for i in range(count)]
     axis = [x if div.raw and div.scalar else (x,) for x in grid]
-    kernel = div.kernel  # a local: the loop below runs once per grid pair
     extra = div.check(div.name, *lead, *params) if div.check else ()
+    grads = {}  # column point -> grad Q(theta_p), for this table only
+
+    def grad(Q, tp):
+        g = grads.get(tp)
+        if g is None:
+            g = grads[tp] = _gradient(Q, tp)
+        return g
+
+    cell = functools.partial(div.kernel, *lead, *((grad,) if div.grad else ()), *extra)
     # Every value first, so that a grid point that raises leaves stdout empty.
     # Row 0 meets the axis points in order, and each is checked and evaluated
-    # just before its first pair, so the first error is the one a row-major
-    # loop over the public function raises.  A raw kernel checks its points.
-    vals, cells = [], []
-    for i in range(count):
-        for j in range(count):
-            if j == len(vals):
-                vals.append(() if div.raw else (eval_generator(lead[0], axis[j]),))
-            cells.append(kernel(*lead, *extra, axis[i], axis[j], *vals[i], *vals[j]))
-    values = iter(cells)
+    # just before its first pair; a column's gradient is taken in its first
+    # finite-branch cell.  So the first error is the one a row-major loop over
+    # the public function raises.  A raw kernel checks its points.
+    if div.raw:
+        rows = [[cell(t, tp) for tp in axis] for t in axis]
+    else:
+        cols, row = [], []  # (point, generator value) per axis point
+        for tp in axis:
+            cols.append((tp, eval_generator(lead[0], tp)))
+            row.append(cell(axis[0], tp, cols[0][1], cols[-1][1]))
+        rows = [row] + [[cell(t, tp, qt, qtp) for tp, qtp in cols] for t, qt in cols[1:]]
     labels = [_fmt(x) for x in grid]
-    # One write per grid row: zip stops at the end of labels, so each row
-    # takes the next count values.
+    tails = [f",{b},{_CSV}\n" for b in labels]
+    # One format and one write per grid row.
     sys.stdout.write("theta,theta_prime,value\n")
-    for a in labels:
-        sys.stdout.write("".join(f"{a},{b},{_fmt(v)}\n" for b, v in zip(labels, values)))
+    for a, row in zip(labels, rows):
+        sys.stdout.write(_fill(a + a.join(tails), row))
     return 0
 
 

@@ -54,6 +54,11 @@ class GeneratorClassWarning(UserWarning):
     """A divergence was evaluated with a generator of the opposite declared class."""
 
 
+# Bound once: ExtReal.__new__ runs once per branch-divergence value.
+_INF = math.inf
+_new_float = float.__new__
+
+
 class ExtReal(float):
     """A finite real or +inf; never -inf, never NaN.
 
@@ -67,9 +72,9 @@ class ExtReal(float):
 
     def __new__(cls, value: float, tie_sensitive: bool = False) -> "ExtReal":
         v = float(value) + 0.0  # adding +0.0 turns -0.0 into 0.0 and keeps every other value
-        if v != v or v == -math.inf:
+        if not v > -_INF:  # NaN or -inf
             raise ValueError(f"extended real must be finite or +inf, got {v!r}")
-        self = float.__new__(cls, v)
+        self = _new_float(cls, v)
         self.tie_sensitive = bool(tie_sensitive)
         return self
 
@@ -92,13 +97,22 @@ _TIE_REL_TOL = 1e-12
 def _tie_sensitive(a: float, b: float) -> bool:
     # The band is infinite when either value is, and a finite and an
     # infinite value are never a near-tie.
-    return abs(a - b) <= _TIE_REL_TOL * max(abs(a), abs(b)) < math.inf
+    return abs(a - b) <= _TIE_REL_TOL * max(abs(a), abs(b)) < _INF
+
+
+# csv and json show 17 significant digits, enough to round-trip every float.
+_CSV = "%.17g"
+
+
+def _fill(template: str, values) -> str:
+    """The output rule: ``template`` with its slots filled by ``values``, where zero is never
+    ``-0`` (+0.0 is added, as in ``ExtReal``) and infinity is ``inf``."""
+    return template % tuple([v + 0.0 for v in values])
 
 
 def _fmt(value: float, mode: str = "csv") -> str:
-    """The output rule: zero is never ``-0`` (+0.0 is added, as in ``ExtReal``), infinity is
-    ``inf``, and plain output has 6 significant digits where csv and json have 17."""
-    return format(float(value) + 0.0, ".6g" if mode == "plain" else ".17g")
+    """One value by the output rule: plain output has 6 significant digits, csv and json 17."""
+    return _fill("%.6g" if mode == "plain" else _CSV, (float(value),))
 
 
 def as_vector(theta) -> Vector:

@@ -351,7 +351,7 @@ def _r_exponent(fn: str, F: Generator, r: float) -> tuple:
     return (r,)
 
 
-def _r_power_bregman(F: Generator, r: float, t, tp, ft: float, ftp: float) -> ExtReal:
+def _r_power_bregman(F: Generator, grad, r: float, t, tp, ft: float, ftp: float) -> ExtReal:
     if ft <= 0.0 or ftp <= 0.0:
         raise NonPositiveError(f"r_power_bregman requires positive F values, got ({ft}, {ftp})")
     log_term = r * math.log(ft) - (r - 1.0) * math.log(ftp) - math.log(r)
@@ -359,7 +359,7 @@ def _r_power_bregman(F: Generator, r: float, t, tp, ft: float, ftp: float) -> Ex
         log_term = r * (math.log(ft) - math.log(ftp)) + math.log(ftp) - math.log(r)
     if log_term > _LOG_MAX:
         return ExtReal(math.inf)
-    return ExtReal(_in_range(math.exp(log_term) - ftp / r - _linear_term(F, t, tp),
+    return ExtReal(_in_range(math.exp(log_term) - ftp / r - _linear_term(F, grad, t, tp),
                              "r_power_bregman value"))
 
 
@@ -372,4 +372,5 @@ def r_power_bregman(F: Generator, r: float, theta: float, theta_p: float) -> Ext
     analytic r -> inf divergence when F(theta) > F(theta_p).  Below it,
     RangeError when the linear term or the value leaves the floats.
     """
-    return _r_power_bregman(F, *_r_exponent("r_power_bregman", F, r), *_pair(F, theta, theta_p))
+    return _r_power_bregman(F, _gradient, *_r_exponent("r_power_bregman", F, r),
+                            *_pair(F, theta, theta_p))

@@ -14,10 +14,11 @@ import heapq
 import math
 import operator
 import sys
+from functools import partial
 from typing import NamedTuple
 
 from .core import (ExtReal, Generator, PreconditionError, RangeError, _check_dim, _count,
-                   _eval, _fmt, _pair, as_vector)
+                   _eval, _fmt, _gradient, _pair, as_vector)
 from .bregman import _qcvx_bregman, _ratio
 from .jensen import _qcvx_jensen, _skew
 from .means import MeanSpec, _power_mean_jensen, _r_exponent, _r_power_bregman
@@ -202,7 +203,7 @@ def integrate_delta_average(Q: Generator, theta: float, theta_p: float,
     # Q is checked, and _eval checks the shifted points: pointwise runs the kernel.
     def pointwise(u: float) -> float:
         a, b = (x + u,), (y + u,)
-        v = _qcvx_bregman(Q, a, b, _eval(Q, a), _eval(Q, b))
+        v = _qcvx_bregman(Q, _gradient, a, b, _eval(Q, a), _eval(Q, b))
         if v.is_inf:
             raise InfiniteIntegrandError(
                 f"qcvx_bregman({x + u} : {y + u}) is infinite inside the "
@@ -286,7 +287,7 @@ class LimitStudy(NamedTuple):
 
 def _dyadic_study(name, Q, theta, theta_p, k_max, *, k_min, k_top, param, target, check,
                   value, tol) -> LimitStudy:
-    """``value(Q, param(k), *pair)`` for k = k_min..k_max against ``target(Q, *pair)``.
+    """``value(param(k), *pair)`` for k = k_min..k_max against ``target(*pair)``.
 
     ``pair`` is (t, tp, Q(t), Q(tp)), theta and theta_p checked and evaluated once;
     the argument ``check`` runs once, after the target.  Past ``k_top`` the parameter
@@ -297,13 +298,13 @@ def _dyadic_study(name, Q, theta, theta_p, k_max, *, k_min, k_top, param, target
         raise ValueError(f"k_max must be <= {k_top}: the {name} schedule leaves the floats "
                          f"past it, got {k_max}")
     t, tp, qt, qtp = _pair(Q, theta, theta_p)
-    goal = target(Q, t, tp, qt, qtp)
+    goal = target(t, tp, qt, qtp)
     # Every alpha_k lies in (0, 1) and every r_k is >= 1, so no step can fail a
     # range check: what is left of the steps' argument checks runs once here.
     check()
     ks = tuple(range(k_min, k_max + 1))
     params = tuple(param(k) for k in ks)
-    values = tuple(value(Q, p, t, tp, qt, qtp) for p in params)
+    values = tuple(value(p, t, tp, qt, qtp) for p in params)
     return LimitStudy(name, ks, params, values, goal, tol, 1.0 + abs(qt - qtp))
 
 
@@ -316,19 +317,19 @@ def limit_scaled_jensen(Q: Generator, theta, theta_p, k_max: int) -> LimitStudy:
     """
     return _dyadic_study(
         "scaled-jensen", Q, theta, theta_p, k_max, k_min=4, k_top=53, tol=1e-4,
-        param=lambda k: 1.0 - 2.0 ** (-k), target=_qcvx_bregman,
+        param=lambda k: 1.0 - 2.0 ** (-k), target=partial(_qcvx_bregman, Q, _gradient),
         check=lambda: _skew("qcvx_jensen", Q, 0.5),
-        value=lambda Q, alpha, *pair: ExtReal(_qcvx_jensen(Q, alpha, *pair)
-                                              / (alpha * (1.0 - alpha))))
+        value=lambda alpha, *pair: ExtReal(_qcvx_jensen(Q, alpha, *pair)
+                                           / (alpha * (1.0 - alpha))))
 
 
 def limit_power_jensen(F: Generator, theta, theta_p, k_max: int) -> LimitStudy:
     """Power-mean Jensen values at delta_k = 2^k, k <= 1023, against qcvx_jensen at alpha = 1/2."""
     return _dyadic_study(
         "power-jensen", F, theta, theta_p, k_max, k_min=0, k_top=1023, tol=1e-3,
-        param=lambda k: 2.0**k, target=lambda F, *pair: ExtReal(_qcvx_jensen(F, 0.5, *pair)),
+        param=lambda k: 2.0**k, target=lambda *pair: ExtReal(_qcvx_jensen(F, 0.5, *pair)),
         check=lambda: _skew("qcvx_jensen", F, 0.5),
-        value=lambda F, delta, *pair: ExtReal(
+        value=lambda delta, *pair: ExtReal(
             _power_mean_jensen(F, 0.5, MeanSpec.power(delta), *pair)))
 
 
@@ -336,5 +337,6 @@ def limit_r_power_bregman(F: Generator, theta, theta_p, k_max: int) -> LimitStud
     """r-power Bregman values at r_k = 2^k >= 1, k <= 1023, against qcvx_bregman (1-D)."""
     return _dyadic_study(
         "r-power-bregman", F, theta, theta_p, k_max, k_min=0, k_top=1023, tol=1e-3,
-        param=lambda k: 2.0**k, target=_qcvx_bregman,
-        check=lambda: _r_exponent("r_power_bregman", F, 1.0), value=_r_power_bregman)
+        param=lambda k: 2.0**k, target=partial(_qcvx_bregman, F, _gradient),
+        check=lambda: _r_exponent("r_power_bregman", F, 1.0),
+        value=partial(_r_power_bregman, F, _gradient))

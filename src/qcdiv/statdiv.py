@@ -195,7 +195,7 @@ def expfam_entropy(fam: ExpFamily, theta) -> float:
 # expfam_kl is the Bregman kernel on its checked pair with the points swapped.
 def expfam_kl(fam: ExpFamily, theta, theta_p) -> float:
     """KL between family members is the reverse Bregman divergence of the cumulant."""
-    return _bregman(fam.F, *_pair(fam.F, theta_p, theta))
+    return _bregman(fam.F, _gradient, *_pair(fam.F, theta_p, theta))
 
 
 # The KL identity's precondition and value, over a checked pair and its values.
@@ -205,7 +205,7 @@ def _from_kl(F: Generator, t, tp, ft: float, ftp: float) -> ExtReal:
             f"qcvx_bregman_from_kl needs F(theta_p) <= F(theta); "
             f"got F(theta_p)={ftp} > F(theta)={ft}: query the reverse orientation"
         )
-    return ExtReal(_in_range(_bregman(F, tp, t, ftp, ft) + ft - ftp,
+    return ExtReal(_in_range(_bregman(F, _gradient, tp, t, ftp, ft) + ft - ftp,
                              "qcvx_bregman_from_kl value"))
 
 

@@ -154,3 +154,6 @@ def test_eval_and_table_share_one_kernel(div):
         assert fn.__name__ in called and public.__globals__[fn.__name__] is fn
     # A kernel that takes checked points gets them from core._pair.
     assert spec.raw or "_pair" in called
+    # A kernel that reads grad Q(theta_p) gets core._gradient from the public function.
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert spec.grad == (not spec.raw and "_gradient" in read)

@@ -200,7 +200,7 @@ def ref_branch(qt, qtp, finite):
 
 
 def ref_qcvx_bregman(Q, t, tp, qt, qtp):
-    return ref_branch(qt, qtp, lambda: -_linear_term(Q, t, tp))
+    return ref_branch(qt, qtp, lambda: -_linear_term(Q, core._gradient, t, tp))
 
 
 def ref_delta_averaged_qcvx_bregman(Q, d, t, tp, qt, qtp):
@@ -218,7 +218,7 @@ def ref_delta_averaged_qcvx_bregman(Q, d, t, tp, qt, qtp):
 
 
 def ref_extended_bregman(Q, t, tp, qt, qtp):
-    return ref_branch(qt, qtp, lambda: qt - qtp - _linear_term(Q, t, tp))
+    return ref_branch(qt, qtp, lambda: qt - qtp - _linear_term(Q, core._gradient, t, tp))
 
 
 # --------------------------------------------------------------------------
@@ -495,7 +495,7 @@ def test_branch_kernels_match_the_reference(case, data):
     except ValueError:
         assume(False)
     for new, ref in BRANCH_KERNELS:
-        assert outcome(new, g, t, tp, qt, qtp) == outcome(ref, g, t, tp, qt, qtp)
+        assert outcome(new, g, core._gradient, t, tp, qt, qtp) == outcome(ref, g, t, tp, qt, qtp)
     d = data.draw(st.one_of(st.floats(1e-3, 10.0), st.sampled_from([0.5, 1e300])))
     assert (outcome(_delta_averaged_qcvx_bregman, g, d, t, tp, qt, qtp)
             == outcome(ref_delta_averaged_qcvx_bregman, g, d, t, tp, qt, qtp))
@@ -514,7 +514,8 @@ def test_public_branch_divergences_match_the_reference_at_zero_gradients(gen, t,
     except DomainError:
         assume(False)
     for new, ref in BRANCH_KERNELS:
-        assert outcome(new, g, (t,), (tp,), qt, qtp) == outcome(ref, g, (t,), (tp,), qt, qtp)
+        assert (outcome(new, g, core._gradient, (t,), (tp,), qt, qtp)
+                == outcome(ref, g, (t,), (tp,), qt, qtp))
 
 
 # Generators built from specs, and constructor arguments drawn from small pools

@@ -1,13 +1,16 @@
 """`qcdiv table`: byte-exact CSV against a row-by-row library reference, one
-write per grid row, and an empty stdout whenever the command exits 2."""
+write per grid row, one gradient per column, and an empty stdout whenever the
+command exits 2."""
 
 import dataclasses
+import importlib
 import io
+import json
 import math
 from contextlib import redirect_stdout
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from pins import run_cli
@@ -33,7 +36,7 @@ from qcdiv import (
     qcvx_jensen,
     r_power_bregman,
 )
-from qcdiv.core import _fmt
+from qcdiv.core import _CSV, ExtReal, _fill, _fmt
 
 BINARY = [div for div, spec in cli.DIVERGENCES.items() if len(spec.points) == 2]
 # log-norm-sq is 2-D, so every divergence that takes it meets a dimension error.
@@ -141,6 +144,9 @@ def test_a_101_by_101_table_makes_one_write_per_grid_row():
 # Generated pairs include qccv-jensen on convex generators, which warns by design.
 @pytest.mark.filterwarnings("ignore::qcdiv.GeneratorClassWarning")
 @settings(derandomize=True, deadline=None, max_examples=150)
+# expfam-kl swaps its points into fresh tuples, so a gradient memo keyed by
+# the identity of a point would mix up its columns.
+@example(div="expfam-kl", gen="quadratic", lo=0.0, step=1.0, intervals=3)
 @given(div=st.sampled_from(BINARY), gen=st.sampled_from(GENERATORS),
        lo=st.floats(-4.0, 4.0), step=st.floats(0.05, 2.0), intervals=st.integers(1, 20))
 def test_table_exits_0_with_the_reference_or_2_with_empty_stdout(div, gen, lo, step, intervals):
@@ -160,8 +166,8 @@ def test_table_exits_0_with_the_reference_or_2_with_empty_stdout(div, gen, lo, s
 
 
 def _counting_generators(monkeypatch):
-    """Make the CLI's generators count their raw evaluations."""
-    counts = {"eval": 0}
+    """Make the CLI's generators count their raw evaluations and gradients."""
+    counts = {"eval": 0, "grad": 0}
     build = cli.build_generator
 
     def counted(spec):
@@ -171,7 +177,11 @@ def _counting_generators(monkeypatch):
             counts["eval"] += 1
             return g.eval(t)
 
-        return dataclasses.replace(g, eval=ev)
+        def grad(t):
+            counts["grad"] += 1
+            return g.grad(t)
+
+        return dataclasses.replace(g, eval=ev, grad=None if g.grad is None else grad)
 
     monkeypatch.setattr(cli, "build_generator", counted)
     return counts
@@ -190,3 +200,60 @@ def test_a_jensen_table_adds_only_the_interpolated_points(monkeypatch):
     code, _ = run_table(argv("qcvx-jensen", "log", 1.0, 2.0, 0.01))
     assert code == 0
     assert counts["eval"] <= 101 + 101 * 101
+
+
+# A row-major loop of public calls takes one gradient per finite-branch cell:
+# 5,151 on the qcvx-bregman table and 10,201 on the bregman one.
+@pytest.mark.parametrize("div,gen", [("qcvx-bregman", "log"), ("bregman", "quadratic")])
+def test_a_table_takes_each_columns_gradient_once(monkeypatch, div, gen):
+    counts = _counting_generators(monkeypatch)
+    code, out = run_table(argv(div, gen, 1.0, 2.0, 0.01))
+    assert code == 0 and out == reference(div, gen, 1.0, 2.0, 0.01)
+    assert counts["grad"] <= 101
+
+
+# 1e300 * t / (2 - t) is finite below 2, and its gradient is not from 1.9999
+# on: the 11th column, so earlier columns' gradients succeed first.  Its
+# negation has its finite cells on and below the diagonal instead, so row 0
+# evaluates every column, and on the longer grid meets the bound at 2 before
+# any row needs the 11th column's gradient.
+STEEP = {"affine": {"a": 1e300, "inner": {"name": "linear-fractional", "c": -1, "d": 2}}}
+
+
+@pytest.mark.parametrize("grid_max", [1.99995, 2.00005])
+@pytest.mark.parametrize("gen", [json.dumps(STEEP), json.dumps({"negate": STEEP})],
+                         ids=["steep", "negated"])
+@pytest.mark.parametrize("div", ["qcvx-bregman", "ext-bregman"])
+def test_the_lazy_gradient_keeps_the_row_major_first_error(div, gen, grid_max):
+    grid = (1.9998, grid_max, 0.00001)
+    run = run_cli(argv(div, gen, *grid))
+    assert (run["exit"], run["stdout"]) == (2, "")
+    assert run["stderr"] == f"qcdiv: error: {first_error(div, gen, *grid)}\n"
+    gradient_first = grid_max < 2.0 or "negate" not in gen
+    assert ("gradient of" in run["stderr"]) == gradient_first
+
+
+def test_no_state_outlives_a_table():
+    modules = [importlib.import_module(name) for name in ("qcdiv.bregman", "qcdiv.core")]
+    before = [dict(vars(m)) for m in modules]
+    for gen in ("log", "sqrt"):
+        code, out = run_table(argv("qcvx-bregman", gen, 1.0, 2.0, 0.1))
+        assert code == 0 and out == reference("qcvx-bregman", gen, 1.0, 2.0, 0.1)
+    for m, names in zip(modules, before):
+        assert vars(m).keys() == names.keys()
+        assert all(vars(m)[name] is value for name, value in names.items())
+
+
+# Each value's 17-digit text, a subnormal, the largest float and both zeros.
+EDGE_VALUES = [-0.0, 0.0, math.inf, 5e-324, 1e16, 0.1, 1 / 3, -1e-300, 1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("kind", [float, ExtReal])
+def test_the_row_template_prints_what_fmt_prints(kind):
+    labels = [_fmt(x) for x in EDGE_VALUES if x != math.inf]
+    tails = [f",{b},{_CSV}\n" for b in labels]
+    for shift in range(len(EDGE_VALUES)):
+        row = [kind(v) for v in EDGE_VALUES[shift:] + EDGE_VALUES[:shift]][:len(labels)]
+        for a in labels:
+            expected = "".join(f"{a},{b},{_fmt(v)}\n" for b, v in zip(labels, row))
+            assert _fill(a + a.join(tails), row) == expected

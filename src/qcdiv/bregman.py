@@ -35,6 +35,12 @@ from .core import (
 def _linear_term(F: Generator, grad, t, tp) -> float:
     """<theta - theta_p, grad F(theta_p)>; RangeError when it overflows."""
     g = grad(F, tp)
+    # One gradient component makes the sum one term p.  sum starts from the
+    # int 0, so it returns 0.0 + p, which turns -0.0 into 0.0: the scalar form
+    # adds 0.0 too, for the same bits.  A gradient of another length from a
+    # user Generator keeps map's truncation.
+    if len(g) == 1:
+        return _in_range(0.0 + (t[0] - tp[0]) * g[0], "the linear term")
     return _in_range(sum(map(mul, map(sub, t, tp), g)), "the linear term")
 
 
@@ -82,7 +88,8 @@ def _ratio(fn: str, Q: Generator, delta: float) -> tuple:
 
 def _averaged_gap(Q: Generator, d: float, t, tp, qtp: float) -> float:
     """(Q(theta_p + d*(theta_p - theta)) - Q(theta_p)) / d."""
-    extrap = tuple(y + d * (y - x) for x, y in zip(t, tp))
+    extrap = ((tp[0] + d * (tp[0] - t[0]),) if len(t) == 1
+              else tuple(y + d * (y - x) for x, y in zip(t, tp)))
     problem = Q.domain.violation(extrap)
     if problem is not None:
         raise DomainError(

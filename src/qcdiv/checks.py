@@ -22,7 +22,7 @@ from .core import (Box, ExtReal, Generator, _count, _eval, _gradient, bounded_bo
                    build_generator, sample_point)
 from .jensen import _extended_jensen, _qccv_jensen, _qcvx_jensen
 from .bregman import _bregman, _delta_averaged_qcvx_bregman, _qcvx_bregman
-from .means import MeanSpec, _mn_jensen, weighted_mean
+from .means import MeanSpec, _mn_jensen, _weighted_mean
 from .statdiv import (NestedUniform, PowerNested, _cross_entropy, _from_kl, kl_nested_uniform,
                       kl_power_nested)
 from .oracles import NonConvergenceError, integrate, kl_quadrature
@@ -376,6 +376,7 @@ def suite_means(samples: int, seed: int) -> SuiteResult:
     kinds = (arith, MeanSpec.power(-2.0), MeanSpec.power(-1.0), geo, MeanSpec.power(0.5),
              MeanSpec.power(1.0), MeanSpec.power(3.0), qa_id, qa_log, MeanSpec.maximum(),
              MeanSpec.minimum())
+    powers = tuple(MeanSpec.power(2.0**k) for k in range(0, 11))
 
     def on_grid(i):
         x, y = rng.uniform(0.05, 20.0), rng.uniform(0.05, 20.0)
@@ -383,7 +384,7 @@ def suite_means(samples: int, seed: int) -> SuiteResult:
 
     def between(i, x, y, alpha):
         spec = kinds[i % len(kinds)]
-        m = weighted_mean(spec, x, y, alpha)
+        m = _weighted_mean(spec, x, y, alpha)
         return (min(x, y) <= m <= max(x, y)
                 or f"{spec.kind}({spec.delta}) x={x} y={y} a={alpha}: {m}")
 
@@ -393,13 +394,13 @@ def suite_means(samples: int, seed: int) -> SuiteResult:
         return None if d1 == d2 else (x, y, d1, d2)
 
     def monotone(x, y, d1, d2):
-        p1 = weighted_mean(MeanSpec.power(d1), x, y, 0.5)
-        p2 = weighted_mean(MeanSpec.power(d2), x, y, 0.5)
+        p1 = _weighted_mean(MeanSpec.power(d1), x, y, 0.5)
+        p2 = _weighted_mean(MeanSpec.power(d2), x, y, 0.5)
         return p1 <= p2 + 1e-12 * (1.0 + p2) or f"x={x} y={y} d1={d1} d2={d2}: {p1} > {p2}"
 
     def agree(spec, ref):
         return lambda i, x, y, alpha: (
-            _close(weighted_mean(spec, x, y, alpha), weighted_mean(ref, x, y, alpha), 1e-10)
+            _close(_weighted_mean(spec, x, y, alpha), _weighted_mean(ref, x, y, alpha), 1e-10)
             or f"x={x} y={y} a={alpha}")
 
     def toward_max(i):
@@ -408,8 +409,7 @@ def suite_means(samples: int, seed: int) -> SuiteResult:
         if x == y:
             return None
         top = max(x, y)
-        return x, y, top, [abs(weighted_mean(MeanSpec.power(2.0**k), x, y, 0.5) - top)
-                           for k in range(0, 11)]
+        return x, y, top, [abs(_weighted_mean(p, x, y, 0.5) - top) for p in powers]
 
     def limit_monotone(x, y, top, errs):
         return (all(b <= a + 1e-15 * top for a, b in zip(errs, errs[1:]))

@@ -177,8 +177,14 @@ def interpolate(theta, theta_p, alpha: float) -> Vector:
     return _lerp(t, tp, _validate_weight(alpha, "interpolation weight"))
 
 
+# The kernels below that loop over coordinates take one len(t) == 1 test first
+# and compute a one-coordinate point on t[0] directly, with the same float
+# operations in the same order: most points here are 1-D, and the loop's
+# iterator or list frame costs more than the arithmetic.
 def _lerp(t: Vector, tp: Vector, a: float) -> Vector:
     b = 1.0 - a
+    if len(t) == 1:
+        return (b * t[0] + a * tp[0],)
     return tuple([b * x + a * y for x, y in zip(t, tp)])
 
 
@@ -264,6 +270,9 @@ class Box(_Frozen):
 
     def contains_interior(self, theta: Vector) -> bool:
         # Strictly between the bounds also means finite.
+        if len(theta) == 1:
+            lo, hi = self._bounds[0]
+            return lo < theta[0] < hi
         for (lo, hi), x in zip(self._bounds, theta):
             if not lo < x < hi:
                 return False
@@ -303,6 +312,9 @@ def bounded_box(*bounds) -> Box:
 
 def sample_point(rng: random.Random, box: Box) -> Vector:
     """A uniform point of a bounded box: one ``rng.uniform`` per coordinate, in order."""
+    if len(box._bounds) == 1:
+        lo, hi = box._bounds[0]
+        return (rng.uniform(lo, hi),)
     return tuple([rng.uniform(lo, hi) for lo, hi in box._bounds])
 
 
@@ -414,11 +426,15 @@ def _eval(g: Generator, t: Vector) -> float:
     """g at t, which must lie in the domain and give a finite value."""
     # A strictly interior point is finite; any other point, such as a derived
     # point that overflowed, gets the full domain check.
-    # The loop is Box.contains_interior, inlined: this runs per evaluation.
-    for (lo, hi), x in zip(g.domain._bounds, t):
-        if not lo < x < hi:
-            _check_domain(g, t)
-            break
+    # The test is Box.contains_interior, inlined: this runs per evaluation.  A
+    # one-coordinate point inside its bounds skips the loop; every other
+    # point, a 1-D one outside them included, runs it.
+    bounds = g.domain._bounds
+    if len(t) != 1 or not bounds[0][0] < t[0] < bounds[0][1]:
+        for (lo, hi), x in zip(bounds, t):
+            if not lo < x < hi:
+                _check_domain(g, t)
+                break
     try:
         value = float(g.eval(t))
     except OverflowError:
@@ -433,11 +449,13 @@ def _eval(g: Generator, t: Vector) -> float:
 
 
 def _gradient(g: Generator, t: Vector) -> Vector:
-    for (lo, hi), x in zip(g.domain._bounds, t):  # Box.contains_interior, inlined
-        if not lo < x < hi:
-            raise GradientError(
-                f"gradient of {g.name or 'generator'} requires an interior point, got {t}"
-            )
+    bounds = g.domain._bounds  # Box.contains_interior, inlined as in _eval
+    if len(t) != 1 or not bounds[0][0] < t[0] < bounds[0][1]:
+        for (lo, hi), x in zip(bounds, t):
+            if not lo < x < hi:
+                raise GradientError(
+                    f"gradient of {g.name or 'generator'} requires an interior point, got {t}"
+                )
     try:
         if g.grad is not None:
             grad = tuple(map(float, g.grad(t)))
@@ -461,7 +479,7 @@ def _gradient(g: Generator, t: Vector) -> Vector:
     except (ValueError, ZeroDivisionError) as e:
         raise GradientError(
             f"gradient of {g.name or 'generator'} cannot be evaluated at {t}: {e}") from None
-    if not all(map(math.isfinite, grad)):
+    if not (math.isfinite(grad[0]) if len(grad) == 1 else all(map(math.isfinite, grad))):
         raise GradientError(f"gradient of {g.name or 'generator'} is not finite at {t}: {grad}")
     return grad
 
@@ -473,6 +491,14 @@ def _gradient(g: Generator, t: Vector) -> Vector:
 
 def _sq_norm(t: Vector) -> float:
     return sum(x * x for x in t)
+
+
+def _neg_gauss(dim):
+    if dim == 1:  # _sq_norm((x,)) is 0 + x * x, and x * x is never -0.0
+        return (lambda t: -math.exp(-(t[0] * t[0])), real_line(),
+                lambda t: (2.0 * t[0] * math.exp(-(t[0] * t[0])),), "quasiconvex")
+    return (lambda t: -math.exp(-_sq_norm(t)), real_line(dim),
+            lambda t: tuple(2.0 * x * math.exp(-_sq_norm(t)) for x in t), "quasiconvex")
 
 
 def _linear_fractional(a, b, c, d):
@@ -612,15 +638,18 @@ def _affine(obj, depth: int) -> Generator:
     inner = _build(obj["inner"], depth)
     _only(obj, ("a", "b", "inner"), "affine object")
     ie, ig = inner.eval, inner.grad
-    return Generator(inner.dim, lambda t: a * ie(t) + b, inner.domain,
-                     lambda t: tuple(a * c for c in ig(t)),
+    # A built inner's gradient has inner.dim components, so a 1-D one is (c,).
+    grad = ((lambda t: (a * ig(t)[0],)) if inner.dim == 1
+            else lambda t: tuple(a * c for c in ig(t)))
+    return Generator(inner.dim, lambda t: a * ie(t) + b, inner.domain, grad,
                      inner.declared_class, name=f"affine({a},{b},{inner.name})")
 
 
 def _negate(inner_spec, depth: int) -> Generator:
     inner = _build(inner_spec, depth)
     ie, ig = inner.eval, inner.grad
-    return Generator(inner.dim, lambda t: -ie(t), inner.domain, lambda t: tuple(-c for c in ig(t)),
+    grad = (lambda t: (-ig(t)[0],)) if inner.dim == 1 else lambda t: tuple(-c for c in ig(t))
+    return Generator(inner.dim, lambda t: -ie(t), inner.domain, grad,
                      _NEGATED_CLASS[inner.declared_class], name=f"neg({inner.name})")
 
 
@@ -661,9 +690,7 @@ _BUILTINS = {
     # non-differentiable case (delta-averaging does not need grad).
     "abs": ((lambda t: abs(t[0]), real_line(),
              lambda t: (math.copysign(1.0, t[0]) if t[0] != 0.0 else 0.0,), "convex"), {}),
-    "neg-gauss": (lambda dim: (lambda t: -math.exp(-_sq_norm(t)), real_line(dim),
-                               lambda t: tuple(2.0 * x * math.exp(-_sq_norm(t)) for x in t),
-                               "quasiconvex"), {"dim": 1}),
+    "neg-gauss": (_neg_gauss, {"dim": 1}),
     "log-norm-sq": (lambda dim: (lambda t: math.log(_sq_norm(t)), positive_ray(dim),
                                  lambda t: tuple(2.0 * x / _sq_norm(t) for x in t),
                                  "quasiconvex"), {"dim": 2}),

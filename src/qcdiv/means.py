@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import math
 import sys
+import warnings
 from typing import Optional
 
 from .core import (
     DimensionError,
     ExtReal,
     Generator,
+    GeneratorClassWarning,
     NonPositiveError,
     RangeError,
     _Frozen,
@@ -44,7 +46,8 @@ class MeanSpec(_Frozen):
     power(0) is the geometric mean; quasi-arithmetic needs a strictly
     increasing 1-D generator f, inverted by bracketed regula falsi (Illinois)
     finished by bisection: about 10 evaluations of f per mean, and
-    bisection's float whenever f is non-decreasing.
+    bisection's float whenever f is non-decreasing.  An f not declared
+    quasilinear warns ``GeneratorClassWarning``, as the root may not be unique.
     """
 
     _fields = ("kind", "delta", "f")
@@ -62,6 +65,10 @@ class MeanSpec(_Frozen):
                 raise ValueError("quasi-arithmetic mean needs a 1-D generator f")
             if f.dim != 1:
                 raise DimensionError("quasi-arithmetic generator must be 1-D")
+            if f.declared_class != "quasilinear":  # not monotone, as far as f declares
+                warnings.warn(f"quasi-arithmetic mean with {f.declared_class} generator "
+                              f"{f.name or '?'}: the mean may be one of several roots",
+                              GeneratorClassWarning, stacklevel=2)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "delta", None if delta is None else float(delta))
         object.__setattr__(self, "f", f)
@@ -201,6 +208,12 @@ def weighted_mean(spec: MeanSpec, x: float, y: float, alpha: float) -> float:
     a = _validate_weight(alpha)
     x, y = float(x), float(y)
     _check_finite((x, y))
+    return _weighted_mean(spec, x, y, a)
+
+
+# weighted_mean on checked arguments: finite floats x and y and a weight a in
+# [0, 1].  _mn_jensen and the means suite call it on values already checked.
+def _weighted_mean(spec: MeanSpec, x: float, y: float, a: float) -> float:
     if spec.kind == "arithmetic":
         return (1.0 - a) * x + a * y
     if spec.kind == "max":
@@ -239,8 +252,8 @@ def _mn_jensen(F: Generator, a: float, M, N, t, tp, ft: float, ftp: float) -> fl
     elif len(t) != 1:
         raise DimensionError(f"non-arithmetic argument mean {M.kind!r} requires 1-D parameters")
     else:
-        mpoint = (weighted_mean(M, t[0], tp[0], a),)
-    return _in_range(weighted_mean(N, ft, ftp, a) - _eval(F, mpoint), "the (M, N)-Jensen gap")
+        mpoint = (_weighted_mean(M, t[0], tp[0], a),)
+    return _in_range(_weighted_mean(N, ft, ftp, a) - _eval(F, mpoint), "the (M, N)-Jensen gap")
 
 
 def mn_jensen(F: Generator, M: MeanSpec, N: MeanSpec, alpha: float,

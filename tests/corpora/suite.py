@@ -61,9 +61,9 @@ FORCED = {
     "kl_quadrature reverse finite": ("kl_quadrature", _reverse_finite, ("kl-quadrature",)),
     "integrate value 0.5": ("integrate", lambda real: lambda *args: real(*args)._replace(value=0.5),
                             ("kl-quadrature",)),
-    "weighted_mean+1e3": ("weighted_mean", _shifted(1e3), ("means",)),
-    "weighted_mean power negated": ("weighted_mean", _power_negated, ("means",)),
-    "weighted_mean arithmetic+1": ("weighted_mean", _arithmetic_shifted, ("means",)),
+    "weighted_mean+1e3": ("_weighted_mean", _shifted(1e3), ("means",)),
+    "weighted_mean power negated": ("_weighted_mean", _power_negated, ("means",)),
+    "weighted_mean arithmetic+1": ("_weighted_mean", _arithmetic_shifted, ("means",)),
     "mn_jensen+1": ("_mn_jensen", _shifted(1.0), ("means",)),
 }
 FORCED_SAMPLES, FORCED_SEED = 12, 1

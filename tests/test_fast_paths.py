@@ -1,7 +1,11 @@
 """The per-call fast paths against the versions they replaced, and the rules they keep.
 
 ``core.as_vector``, ``_eval``, ``_gradient``, ``_lerp``, ``ExtReal.__new__`` and
-the three branch kernels of ``bregman`` were rewritten to cost less per call;
+the three branch kernels of ``bregman`` were rewritten to cost less per call.
+``_eval``, ``_gradient``, ``_lerp``, ``sample_point``, ``Box.contains_interior``,
+``bregman._linear_term``, the delta-averaged extrapolation,
+``statdiv._cross_entropy``, the gradients of the affine and negate wrappers and
+the built-in ``neg-gauss`` then took a scalar path for one-coordinate points;
 ``LimitStudy.errors``, ``LimitStudy.unbounded_trend`` and ``core._fmt`` were
 rewritten to state their rule once, from ``ExtReal``'s order and its zero rule.
 ``Generator`` was a frozen dataclass and is now a ``_Frozen`` record, so that
@@ -12,10 +16,11 @@ properties check that the new code gives the same value (compared as
 or the same exception type and message.  Three differences are deliberate: text
 is no point (``as_vector`` raises ``TypeError``), ``_fmt(-inf)`` prints
 ``-inf``, a value no entry point produces, and a generator's dimension is a
-count (a bool, text or NaN raises ``ValueError``; a whole float becomes an int).  The guards at the end keep the three
+count (a bool, text or NaN raises ``ValueError``; a whole float becomes an int).  The guards at the end keep the four
 rules the rewrite must not break: ``Generator.__call__`` reaches the module
 global ``eval_generator`` at call time, the tie tolerance and ``Box._bounds``
-are read only in ``core``, and every tie flag comes from ``_tie_sensitive``.
+are read only in ``core``, every tie flag comes from ``_tie_sensitive``, and a
+one-coordinate point makes no comprehension frame and no ``sum`` call.
 """
 
 import ast
@@ -23,6 +28,9 @@ import dataclasses
 import itertools
 import math
 import numbers
+import random
+import sys
+from operator import mul, sub
 from dataclasses import KW_ONLY, dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -40,6 +48,7 @@ from qcdiv.bregman import (
     _linear_term,
     _qcvx_bregman,
 )
+from qcdiv.statdiv import _cross_entropy
 from qcdiv.core import (
     FD_STEP,
     Box,
@@ -140,6 +149,43 @@ def ref_lerp(t, tp, a):
     return tuple((1.0 - a) * x + a * y for x, y in zip(t, tp))
 
 
+def ref_sample_point(rng, box):
+    """A uniform point of a bounded box: one ``rng.uniform`` per coordinate, in order."""
+    return tuple([rng.uniform(lo, hi) for lo, hi in box._bounds])
+
+
+def ref_contains_interior(box, theta):
+    # Strictly between the bounds also means finite.
+    for (lo, hi), x in zip(box._bounds, theta):
+        if not lo < x < hi:
+            return False
+    return True
+
+
+def ref_linear_term(F, grad, t, tp):
+    """<theta - theta_p, grad F(theta_p)>; RangeError when it overflows."""
+    g = grad(F, tp)
+    return core._in_range(sum(map(mul, map(sub, t, tp), g)), "the linear term")
+
+
+def ref_cross_entropy(g, tp, ftp):
+    return core._in_range(ftp - sum(map(mul, tp, g)), "the cross-entropy")
+
+
+def ref_affine_grad(a, ig):
+    return lambda t: tuple(a * c for c in ig(t))
+
+
+def ref_negate_grad(ig):
+    return lambda t: tuple(-c for c in ig(t))
+
+
+def ref_neg_gauss():
+    """The built-in neg-gauss's eval and grad at any dim."""
+    return (lambda t: -math.exp(-core._sq_norm(t)),
+            lambda t: tuple(2.0 * x * math.exp(-core._sq_norm(t)) for x in t))
+
+
 class RefExtReal(float):
     __slots__ = ("tie_sensitive",)
 
@@ -200,7 +246,7 @@ def ref_branch(qt, qtp, finite):
 
 
 def ref_qcvx_bregman(Q, t, tp, qt, qtp):
-    return ref_branch(qt, qtp, lambda: -_linear_term(Q, core._gradient, t, tp))
+    return ref_branch(qt, qtp, lambda: -ref_linear_term(Q, core._gradient, t, tp))
 
 
 def ref_delta_averaged_qcvx_bregman(Q, d, t, tp, qt, qtp):
@@ -218,7 +264,7 @@ def ref_delta_averaged_qcvx_bregman(Q, d, t, tp, qt, qtp):
 
 
 def ref_extended_bregman(Q, t, tp, qt, qtp):
-    return ref_branch(qt, qtp, lambda: qt - qtp - _linear_term(Q, core._gradient, t, tp))
+    return ref_branch(qt, qtp, lambda: qt - qtp - ref_linear_term(Q, core._gradient, t, tp))
 
 
 # --------------------------------------------------------------------------
@@ -320,6 +366,12 @@ GENERATORS = [
     _gen(1, lambda t: math.inf * t[0], core.real_line(), lambda t: (math.nan,)),
     _gen(2, lambda t: math.exp(t[0]) + t[1], BOX_2D),
     _gen(2, lambda t: t[0] * t[1], BOX_2D, lambda t: (t[1], t[0]), name="product"),
+    # 1-D generators whose gradient has no component, or two: the linear term
+    # and the cross-entropy keep map's truncation for them.
+    _gen(1, lambda t: t[0] * t[0], core.real_line(), lambda t: (), name="no-components"),
+    _gen(1, lambda t: -t[0], HALF_OPEN, lambda t: (-1.0, t[0]), name="two-components"),
+    build_generator("neg-gauss"),
+    build_generator({"affine": {"a": 0.5, "inner": {"negate": "sqrt"}}}),
 ]
 
 
@@ -398,6 +450,88 @@ def test_gradient_matches_the_reference(case):
 def test_lerp_matches_the_reference(t, data, a):
     tp = data.draw(st.lists(floats, min_size=len(t), max_size=len(t)))
     assert outcome(core._lerp, tuple(t), tuple(tp), a) == outcome(ref_lerp, tuple(t), tuple(tp), a)
+
+
+# Boxes of one and two axes with finite or infinite, open or closed ends.
+BOUNDS = st.one_of(st.floats(allow_nan=False), st.sampled_from([0.0, -0.0, 1.0, -1.0]))
+INTERVALS = st.tuples(BOUNDS, BOUNDS, st.booleans(), st.booleans()).filter(
+    lambda b: b[0] < b[1]).map(lambda b: Interval(*b))
+BOXES = st.lists(INTERVALS, min_size=1, max_size=2).map(Box)
+
+
+@FAST
+@given(box=BOXES, seed=st.integers(0, 2**32))
+def test_sample_point_matches_the_reference(box, seed):
+    # The same floats, and the generator left in the same state.
+    rng, ref = random.Random(seed), random.Random(seed)
+    assert outcome(core.sample_point, rng, box) == outcome(ref_sample_point, ref, box)
+    assert rng.getstate() == ref.getstate()
+
+
+@FAST
+@given(box=BOXES, data=st.data())
+def test_contains_interior_matches_the_reference(box, data):
+    edges = sorted({b for iv in box.intervals for b in (iv.lower, iv.upper)})
+    coord = st.one_of(floats, st.sampled_from(edges))
+    theta = data.draw(st.tuples(*[coord] * box.dim))
+    assert box.contains_interior(theta) is ref_contains_interior(box, theta)
+
+
+# Coordinates and gradient components whose products are signed zeros,
+# subnormal, or leave the floats.
+TERMS = st.one_of(floats, st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-200, -1e200]))
+
+
+@FAST
+@given(n=st.integers(1, 3), data=st.data())
+def test_linear_term_matches_the_reference(n, data):
+    # A gradient of any length from 0 to 3: map truncates to the shorter.
+    t = data.draw(st.tuples(*[TERMS] * n))
+    tp = data.draw(st.tuples(*[TERMS] * n))
+    g = tuple(data.draw(st.lists(TERMS, max_size=3)))
+
+    def grad(F, point):
+        return g
+
+    assert (outcome(_linear_term, None, grad, t, tp)
+            == outcome(ref_linear_term, None, grad, t, tp))
+
+
+@FAST
+@given(tp=st.lists(TERMS, min_size=1, max_size=3).map(tuple),
+       g=st.lists(TERMS, max_size=3).map(tuple), ftp=TERMS)
+def test_cross_entropy_matches_the_reference(tp, g, ftp):
+    assert outcome(_cross_entropy, g, tp, ftp) == outcome(ref_cross_entropy, g, tp, ftp)
+
+
+# Inner generators of one and two coordinates, for the wrappers' gradients.
+WRAPPED = ["linear", "quadratic", "cubic", "sqrt", "log", "abs", "sine", "neg-gauss",
+           {"name": "linear-fractional", "a": 2.0, "c": 1.0}, {"negate": "log"},
+           {"affine": {"a": 3.0, "inner": "cubic"}}, {"separable": ["log"]},
+           {"name": "neg-gauss", "dim": 2}, {"name": "log-norm-sq"},
+           {"separable": ["sqrt", "quadratic"]}, {"negate": {"name": "log-norm-sq"}}]
+SCALES = st.one_of(st.floats(5e-324, 1e300), st.sampled_from([0.5, 2.0, 5e-324, 1e300]))
+
+
+@FAST
+@given(inner=st.sampled_from(WRAPPED), a=SCALES, data=st.data())
+def test_wrapper_gradients_match_the_reference(inner, a, data):
+    g = build_generator(inner)
+    t = data.draw(coordinates(g))
+    affine = build_generator({"affine": {"a": a, "inner": inner}}).grad
+    negate = build_generator({"negate": inner}).grad
+    assert outcome(affine, t) == outcome(ref_affine_grad(a, g.grad), t)
+    assert outcome(negate, t) == outcome(ref_negate_grad(g.grad), t)
+
+
+@FAST
+@given(t=st.tuples(floats), dim=st.sampled_from([1, 2]), data=st.data())
+def test_neg_gauss_matches_the_reference(t, dim, data):
+    t = t + data.draw(st.tuples(*[floats] * (dim - 1)))
+    g = build_generator({"name": "neg-gauss", "dim": dim})
+    ev, grad = ref_neg_gauss()
+    assert outcome(g.eval, t) == outcome(ev, t)
+    assert outcome(g.grad, t) == outcome(grad, t)
 
 
 @FAST
@@ -666,3 +800,64 @@ def test_every_tie_flag_comes_from_tie_sensitive():
         calls = {getattr(node.func, "id", None) for node in ast.walk(kernels[name])
                  if isinstance(node, ast.Call)}
         assert "_branch" in calls, name
+
+
+def _n_coordinate_work(call):
+    """The comprehension frames of qcdiv and the ``sum`` calls that ``call()`` makes."""
+    seen = []
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if (event == "call" and code.co_name in ("<listcomp>", "<genexpr>")
+                and Path(code.co_filename).resolve().parent == SRC):
+            seen.append(f"{code.co_name} at {Path(code.co_filename).name}:{code.co_firstlineno}")
+        elif event == "c_call" and arg is sum:
+            seen.append("sum")
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+LOG = build_generator("log")
+AFFINE = build_generator({"affine": {"a": 0.5, "inner": "quadratic"}})
+NEGATE = build_generator({"negate": "quadratic"})
+NEG_GAUSS = build_generator("neg-gauss")
+BOX_1D, RNG = core.bounded_box((0.1, 10.0)), random.Random(1)
+Q1, Q2 = math.log(1.5), math.log(2.0)
+# One call each on 1-D points, the finite branch of each branch kernel.
+SCALAR_CALLS = {
+    "_eval": lambda: core._eval(LOG, (1.5,)),
+    "_gradient": lambda: core._gradient(LOG, (1.5,)),
+    "_lerp": lambda: core._lerp((1.5,), (2.0,), 0.3),
+    "sample_point": lambda: core.sample_point(RNG, BOX_1D),
+    "contains_interior": lambda: LOG.domain.contains_interior((1.5,)),
+    "_qcvx_bregman": lambda: _qcvx_bregman(LOG, core._gradient, (1.5,), (2.0,), Q1, Q2),
+    "_extended_bregman": lambda: _extended_bregman(LOG, core._gradient, (1.5,), (2.0,), Q1, Q2),
+    "_delta_averaged_qcvx_bregman":
+        lambda: _delta_averaged_qcvx_bregman(LOG, 0.5, (1.5,), (2.0,), Q1, Q2),
+    "_cross_entropy": lambda: _cross_entropy((0.5,), (2.0,), Q2),
+    "affine grad": lambda: core._gradient(AFFINE, (1.5,)),
+    "negate grad": lambda: core._gradient(NEGATE, (1.5,)),
+    "neg-gauss": lambda: (core._eval(NEG_GAUSS, (1.5,)), core._gradient(NEG_GAUSS, (1.5,))),
+}
+
+
+@pytest.mark.parametrize("name", SCALAR_CALLS)
+def test_one_coordinate_points_take_the_scalar_path(name):
+    # A comprehension frame or a sum over one term costs more than the
+    # arithmetic it does; the scalar path computes on t[0] instead.
+    assert _n_coordinate_work(SCALAR_CALLS[name]) == []
+
+
+def test_the_scalar_path_guard_sees_the_n_coordinate_path():
+    # The same calls on 2-D points run the loops the guard looks for.
+    lns = build_generator({"name": "log-norm-sq", "dim": 2})
+    assert "sum" in _n_coordinate_work(lambda: _qcvx_bregman(
+        lns, core._gradient, (1.0, 1.0), (2.0, 1.0), core._eval(lns, (1.0, 1.0)),
+        core._eval(lns, (2.0, 1.0))))
+    assert any(s.startswith("<genexpr>") for s in _n_coordinate_work(
+        lambda: _delta_averaged_qcvx_bregman(lns, 0.5, (1.0, 1.0), (2.0, 1.0), 0.0, 1.0)))

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pins
 from qcdiv import means
-from qcdiv.core import DimensionError, NonPositiveError, RangeError, build_generator
+from qcdiv.core import (DimensionError, GeneratorClassWarning, NonPositiveError, RangeError,
+                        build_generator)
 from qcdiv.jensen import extended_jensen, qcvx_jensen
 from qcdiv.means import (
     MeanSpec,
@@ -189,6 +192,9 @@ INCREASING = [("linear", 1e308), ("quadratic", 1e154), ("cubic", 1e102), ("sqrt"
 WEIGHTS = st.sampled_from([0.0, 1.0, 5e-324, 1.0 - 2.0**-53]) | st.floats(0.0, 1.0)
 
 
+# quadratic, abs and neg-gauss are increasing on the positive arguments drawn
+# here, but not declared quasilinear, so their means warn.
+@pytest.mark.filterwarnings("ignore::qcdiv.GeneratorClassWarning")
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(st.sampled_from(INCREASING), st.data(), WEIGHTS)
 def test_the_quasi_arithmetic_target_rounds_only_within_the_bracket(case, data, a):
@@ -282,6 +288,35 @@ def test_the_quasi_arithmetic_inverse_costs_about_ten_evaluations(spec, per_mean
     for _ in range(500):
         weighted_mean(qa, rng.uniform(0.05, 20.0), rng.uniform(0.05, 20.0), rng.random())
     assert count[0] <= 500 * per_mean
+
+
+def test_a_quasi_arithmetic_f_not_declared_quasilinear_warns():
+    # sin z = 0.3784 has three roots in [0.1, 7]: the mean is the one the
+    # inverse finds, as before, and the warning says it may not be unique.
+    with pytest.warns(GeneratorClassWarning, match=r"^quasi-arithmetic mean with unknown "
+                      r"generator sine: the mean may be one of several roots$"):
+        qa = MeanSpec.quasi_arithmetic(build_generator("sine"))
+    assert weighted_mean(qa, 0.1, 7.0, 0.5) == 6.671263273583268
+    with pytest.warns(GeneratorClassWarning, match="with convex generator quadratic"):
+        MeanSpec("quasi-arithmetic", f=build_generator("quadratic"))
+
+
+@pytest.mark.parametrize("spec", ["log", "sqrt", "linear", "cubic", {"negate": "log"},
+                                  {"affine": {"a": 2, "inner": "sqrt"}},
+                                  {"name": "linear-fractional", "c": 1}])
+def test_a_quasilinear_f_does_not_warn(spec):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        MeanSpec.quasi_arithmetic(build_generator(spec))
+
+
+def test_the_cli_warns_on_a_quasi_arithmetic_sine_and_exits_as_before():
+    run = pins.run_cli(["eval", "--div", "mn-jensen", "--gen", "quadratic", "--alpha", "0.5",
+                        "--mean-m", "qa:sine", "--mean-n", "arithmetic", "--theta", "0.1",
+                        "--theta-prime", "7"])
+    assert run["exit"] == 0
+    assert run["warnings"] == [["GeneratorClassWarning", "quasi-arithmetic mean with unknown "
+                                "generator sine: the mean may be one of several roots", 1]]
 
 
 class TestMnJensen:

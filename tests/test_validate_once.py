@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import qcdiv
-from qcdiv import checks, core, oracles
+from qcdiv import checks, core, means, oracles
 from qcdiv.bregman import (
     bregman,
     delta_averaged_qcvx_bregman,
@@ -251,6 +251,36 @@ def test_generator_work_per_call(label, gen, call, evals, grads):
     assert counts == {"eval": evals, "grad": grads}
 
 
+GEO, P2, SQRT = MeanSpec.power(0.0), MeanSpec.power(2.0), build_generator("sqrt")
+# (label, call, weight checks, finiteness checks in means): a public weighted
+# mean checks its arguments once, and the Jensen forms, the power-Jensen limit
+# study and the means suite run the weighted-mean kernel on checked values.
+MEAN_CHECKS = [
+    ("weighted_mean", lambda: weighted_mean(GEO, 1.0, 2.0, 0.3), 1, 1),
+    ("mn_jensen", lambda: mn_jensen(SQRT, GEO, P2, 0.3, 1.0, 2.0), 1, 0),
+    ("mn_jensen arithmetic", lambda: mn_jensen(SQRT, ARITH, ARITH, 0.3, 1.0, 2.0), 1, 0),
+    ("power_mean_jensen", lambda: power_mean_jensen(SQRT, 2.0, 0.3, 1.0, 2.0), 1, 0),
+    ("limit_power_jensen", lambda: oracles.limit_power_jensen(SQRT, 1.0, 2.0, 8), 0, 0),
+    ("means suite", lambda: checks.run_suite("means", 25, 1), 0, 0),
+]
+
+
+@pytest.mark.parametrize("label,call,weights,finite", MEAN_CHECKS,
+                         ids=[case[0] for case in MEAN_CHECKS])
+def test_each_mean_checks_its_arguments_once(monkeypatch, label, call, weights, finite):
+    # Through the public weighted_mean, mn_jensen checked its weight 3 times
+    # and the finiteness of its values twice.
+    counts = {"weight": 0, "finite": 0}
+
+    def counted(key, real):
+        return lambda *args: counts.__setitem__(key, counts[key] + 1) or real(*args)
+
+    monkeypatch.setattr(means, "_validate_weight", counted("weight", means._validate_weight))
+    monkeypatch.setattr(means, "_check_finite", counted("finite", means._check_finite))
+    call()
+    assert counts == {"weight": weights, "finite": finite}
+
+
 # The statdiv functions that check their points; the suites run their kernels.
 STATDIV_CHECKED = {"expfam_kl", "expfam_cross_entropy", "expfam_entropy", "qcvx_bregman_from_kl"}
 # The core functions that coerce points: a suite draw checks its points itself
@@ -263,11 +293,11 @@ def test_oracles_call_kernels_only(module):
     # A public divergence checks and evaluates its points again, so the oracles,
     # the KL identity, the suites and the CLI import the kernels: of the public
     # names of jensen, bregman and means only MeanSpec, and none of those
-    # modules whole.  The means suite tests weighted_mean itself.  The suites
-    # also take no checked statdiv function; the kl-quadrature suite's closed
-    # forms and densities are what it tests.
-    allowed = {"MeanSpec", "weighted_mean"} if module == "checks" else {"MeanSpec"}
-    public = set(qcdiv.__all__) - allowed
+    # modules whole.  The means suite runs the weighted-mean kernel on the
+    # finite floats it draws.  The suites also take no checked statdiv
+    # function; the kl-quadrature suite's closed forms and densities are what
+    # it tests.
+    public = set(qcdiv.__all__) - {"MeanSpec"}
     source = Path(qcdiv.__file__).with_name(f"{module}.py").read_text(encoding="utf-8")
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom) and node.level == 1:

@@ -21,6 +21,7 @@ from .core import (
     ExtReal,
     Generator,
     _eval,
+    _ext_real,
     _gradient,
     _in_range,
     _pair,
@@ -37,19 +38,16 @@ def _linear_term(F: Generator, grad, t, tp) -> float:
     g = grad(F, tp)
     # One gradient component makes the sum one term p.  sum starts from the
     # int 0, so it returns 0.0 + p, which turns -0.0 into 0.0: the scalar form
-    # adds 0.0 too, for the same bits.  A gradient of another length from a
-    # user Generator keeps map's truncation.
+    # adds 0.0 too, for the same bits.
     if len(g) == 1:
         return _in_range(0.0 + (t[0] - tp[0]) * g[0], "the linear term")
     return _in_range(sum(map(mul, map(sub, t, tp), g)), "the linear term")
 
 
 def _branch(qt: float, qtp: float, finite, *args) -> ExtReal:
-    """+inf when Q(theta) > Q(theta_p), else ``finite(*args)``."""
+    """+inf when Q(theta) > Q(theta_p), else ``finite(*args)``, which is a float."""
     tie = _tie_sensitive(qt, qtp)
-    if qt > qtp:
-        return ExtReal(math.inf, tie)
-    return ExtReal(finite(*args), tie)
+    return _ext_real(math.inf if qt > qtp else finite(*args), tie)
 
 
 def _bregman(F: Generator, grad, t, tp, ft: float, ftp: float) -> float:
@@ -61,11 +59,16 @@ def bregman(F: Generator, theta, theta_p) -> float:
     return _bregman(F, _gradient, *_pair(F, theta, theta_p))
 
 
-# The finite branch is -<theta - theta_p, grad Q(theta_p)>: _bregman with both
-# values 0 gives 0.0 minus it, which differs from its negation only in the sign
-# of a zero, and ExtReal hands out no -0.0.
+# The finite branch is -<theta - theta_p, grad Q(theta_p)>, taken as 0.0 minus
+# it: that is _bregman with both values 0, (0.0 - 0.0) - lin, bit for bit, and a
+# finite linear term keeps it finite.  It differs from the negation only in the
+# sign of a zero, and ExtReal hands out no -0.0.
+def _pseudo(Q: Generator, grad, t, tp) -> float:
+    return 0.0 - _linear_term(Q, grad, t, tp)
+
+
 def _qcvx_bregman(Q: Generator, grad, t, tp, qt: float, qtp: float) -> ExtReal:
-    return _branch(qt, qtp, _bregman, Q, grad, t, tp, 0.0, 0.0)
+    return _branch(qt, qtp, _pseudo, Q, grad, t, tp)
 
 
 def qcvx_bregman(Q: Generator, theta, theta_p) -> ExtReal:

@@ -260,6 +260,8 @@ _MAX_GRID_POINTS = 1001
 def cmd_table(args) -> int:
     if not args.grid_step > 0.0:
         raise ValueError(f"--grid-step must be > 0, got {args.grid_step}")
+    if args.grid_step == math.inf:  # the grid would be [grid_min + 0 * inf] = [nan]
+        raise ValueError(f"--grid-step must be finite, got {args.grid_step}")
     if not args.grid_min < args.grid_max:
         raise ValueError("--grid-min must be below --grid-max")
     div, lead, params = _arguments(args)

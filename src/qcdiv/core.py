@@ -14,6 +14,7 @@ import math
 import numbers
 import random
 import sys
+from operator import mul
 from typing import Callable, NamedTuple, Optional
 
 Vector = tuple  # tuple of floats, length >= 1
@@ -54,7 +55,7 @@ class GeneratorClassWarning(UserWarning):
     """A divergence was evaluated with a generator of the opposite declared class."""
 
 
-# Bound once: ExtReal.__new__ runs once per branch-divergence value.
+# Bound once: _ext_real runs once per branch-divergence value.
 _INF = math.inf
 _new_float = float.__new__
 
@@ -71,12 +72,7 @@ class ExtReal(float):
     __slots__ = ("tie_sensitive",)
 
     def __new__(cls, value: float, tie_sensitive: bool = False) -> "ExtReal":
-        v = float(value) + 0.0  # adding +0.0 turns -0.0 into 0.0 and keeps every other value
-        if not v > -_INF:  # NaN or -inf
-            raise ValueError(f"extended real must be finite or +inf, got {v!r}")
-        self = _new_float(cls, v)
-        self.tie_sensitive = bool(tie_sensitive)
-        return self
+        return _ext_real(float(value), bool(tie_sensitive), cls)
 
     @property
     def is_inf(self) -> bool:
@@ -85,6 +81,18 @@ class ExtReal(float):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = ", tie_sensitive=True" if self.tie_sensitive else ""
         return f"ExtReal({float.__repr__(self)}{flag})"
+
+
+# The one rule of an ExtReal's value and flag.  bregman._branch calls it
+# directly, which costs half the type call ExtReal(v, tie) makes.
+def _ext_real(v: float, tie: bool, cls=ExtReal) -> ExtReal:
+    """ExtReal(v, tie) for a float v and a bool tie."""
+    v += 0.0  # adding +0.0 turns -0.0 into 0.0 and keeps every other value
+    if not v > -_INF:  # NaN or -inf
+        raise ValueError(f"extended real must be finite or +inf, got {v!r}")
+    self = _new_float(cls, v)
+    self.tie_sensitive = tie
+    return self
 
 
 POS_INF = ExtReal(math.inf)
@@ -96,8 +104,10 @@ _TIE_REL_TOL = 1e-12
 
 def _tie_sensitive(a: float, b: float) -> bool:
     # The band is infinite when either value is, and a finite and an
-    # infinite value are never a near-tie.
-    return abs(a - b) <= _TIE_REL_TOL * max(abs(a), abs(b)) < _INF
+    # infinite value are never a near-tie.  y if y > x else x is max(x, y),
+    # NaN included, without the builtin's call.
+    x, y = abs(a), abs(b)
+    return abs(a - b) <= _TIE_REL_TOL * (y if y > x else x) < _INF
 
 
 # csv and json show 17 significant digits, enough to round-trip every float.
@@ -479,7 +489,13 @@ def _gradient(g: Generator, t: Vector) -> Vector:
     except (ValueError, ZeroDivisionError) as e:
         raise GradientError(
             f"gradient of {g.name or 'generator'} cannot be evaluated at {t}: {e}") from None
-    if not (math.isfinite(grad[0]) if len(grad) == 1 else all(map(math.isfinite, grad))):
+    # One test for the length and the values: a 1-D generator's one component
+    # pays one more comparison.
+    if not (math.isfinite(grad[0]) if len(grad) == 1 == g.dim
+            else len(grad) == g.dim and all(map(math.isfinite, grad))):
+        if len(grad) != g.dim:
+            raise GradientError(f"gradient of {g.name or 'generator'} has {len(grad)} "
+                                f"components, its dimension is {g.dim}, at {t}")
         raise GradientError(f"gradient of {g.name or 'generator'} is not finite at {t}: {grad}")
     return grad
 
@@ -490,15 +506,25 @@ def _gradient(g: Generator, t: Vector) -> Vector:
 
 
 def _sq_norm(t: Vector) -> float:
-    return sum(x * x for x in t)
+    return sum(map(mul, t, t))
+
+
+# The n-D gradients take the norm (and exp) once per call.
+def _neg_gauss_grad(t: Vector) -> Vector:
+    e = math.exp(-_sq_norm(t))
+    return tuple([2.0 * x * e for x in t])
+
+
+def _log_norm_sq_grad(t: Vector) -> Vector:
+    s = _sq_norm(t)
+    return tuple([2.0 * x / s for x in t])
 
 
 def _neg_gauss(dim):
     if dim == 1:  # _sq_norm((x,)) is 0 + x * x, and x * x is never -0.0
         return (lambda t: -math.exp(-(t[0] * t[0])), real_line(),
                 lambda t: (2.0 * t[0] * math.exp(-(t[0] * t[0])),), "quasiconvex")
-    return (lambda t: -math.exp(-_sq_norm(t)), real_line(dim),
-            lambda t: tuple(2.0 * x * math.exp(-_sq_norm(t)) for x in t), "quasiconvex")
+    return lambda t: -math.exp(-_sq_norm(t)), real_line(dim), _neg_gauss_grad, "quasiconvex"
 
 
 def _linear_fractional(a, b, c, d):
@@ -692,8 +718,7 @@ _BUILTINS = {
              lambda t: (math.copysign(1.0, t[0]) if t[0] != 0.0 else 0.0,), "convex"), {}),
     "neg-gauss": (_neg_gauss, {"dim": 1}),
     "log-norm-sq": (lambda dim: (lambda t: math.log(_sq_norm(t)), positive_ray(dim),
-                                 lambda t: tuple(2.0 * x / _sq_norm(t) for x in t),
-                                 "quasiconvex"), {"dim": 2}),
+                                 _log_norm_sq_grad, "quasiconvex"), {"dim": 2}),
     "linear-fractional": (_linear_fractional, {"a": 1.0, "b": 0.0, "c": 0.0, "d": 1.0}),
     "sine": ((lambda t: math.sin(t[0]), real_line(), lambda t: (math.cos(t[0]),), "unknown"), {}),
 }

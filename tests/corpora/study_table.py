@@ -3,12 +3,13 @@
 The file holds what ``pins.run_cli`` saw for each argv: the exit code,
 stdout, stderr and warnings.  The tables are small grids on every binary
 ``--div``, one on a fixed generator and one drawn, a grid whose first failing
-pair in row-major order lies inside the grid, and a zero step and an empty
-range.  The studies are all three at ``--k-max`` 4, 20 and 40 in both
+pair in row-major order lies inside the grid, a zero step, an infinite step
+and an empty range.  The studies are all three at ``--k-max`` 4, 20 and 40 in both
 orientations, out of range ``--k-max`` values, and a point where the
 generator's formula underflows.
 """
 
+import math
 import random
 
 import pins
@@ -47,6 +48,7 @@ def _corpus() -> dict:
     # On 0.5, 1.5, ..., 4.5 the first pair of log-ratio that raises is (3.5, 2.5).
     cases["table log-ratio sine, first failure inside"] = _table("log-ratio", "sine", 0.5, 1.0, 5)
     cases["table grid-step 0"] = _table("qcvx-bregman", "log", 1.5, 0.0)
+    cases["table grid-step inf"] = _table("qcvx-bregman", "log", 1.5, math.inf)
     cases["table grid-min at grid-max"] = _table("qcvx-bregman", "log", 1.5, 0.5, 1)
     for study, (gen, theta, theta_p) in STUDIES.items():
         for k_max in (4, 20, 40):

@@ -9,18 +9,25 @@ the built-in ``neg-gauss`` then took a scalar path for one-coordinate points;
 ``LimitStudy.errors``, ``LimitStudy.unbounded_trend`` and ``core._fmt`` were
 rewritten to state their rule once, from ``ExtReal``'s order and its zero rule.
 ``Generator`` was a frozen dataclass and is now a ``_Frozen`` record, so that
-no import builds a dataclass.
+no import builds a dataclass.  Then ``bregman._branch`` built its value
+through ``core._ext_real`` instead of the type call, ``_tie_sensitive`` wrote
+``max`` as a conditional expression, ``_qcvx_bregman``'s finite branch became
+``0.0 - _linear_term(...)``, and ``_sq_norm`` and the n-D ``neg-gauss`` and
+``log-norm-sq`` gradients took the norm once per call.
 The reference versions below are the previous code, kept verbatim; the
 properties check that the new code gives the same value (compared as
 ``float.hex``, so the sign of a zero counts), the same ``tie_sensitive`` flag,
-or the same exception type and message.  Three differences are deliberate: text
+or the same exception type and message.  Four differences are deliberate: text
 is no point (``as_vector`` raises ``TypeError``), ``_fmt(-inf)`` prints
-``-inf``, a value no entry point produces, and a generator's dimension is a
-count (a bool, text or NaN raises ``ValueError``; a whole float becomes an int).  The guards at the end keep the four
-rules the rewrite must not break: ``Generator.__call__`` reaches the module
-global ``eval_generator`` at call time, the tie tolerance and ``Box._bounds``
-are read only in ``core``, every tie flag comes from ``_tie_sensitive``, and a
-one-coordinate point makes no comprehension frame and no ``sum`` call.
+``-inf``, a value no entry point produces, a generator's dimension is a
+count (a bool, text or NaN raises ``ValueError``; a whole float becomes an
+int), and a gradient whose length is not the generator's dimension raises
+``GradientError``.  The guards at the end keep the rules the rewrite must not
+break: ``Generator.__call__`` reaches the module global ``eval_generator`` at
+call time, the tie tolerance and ``Box._bounds`` are read only in ``core``,
+every tie flag comes from ``_tie_sensitive``, a one-coordinate point makes no
+comprehension frame and no ``sum`` call, a branch value is built without the
+type call or ``max``, and an n-D built-in gradient takes its norm once.
 """
 
 import ast
@@ -37,18 +44,23 @@ from pathlib import Path
 from typing import Callable, Optional
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qcdiv import core
 from qcdiv.oracles import UNBOUNDED_FACTOR, LimitStudy
 from qcdiv.bregman import (
+    bregman,
+    extended_bregman,
+    qcvx_bregman,
+    _branch,
+    _bregman,
     _delta_averaged_qcvx_bregman,
     _extended_bregman,
     _linear_term,
     _qcvx_bregman,
 )
-from qcdiv.statdiv import _cross_entropy
+from qcdiv.statdiv import ExpFamily, _cross_entropy, expfam_cross_entropy
 from qcdiv.core import (
     FD_STEP,
     Box,
@@ -180,10 +192,24 @@ def ref_negate_grad(ig):
     return lambda t: tuple(-c for c in ig(t))
 
 
+def ref_sq_norm(t):
+    return sum(x * x for x in t)
+
+
 def ref_neg_gauss():
     """The built-in neg-gauss's eval and grad at any dim."""
-    return (lambda t: -math.exp(-core._sq_norm(t)),
-            lambda t: tuple(2.0 * x * math.exp(-core._sq_norm(t)) for x in t))
+    return (lambda t: -math.exp(-ref_sq_norm(t)),
+            lambda t: tuple(2.0 * x * math.exp(-ref_sq_norm(t)) for x in t))
+
+
+def ref_log_norm_sq_grad(t):
+    return tuple(2.0 * x / ref_sq_norm(t) for x in t)
+
+
+def ref_tie_sensitive(a, b):
+    # The band is infinite when either value is, and a finite and an
+    # infinite value are never a near-tie.
+    return abs(a - b) <= core._TIE_REL_TOL * max(abs(a), abs(b)) < math.inf
 
 
 class RefExtReal(float):
@@ -239,10 +265,10 @@ def ref_fmt(value: float, mode: str = "csv") -> str:
 
 def ref_branch(qt, qtp, finite):
     """+inf when Q(theta) > Q(theta_p), else ``finite()``."""
-    tie = core._tie_sensitive(qt, qtp)
+    tie = ref_tie_sensitive(qt, qtp)
     if qt > qtp:
-        return ExtReal(math.inf, tie_sensitive=tie)
-    return ExtReal(finite(), tie_sensitive=tie)
+        return RefExtReal(math.inf, tie_sensitive=tie)
+    return RefExtReal(finite(), tie_sensitive=tie)
 
 
 def ref_qcvx_bregman(Q, t, tp, qt, qtp):
@@ -366,8 +392,8 @@ GENERATORS = [
     _gen(1, lambda t: math.inf * t[0], core.real_line(), lambda t: (math.nan,)),
     _gen(2, lambda t: math.exp(t[0]) + t[1], BOX_2D),
     _gen(2, lambda t: t[0] * t[1], BOX_2D, lambda t: (t[1], t[0]), name="product"),
-    # 1-D generators whose gradient has no component, or two: the linear term
-    # and the cross-entropy keep map's truncation for them.
+    # 1-D generators whose gradient has no component, or two: _gradient raises
+    # GradientError for them, where map's truncation once dropped or invented terms.
     _gen(1, lambda t: t[0] * t[0], core.real_line(), lambda t: (), name="no-components"),
     _gen(1, lambda t: -t[0], HALF_OPEN, lambda t: (-1.0, t[0]), name="two-components"),
     build_generator("neg-gauss"),
@@ -441,7 +467,28 @@ def test_gradient_matches_the_reference(case):
     g, t = case
     expected = typed(outcome(ref_gradient, g, t), GradientError,
                      f"gradient of {g.name or 'generator'} cannot be evaluated at {t}")
+    if expected[0] == "tuple" and len(expected[1]) != g.dim:  # the reference let it through
+        expected = ("raises", GradientError, f"gradient of {g.name or 'generator'} has "
+                    f"{len(expected[1])} components, its dimension is {g.dim}, at {t}")
     assert outcome(core._gradient, g, t) == expected
+
+
+# A generator's own gradient of another length than its dimension: the
+# divergences over it were silently wrong, bregman(g, 1.0, 2.0) == -3.0 here.
+@pytest.mark.parametrize("dim, grad", [(1, lambda t: ()), (1, lambda t: (2.0 * t[0], 1.0)),
+                                       (2, lambda t: (1.0,))], ids=["0 of 1", "2 of 1", "1 of 2"])
+def test_a_gradient_of_another_length_raises_gradient_error(dim, grad):
+    g = _gen(dim, lambda t: sum(x * x for x in t), core.real_line(dim), grad, name="user")
+    t, tp = (1.0,) * dim, (2.0,) * dim
+    n = len(grad(tp))
+    calls = [lambda: core.gradient(g, tp), lambda: bregman(g, t, tp),
+             lambda: qcvx_bregman(g, t, tp), lambda: extended_bregman(g, t, tp),
+             lambda: expfam_cross_entropy(ExpFamily(g), tp, t)]
+    for call in calls:
+        with pytest.raises(GradientError) as info:
+            call()
+        assert str(info.value) == (f"gradient of user has {n} components, its dimension "
+                                   f"is {dim}, at {tp}")
 
 
 @FAST
@@ -532,6 +579,57 @@ def test_neg_gauss_matches_the_reference(t, dim, data):
     ev, grad = ref_neg_gauss()
     assert outcome(g.eval, t) == outcome(ev, t)
     assert outcome(g.grad, t) == outcome(grad, t)
+
+
+# Squares that are signed zeros, subnormal, or past the floats.
+NORM_TERMS = st.one_of(floats, st.sampled_from([1e155, -1e155, 1.3407807929942596e154,
+                                                 1e-170, -2.5e-162, 1.5e-154]))
+
+
+@FAST
+@given(t=st.lists(NORM_TERMS, min_size=1, max_size=4).map(tuple))
+def test_sq_norm_matches_the_reference(t):
+    assert outcome(core._sq_norm, t) == outcome(ref_sq_norm, t)
+
+
+@FAST
+@given(t=st.lists(NORM_TERMS, min_size=2, max_size=4).map(tuple))
+def test_n_d_gradients_match_the_reference(t):
+    spec = {"dim": len(t)}
+    assert (outcome(build_generator({"name": "neg-gauss", **spec}).grad, t)
+            == outcome(ref_neg_gauss()[1], t))
+    assert (outcome(build_generator({"name": "log-norm-sq", **spec}).grad, t)
+            == outcome(ref_log_norm_sq_grad, t))
+
+
+TIE_EDGES = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max,
+             math.inf, -math.inf, math.nan, 1.0, -1.0, math.nextafter(1.0, 2.0)]
+
+
+def test_tie_sensitive_matches_max_on_every_edge_pair():
+    for a, b in itertools.product(TIE_EDGES, repeat=2):
+        assert core._tie_sensitive(a, b) is ref_tie_sensitive(a, b), (a, b)
+
+
+@FAST
+@given(a=floats, b=floats, k=st.integers(-3, 3))
+def test_tie_sensitive_matches_max(a, b, k):
+    near = a * (1.0 + k * sys.float_info.epsilon)  # a near-tie as often as not
+    for x, y in ((a, b), (a, near), (near, a)):
+        assert core._tie_sensitive(x, y) is ref_tie_sensitive(x, y)
+
+
+@FAST
+@given(qt=floats, qtp=floats, v=floats)
+@example(qt=1.0, qtp=2.0, v=-0.0)
+@example(qt=2.0, qtp=2.0, v=math.nan)
+@example(qt=1.0, qtp=2.0, v=-math.inf)
+def test_branch_matches_the_reference(qt, qtp, v):
+    new = outcome(_branch, qt, qtp, lambda: v)
+    assert new == outcome(ref_branch, qt, qtp, lambda: v)
+    if new[0] != "raises":
+        assert type(_branch(qt, qtp, lambda: v)) is ExtReal
+        assert new[1] != "-0x0.0p+0"
 
 
 @FAST
@@ -772,27 +870,82 @@ def _functions(tree):
     return {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
 
 
-def _tie_flag(call):
-    """The tie flag argument of an ``ExtReal(...)`` call, or None."""
-    if len(call.args) > 1:
-        return call.args[1]
-    return next((kw.value for kw in call.keywords if kw.arg == "tie_sensitive"), None)
+# The two constructors and their flag parameter, which each stores as given:
+# ExtReal.__new__ passes bool(tie_sensitive) on to _ext_real, which sets the slot.
+CONSTRUCTORS = {("core", "ExtReal.__new__"): "tie_sensitive", ("core", "_ext_real"): "tie"}
+
+
+def _scopes(tree, prefix=""):
+    """(qualified name, node) of each function in tree, methods as ``Class.method``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.FunctionDef):
+            yield prefix + node.name, node
+            yield from _scopes(node, f"{prefix}{node.name}.<locals>.")
+        elif isinstance(node, ast.ClassDef):
+            yield from _scopes(node, f"{prefix}{node.name}.")
+        else:
+            yield from _scopes(node, prefix)
+
+
+def _own(scope):
+    """The nodes of a module or function outside the functions defined in it; lambdas are in."""
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _tie_flags(scope):
+    """Each flag that a scope hands to ExtReal or _ext_real, or stores in a ``tie_sensitive`` slot."""
+    for node in _own(scope):
+        if isinstance(node, ast.Call):
+            func = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if func in ("ExtReal", "_ext_real"):
+                keyword = {"ExtReal": "tie_sensitive", "_ext_real": "tie"}[func]
+                if len(node.args) > 1:
+                    yield node.args[1]
+                yield from (kw.value for kw in node.keywords if kw.arg == keyword)
+            elif (len(node.args) > 2 and isinstance(node.args[1], ast.Constant)
+                  and node.args[1].value == "tie_sensitive"):  # setattr, object.__setattr__
+                yield node.args[2]
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if any(isinstance(t, ast.Attribute) and t.attr == "tie_sensitive"
+                       for t in ast.walk(target)):
+                    yield node.value
+
+
+def _tie_setters(trees):
+    """The functions that compute a tie flag, once every flag is checked.
+
+    Outside the constructors a flag must be a name bound to a _tie_sensitive
+    result in the same function; in them, their flag parameter (or its bool).
+    """
+    setters = set()
+    for module, tree in trees.items():
+        for name, fn in [("<module>", tree), *_scopes(tree)]:
+            ties = {target.id for node in _own(fn) if isinstance(node, ast.Assign)
+                    and isinstance(node.value, ast.Call)
+                    and getattr(node.value.func, "id", None) == "_tie_sensitive"
+                    for target in node.targets if isinstance(target, ast.Name)}
+            for flag in _tie_flags(fn):
+                if (module, name) in CONSTRUCTORS:
+                    if (isinstance(flag, ast.Call) and getattr(flag.func, "id", None) == "bool"
+                            and len(flag.args) == 1):
+                        flag = flag.args[0]
+                    assert isinstance(flag, ast.Name), (module, name)
+                    assert flag.id == CONSTRUCTORS[module, name], (module, name)
+                else:
+                    assert isinstance(flag, ast.Name) and flag.id in ties, (module, name)
+                    setters.add((module, name))
+    return setters
 
 
 def test_every_tie_flag_comes_from_tie_sensitive():
-    setters = set()
-    for module, tree in _trees().items():
-        for name, fn in _functions(tree).items():
-            ties = {target.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
-                    and isinstance(node.value, ast.Call)
-                    and getattr(node.value.func, "id", None) == "_tie_sensitive"
-                    for target in node.targets}
-            for node in ast.walk(fn):
-                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ExtReal":
-                    flag = _tie_flag(node)
-                    if flag is not None:
-                        assert isinstance(flag, ast.Name) and flag.id in ties, (module, name)
-                        setters.add((module, name))
+    setters = _tie_setters(_trees())
     # bregman's one branch rule, which the nested-support KLs of statdiv share.
     assert setters == {("bregman", "_branch")}
     kernels = _functions(_trees()["bregman"])
@@ -802,24 +955,58 @@ def test_every_tie_flag_comes_from_tie_sensitive():
         assert "_branch" in calls, name
 
 
-def _n_coordinate_work(call):
-    """The comprehension frames of qcdiv and the ``sum`` calls that ``call()`` makes."""
-    seen = []
+# Each way to hand out or store a flag that is not a _tie_sensitive result.
+UNCHECKED_FLAGS = [
+    "def f(x):\n    x.tie_sensitive = True",
+    "def f(x, a, b):\n    x.tie_sensitive = a < b",
+    "def f(x):\n    object.__setattr__(x, 'tie_sensitive', True)",
+    "def f(x, t):\n    setattr(x, 'tie_sensitive', t)",
+    "def f(v):\n    return _ext_real(v, True)",
+    "def f(v, t):\n    return core._ext_real(v, tie=t)",
+    "def f(v):\n    return ExtReal(v, tie_sensitive=1)",
+    "X = ExtReal(1.0, True)",
+    "F = lambda v: _ext_real(v, False)",
+    "class C:\n    def m(self, v):\n        return ExtReal(v, True)",
+    "def f(v, a, b):\n    tie = _tie_sensitive(a, b)\n    def g():\n        return ExtReal(v, tie)",
+]
+
+
+@pytest.mark.parametrize("source", UNCHECKED_FLAGS)
+def test_the_tie_flag_guard_sees_every_setter(source):
+    with pytest.raises(AssertionError):
+        _tie_setters({"m": ast.parse(source)})
+
+
+def test_the_tie_flag_guard_counts_a_computed_flag_in_a_slot():
+    source = ("def f(v, a, b):\n    tie = _tie_sensitive(a, b)\n"
+              "    r = float.__new__(ExtReal, v)\n    r.tie_sensitive = tie")
+    assert _tie_setters({"m": ast.parse(source)}) == {("m", "f")}
+
+
+def _profiled(call):
+    """The code objects of the qcdiv functions that ``call()`` enters, and the builtins it calls."""
+    codes, builtins = [], []
 
     def profile(frame, event, arg):
         code = frame.f_code
-        if (event == "call" and code.co_name in ("<listcomp>", "<genexpr>")
-                and Path(code.co_filename).resolve().parent == SRC):
-            seen.append(f"{code.co_name} at {Path(code.co_filename).name}:{code.co_firstlineno}")
-        elif event == "c_call" and arg is sum:
-            seen.append("sum")
+        if event == "call" and Path(code.co_filename).resolve().parent == SRC:
+            codes.append(code)
+        elif event == "c_call":
+            builtins.append(arg)
 
     sys.setprofile(profile)
     try:
         call()
     finally:
         sys.setprofile(None)
-    return seen
+    return codes, builtins
+
+
+def _n_coordinate_work(call):
+    """The comprehension frames of qcdiv and the ``sum`` calls that ``call()`` makes."""
+    codes, builtins = _profiled(call)
+    return ([f"{c.co_name} at {Path(c.co_filename).name}:{c.co_firstlineno}" for c in codes
+             if c.co_name in ("<listcomp>", "<genexpr>")] + ["sum" for b in builtins if b is sum])
 
 
 LOG = build_generator("log")
@@ -861,3 +1048,25 @@ def test_the_scalar_path_guard_sees_the_n_coordinate_path():
         core._eval(lns, (2.0, 1.0))))
     assert any(s.startswith("<genexpr>") for s in _n_coordinate_work(
         lambda: _delta_averaged_qcvx_bregman(lns, 0.5, (1.0, 1.0), (2.0, 1.0), 0.0, 1.0)))
+
+
+@pytest.mark.parametrize("t, tp", [((1.5,), (2.0,)), ((2.0,), (1.5,))],
+                         ids=["finite", "infinite"])
+def test_a_branch_value_is_built_without_the_type_call(t, tp):
+    # _ext_real costs half the type call ExtReal(v, tie), and the conditional
+    # in _tie_sensitive less than the max builtin.
+    codes, builtins = _profiled(lambda: _qcvx_bregman(
+        LOG, core._gradient, t, tp, math.log(t[0]), math.log(tp[0])))
+    assert ExtReal.__new__.__code__ not in codes and _bregman.__code__ not in codes
+    assert max not in builtins
+    assert codes.count(core._ext_real.__code__) == 1 and core._tie_sensitive.__code__ in codes
+
+
+@pytest.mark.parametrize("spec", [{"name": "log-norm-sq", "dim": 2}, {"name": "neg-gauss", "dim": 2}],
+                         ids=["log-norm-sq", "neg-gauss"])
+def test_an_n_d_gradient_takes_the_norm_once(spec):
+    g = build_generator(spec)
+    codes, _ = _profiled(lambda: core._gradient(g, (1.5, 0.5)))
+    assert codes.count(core._sq_norm.__code__) == 1
+    assert not [c for c in codes if c.co_name == "<genexpr>"]
+

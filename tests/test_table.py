@@ -233,6 +233,14 @@ def test_the_lazy_gradient_keeps_the_row_major_first_error(div, gen, grid_max):
     assert ("gradient of" in run["stderr"]) == gradient_first
 
 
+# grid_min + 0 * inf is NaN, so an infinite step once reached the point checks.
+@pytest.mark.parametrize("div", ["qcvx-bregman", "kl-nested-uniform"])
+def test_an_infinite_grid_step_is_named(div):
+    run = run_cli(argv(div, "log", 1.0, 2.0, math.inf))
+    assert (run["exit"], run["stdout"]) == (2, "")
+    assert run["stderr"] == "qcdiv: error: --grid-step must be finite, got inf\n"
+
+
 def test_no_state_outlives_a_table():
     modules = [importlib.import_module(name) for name in ("qcdiv.bregman", "qcdiv.core")]
     before = [dict(vars(m)) for m in modules]

@@ -246,3 +246,22 @@ def test_a_value_past_the_floats_raises_range_error(div, gen, flags, points):
 def test_a_recovered_qcvx_bregman_past_the_floats_raises_range_error():
     with pytest.raises(RangeError, match="leaves the floats"):
         qcvx_bregman_from_kl(ExpFamily(build_generator(BIG_SINE)), H, -H)
+
+
+# theta = theta_p = +inf: the nested-support KL's theta_p - theta is NaN there,
+# and the branch rule's NaN test turns it into a ValueError, not an ExtReal(nan).
+NESTED_AT_INF = [("kl-nested-uniform", {}), ("kl-power-nested", {"--exponent": 2.0})]
+
+
+@pytest.mark.parametrize("div, flags", NESTED_AT_INF, ids=[row[0] for row in NESTED_AT_INF])
+def test_a_nested_kl_at_two_infinite_parameters_raises(div, flags):
+    points = [(math.inf,), (math.inf,)]
+    with pytest.raises(ValueError) as info:
+        library_call(div, None, flags, points)
+    assert str(info.value) == "extended real must be finite or +inf, got nan"
+    for argv in (eval_argv(div, None, flags, points),
+                 ["eval", "--div", div, *eval_argv(div, None, flags, points)[3:-2],
+                  "--theta", "inf", "--theta-prime", "inf"]):
+        run = run_cli(argv)
+        assert (run["exit"], run["stdout"]) == (2, ""), argv
+        assert run["stderr"] == f"qcdiv: error: {info.value}\n", argv

@@ -91,8 +91,7 @@ def _ratio(fn: str, Q: Generator, delta: float) -> tuple:
 
 def _averaged_gap(Q: Generator, d: float, t, tp, qtp: float) -> float:
     """(Q(theta_p + d*(theta_p - theta)) - Q(theta_p)) / d."""
-    extrap = ((tp[0] + d * (tp[0] - t[0]),) if len(t) == 1
-              else tuple(y + d * (y - x) for x, y in zip(t, tp)))
+    extrap = tuple(y + d * (y - x) for x, y in zip(t, tp))
     problem = Q.domain.violation(extrap)
     if problem is not None:
         raise DomainError(

@@ -280,9 +280,6 @@ class Box(_Frozen):
 
     def contains_interior(self, theta: Vector) -> bool:
         # Strictly between the bounds also means finite.
-        if len(theta) == 1:
-            lo, hi = self._bounds[0]
-            return lo < theta[0] < hi
         for (lo, hi), x in zip(self._bounds, theta):
             if not lo < x < hi:
                 return False
@@ -338,6 +335,13 @@ _NEGATED_CLASS = {
 }
 
 
+class _FieldsOnDemand:
+    """``Generator.__dataclass_fields__``, read on the class and on an instance alike."""
+
+    def __get__(self, obj, cls) -> dict:
+        return _dataclass_fields()
+
+
 class Generator(_Frozen):
     """A real-valued function on a box domain with optional analytic gradient.
 
@@ -346,13 +350,14 @@ class Generator(_Frozen):
     it.  ``name`` and ``spec`` are keyword-only.  ``spec`` is the canonical
     JSON text ``build_generator`` built it from (None otherwise);
     ``build_generator(g.spec)`` rebuilds the same function.
-    ``dataclasses.replace``, ``fields`` and ``is_dataclass`` work on an instance.
+    ``dataclasses.replace``, ``fields`` and ``is_dataclass`` work on an instance,
+    and ``fields`` and ``is_dataclass`` on the class too.
     """
 
     _fields = ("dim", "eval", "domain", "grad", "declared_class", "name", "spec")
     __match_args__ = _fields[:5]
     # Read only by the dataclasses functions, so only their callers import the module.
-    __dataclass_fields__ = property(lambda self: _dataclass_fields())
+    __dataclass_fields__ = _FieldsOnDemand()
 
     def __init__(self, dim: int, eval: Callable[[Vector], float], domain: Box,
                  grad: Optional[Callable[[Vector], Vector]] = None,
@@ -674,8 +679,7 @@ def _affine(obj, depth: int) -> Generator:
 def _negate(inner_spec, depth: int) -> Generator:
     inner = _build(inner_spec, depth)
     ie, ig = inner.eval, inner.grad
-    grad = (lambda t: (-ig(t)[0],)) if inner.dim == 1 else lambda t: tuple(-c for c in ig(t))
-    return Generator(inner.dim, lambda t: -ie(t), inner.domain, grad,
+    return Generator(inner.dim, lambda t: -ie(t), inner.domain, lambda t: tuple(-c for c in ig(t)),
                      _NEGATED_CLASS[inner.declared_class], name=f"neg({inner.name})")
 
 

@@ -169,10 +169,7 @@ class ExpFamily(NamedTuple):
 
 # The cross-entropy F(theta_p) - <theta_p, g> with g = grad F(theta), over
 # values already taken; the identities suite runs it on the pair it draws.
-# A one-component gradient takes the scalar form of bregman._linear_term.
 def _cross_entropy(g, tp, ftp: float) -> float:
-    if len(g) == 1:
-        return _in_range(ftp - (0.0 + tp[0] * g[0]), "the cross-entropy")
     return _in_range(ftp - sum(map(operator.mul, tp, g)), "the cross-entropy")
 
 

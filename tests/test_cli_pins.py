@@ -10,7 +10,8 @@ Since ``pyproject.toml`` declares ``requires-python = ">=3.10"``, every other
 CPython from 3.10 up that starts, on ``PATH`` or installed by pyenv, makes all
 six pin files byte for byte, runs one pinned argv through ``python -m qcdiv``,
 and checks that importing the CLI leaves ``dataclasses`` out and that
-``dataclasses.replace`` and ``dataclasses.fields`` work on a generator.
+``dataclasses.replace`` and ``dataclasses.fields`` work on a generator and
+``dataclasses.fields`` on the class.
 """
 
 import functools
@@ -145,6 +146,7 @@ import dataclasses
 g = qcdiv.build_generator("log")
 h = dataclasses.replace(g, eval=abs, grad=None)
 print(h.eval(-2.0), h.grad, h.spec, h == g, [f.name for f in dataclasses.fields(g)])
+print([f.name for f in dataclasses.fields(qcdiv.Generator)])
 """
 
 
@@ -153,7 +155,7 @@ def test_every_supported_python_builds_the_dataclass_api_on_demand():
     if not pythons:
         pytest.skip("no other CPython from 3.10 up starts on PATH")
     fields = ["dim", "eval", "domain", "grad", "declared_class", "name", "spec"]
-    stdout = f'False\n2.0 None {{"name": "log"}} False {fields}\n'
+    stdout = f'False\n2.0 None {{"name": "log"}} False {fields}\n{fields}\n'
     for python in pythons:
         assert _child(["-c", DATACLASS_API], python) == {"exit": 0, "stdout": stdout,
                                                          "stderr": ""}, python

@@ -17,6 +17,7 @@ from qcdiv import (
     DimensionError,
     ExpFamily,
     ExtReal,
+    GeneratorClassWarning,
     Interval,
     LimitStudy,
     MeanSpec,
@@ -34,6 +35,13 @@ from qcdiv.checks import SweepCase
 QUAD = build_generator("quadratic")
 UNIT = Box((Interval(0.0, 1.0),))
 
+
+def qa_quad():
+    """A quasi-arithmetic mean over the convex QUAD, which warns that f is not quasilinear."""
+    with pytest.warns(GeneratorClassWarning, match="with convex generator quadratic"):
+        return MeanSpec.quasi_arithmetic(QUAD)
+
+
 # (factory, repr text); the factory is called twice to get two equal instances.
 REPRS = [
     (lambda: Interval(), "Interval(lower=-inf, upper=inf, lower_open=False, upper_open=False)"),
@@ -43,8 +51,7 @@ REPRS = [
      "Box(intervals=(Interval(lower=0.0, upper=1.0, lower_open=False, upper_open=False),))"),
     (lambda: MeanSpec.power(2.0), "MeanSpec(kind='power', delta=2.0, f=None)"),
     (lambda: MeanSpec.arithmetic(), "MeanSpec(kind='arithmetic', delta=None, f=None)"),
-    (lambda: MeanSpec.quasi_arithmetic(QUAD),
-     f"MeanSpec(kind='quasi-arithmetic', delta=None, f={QUAD!r})"),
+    (qa_quad, f"MeanSpec(kind='quasi-arithmetic', delta=None, f={QUAD!r})"),
     (lambda: NestedUniform(1.5), "NestedUniform(theta=1.5)"),
     (lambda: PowerNested(2.0, 0.5), "PowerNested(alpha=2.0, theta=0.5)"),
     (lambda: ExpFamily(QUAD), f"ExpFamily(F={QUAD!r})"),
@@ -112,6 +119,9 @@ def test_suite_result_is_immutable_with_empty_defaults():
 
 # The one hand-written value type: ExtReal is a float with a tie flag.
 VALUE_TYPES = {"ExtReal"}
+# The one descriptor, Generator's __dataclass_fields__: dataclasses.fields and
+# Hypothesis's printer read it on the class too, where a property returns itself.
+DESCRIPTORS = {"_FieldsOnDemand"}
 
 
 def _class_bases():
@@ -125,7 +135,8 @@ def _class_bases():
 
 
 def test_every_class_is_a_record_that_cannot_be_assigned_or_an_error():
-    """A class is a NamedTuple, a _Frozen subclass, an exception or warning, or a value type."""
+    """A class is a NamedTuple, a _Frozen subclass, an exception or warning, a value type
+    or the descriptor."""
     classes = _class_bases()
 
     def allowed(name):
@@ -136,8 +147,9 @@ def test_every_class_is_a_record_that_cannot_be_assigned_or_an_error():
             return issubclass(builtin, BaseException)
         return name in classes and bool(classes[name]) and all(map(allowed, classes[name]))
 
-    assert VALUE_TYPES | {"_Frozen"} <= classes.keys()
-    assert [n for n in classes if n not in VALUE_TYPES | {"_Frozen"} and not allowed(n)] == []
+    named = VALUE_TYPES | DESCRIPTORS | {"_Frozen"}
+    assert named <= classes.keys()
+    assert [n for n in classes if n not in named and not allowed(n)] == []
 
 
 def test_box_keeps_its_intervals_as_a_tuple():
@@ -225,7 +237,7 @@ BAD_FIELDS = [
     (Box((Interval(),)), {"intervals": ()}),
     (MeanSpec.power(2.0), {"kind": "median"}),
     (MeanSpec.power(2.0), {"delta": None}),
-    (MeanSpec.quasi_arithmetic(QUAD), {"f": LINE}),
+    (qa_quad(), {"f": LINE}),
     (NestedUniform(1.0), {"theta": 0.0}),
     (PowerNested(2.0, 1.0), {"alpha": 1.0}),
     (PowerNested(2.0, 1.0), {"theta": -1.0}),

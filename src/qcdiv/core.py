@@ -394,6 +394,22 @@ def eval_generator(g: Generator, theta) -> float:
     return _eval(g, t)
 
 
+def _counted(g: Generator, tally: dict) -> Generator:
+    """g, with each call of its ``eval`` adding 1 to ``tally["eval"]`` and of its ``grad`` to
+    ``tally["grad"]``.  Only g's own calls count, not those of generators it wraps, and a
+    grad-less g stays grad-less, so its finite differences count as evaluations."""
+    def ev(t):
+        tally["eval"] += 1
+        return g.eval(t)
+
+    def gr(t):
+        tally["grad"] += 1
+        return g.grad(t)
+
+    return Generator(g.dim, ev, g.domain, None if g.grad is None else gr, g.declared_class,
+                     name=g.name, spec=g.spec)
+
+
 def gradient(g: Generator, theta) -> Vector:
     """Analytic gradient when available, else central finite differences.
 

@@ -58,12 +58,13 @@ NAMED = {
 }
 
 
-def _generators(spec):
+def generators(spec, one_d=ONE_D) -> list:
+    """The generator specs a case of spec's divergence draws from, its 1-D ones from one_d."""
     if spec.subject is None:
         return [None]
     if spec.subject == "family":
         return CONVEX
-    return ONE_D if spec.scalar else ONE_D + TWO_D
+    return one_d if spec.scalar else one_d + TWO_D
 
 
 def _point(rng, dim: int) -> list:
@@ -73,7 +74,7 @@ def _point(rng, dim: int) -> list:
 def _cases(rng, div: str, kind: str):
     """The case, and for a valid draw of a binary divergence the same case reversed."""
     spec = cli.DIVERGENCES[div]
-    gen = rng.choice(_generators(spec))
+    gen = rng.choice(generators(spec))
     dim = 2 if gen in TWO_D else 1
     flags = {flag: FLAGS[flag][0](rng) for flag in spec.flags}
     points = [_point(rng, dim) for _ in spec.points]

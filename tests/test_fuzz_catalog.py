@@ -15,6 +15,7 @@ import warnings
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from corpora.catalog import TWO_D, generators
 from pins import eval_argv, library_call, run_cli
 from qcdiv import cli
 from qcdiv.core import _fmt
@@ -25,8 +26,6 @@ ONE_D = ["log", "sqrt", "quadratic", "cubic", "abs", "neg-gauss", "linear", "sin
          # values near the float limit, so that a gap or a term of it can overflow
          '{"affine": {"a": 1e308, "b": 0, "inner": "sine"}}',
          '{"affine": {"a": 1e300, "b": 0, "inner": "log"}}']
-CONVEX = ["quadratic", "abs", '{"affine": {"a": 0.5, "b": -1, "inner": "quadratic"}}']
-TWO_D = ['{"name": "log-norm-sq", "dim": 2}', '{"separable": ["quadratic", "log"]}']
 
 # Each flag's in-range values, then the values on or past its edge.
 IN_RANGE = {
@@ -45,20 +44,11 @@ POINT_EDGE = [0.0, -0.0, 5e-324, 1e-300, 1.0, 1e154, 1e308, -1e308, 1.7976931348
               math.nan, math.inf, -math.inf]
 
 
-def _generators(div):
-    spec = cli.DIVERGENCES[div]
-    if spec.subject is None:
-        return [None]
-    if spec.subject == "family":
-        return CONVEX
-    return ONE_D if spec.scalar else ONE_D + TWO_D
-
-
 @st.composite
 def cases(draw):
     div = draw(st.sampled_from(list(cli.DIVERGENCES)))
     spec = cli.DIVERGENCES[div]
-    gen = draw(st.sampled_from(_generators(div)))
+    gen = draw(st.sampled_from(generators(spec, ONE_D)))
     dim = 2 if gen in TWO_D else 1
     flags = {}
     for flag in spec.flags:

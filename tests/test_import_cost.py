@@ -9,8 +9,9 @@ costs about ten times a ``NamedTuple``, and importing ``dataclasses`` pulls in
 or ``_Frozen`` classes instead.  ``core.Generator`` builds its
 ``__dataclass_fields__`` on first read, so ``dataclasses.replace``, ``fields``
 and ``is_dataclass`` still work on a generator and only their callers import
-the module.  A fresh process that runs ``qcdiv eval`` imports neither
-``dataclasses`` nor ``inspect``.
+the module.  A fresh process that runs ``qcdiv eval`` and counts a
+generator's work through ``core._counted`` imports neither ``dataclasses``
+nor ``inspect``.
 """
 
 import ast
@@ -63,6 +64,8 @@ import sys
 before = set(sys.modules)
 import qcdiv, qcdiv.cli
 code = qcdiv.cli.main(["eval", "--div=qcvx-bregman", "--gen=log", "--theta=1", "--theta-prime=2"])
+counted = qcdiv.core._counted(qcdiv.build_generator("log"), {"eval": 0, "grad": 0})
+assert counted(1.0) == 0.0
 print(code, sorted({"dataclasses", "inspect"} & (set(sys.modules) - before)))
 """
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import warnings
@@ -12,7 +11,7 @@ from hypothesis import strategies as st
 import pins
 from qcdiv import means
 from qcdiv.core import (DimensionError, GeneratorClassWarning, NonPositiveError, RangeError,
-                        build_generator)
+                        _counted, build_generator)
 from qcdiv.jensen import extended_jensen, qcvx_jensen
 from qcdiv.means import (
     MeanSpec,
@@ -239,15 +238,9 @@ def ref_qa_inverse(f, target: float, lo: float, hi: float,
 
 
 def _counted_qa(spec):
-    """The quasi-arithmetic mean of spec's generator, and a list counting its evaluations."""
-    g = build_generator(spec)
-    count = [0]
-
-    def ev(t):
-        count[0] += 1
-        return g.eval(t)
-
-    return MeanSpec.quasi_arithmetic(dataclasses.replace(g, eval=ev)), count
+    """The quasi-arithmetic mean of spec's generator, and the tally of its evaluations."""
+    count = {"eval": 0, "grad": 0}
+    return MeanSpec.quasi_arithmetic(_counted(build_generator(spec), count)), count
 
 
 # Increasing generators with the largest argument at which each stays finite
@@ -269,13 +262,13 @@ def test_the_quasi_arithmetic_inverse_returns_the_bisection_float(case, data, a)
     near = st.sampled_from([x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)])
     y = data.draw(near | arg)
     value = weighted_mean(qa, x, y, a)
-    evals, count[0] = count[0], 0
+    evals, count["eval"] = count["eval"], 0
     with mock.patch.object(means, "_qa_inverse", ref_qa_inverse):
         ref = weighted_mean(qa, x, y, a)
     assert value.hex() == ref.hex()
     # Past bisection's count: 8 slow secant steps, the probe, and a step each
     # phase can lose to where its bracket ends fall.
-    assert evals <= count[0] + 11
+    assert evals <= count["eval"] + 11
 
 
 @pytest.mark.parametrize("spec, per_mean", [("log", 13), ("sqrt", 13), ("cubic", 13),
@@ -287,7 +280,7 @@ def test_the_quasi_arithmetic_inverse_costs_about_ten_evaluations(spec, per_mean
     rng = random.Random(0)
     for _ in range(500):
         weighted_mean(qa, rng.uniform(0.05, 20.0), rng.uniform(0.05, 20.0), rng.random())
-    assert count[0] <= 500 * per_mean
+    assert count["eval"] <= 500 * per_mean
 
 
 def test_a_quasi_arithmetic_f_not_declared_quasilinear_warns():

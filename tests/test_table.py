@@ -2,7 +2,6 @@
 write per grid row, one gradient per column, and an empty stdout whenever the
 command exits 2."""
 
-import dataclasses
 import importlib
 import io
 import json
@@ -36,7 +35,7 @@ from qcdiv import (
     qcvx_jensen,
     r_power_bregman,
 )
-from qcdiv.core import _CSV, ExtReal, _fill, _fmt
+from qcdiv.core import _CSV, ExtReal, _counted, _fill, _fmt
 
 BINARY = [div for div, spec in cli.DIVERGENCES.items() if len(spec.points) == 2]
 # log-norm-sq is 2-D, so every divergence that takes it meets a dimension error.
@@ -169,21 +168,7 @@ def _counting_generators(monkeypatch):
     """Make the CLI's generators count their raw evaluations and gradients."""
     counts = {"eval": 0, "grad": 0}
     build = cli.build_generator
-
-    def counted(spec):
-        g = build(spec)
-
-        def ev(t):
-            counts["eval"] += 1
-            return g.eval(t)
-
-        def grad(t):
-            counts["grad"] += 1
-            return g.grad(t)
-
-        return dataclasses.replace(g, eval=ev, grad=None if g.grad is None else grad)
-
-    monkeypatch.setattr(cli, "build_generator", counted)
+    monkeypatch.setattr(cli, "build_generator", lambda spec: _counted(build(spec), counts))
     return counts
 
 

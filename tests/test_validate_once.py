@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import qcdiv
-from qcdiv import checks, core, means, oracles
+from qcdiv import checks, cli, core, means, oracles
 from qcdiv.bregman import (
     bregman,
     delta_averaged_qcvx_bregman,
@@ -31,13 +31,22 @@ from qcdiv.core import (
     Box,
     DimensionError,
     DomainError,
+    Generator,
     Interval,
+    _counted,
     as_vector,
     build_generator,
     eval_generator,
 )
 from qcdiv.jensen import extended_jensen, log_ratio_gap, qccv_jensen, qcvx_jensen
-from qcdiv.means import MeanSpec, mn_jensen, power_mean_jensen, r_power_bregman, weighted_mean
+from qcdiv.means import (
+    MeanSpec,
+    mn_jensen,
+    power_mean_bregman,
+    power_mean_jensen,
+    r_power_bregman,
+    weighted_mean,
+)
 from qcdiv.statdiv import (
     ExpFamily,
     expfam_cross_entropy,
@@ -188,25 +197,15 @@ def test_errors_keep_their_order():
 # --------------------------------------------------------------------------
 
 
-def _counted(spec, counts=None):
-    """The generator of spec, counting its evaluations and gradients in counts."""
-    g = build_generator(spec)
-    counts = {"eval": 0, "grad": 0} if counts is None else counts
-
-    def ev(t):
-        counts["eval"] += 1
-        return g.eval(t)
-
-    def gr(t):
-        counts["grad"] += 1
-        return g.grad(t)
-
-    return dataclasses.replace(g, eval=ev, grad=gr), counts
-
-
+AFFINE_LOG = {"affine": {"a": 2, "b": 1, "inner": "log"}}
 WORK_PER_CALL = [
     # (label, generator, call(g), evals, grads)
     ("qcvx_jensen", "log", lambda g: qcvx_jensen(g, 1.0, 2.0, 0.3), 3, 0),
+    # The counter counts the affine's evaluations, not those of log inside it.
+    ("qcvx_jensen affine", AFFINE_LOG, lambda g: qcvx_jensen(g, 1.0, 2.0, 0.3), 3, 0),
+    ("qccv_jensen", "log", lambda g: qccv_jensen(g, 1.0, 2.0, 0.3), 3, 0),
+    ("log_ratio_gap", "log", lambda g: log_ratio_gap(g, 1.0, 2.0, 0.3), 3, 0),
+    ("extended_jensen", "log", lambda g: extended_jensen(g, 1.0, 2.0, 0.3), 3, 0),
     ("qcvx_bregman finite", "log", lambda g: qcvx_bregman(g, 1.0, 2.0), 2, 1),
     ("qcvx_bregman infinite", "log", lambda g: qcvx_bregman(g, 2.0, 1.0), 2, 0),
     ("delta_averaged finite", "log",
@@ -215,6 +214,7 @@ WORK_PER_CALL = [
      lambda g: delta_averaged_qcvx_bregman(g, 2.0, 1.0, 0.5), 2, 0),
     ("bregman", "quadratic", lambda g: bregman(g, 1.0, 2.0), 2, 1),
     ("extended_bregman finite", "log", lambda g: extended_bregman(g, 1.0, 2.0), 2, 1),
+    ("extended_bregman infinite", "log", lambda g: extended_bregman(g, 2.0, 1.0), 2, 0),
     ("mn_jensen", "quadratic", lambda g: mn_jensen(g, ARITH, ARITH, 0.3, 1.0, 2.0), 3, 0),
     ("power_mean_jensen", "quadratic", lambda g: power_mean_jensen(g, 2.0, 0.3, 1.0, 2.0), 3, 0),
     # f at both arguments, then the inverse: regula falsi, one probe and the
@@ -223,7 +223,12 @@ WORK_PER_CALL = [
      lambda g: weighted_mean(MeanSpec.quasi_arithmetic(g), 1.0, 2.0, 0.3), 13, 0),
     ("weighted_mean qa(linear)", "linear",
      lambda g: weighted_mean(MeanSpec.quasi_arithmetic(g), 1.0, 2.0, 0.3), 6, 0),
+    ("power_mean_bregman", "log", lambda g: power_mean_bregman(g, 2.0, 3.0, 1.5, 2.0), 2, 1),
     ("r_power_bregman", "quadratic", lambda g: r_power_bregman(g, 2.0, 1.0, 2.0), 2, 1),
+    ("expfam_kl", "quadratic", lambda g: expfam_kl(ExpFamily(g), 1.0, 2.0), 2, 1),
+    ("expfam_entropy", "quadratic", lambda g: expfam_entropy(ExpFamily(g), 1.0), 1, 1),
+    ("expfam_cross_entropy", "quadratic",
+     lambda g: expfam_cross_entropy(ExpFamily(g), 1.0, 2.0), 1, 1),
     ("qcvx_bregman_from_kl", "quadratic",
      lambda g: qcvx_bregman_from_kl(ExpFamily(g), 2.0, 1.0), 2, 1),
     # Q is evaluated at the points once; then the target and each step cost
@@ -246,9 +251,32 @@ WORK_PER_CALL = [
 @pytest.mark.parametrize("label,gen,call,evals,grads", WORK_PER_CALL,
                          ids=[case[0] for case in WORK_PER_CALL])
 def test_generator_work_per_call(label, gen, call, evals, grads):
-    g, counts = _counted(gen)
-    call(g)
+    counts = {"eval": 0, "grad": 0}
+    call(_counted(build_generator(gen), counts))
     assert counts == {"eval": evals, "grad": grads}
+
+
+def test_every_catalog_divergence_of_a_generator_has_a_work_row():
+    called = {name for _, _, call, _, _ in WORK_PER_CALL for name in call.__code__.co_names}
+    assert {d.name for d in cli.DIVERGENCES.values() if d.subject} <= called
+
+
+def test_a_counted_generator_keeps_every_other_field():
+    source = build_generator(AFFINE_LOG)
+    g = _counted(source, {"eval": 0, "grad": 0})
+    kept = [f for f in Generator._fields if f not in ("eval", "grad")]
+    assert type(g) is Generator
+    assert [getattr(g, f) for f in kept] == [getattr(source, f) for f in kept]
+
+
+def test_a_grad_less_generator_stays_grad_less():
+    # bregman takes Q at both points and central differences of Q at theta_p.
+    counts = {"eval": 0, "grad": 0}
+    quadratic = build_generator("quadratic")
+    g = _counted(Generator(1, quadratic.eval, quadratic.domain, name="quadratic"), counts)
+    assert g.grad is None
+    bregman(g, 1.0, 2.0)
+    assert counts == {"eval": 4, "grad": 0}
 
 
 GEO, P2, SQRT = MeanSpec.power(0.0), MeanSpec.power(2.0), build_generator("sqrt")
@@ -315,7 +343,7 @@ def _counting_catalog(monkeypatch, counts):
     """Patch checks.sweep_catalog to return the catalog counting its work in counts."""
     real = checks.sweep_catalog
     monkeypatch.setattr(checks, "sweep_catalog", lambda: tuple(
-        case._replace(generator=_counted(case.generator.spec, counts)[0]) for case in real()))
+        case._replace(generator=_counted(case.generator, counts)) for case in real()))
 
 
 def test_each_suite_draw_evaluates_its_points_once(monkeypatch):
@@ -339,7 +367,7 @@ def test_each_family_draw_evaluates_its_cumulant_twice(monkeypatch, label):
     counts = {"eval": 0, "grad": 0}
     cumulants = checks._cumulants()
     monkeypatch.setattr(checks, "_cumulants", lambda: tuple(
-        case._replace(generator=_counted(case.generator.spec, counts)[0]) for case in cumulants))
+        case._replace(generator=_counted(case.generator, counts)) for case in cumulants))
     run = checks._run
     monkeypatch.setattr(checks, "_run", lambda suite, rows: run(
         suite, tuple(row for row in rows if row[2][0][0] == label)))

@@ -19,7 +19,8 @@ from typing import Callable, NamedTuple, Optional
 from . import checks, oracles, statdiv
 from .bregman import (_bregman, _delta_averaged_qcvx_bregman, _extended_bregman,
                       _qcvx_bregman, _ratio)
-from .core import _CSV, _fill, _fmt, _gradient, _pair, build_generator, eval_generator
+from .core import (_CSV, _fill, _fmt, _gradient, _gradient_memo, _pair, build_generator,
+                   eval_generator)
 from .jensen import _extended_jensen, _log_ratio_gap, _qccv_jensen, _qcvx_jensen, _skew
 from .means import (MeanSpec, _exponents, _mn_jensen, _power_mean_bregman, _power_mean_jensen,
                     _power_weight, _r_exponent, _r_power_bregman, _weight)
@@ -274,15 +275,8 @@ def cmd_table(args) -> int:
     grid = [args.grid_min + i * args.grid_step for i in range(count)]
     axis = [x if div.raw and div.scalar else (x,) for x in grid]
     extra = div.check(div.name, *lead, *params) if div.check else ()
-    grads = {}  # column point -> grad Q(theta_p), for this table only
-
-    def grad(Q, tp):
-        g = grads.get(tp)
-        if g is None:
-            g = grads[tp] = _gradient(Q, tp)
-        return g
-
-    cell = functools.partial(div.kernel, *lead, *((grad,) if div.grad else ()), *extra)
+    grad = (_gradient_memo(),) if div.grad else ()  # per column, for this table only
+    cell = functools.partial(div.kernel, *lead, *grad, *extra)
     # Every value first, so that a grid point that raises leaves stdout empty.
     # Row 0 meets the axis points in order, and each is checked and evaluated
     # just before its first pair; a column's gradient is taken in its first

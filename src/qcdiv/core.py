@@ -410,6 +410,20 @@ def _counted(g: Generator, tally: dict) -> Generator:
                      name=g.name, spec=g.spec)
 
 
+def _gradient_memo():
+    """A grad(g, t) that takes _gradient(g, t) at a point's first use and returns the same
+    tuple after that.  It is keyed by the point alone: one memo serves one generator."""
+    grads = {}
+
+    def grad(g, t):
+        v = grads.get(t)
+        if v is None:
+            v = grads[t] = _gradient(g, t)
+        return v
+
+    return grad
+
+
 def gradient(g: Generator, theta) -> Vector:
     """Analytic gradient when available, else central finite differences.
 

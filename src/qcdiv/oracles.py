@@ -18,7 +18,7 @@ from functools import partial
 from typing import NamedTuple
 
 from .core import (ExtReal, Generator, PreconditionError, RangeError, _check_dim, _count,
-                   _eval, _fmt, _gradient, _pair, as_vector)
+                   _eval, _fmt, _gradient, _gradient_memo, _pair, as_vector)
 from .bregman import _qcvx_bregman, _ratio
 from .jensen import _qcvx_jensen, _skew
 from .means import MeanSpec, _power_mean_jensen, _r_exponent, _r_power_bregman
@@ -79,15 +79,19 @@ def _gk15(f, a: float, b: float):
     h = 0.5 * (b - a)
     c = 0.5 * (a + b)
     ys = [f(c + h * x) for x in GK15_NODES]
-    # A NaN or infinite value of f makes the mass so, and fsum can then no
-    # longer fail on inf - inf in the other two sums.  fsum raises
-    # OverflowError when finite values sum past the floats; |h * k15| is at
-    # most the scaled mass, so the value is finite when the mass is.
+    # Where no node value is negative, |f| = f, so the mass is the K15 sum and
+    # one fsum gives both (an all -0.0 panel sums to 0.0 either way).  min(ys)
+    # is NaN only when ys[0] is, and that panel fails the test.  The mass comes
+    # first: a NaN or infinite value of f makes it so, and fsum can then no
+    # longer fail on inf - inf in the other sums.  fsum raises OverflowError
+    # when finite values sum past the floats; |h * k15| is at most the scaled
+    # mass, so the value is finite when the mass is.
     try:
-        mass = math.fsum(map(operator.mul, GK15_WEIGHTS, map(abs, ys)))
+        nonneg = min(ys) >= 0.0
+        mass = math.fsum(map(operator.mul, GK15_WEIGHTS, ys if nonneg else map(abs, ys)))
         if not math.isfinite(mass):
             raise RangeError(f"integrand is not finite on the panel [{a}, {b}]")
-        k15 = math.fsum(map(operator.mul, GK15_WEIGHTS, ys))
+        k15 = mass if nonneg else math.fsum(map(operator.mul, GK15_WEIGHTS, ys))
         g7 = math.fsum(map(operator.mul, G7_WEIGHTS, ys[1::2]))
         err, mass = abs(h * (k15 - g7)), h * mass
     except OverflowError:
@@ -114,18 +118,21 @@ def integrate(f, a: float, b: float, abs_tol: float = 1e-10) -> QuadratureResult
     strictly interior, so integrands that are singular exactly at an endpoint
     (e.g. log x at 0) are never evaluated there.
 
-    An empty interval, or one whose ends or width b - a are not finite, raises
-    ValueError.  An integrand value that is NaN or infinite, or a panel's
-    weighted sums (before or after scaling by its half-width) leaving the
-    floats, raises RangeError naming the panel; a total that leaves the floats
-    raises RangeError naming [a, b].  So ``value`` and ``error_bound`` are
-    always finite.
+    An empty interval, one whose ends or width b - a are not finite, or an
+    ``abs_tol`` that is NaN or negative raises ValueError before f is called.
+    An integrand value that is NaN or infinite, or a panel's weighted sums
+    (before or after scaling by its half-width) leaving the floats, raises
+    RangeError naming the panel; a total that leaves the floats raises
+    RangeError naming [a, b].  So ``value`` and ``error_bound`` are always
+    finite.
     """
     if not a < b:
         raise ValueError(f"integration interval is empty: [{a}, {b}]")
     if not math.isfinite(b - a):
         raise ValueError(f"integration interval must have finite ends and width: [{a}, {b}]")
     tol = float(abs_tol)
+    if not tol >= 0.0:
+        raise ValueError(f"abs_tol must be >= 0, got {tol}")
     final = []  # (value, error) of panels that are never split
     heap = []  # (-error, lo, hi, depth, value) of panels that may be split
 
@@ -335,8 +342,9 @@ def limit_power_jensen(F: Generator, theta, theta_p, k_max: int) -> LimitStudy:
 
 def limit_r_power_bregman(F: Generator, theta, theta_p, k_max: int) -> LimitStudy:
     """r-power Bregman values at r_k = 2^k >= 1, k <= 1023, against qcvx_bregman (1-D)."""
+    grad = _gradient_memo()  # the target and every step share grad F(theta_p)
     return _dyadic_study(
         "r-power-bregman", F, theta, theta_p, k_max, k_min=0, k_top=1023, tol=1e-3,
-        param=lambda k: 2.0**k, target=partial(_qcvx_bregman, F, _gradient),
+        param=lambda k: 2.0**k, target=partial(_qcvx_bregman, F, grad),
         check=lambda: _r_exponent("r_power_bregman", F, 1.0),
-        value=partial(_r_power_bregman, F, _gradient))
+        value=partial(_r_power_bregman, F, grad))

@@ -1,11 +1,15 @@
 import math
 import random
 import time
+from operator import mul
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qcdiv.oracles
-from qcdiv.core import POS_INF, ExtReal, PreconditionError, RangeError, build_generator
+from qcdiv.core import (POS_INF, ExtReal, Generator, GradientError, PreconditionError, RangeError,
+                        build_generator)
 from qcdiv.bregman import delta_averaged_qcvx_bregman
 from qcdiv.jensen import qcvx_jensen
 from qcdiv.oracles import (
@@ -23,6 +27,7 @@ from qcdiv.oracles import (
     limit_power_jensen,
     limit_r_power_bregman,
     limit_scaled_jensen,
+    _gk15,
 )
 from qcdiv.checks import sample_point, sweep_catalog
 from qcdiv.statdiv import PowerNested
@@ -97,6 +102,14 @@ class TestIntegrate:
         r = integrate(lambda x: 0.0 if x in first else 0.1e308, -4.0, 4.0)
         assert (r.value, r.panels, r.converged) == (8e307, 2, True)
 
+    @pytest.mark.parametrize("abs_tol", [math.nan, -1.0])
+    def test_a_nan_or_negative_tolerance_is_refused_before_f_runs(self, abs_tol):
+        # Neither could ever be met: one panel came back as converged=False.
+        calls = []
+        with pytest.raises(ValueError, match=f"^abs_tol must be >= 0, got {abs_tol}$"):
+            integrate(lambda x: calls.append(x) or 1.0, 0.0, 1.0, abs_tol=abs_tol)
+        assert calls == []
+
     def test_self_consistency_under_tighter_tolerance(self):
         def f(x):
             return math.exp(-x * x) * math.cos(3 * x)
@@ -133,6 +146,63 @@ class TestGaussKronrodConstants:
         assert GK15_NODES[7] == 0.0
         assert math.fsum(GK15_WEIGHTS) == pytest.approx(2.0, abs=1e-15)
         assert math.fsum(G7_WEIGHTS) == pytest.approx(2.0, abs=1e-15)
+
+
+def three_sum_panel(ys):
+    """_gk15 on [-1.0, 1.0] (h = 1, so the nodes are GK15_NODES) by the rule's definition:
+    (K15 value, |K15 - G7|, K15 value of |f|), or the RangeError text."""
+    overflow = "the quadrature sums on the panel [-1.0, 1.0] leave the floats"
+    try:
+        mass = math.fsum(map(mul, GK15_WEIGHTS, map(abs, ys)))
+        if not math.isfinite(mass):
+            return "integrand is not finite on the panel [-1.0, 1.0]"
+        k15 = math.fsum(map(mul, GK15_WEIGHTS, ys))
+        g7 = math.fsum(map(mul, G7_WEIGHTS, ys[1::2]))
+    except OverflowError:
+        return overflow
+    err = abs(k15 - g7)
+    return (k15, err, mass) if math.isfinite(err) else overflow
+
+
+NON_NEGATIVE = st.one_of(st.floats(min_value=0.0, allow_infinity=False),
+                         st.sampled_from([-0.0, 1e308, math.inf]))
+ANY_VALUE = st.one_of(st.floats(), st.sampled_from([-0.0, 1e308, -1e308, math.nan]))
+NODE_TABLES = st.one_of(
+    st.lists(NON_NEGATIVE, min_size=15, max_size=15),
+    st.lists(ANY_VALUE, min_size=15, max_size=15),
+    # One value of any sign among non-negative ones, at any node.
+    st.tuples(st.lists(NON_NEGATIVE, min_size=15, max_size=15), st.integers(0, 14),
+              ANY_VALUE).map(lambda c: c[0][:c[1]] + [c[2]] + c[0][c[1] + 1:]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(ys=NODE_TABLES)
+@example(ys=[math.nan] + [1.0] * 14)
+@example(ys=[1.0] * 7 + [math.nan] + [1.0] * 7)
+@example(ys=[-0.0] * 15)
+@example(ys=[1e308] * 15)
+@example(ys=[1.0] * 14 + [math.inf])
+@example(ys=[-1.0] + [math.inf] * 14)
+@example(ys=[-1.0] + [1.0] * 14)
+@example(ys=[0.0] * 14 + [-1e-310])
+def test_a_panel_with_no_negative_value_sums_once_to_the_same_bits(ys):
+    table = dict(zip(GK15_NODES, ys))
+    try:
+        got = tuple(x.hex() for x in _gk15(table.__getitem__, -1.0, 1.0))
+    except RangeError as e:
+        got = str(e)
+    want = three_sum_panel(ys)
+    assert got == (want if isinstance(want, str) else tuple(x.hex() for x in want))
+
+
+@pytest.mark.parametrize("f,b,sums", [(lambda x: x**-0.5, 1.0, 2), (math.sin, 4.0, 3)],
+                         ids=["non-negative", "mixed-sign"])
+def test_a_panel_sums_once_fewer_where_no_value_is_negative(monkeypatch, f, b, sums):
+    calls = []
+    fsum = math.fsum
+    monkeypatch.setattr(math, "fsum", lambda xs: calls.append(1) or fsum(xs))
+    _gk15(f, 0.0, b)
+    assert len(calls) == sums
 
 
 class TestConvergenceFlag:
@@ -369,6 +439,24 @@ class TestLimitRPowerBregman:
         # The last steps' log terms were inf - inf = NaN, a stray ValueError.
         study = limit_r_power_bregman(build_generator("quadratic"), theta, theta_p, 1023)
         assert study.converged and float(study.values[-1]) == float(study.target)
+
+    @pytest.mark.parametrize("theta,theta_p,steps", [(1.0, 2.0, 0), (2.0, 1.0, 1)],
+                             ids=["finite", "infinite"])
+    def test_the_shared_gradient_keeps_the_first_error(self, monkeypatch, theta, theta_p,
+                                                       steps):
+        # The target takes grad F(theta_p) first on the finite branch, the first
+        # step on the infinite one, where the target is +inf without it.
+        g = build_generator("quadratic")
+        broken = Generator(1, g.eval, g.domain, lambda t: [math.sqrt(-t[0])],
+                           g.declared_class, name="broken")
+        ran = []
+        step = qcdiv.oracles._r_power_bregman
+        monkeypatch.setattr(qcdiv.oracles, "_r_power_bregman",
+                            lambda *args: ran.append(args[2]) or step(*args))
+        with pytest.raises(GradientError, match=rf"^gradient of broken cannot be evaluated "
+                                                rf"at \({theta_p},\): math domain error$"):
+            limit_r_power_bregman(broken, theta, theta_p, 8)
+        assert ran == [1.0] * steps
 
     def test_identical_points_near_zero(self):
         study = limit_r_power_bregman(build_generator("quadratic"), 2, 2, 20)

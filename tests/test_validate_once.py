@@ -232,16 +232,17 @@ WORK_PER_CALL = [
     ("qcvx_bregman_from_kl", "quadratic",
      lambda g: qcvx_bregman_from_kl(ExpFamily(g), 2.0, 1.0), 2, 1),
     # Q is evaluated at the points once; then the target and each step cost
-    # only their kernel's work: 5 steps from k = 4, 9 steps from k = 0.
+    # only their kernel's work: 5 steps from k = 4, 9 steps from k = 0.  The
+    # r-power target and steps share one grad F(theta_p).
     ("limit_scaled_jensen finite", "log",
      lambda g: oracles.limit_scaled_jensen(g, 1.0, 2.0, 8), 7, 1),
     ("limit_scaled_jensen infinite", "log",
      lambda g: oracles.limit_scaled_jensen(g, 2.0, 1.0, 8), 7, 0),
     ("limit_power_jensen", "sqrt", lambda g: oracles.limit_power_jensen(g, 1.0, 2.0, 8), 12, 0),
     ("limit_r_power_bregman finite", "sqrt",
-     lambda g: oracles.limit_r_power_bregman(g, 1.0, 2.0, 8), 2, 10),
+     lambda g: oracles.limit_r_power_bregman(g, 1.0, 2.0, 8), 2, 1),
     ("limit_r_power_bregman infinite", "sqrt",
-     lambda g: oracles.limit_r_power_bregman(g, 2.0, 1.0, 8), 2, 9),
+     lambda g: oracles.limit_r_power_bregman(g, 2.0, 1.0, 8), 2, 1),
     # 15 nodes of one panel, 2 evaluations and 1 gradient each.
     ("integrate_delta_average", "log",
      lambda g: oracles.integrate_delta_average(g, 1.0, 2.0, 0.5), 32, 15),

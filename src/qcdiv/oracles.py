@@ -17,9 +17,9 @@ import sys
 from functools import partial
 from typing import NamedTuple
 
-from .core import (ExtReal, Generator, PreconditionError, RangeError, _check_dim, _count,
-                   _eval, _fmt, _gradient, _gradient_memo, _pair, as_vector)
-from .bregman import _qcvx_bregman, _ratio
+from .core import (ExtReal, Generator, PreconditionError, RangeError, _count, _eval, _fmt,
+                   _gradient, _gradient_memo, _pair)
+from .bregman import _pseudo, _qcvx_bregman, _ratio
 from .jensen import _qcvx_jensen, _skew
 from .means import MeanSpec, _power_mean_jensen, _r_exponent, _r_power_bregman
 
@@ -101,6 +101,14 @@ def _gk15(f, a: float, b: float):
     return h * k15, err, mass
 
 
+# The tolerance rule of integrate and kl_quadrature.
+def _tolerance(abs_tol: float) -> float:
+    tol = float(abs_tol)
+    if not tol >= 0.0:
+        raise ValueError(f"abs_tol must be >= 0, got {tol}")
+    return tol
+
+
 def integrate(f, a: float, b: float, abs_tol: float = 1e-10) -> QuadratureResult:
     """Globally adaptive Gauss-Kronrod (G7/K15) quadrature of f on [a, b].
 
@@ -130,9 +138,7 @@ def integrate(f, a: float, b: float, abs_tol: float = 1e-10) -> QuadratureResult
         raise ValueError(f"integration interval is empty: [{a}, {b}]")
     if not math.isfinite(b - a):
         raise ValueError(f"integration interval must have finite ends and width: [{a}, {b}]")
-    tol = float(abs_tol)
-    if not tol >= 0.0:
-        raise ValueError(f"abs_tol must be >= 0, got {tol}")
+    tol = _tolerance(abs_tol)
     final = []  # (value, error) of panels that are never split
     heap = []  # (-error, lo, hi, depth, value) of panels that may be split
 
@@ -177,50 +183,42 @@ def _converged_value(result: QuadratureResult, what: str) -> float:
     return result.value
 
 
-def integrate_delta_average(Q: Generator, theta: float, theta_p: float,
-                            delta: float) -> float:
-    """Quadrature oracle for the delta-averaged divergence (1-D, finite branch).
+def integrate_delta_average(Q: Generator, theta, theta_p, delta: float) -> float:
+    """Quadrature oracle for the delta-averaged divergence, finite branch, any dimension.
 
-    Averages qcvx_bregman(theta+u : theta_p+u) over u between 0 and
-    delta*(theta_p - theta) and must match the closed form for differentiable
-    Q.  An infinite integrand value anywhere in the range contradicts the
-    nestedness of the shifted sublevel values and is reported, not averaged;
-    an integral that misses abs_tol 1e-10 raises NonConvergenceError.  A range
-    so long that theta + u and theta_p + u round to one float at its far end
-    raises RangeError: the integrand reads 0 there, not the divergence.
+    Averages qcvx_bregman(theta + u*e : theta_p + u*e) over u in [0, delta*|v|], where
+    v = theta_p - theta and e = v / |v| (exactly +-1 in 1-D), and must match the
+    closed form for differentiable Q.  An infinite integrand value contradicts the
+    shifted nestedness and raises InfiniteIntegrandError; a miss of abs_tol 1e-10
+    raises NonConvergenceError; a moving coordinate whose two points round to one
+    float at the far end raises RangeError, since the integrand reads 0 there.
     """
     d, = _ratio("integrate_delta_average", Q, delta)
-    t, tp = as_vector(theta), as_vector(theta_p)
-    if len(t) != 1 or len(tp) != 1:
-        raise ValueError("the quadrature cross-check is defined for 1-D parameters")
-    _check_dim(Q, t)
-    qt, qtp = _eval(Q, t), _eval(Q, tp)
+    t, tp, qt, qtp = _pair(Q, theta, theta_p)
     if qtp < qt:
-        raise PreconditionError(
-            f"integrate_delta_average needs Q(theta_p) >= Q(theta), got {qtp} < {qt}"
-        )
-    x, y = t[0], tp[0]
-    span = d * (y - x)
+        raise PreconditionError(f"integrate_delta_average needs Q(theta_p) >= Q(theta), "
+                                f"got {qtp} < {qt}")
+    norm = math.dist(t, tp)
+    span = d * norm if norm else 0.0  # theta = theta_p: 0.0 even at delta = inf
     if span == 0.0:
         return 0.0
-    if math.isfinite(span) and x + span == y + span:
+    # Each coordinate as (theta_i, theta_p_i, e_i): one list comprehension per
+    # node then builds both shifted points.
+    coords = [(x, y, (y - x) / norm) for x, y in zip(t, tp)]
+    if math.isfinite(span) and any(c and x + span * c == y + span * c for x, y, c in coords):
         raise RangeError(f"delta-average quadrature: theta + u and theta_p + u are one float "
                          f"at u = {span}")
 
     # Q is checked, and _eval checks the shifted points: pointwise runs the kernel.
     def pointwise(u: float) -> float:
-        a, b = (x + u,), (y + u,)
-        v = _qcvx_bregman(Q, _gradient, a, b, _eval(Q, a), _eval(Q, b))
-        if v.is_inf:
+        a, b = zip(*[(x + u * c, y + u * c) for x, y, c in coords])
+        if _eval(Q, a) > _eval(Q, b):
             raise InfiniteIntegrandError(
-                f"qcvx_bregman({x + u} : {y + u}) is infinite inside the "
-                "averaging range"
-            )
-        return float(v)
+                f"qcvx_bregman({a} : {b}) is infinite inside the averaging range")
+        return _pseudo(Q, _gradient, a, b)
 
-    lo, hi = (0.0, span) if span > 0.0 else (span, 0.0)
-    result = integrate(pointwise, lo, hi, abs_tol=1e-10)
-    return _converged_value(result, "delta-average quadrature") / abs(span)
+    result = integrate(pointwise, 0.0, span, abs_tol=1e-10)
+    return _converged_value(result, "delta-average quadrature") / span
 
 
 def kl_quadrature(p, q, abs_tol: float = 1e-10) -> ExtReal:
@@ -228,9 +226,10 @@ def kl_quadrature(p, q, abs_tol: float = 1e-10) -> ExtReal:
 
     Integrates p(x) * (log p(x) - log q(x)) over supp(p) when supp(p) is
     contained in supp(q), else +inf.  Replaces the computer-algebra check of
-    the nested-family closed forms.  Raises NonConvergenceError when the
-    integral misses ``abs_tol``.
+    the nested-family closed forms.  Raises NonConvergenceError when the integral
+    misses ``abs_tol``, and ValueError, nested or not, when it is NaN or negative.
     """
+    tol = _tolerance(abs_tol)
     plo, phi = p.support()
     qlo, qhi = q.support()
     if plo < qlo or phi > qhi:
@@ -241,7 +240,7 @@ def kl_quadrature(p, q, abs_tol: float = 1e-10) -> ExtReal:
         lp = p.log_pdf(x)
         return math.exp(lp) * (lp - q.log_pdf(x))
 
-    return ExtReal(_converged_value(integrate(integrand, plo, phi, abs_tol=abs_tol), "KL quadrature"))
+    return ExtReal(_converged_value(integrate(integrand, plo, phi, abs_tol=tol), "KL quadrature"))
 
 
 class LimitStudy(NamedTuple):

@@ -70,6 +70,7 @@ def _delta_cases(rng):
                    lambda Q=Q, t=t, tp=tp, d=delta: oracles.integrate_delta_average(Q, t, tp, d))
     log, sine, quad = map(build_generator, ("log", "sine", "quadratic"))
     two_d = build_generator({"name": "log-norm-sq", "dim": 2})
+    sep = build_generator({"separable": ["quadratic", "cubic"]})
     calls = {
         "sine infinite integrand": (sine, 0.0, 3.0, 1.0),
         "neg(log) shifted point leaves the domain": (build_generator({"negate": "log"}),
@@ -87,6 +88,17 @@ def _delta_cases(rng):
         "cubic shifted points merge": (build_generator("cubic"), -1.0, 0.5, 3e18),
         "log shifted points merge": (log, 1.0, 2.0, 1e50),
         "quadratic infinite span": (quad, 1.0, 3.0, 1e308),
+        "3-D neg-gauss": (build_generator({"name": "neg-gauss", "dim": 3}),
+                          (0.1, -0.4, 0.3), (0.9, 0.2, -1.1), 0.8),
+        "2-D separable": (sep, (-1.0, 0.5), (2.0, 1.0), 0.5),
+        "2-D separable infinite integrand": (sep, (2.2, -1.6), (1.6, 0.2), 0.5),
+        "2-D one coordinate fixed": (two_d, (1.0, 2.0), (1.0, 3.0), 0.5),
+        "2-D shifted point leaves the domain": (two_d, (2.0, 2.0), (1.0, 3.0), 1.5),
+        "2-D shifted points merge in one coordinate":
+            (build_generator({"separable": ["quadratic", "linear"]}),
+             (1.0, 2.0**52), (2.0, 2.0**52 + 1.0), 2.0**52),
+        "2-D precondition": (sep, (0.5, 1.0), (-1.0, -2.0), 0.5),
+        "2-D infinite span": (sep, (1.0, 2.0), (3.0, 4.0), 1e308),
     }
     for label, args in calls.items():
         yield label, lambda args=args: oracles.integrate_delta_average(*args)

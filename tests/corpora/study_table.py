@@ -18,6 +18,7 @@ from qcdiv import cli
 BINARY = [div for div, spec in cli.DIVERGENCES.items() if len(spec.points) == 2]
 GENERATORS = ["linear", "quadratic", "cubic", "sqrt", "log", "abs", "neg-gauss", "sine",
               '{"name": "linear-fractional", "c": -1, "d": 2}', '{"negate": "log"}']
+# One value per parameter flag, as the CLI reads it and as the library takes it.
 FLAGS = {"--alpha": "0.3", "--delta": "2", "--delta1": "2", "--delta2": "3", "--r": "2",
          "--exponent": "2", "--mean-m": "arithmetic", "--mean-n": "max"}
 # Study -> (generator, theta, theta_prime) with Q(theta) < Q(theta_prime).

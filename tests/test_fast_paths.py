@@ -1057,7 +1057,7 @@ FORKS = {
 ARGUMENT_CHECKS = {
     ("cli", "_scalar"), ("core", "_build"), ("core", "_separable"),
     ("means", "MeanSpec.__init__"), ("means", "_mn_jensen"), ("means", "_exponents"),
-    ("means", "_r_exponent"), ("oracles", "integrate_delta_average"), ("checks", "suite_means"),
+    ("means", "_r_exponent"), ("checks", "suite_means"),
 }
 
 

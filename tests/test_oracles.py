@@ -8,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qcdiv.oracles
-from qcdiv.core import (POS_INF, ExtReal, Generator, GradientError, PreconditionError, RangeError,
-                        build_generator)
+from qcdiv.core import (POS_INF, DomainError, ExtReal, Generator, GradientError,
+                        PreconditionError, RangeError, build_generator)
 from qcdiv.bregman import delta_averaged_qcvx_bregman
 from qcdiv.jensen import qcvx_jensen
 from qcdiv.oracles import (
@@ -285,6 +285,15 @@ class TestNonConvergenceRaises:
             integrate_delta_average(build_generator("quadratic"), 1, 2, 0.5)
 
 
+@pytest.mark.parametrize("abs_tol", [math.nan, -1.0])
+@pytest.mark.parametrize("theta_q", [2.0, 0.5], ids=["nested", "not nested"])
+def test_kl_quadrature_refuses_a_nan_or_negative_tolerance(theta_q, abs_tol):
+    # Supports that do not nest give +inf without a quadrature; the tolerance
+    # is refused all the same.
+    with pytest.raises(ValueError, match=f"^abs_tol must be >= 0, got {abs_tol}$"):
+        kl_quadrature(PowerNested(2.5, 1.0), PowerNested(2.5, theta_q), abs_tol=abs_tol)
+
+
 class TestIntegrateDeltaAverage:
     def test_quadratic_matches_closed_form(self):
         closed = 2 * 2 * (2 - 1) + 0.5 * (2 - 1) ** 2  # 4.5
@@ -340,22 +349,71 @@ class TestIntegrateDeltaAverage:
         rng = random.Random(67)
         for case in sweep_catalog():
             Q = case.generator
-            if Q.dim != 1:
-                continue
             done = 0
             while done < 60:
-                t = sample_point(rng, case.box)[0]
-                tp = sample_point(rng, case.box)[0]
-                if Q((t,)) > Q((tp,)):
+                t = sample_point(rng, case.box)
+                tp = sample_point(rng, case.box)
+                if Q(t) > Q(tp):
                     t, tp = tp, t
                 delta = rng.uniform(0.1, 1.5)
-                extrap = tp + delta * (tp - t)
-                if not Q.domain.contains((extrap,)):
+                extrap = tuple(y + delta * (y - x) for x, y in zip(t, tp))
+                if not Q.domain.contains(extrap):
                     continue
                 done += 1
                 closed = float(delta_averaged_qcvx_bregman(Q, t, tp, delta))
                 numeric = integrate_delta_average(Q, t, tp, delta)
                 assert abs(numeric - closed) <= 1e-8 * (1 + abs(closed)), (Q.name, t, tp, delta)
+
+
+# The n-D generators of the cross-check, each with the bounds of every coordinate.
+N_D_CASES = {
+    "log-norm-sq 2-D": (build_generator({"name": "log-norm-sq", "dim": 2}), (0.1, 10.0)),
+    "neg-gauss 3-D": (build_generator({"name": "neg-gauss", "dim": 3}), (-2.0, 2.0)),
+    "quadratic+cubic": (build_generator({"separable": ["quadratic", "cubic"]}), (-3.0, 3.0)),
+}
+
+
+def check_against_closed_form(Q, t, tp, delta, scale=1.0):
+    """Assert the oracle is within 1e-8 * (1 + |closed|) of ``scale`` times the
+    closed form.  True when both gave a value, False when one raised a typed error."""
+    try:
+        closed = scale * float(delta_averaged_qcvx_bregman(Q, t, tp, delta))
+        numeric = integrate_delta_average(Q, t, tp, delta)
+    except (DomainError, RangeError, InfiniteIntegrandError, NonConvergenceError):
+        return False
+    assert abs(numeric - closed) <= 1e-8 * (1 + abs(closed)), (Q.name, t, tp, delta)
+    return True
+
+
+@pytest.mark.parametrize("case", N_D_CASES)
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(data=st.data())
+def test_n_d_oracle_agrees_with_closed_form(case, data):
+    Q, bounds = N_D_CASES[case]
+    point = st.tuples(*[st.floats(*bounds)] * Q.dim)
+    t, tp = data.draw(point), data.draw(point)
+    if Q(t) > Q(tp):
+        t, tp = tp, t
+    check_against_closed_form(Q, t, tp, data.draw(st.floats(0.1, 1.5)))
+
+
+def test_n_d_check_rejects_a_closed_form_off_by_1e_6():
+    Q, _ = N_D_CASES["log-norm-sq 2-D"]
+    assert check_against_closed_form(Q, (1.0, 2.0), (2.0, 3.0), 0.5)
+    with pytest.raises(AssertionError):
+        check_against_closed_form(Q, (1.0, 2.0), (2.0, 3.0), 0.5, scale=1.0 + 1e-6)
+
+
+def test_far_end_that_merges_in_one_coordinate_is_a_range_error():
+    # At the far end coordinate 0 is near 2^52 + 1 and 2^52 + 2, which stay
+    # apart, and coordinate 1 near 2^53 and 2^53 + 1, which round to one float.
+    Q = build_generator({"separable": ["quadratic", "linear"]})
+    t, tp, delta = (1.0, 2.0**52), (2.0, 2.0**52 + 1.0), 2.0**52
+    assert 1.0 + delta != 2.0 + delta and tp[1] + delta == t[1] + delta
+    assert float(delta_averaged_qcvx_bregman(Q, t, tp, delta)) > 0.0
+    with pytest.raises(RangeError, match="^delta-average quadrature: theta [+] u and "
+                                         "theta_p [+] u are one float at u = "):
+        integrate_delta_average(Q, t, tp, delta)
 
 
 class TestLimitScaledJensen:

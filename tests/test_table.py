@@ -12,6 +12,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from corpora.study_table import FLAGS
 from pins import run_cli
 from qcdiv import (
     ExpFamily,
@@ -44,10 +45,6 @@ BINARY = [div for div, spec in cli.DIVERGENCES.items() if len(spec.points) == 2]
 GENERATORS = ["linear", "quadratic", "cubic", "sqrt", "log", "abs", "neg-gauss",
               "linear-fractional", "sine", "log-norm-sq",
               '{"name": "linear-fractional", "c": -1, "d": 2}']
-
-# One value per parameter flag, as the CLI reads it and as the library takes it.
-FLAGS = {"--alpha": "0.3", "--delta": "2", "--delta1": "2", "--delta2": "3", "--r": "2",
-         "--exponent": "2", "--mean-m": "arithmetic", "--mean-n": "max"}
 
 
 def library_point(div: str, g):

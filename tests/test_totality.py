@@ -75,6 +75,13 @@ COUNT = (4, 20, 20.0, 3, 0, -1, True, 2.5, math.nan, math.inf, -math.inf)
 # Fewer edges for the oracles, whose calls integrate or run a limit schedule.
 POINT = (0.0, 5e-324, 0.3, 1.0, 2.5, 1e300, MAX, -1.0, -MAX, math.nan, math.inf, -math.inf)
 RATIO = (0.5, 5e-324, 1e300, 0.0, -1.0, math.nan, math.inf)
+# 2-D generators on the whole plane, whose values stay finite at huge points, and
+# 2-D points with huge, opposite-sign and tiny coordinates, where |theta_p -
+# theta|, its direction and delta times it can overflow or underflow.
+PLANE_GENS = (build_generator('{"name": "neg-gauss", "dim": 2}'),
+              build_generator('{"separable": ["quadratic", "cubic"]}'))
+PLANE = ((1.0, 2.0), (-1.0, 0.3), (MAX, -MAX), (-MAX, MAX), (1e300, 1e300), (5e-324, 0.0),
+         (0.0, -5e-324), (math.nan, 1.0), (1.0, math.inf), (-math.inf, 0.0))
 # Generators whose points are checked, a 2-D one for the dimension check, and
 # a hand-built one without a gradient, which takes finite differences.
 GENS = (build_generator("log"), build_generator("cubic"),
@@ -143,6 +150,8 @@ ROWS = [
     ("integrate_delta_average",
      lambda g, x, y, d: integrate_delta_average(g, x, y, d),
      ((build_generator("quadratic"), build_generator("log")), POINT, POINT, RATIO), False),
+    ("integrate_delta_average 2-D", integrate_delta_average, (PLANE_GENS, PLANE, PLANE, RATIO),
+     False),
     ("kl_quadrature", lambda p, q: float(kl_quadrature(p, q)), (DENSITIES, DENSITIES), True),
     ("limit_r_power_bregman",
      lambda x, y: float(limit_r_power_bregman(build_generator("sqrt"), x, y, 8).final_error),

@@ -260,13 +260,16 @@ class LimitStudy(NamedTuple):
     tol: float
     scale: float
 
+    def _error(self, v: ExtReal) -> float:
+        return 0.0 if v == self.target else abs(v - self.target)
+
     @property
     def errors(self) -> tuple:
-        return tuple(0.0 if v == self.target else abs(v - self.target) for v in self.values)
+        return tuple(map(self._error, self.values))
 
     @property
     def final_error(self) -> float:
-        return self.errors[-1]
+        return self._error(self.values[-1])
 
     def errors_nonincreasing_from(self, k: int) -> bool:
         errs = [e for kk, e in zip(self.ks, self.errors) if kk >= k]
@@ -293,9 +296,10 @@ class LimitStudy(NamedTuple):
 
 def _dyadic_study(name, Q, theta, theta_p, k_max, *, k_min, k_top, param, target, check,
                   value, tol) -> LimitStudy:
-    """``value(param(k), *pair)`` for k = k_min..k_max against ``target(*pair)``.
+    """``value(p, t, tp, qt, qtp)`` at p = param(k), k = k_min..k_max, against
+    ``target(t, tp, qt, qtp)``.
 
-    ``pair`` is (t, tp, Q(t), Q(tp)), theta and theta_p checked and evaluated once;
+    (t, tp, qt, qtp) is theta and theta_p checked, and Q at each, evaluated once;
     the argument ``check`` runs once, after the target.  Past ``k_top`` the parameter
     leaves the floats the step accepts.  The unbounded-trend scale is 1 + |Q(t) - Q(tp)|.
     """
@@ -309,9 +313,11 @@ def _dyadic_study(name, Q, theta, theta_p, k_max, *, k_min, k_top, param, target
     # range check: what is left of the steps' argument checks runs once here.
     check()
     ks = tuple(range(k_min, k_max + 1))
-    params = tuple(param(k) for k in ks)
-    values = tuple(value(p, t, tp, qt, qtp) for p in params)
-    return LimitStudy(name, ks, params, values, goal, tol, 1.0 + abs(qt - qtp))
+    # List comprehensions and positional steps: a generator expression resumes
+    # its frame once per step, and a ``*pair`` step packs a tuple each call.
+    params = [param(k) for k in ks]
+    values = [value(p, t, tp, qt, qtp) for p in params]
+    return LimitStudy(name, ks, tuple(params), tuple(values), goal, tol, 1.0 + abs(qt - qtp))
 
 
 def limit_scaled_jensen(Q: Generator, theta, theta_p, k_max: int) -> LimitStudy:
@@ -325,18 +331,19 @@ def limit_scaled_jensen(Q: Generator, theta, theta_p, k_max: int) -> LimitStudy:
         "scaled-jensen", Q, theta, theta_p, k_max, k_min=4, k_top=53, tol=1e-4,
         param=lambda k: 1.0 - 2.0 ** (-k), target=partial(_qcvx_bregman, Q, _gradient),
         check=lambda: _skew("qcvx_jensen", Q, 0.5),
-        value=lambda alpha, *pair: ExtReal(_qcvx_jensen(Q, alpha, *pair)
-                                           / (alpha * (1.0 - alpha))))
+        value=lambda alpha, t, tp, qt, qtp: ExtReal(_qcvx_jensen(Q, alpha, t, tp, qt, qtp)
+                                                    / (alpha * (1.0 - alpha))))
 
 
 def limit_power_jensen(F: Generator, theta, theta_p, k_max: int) -> LimitStudy:
     """Power-mean Jensen values at delta_k = 2^k, k <= 1023, against qcvx_jensen at alpha = 1/2."""
     return _dyadic_study(
         "power-jensen", F, theta, theta_p, k_max, k_min=0, k_top=1023, tol=1e-3,
-        param=lambda k: 2.0**k, target=lambda *pair: ExtReal(_qcvx_jensen(F, 0.5, *pair)),
+        param=lambda k: 2.0**k,
+        target=lambda t, tp, qt, qtp: ExtReal(_qcvx_jensen(F, 0.5, t, tp, qt, qtp)),
         check=lambda: _skew("qcvx_jensen", F, 0.5),
-        value=lambda delta, *pair: ExtReal(
-            _power_mean_jensen(F, 0.5, MeanSpec.power(delta), *pair)))
+        value=lambda delta, t, tp, qt, qtp: ExtReal(
+            _power_mean_jensen(F, 0.5, MeanSpec.power(delta), t, tp, qt, qtp)))
 
 
 def limit_r_power_bregman(F: Generator, theta, theta_p, k_max: int) -> LimitStudy:

@@ -5,8 +5,9 @@ the three branch kernels of ``bregman`` were rewritten to cost less per call.
 ``_eval``, ``_gradient``, ``_lerp``, ``sample_point``, ``bregman._linear_term``,
 the gradient of the affine wrapper and the built-in ``neg-gauss`` then took a
 scalar path for one-coordinate points;
-``LimitStudy.errors``, ``LimitStudy.unbounded_trend`` and ``core._fmt`` were
-rewritten to state their rule once, from ``ExtReal``'s order and its zero rule.
+``LimitStudy.errors``, ``LimitStudy.final_error``, ``LimitStudy.unbounded_trend``
+and ``core._fmt`` were rewritten to state their rule once, from ``ExtReal``'s
+order and its zero rule.
 ``Generator`` was a frozen dataclass and is now a ``_Frozen`` record, so that
 no import builds a dataclass.  Then ``bregman._branch`` built its value
 through ``core._ext_real`` instead of the type call, ``_tie_sensitive`` wrote
@@ -27,8 +28,8 @@ call time, the tie tolerance and ``Box._bounds`` are read only in ``core``,
 every tie flag comes from ``_tie_sensitive``, a one-coordinate point makes no
 comprehension frame and no ``sum`` call in each function that compares a
 length or a dimension with 1 to pick a formula, a branch value is built
-without the type call or ``max``, and an n-D built-in gradient takes its norm
-once.
+without the type call or ``max``, an n-D built-in gradient takes its norm
+once, and a limit study runs its steps without a generator expression.
 """
 
 import ast
@@ -50,7 +51,10 @@ from hypothesis import strategies as st
 from hypothesis.vendor.pretty import pretty
 
 from qcdiv import core
-from qcdiv.oracles import UNBOUNDED_FACTOR, LimitStudy
+from qcdiv.jensen import _qcvx_jensen
+from qcdiv.means import _power_mean_jensen, _r_power_bregman
+from qcdiv.oracles import (UNBOUNDED_FACTOR, LimitStudy, limit_power_jensen,
+                           limit_r_power_bregman, limit_scaled_jensen)
 from qcdiv.bregman import (
     bregman,
     extended_bregman,
@@ -609,11 +613,13 @@ def test_extreal_matches_the_reference(value, tie):
 
 
 def _verdicts(study):
-    return [float.hex(e) for e in study.errors], study.unbounded_trend
+    return ([float.hex(e) for e in study.errors], float.hex(study.final_error),
+            study.unbounded_trend)
 
 
 def _ref_verdicts(study):
-    return [float.hex(e) for e in ref_errors(study)], ref_unbounded_trend(study)
+    errors = ref_errors(study)
+    return [float.hex(e) for e in errors], float.hex(errors[-1]), ref_unbounded_trend(study)
 
 
 def _study(values, target, scale):
@@ -1107,4 +1113,24 @@ def test_an_n_d_gradient_takes_the_norm_once(spec):
     codes, _ = _profiled(lambda: core._gradient(g, (1.5, 0.5)))
     assert codes.count(core._sq_norm.__code__) == 1
     assert not [c for c in codes if c.co_name == "<genexpr>"]
+
+
+# Each limit study with the kernel that its step calls once.
+STUDY_STEPS = {
+    "scaled-jensen": (limit_scaled_jensen, "log", _qcvx_jensen),
+    "power-jensen": (limit_power_jensen, "sqrt", _power_mean_jensen),
+    "r-power-bregman": (limit_r_power_bregman, "sqrt", _r_power_bregman),
+}
+
+
+@pytest.mark.parametrize("t, tp", [(1.0, 2.0), (2.0, 1.0)], ids=["finite", "infinite"])
+@pytest.mark.parametrize("name", STUDY_STEPS)
+def test_a_limit_study_runs_its_steps_in_one_list_pass(name, t, tp):
+    # A generator expression resumes its frame once per step, which costs about
+    # as much as a step's kernel; the study driver uses list comprehensions.
+    study_of, gen, kernel = STUDY_STEPS[name]
+    out = []
+    codes, _ = _profiled(lambda: out.append(study_of(build_generator(gen), t, tp, 40)))
+    assert not [c for c in codes if c.co_name == "<genexpr>"]
+    assert codes.count(kernel.__code__) == len(out[0].ks)
 

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 import qcdiv.oracles
 from qcdiv.core import (POS_INF, DomainError, ExtReal, Generator, GradientError,
                         PreconditionError, RangeError, build_generator)
-from qcdiv.bregman import delta_averaged_qcvx_bregman
+from qcdiv.bregman import delta_averaged_qcvx_bregman, qcvx_bregman
 from qcdiv.jensen import qcvx_jensen
+from qcdiv.means import power_mean_jensen, r_power_bregman
 from qcdiv.oracles import (
     G7_WEIGHTS,
     GK15_NODES,
@@ -520,6 +521,89 @@ class TestLimitRPowerBregman:
         study = limit_r_power_bregman(build_generator("quadratic"), 2, 2, 20)
         assert all(abs(float(v)) <= 1e-12 for v in study.values)
         assert study.converged
+
+
+# Each study with its step and its target through the public functions: the
+# parameter schedule, the divergence at a parameter, and the closed form.
+PUBLIC_STUDIES = {
+    "scaled-jensen": (limit_scaled_jensen, lambda k: 1.0 - 2.0**-k,
+                      lambda Q, a, t, tp: ExtReal(qcvx_jensen(Q, t, tp, a) / (a * (1.0 - a))),
+                      qcvx_bregman),
+    "power-jensen": (limit_power_jensen, lambda k: 2.0**k,
+                     lambda F, d, t, tp: ExtReal(power_mean_jensen(F, d, 0.5, t, tp)),
+                     lambda F, t, tp: ExtReal(qcvx_jensen(F, t, tp, 0.5))),
+    "r-power-bregman": (limit_r_power_bregman, lambda k: 2.0**k, r_power_bregman,
+                        qcvx_bregman),
+}
+ONE_D_CATALOG = {c.generator.name: c for c in sweep_catalog() if c.generator.dim == 1}
+POSITIVE_CASES = {
+    "sqrt": (build_generator("sqrt"), (0.01, 10.0)),
+    "shifted quadratic": (build_generator(
+        {"affine": {"a": 1, "b": 1, "inner": {"name": "quadratic"}}}), (-5.0, 5.0)),
+}
+
+
+def _bits(v):
+    return float.hex(float(v)), v.tie_sensitive
+
+
+def check_study_against_public(name, Q, t, tp, k_max):
+    """Assert each value of the study, and its target, has the bits and the tie
+    flag of the public divergence at the same parameter, or that both raise the
+    same error.  Returns whether the target is +inf, None when both raised."""
+    study_of, param, public, closed = PUBLIC_STUDIES[name]
+    k_min = 4 if name == "scaled-jensen" else 0
+    try:
+        study = study_of(Q, t, tp, k_max)
+        got = [_bits(study.target)] + [_bits(v) for v in study.values]
+    except ValueError as e:  # every typed error of qcdiv
+        got = (type(e), str(e))
+    try:
+        want = [_bits(closed(Q, t, tp))] + [_bits(public(Q, param(k), t, tp))
+                                            for k in range(k_min, k_max + 1)]
+    except ValueError as e:  # every typed error of qcdiv
+        want = (type(e), str(e))
+    assert got == want, (name, Q.name, t, tp, k_max)
+    return study.target.is_inf if isinstance(got, list) else None
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(case=st.sampled_from(sorted(ONE_D_CATALOG)), seed=st.integers(0, 2**32),
+       k_max=st.integers(4, 53), swap=st.booleans())
+def test_scaled_jensen_steps_are_the_public_divergence(case, seed, k_max, swap):
+    Q, rng = ONE_D_CATALOG[case].generator, random.Random(seed)
+    t, tp = (sample_point(rng, ONE_D_CATALOG[case].box) for _ in range(2))
+    if (Q(t) > Q(tp)) is not swap:  # swap: the infinite branch
+        t, tp = tp, t
+    check_study_against_public("scaled-jensen", Q, t, tp, k_max)
+
+
+@pytest.mark.parametrize("name", ["power-jensen", "r-power-bregman"])
+@pytest.mark.parametrize("case", POSITIVE_CASES)
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(data=st.data(), k_max=st.integers(4, 80), swap=st.booleans())
+def test_power_mean_steps_are_the_public_divergence(name, case, data, k_max, swap):
+    F, bounds = POSITIVE_CASES[case]
+    t, tp = data.draw(st.floats(*bounds)), data.draw(st.floats(*bounds))
+    if (F((t,)) > F((tp,))) is not swap:
+        t, tp = tp, t
+    check_study_against_public(name, F, t, tp, k_max)
+
+
+def test_the_public_check_covers_both_branches():
+    log, F = build_generator("log"), POSITIVE_CASES["shifted quadratic"][0]
+    assert check_study_against_public("scaled-jensen", log, 1.0, 2.0, 20) is False
+    assert check_study_against_public("scaled-jensen", log, 2.0, 1.0, 20) is True
+    assert check_study_against_public("r-power-bregman", F, 2.0, 1.0, 20) is True
+    assert check_study_against_public("power-jensen", log, 0.5, 2.0, 20) is None  # log(0.5) < 0
+
+
+def test_the_public_check_rejects_a_step_scaled_by_1_plus_2_to_the_minus_50(monkeypatch):
+    step = qcdiv.oracles._qcvx_jensen
+    monkeypatch.setattr(qcdiv.oracles, "_qcvx_jensen",
+                        lambda *args: step(*args) * (1.0 + 2.0**-50))
+    with pytest.raises(AssertionError):
+        check_study_against_public("scaled-jensen", build_generator("log"), 1.0, 2.0, 20)
 
 
 @pytest.mark.parametrize("study,gen,k_top", [(limit_scaled_jensen, "log", 53),

@@ -263,6 +263,9 @@ def cmd_table(args) -> int:
         raise ValueError(f"--grid-step must be > 0, got {args.grid_step}")
     if args.grid_step == math.inf:  # the grid would be [grid_min + 0 * inf] = [nan]
         raise ValueError(f"--grid-step must be finite, got {args.grid_step}")
+    for flag, bound in (("--grid-min", args.grid_min), ("--grid-max", args.grid_max)):
+        if not math.isfinite(bound):
+            raise ValueError(f"{flag} must be finite, got {bound}")
     if not args.grid_min < args.grid_max:
         raise ValueError("--grid-min must be below --grid-max")
     div, lead, params = _arguments(args)

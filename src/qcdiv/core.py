@@ -64,15 +64,15 @@ class ExtReal(float):
     """A finite real or +inf; never -inf, never NaN.
 
     Divergences use this as their codomain: +inf is an answer, not an error.
-    ``tie_sensitive`` is set by branch-based divergences when the two values
-    being compared were within 1e-12 relative of each other, i.e. the result
-    sits on the finite/infinite discontinuity.
+    Only the branch rule sets ``tie_sensitive``: when its two compared values
+    were within 1e-12 relative, so the result sits on the finite/infinite
+    discontinuity.  ``ExtReal(value)`` is never tie-sensitive.
     """
 
     __slots__ = ("tie_sensitive",)
 
-    def __new__(cls, value: float, tie_sensitive: bool = False) -> "ExtReal":
-        return _ext_real(float(value), bool(tie_sensitive), cls)
+    def __new__(cls, value: float) -> "ExtReal":
+        return _ext_real(float(value), False, cls)
 
     @property
     def is_inf(self) -> bool:
@@ -83,10 +83,11 @@ class ExtReal(float):
         return f"ExtReal({float.__repr__(self)}{flag})"
 
 
-# The one rule of an ExtReal's value and flag.  bregman._branch calls it
-# directly, which costs half the type call ExtReal(v, tie) makes.
+# The one rule of an ExtReal's value and flag.  bregman._branch is the only
+# caller with a computed tie, and calls it directly, which costs half the type
+# call ExtReal(v) makes.
 def _ext_real(v: float, tie: bool, cls=ExtReal) -> ExtReal:
-    """ExtReal(v, tie) for a float v and a bool tie."""
+    """The ExtReal of a float v with the bool flag tie."""
     v += 0.0  # adding +0.0 turns -0.0 into 0.0 and keeps every other value
     if not v > -_INF:  # NaN or -inf
         raise ValueError(f"extended real must be finite or +inf, got {v!r}")

@@ -370,6 +370,8 @@ def _r_power_bregman(F: Generator, grad, r: float, t, tp, ft: float, ftp: float)
     log_term = r * math.log(ft) - (r - 1.0) * math.log(ftp) - math.log(r)
     if log_term != log_term:  # both powers overflowed: inf - inf
         log_term = r * (math.log(ft) - math.log(ftp)) + math.log(ftp) - math.log(r)
+        if r == math.inf:  # the r -> inf limit of F(theta)^r / (r F(theta_p)^(r-1))
+            log_term = math.inf if ft > ftp else -math.inf
     if log_term > _LOG_MAX:
         return ExtReal(math.inf)
     return ExtReal(_in_range(math.exp(log_term) - ftp / r - _linear_term(F, grad, t, tp),
@@ -382,8 +384,8 @@ def r_power_bregman(F: Generator, r: float, theta: float, theta_p: float) -> Ext
     F(theta)^r / (r * F(theta_p)^(r-1)) - F(theta_p)/r - (theta - theta_p) * F'(theta_p),
     with the first term evaluated in the log domain.  Returns +inf once the
     log-domain exponent passes the float overflow threshold, matching the
-    analytic r -> inf divergence when F(theta) > F(theta_p).  Below it,
-    RangeError when the linear term or the value leaves the floats.
+    r -> inf limit when F(theta) > F(theta_p); r = inf is qcvx_bregman's value.
+    Below the threshold, RangeError when the linear term or the value leaves the floats.
     """
     return _r_power_bregman(F, _gradient, *_r_exponent("r_power_bregman", F, r),
                             *_pair(F, theta, theta_p))

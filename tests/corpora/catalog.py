@@ -20,23 +20,34 @@ ONE_D = ["log", "sqrt", "quadratic", "cubic", "abs", "neg-gauss", "linear", "sin
 CONVEX = ["quadratic", "abs", '{"affine": {"a": 0.5, "b": -1, "inner": "quadratic"}}']
 TWO_D = ['{"name": "log-norm-sq", "dim": 2}', '{"separable": ["quadratic", "log"]}']
 MEANS = ["arithmetic", "max", "min", "power:2", "power:-1", "power:0", "qa:log", "qa:sqrt"]
-# Each flag's valid values, then the values on or past its edge.
-FLAGS = {
-    "--alpha": (lambda r: repr(r.uniform(0.05, 0.95)),
-                ["0", "1", "5e-324", "0.9999999999999999", "1.5", "nan", "inf"]),
-    "--delta": (lambda r: repr(r.uniform(0.5, 8.0)), ["0", "-2", "1e300", "nan", "-inf"]),
-    "--delta1": (lambda r: r.choice(["1", "2", "3", "-1", "0.5"]), ["0", "nan", "1e3", "-1e300"]),
-    "--delta2": (lambda r: r.choice(["1", "2", "3", "-1", "0.5"]), ["0", "-0.0", "2000", "1e300"]),
-    "--r": (lambda r: repr(r.uniform(1.0, 50.0)), ["1", "0.5", "nan", "inf", "1e3"]),
-    "--exponent": (lambda r: repr(r.uniform(1.1, 5.0)), ["1", "1.0000001", "0", "nan"]),
-    "--mean-m": (lambda r: r.choice(MEANS), ["power:nan", "power:inf", "power:1e300", "median"]),
-    "--mean-n": (lambda r: r.choice(MEANS), ["power:nan", "power:-inf", "power:1e300", "qa:nope"]),
+# Each flag's draw of a valid value, which the eval corpus shares.
+DRAWS = {
+    "--alpha": lambda r: repr(r.uniform(0.05, 0.95)),
+    "--delta": lambda r: repr(r.uniform(0.5, 8.0)),
+    "--delta1": lambda r: r.choice(["1", "2", "3", "-1", "0.5"]),
+    "--delta2": lambda r: r.choice(["1", "2", "3", "-1", "0.5"]),
+    "--r": lambda r: repr(r.uniform(1.0, 50.0)),
+    "--exponent": lambda r: repr(r.uniform(1.1, 5.0)),
+    "--mean-m": lambda r: r.choice(MEANS),
+    "--mean-n": lambda r: r.choice(MEANS),
+}
+# Each flag's values on or past its edge.
+EDGES = {
+    "--alpha": ["0", "1", "5e-324", "0.9999999999999999", "1.5", "nan", "inf"],
+    "--delta": ["0", "-2", "1e300", "nan", "-inf"],
+    "--delta1": ["0", "nan", "1e3", "-1e300"],
+    "--delta2": ["0", "-0.0", "2000", "1e300"],
+    "--r": ["1", "0.5", "nan", "inf", "1e3"],
+    "--exponent": ["1", "1.0000001", "0", "nan"],
+    "--mean-m": ["power:nan", "power:inf", "power:1e300", "median"],
+    "--mean-n": ["power:nan", "power:-inf", "power:1e300", "qa:nope"],
 }
 POINT_EDGE = ["0", "-0.0", "5e-324", "1e-300", "1e154", "1e308", "-1e308", "nan", "inf", "-inf"]
 KINDS = ("valid", "valid", "valid", "edge-flag", "edge-point", "edge-point", "error", "error")
 # Equal values at distinct points, inputs that raised a bare ValueError or
 # ZeroDivisionError from the formulas, a power mean whose dominating argument
-# has weight 0, and the argument checks of power-bregman.
+# has weight 0, the argument checks of power-bregman, and r-power-bregman at
+# r = inf, its limit.
 NAMED = {
     "tie at distinct points": ("qcvx-bregman", "quadratic", {}, [["1"], ["-1"]]),
     "underflowing log-norm-sq": ("qcvx-bregman", TWO_D[0], {}, [["1e-170", "1e-170"], ["1", "1"]]),
@@ -55,6 +66,9 @@ NAMED = {
     "negative F with a non-integer delta2": ("power-bregman", "neg-gauss",
                                              {"--delta1": "1", "--delta2": "0.5"},
                                              [["1"], ["2"]]),
+    "r = inf, infinite branch": ("r-power-bregman", "sqrt", {"--r": "inf"}, [["2"], ["1"]]),
+    "r = inf, finite branch": ("r-power-bregman", "sqrt", {"--r": "inf"}, [["1"], ["2"]]),
+    "r = inf at a tie": ("r-power-bregman", "quadratic", {"--r": "inf"}, [["1"], ["-1"]]),
 }
 
 
@@ -76,11 +90,11 @@ def _cases(rng, div: str, kind: str):
     spec = cli.DIVERGENCES[div]
     gen = rng.choice(generators(spec))
     dim = 2 if gen in TWO_D else 1
-    flags = {flag: FLAGS[flag][0](rng) for flag in spec.flags}
+    flags = {flag: DRAWS[flag](rng) for flag in spec.flags}
     points = [_point(rng, dim) for _ in spec.points]
     if kind == "edge-flag" and flags:
         flag = rng.choice(list(flags))
-        flags[flag] = rng.choice(FLAGS[flag][1])
+        flags[flag] = rng.choice(EDGES[flag])
     elif kind == "edge-point" or kind == "edge-flag":
         rng.choice(points)[rng.randrange(dim)] = rng.choice(POINT_EDGE)
     elif kind == "error":

@@ -11,6 +11,7 @@ usage errors, whose text belongs to the Python version, not to qcdiv.
 import random
 
 import pins
+from corpora.catalog import CONVEX, DRAWS
 from qcdiv import cli
 
 FORMATS = ("plain", "csv", "json")
@@ -21,7 +22,6 @@ ALL = ["log", "sqrt", "quadratic", "cubic", "abs", "neg-gauss", "sine", "linear"
        '{"name": "linear-fractional", "c": -1, "d": 2}']
 POSITIVE = ["sqrt", "quadratic", '{"affine": {"a": 2, "b": 1, "inner": "quadratic"}}',
             '{"affine": {"a": 1, "b": 3, "inner": "log"}}']
-CONVEX = ["quadratic", "abs", '{"affine": {"a": 0.5, "b": -1, "inner": "quadratic"}}']
 TWO_D = ['{"name": "log-norm-sq", "dim": 2}', '{"name": "neg-gauss", "dim": 2}',
          '{"separable": ["quadratic", "abs"]}']
 GENS = {
@@ -32,21 +32,19 @@ GENS = {
     "kl-nested-uniform": [None], "kl-power-nested": [None],
     "expfam-kl": CONVEX, "expfam-entropy": CONVEX, "expfam-cross-entropy": CONVEX,
 }
-MEANS = ["arithmetic", "max", "min", "power:2", "power:-1", "power:0", "qa:log", "qa:sqrt"]
 BAD_MEANS = ["median", "power:x", "power:", "qa:nope", 'qa:{"name": "log-norm-sq", "dim": 2}',
              "qa:{", "Max"]
-# Values each flag may take: valid ones, then ones on or past the edge of
-# what the divergence accepts.
-VALUES = {
-    "--alpha": (lambda r: repr(r.uniform(0.05, 0.95)),
-                ["0", "1", "5e-324", "0.9999999999999999", "1.5", "-0.25", "nan", "inf"]),
-    "--delta": (lambda r: repr(r.uniform(0.5, 8.0)), ["0", "-2", "1e300", "nan", "-inf"]),
-    "--delta1": (lambda r: r.choice(["1", "2", "3", "-1", "0.5"]), ["0", "nan", "1e3"]),
-    "--delta2": (lambda r: r.choice(["1", "2", "3", "-1", "0.5"]), ["0", "-0.0", "2000"]),
-    "--r": (lambda r: repr(r.uniform(1.0, 50.0)), ["1", "0.5", "nan", "inf", "1e3"]),
-    "--exponent": (lambda r: repr(r.uniform(1.1, 5.0)), ["1", "1.0000001", "0", "nan"]),
-    "--mean-m": (lambda r: r.choice(MEANS), BAD_MEANS),
-    "--mean-n": (lambda r: r.choice(MEANS), BAD_MEANS),
+# The values on or past the edge of what each flag's divergence accepts; the
+# valid ones are the catalog corpus's DRAWS.
+EDGES = {
+    "--alpha": ["0", "1", "5e-324", "0.9999999999999999", "1.5", "-0.25", "nan", "inf"],
+    "--delta": ["0", "-2", "1e300", "nan", "-inf"],
+    "--delta1": ["0", "nan", "1e3"],
+    "--delta2": ["0", "-0.0", "2000"],
+    "--r": ["1", "0.5", "nan", "inf", "1e3"],
+    "--exponent": ["1", "1.0000001", "0", "nan"],
+    "--mean-m": BAD_MEANS,
+    "--mean-n": BAD_MEANS,
 }
 POINTS_EDGE = ["0", "-0.0", "-1", "5e-324", "1e308", "-1e308", "1e-300", "1e154"]
 POINTS_NONFINITE = ["nan", "inf", "-inf", "1e309", "1,nan"]
@@ -64,14 +62,14 @@ def _argv(rng, div: str, fmt: str, kind: str) -> list:
     if gen is not None and not spec.scalar and kind == "mismatch" and rng.random() < 0.5:
         gen = rng.choice(TWO_D)  # 1-D or 2-D points against a 2-D generator
         dim = rng.choice((1, 2))
-    flags = {flag: VALUES[flag][0](rng) for flag in spec.flags}
+    flags = {flag: DRAWS[flag](rng) for flag in spec.flags}
     points = {"--theta": _point(rng, dim)}
     if not unary or rng.random() < 0.3:
         points["--theta-prime"] = _point(rng, dim)
     if kind == "edge":
         if flags and rng.random() < 0.5:
             flag = rng.choice(list(flags))
-            flags[flag] = rng.choice(VALUES[flag][1][:4])
+            flags[flag] = rng.choice(EDGES[flag][:4])
         else:
             points[rng.choice(list(points))] = rng.choice(POINTS_EDGE)
     elif kind == "non-finite":
@@ -94,7 +92,7 @@ def _argv(rng, div: str, fmt: str, kind: str) -> list:
                               '{"affine": {"a": -1, "inner": "log"}}'])
         else:
             flag = rng.choice(list(flags) or ["--theta"])
-            flags[flag] = rng.choice(VALUES[flag][1]) if flag in VALUES else "x"
+            flags[flag] = rng.choice(EDGES[flag]) if flag in EDGES else "x"
     argv = ["eval", "--div", div] + ([] if gen is None else [f"--gen={gen}"])
     # --flag=value, because argparse reads "-1e308" as an option, not a number.
     argv += [f"{flag}={value}" for flag, value in {**flags, **points}.items()]

@@ -3,10 +3,10 @@
 The file holds what ``pins.run_cli`` saw for each argv: the exit code,
 stdout, stderr and warnings.  The tables are small grids on every binary
 ``--div``, one on a fixed generator and one drawn, a grid whose first failing
-pair in row-major order lies inside the grid, a zero step, an infinite step
-and an empty range.  The studies are all three at ``--k-max`` 4, 20 and 40 in both
-orientations, out of range ``--k-max`` values, and a point where the
-generator's formula underflows.
+pair in row-major order lies inside the grid, a zero step, an infinite step,
+an empty range and bounds that are not finite.  The studies are all three at
+``--k-max`` 4, 20 and 40 in both orientations, out of range ``--k-max``
+values, and a point where the generator's formula underflows.
 """
 
 import math
@@ -51,6 +51,11 @@ def _corpus() -> dict:
     cases["table grid-step 0"] = _table("qcvx-bregman", "log", 1.5, 0.0)
     cases["table grid-step inf"] = _table("qcvx-bregman", "log", 1.5, math.inf)
     cases["table grid-min at grid-max"] = _table("qcvx-bregman", "log", 1.5, 0.5, 1)
+    # A bound that is not finite is named, after the step checks.
+    for lo, hi in ((1.5, math.inf), (-math.inf, 2.5), (math.nan, 2.5)):
+        cases[f"table grid {lo!r} to {hi!r}"] = ["table", "--div", "qcvx-bregman", "--gen=log",
+                                                 f"--grid-min={lo!r}", f"--grid-max={hi!r}",
+                                                 "--grid-step=0.5"]
     for study, (gen, theta, theta_p) in STUDIES.items():
         for k_max in (4, 20, 40):
             cases[f"study {study} k_max={k_max}"] = _study(study, gen, theta, theta_p, k_max)

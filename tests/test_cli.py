@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import pins
 from corpora.spec import negations
+from corpora.study_table import FLAGS
 from qcdiv import checks, cli
 from qcdiv.bregman import qcvx_bregman
 from qcdiv.core import ExtReal, build_generator
@@ -119,11 +120,10 @@ class TestEval:
         # The help gives [0,1] to the divergences it names after it, (0,1) to the rest.
         text = pins.run_cli(["eval", "--help"])["stdout"]
         weights = " ".join(text.split("[0,1] for", 1)[1].split("--delta", 1)[0].split())
-        others = {"--delta": "2", "--mean-m": "arithmetic", "--mean-n": "arithmetic"}
         for name, div in cli.DIVERGENCES.items():
             if "--alpha" not in div.flags:
                 continue
-            rest = [a for f in div.flags if f != "--alpha" for a in (f, others[f])]
+            rest = [a for f in div.flags if f != "--alpha" for a in (f, FLAGS[f])]
             codes = {pins.run_cli(["eval", "--div", name, "--gen", "sqrt", "--theta", "1",
                                    "--theta-prime", "2", "--alpha", a, *rest])["exit"]
                      for a in ("0", "1")}

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import qcdiv
+from corpora.study_table import FLAGS
 from qcdiv import cli, oracles
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -39,10 +40,7 @@ NO_GENERATOR = {"kl-nested-uniform", "kl-power-nested"}
 SCALAR_ONLY = {"power-bregman", "r-power-bregman", "kl-nested-uniform", "kl-power-nested"}
 
 # A value for every flag that makes each divergence evaluate successfully.
-VALUES = {
-    "--alpha": "0.5", "--mean-m": "arithmetic", "--mean-n": "max", "--delta": "2",
-    "--delta1": "2", "--delta2": "3", "--r": "2", "--exponent": "2", "--theta-prime": "2",
-}
+VALUES = {**FLAGS, "--theta-prime": "2"}
 
 
 def argv_for(div, omit=(), theta="1"):

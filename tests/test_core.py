@@ -1,6 +1,9 @@
+import copy
 import dataclasses
+import inspect
 import json
 import math
+import pickle
 import random
 import re
 from pathlib import Path
@@ -53,8 +56,27 @@ class TestExtReal:
             ExtReal(-math.inf)
 
     def test_tie_flag(self):
-        assert ExtReal(0.0, tie_sensitive=True).tie_sensitive
-        assert not ExtReal(0.0).tie_sensitive
+        # Only the branch rule sets the flag: ExtReal(value) takes none.
+        assert list(inspect.signature(ExtReal).parameters) == ["value"]
+        assert ExtReal(0.0).tie_sensitive is False
+        for args, kwargs in [((1.0, True), {}), ((1.0, False), {}),
+                             ((1.0,), {"tie_sensitive": True}), ((1.0,), {"tie_sensitive": 1})]:
+            with pytest.raises(TypeError):
+                ExtReal(*args, **kwargs)
+
+    def test_a_copy_keeps_the_value_and_the_flag(self):
+        # copy and pickle rebuild an ExtReal through ExtReal(value), then set
+        # its slot.  Protocols 0 and 1 cannot pickle a slotted float.
+        quadratic = build_generator("quadratic")
+        tie = qcvx_bregman(quadratic, 1.0, -1.0)  # Q(1) = Q(-1): a tie at distinct points
+        assert tie.tie_sensitive
+        copies = [copy.copy, copy.deepcopy, *(lambda v, p=p: pickle.loads(pickle.dumps(v, p))
+                                              for p in range(2, pickle.HIGHEST_PROTOCOL + 1))]
+        for value in (tie, qcvx_bregman(quadratic, 2.0, 1.0), ExtReal(2.5)):
+            for make in copies:
+                twin = make(value)
+                assert ((type(twin), float.hex(twin), twin.tie_sensitive)
+                        == (ExtReal, float.hex(value), value.tie_sensitive)), (value, make)
 
     def test_negative_zero_normalized(self):
         assert math.copysign(1.0, ExtReal(-0.0)) == 1.0

@@ -17,15 +17,16 @@ through ``core._ext_real`` instead of the type call, ``_tie_sensitive`` wrote
 The reference versions below are the previous code, kept verbatim; the
 properties check that the new code gives the same value (compared as
 ``float.hex``, so the sign of a zero counts), the same ``tie_sensitive`` flag,
-or the same exception type and message.  Four differences are deliberate: text
+or the same exception type and message.  Five differences are deliberate: text
 is no point (``as_vector`` raises ``TypeError``), ``_fmt(-inf)`` prints
 ``-inf``, a value no entry point produces, a generator's dimension is a
 count (a bool, text or NaN raises ``ValueError``; a whole float becomes an
-int), and a gradient whose length is not the generator's dimension raises
-``GradientError``.  The guards at the end keep the rules the rewrite must not
-break: ``Generator.__call__`` reaches the module global ``eval_generator`` at
-call time, the tie tolerance and ``Box._bounds`` are read only in ``core``,
-every tie flag comes from ``_tie_sensitive``, a one-coordinate point makes no
+int), a gradient whose length is not the generator's dimension raises
+``GradientError``, and ``ExtReal(value)`` takes no tie flag.  The guards at
+the end keep the rules the rewrite must not break: ``Generator.__call__``
+reaches the module global ``eval_generator`` at call time, the tie tolerance
+and ``Box._bounds`` are read only in ``core``, the only computed tie flag is
+the branch rule's ``_tie_sensitive`` result, a one-coordinate point makes no
 comprehension frame and no ``sum`` call in each function that compares a
 length or a dimension with 1 to pick a formula, a branch value is built
 without the type call or ``max``, an n-D built-in gradient takes its norm
@@ -605,10 +606,8 @@ def test_branch_matches_the_reference(qt, qtp, v):
 
 
 @FAST
-@given(value=st.one_of(reals, st.sampled_from(["1.5", "-inf", "nan", "x", None])),
-       tie=st.one_of(st.booleans(), st.sampled_from([0, 1, 2, None, "", "no", 0.0, math.nan])))
-def test_extreal_matches_the_reference(value, tie):
-    assert outcome(ExtReal, value, tie) == outcome(RefExtReal, value, tie)
+@given(value=st.one_of(reals, st.sampled_from(["1.5", "-inf", "nan", "x", None])))
+def test_extreal_matches_the_reference(value):
     assert outcome(ExtReal, value) == outcome(RefExtReal, value)
 
 
@@ -854,11 +853,6 @@ def _functions(tree):
     return {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
 
 
-# The two constructors and their flag parameter, which each stores as given:
-# ExtReal.__new__ passes bool(tie_sensitive) on to _ext_real, which sets the slot.
-CONSTRUCTORS = {("core", "ExtReal.__new__"): "tie_sensitive", ("core", "_ext_real"): "tie"}
-
-
 def _scopes(tree, prefix=""):
     """(qualified name, node) of each function in tree, methods as ``Class.method``."""
     for node in ast.iter_child_nodes(tree):
@@ -881,65 +875,47 @@ def _own(scope):
             todo.extend(ast.iter_child_nodes(node))
 
 
-def _tie_flags(scope):
-    """Each flag that a scope hands to ExtReal or _ext_real, or stores in a ``tie_sensitive`` slot."""
-    for node in _own(scope):
-        if isinstance(node, ast.Call):
-            func = getattr(node.func, "id", getattr(node.func, "attr", None))
-            if func in ("ExtReal", "_ext_real"):
-                keyword = {"ExtReal": "tie_sensitive", "_ext_real": "tie"}[func]
-                if len(node.args) > 1:
-                    yield node.args[1]
-                yield from (kw.value for kw in node.keywords if kw.arg == keyword)
-            elif (len(node.args) > 2 and isinstance(node.args[1], ast.Constant)
-                  and node.args[1].value == "tie_sensitive"):  # setattr, object.__setattr__
-                yield node.args[2]
-        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for target in targets:
-                if any(isinstance(t, ast.Attribute) and t.attr == "tie_sensitive"
-                       for t in ast.walk(target)):
-                    yield node.value
-
-
-def _tie_setters(trees):
-    """The functions that compute a tie flag, once every flag is checked.
-
-    Outside the constructors a flag must be a name bound to a _tie_sensitive
-    result in the same function; in them, their flag parameter (or its bool).
-    """
-    setters = set()
+def _tie_writers(trees):
+    """(module, function, flag text) of each flag but a literal False that a function
+    hands to ``_ext_real`` or stores in a ``tie_sensitive`` slot; a lambda is its function's."""
+    writers = set()
     for module, tree in trees.items():
-        for name, fn in [("<module>", tree), *_scopes(tree)]:
-            ties = {target.id for node in _own(fn) if isinstance(node, ast.Assign)
-                    and isinstance(node.value, ast.Call)
-                    and getattr(node.value.func, "id", None) == "_tie_sensitive"
-                    for target in node.targets if isinstance(target, ast.Name)}
-            for flag in _tie_flags(fn):
-                if (module, name) in CONSTRUCTORS:
-                    if (isinstance(flag, ast.Call) and getattr(flag.func, "id", None) == "bool"
-                            and len(flag.args) == 1):
-                        flag = flag.args[0]
-                    assert isinstance(flag, ast.Name), (module, name)
-                    assert flag.id == CONSTRUCTORS[module, name], (module, name)
-                else:
-                    assert isinstance(flag, ast.Name) and flag.id in ties, (module, name)
-                    setters.add((module, name))
-    return setters
+        for name, scope in [("<module>", tree), *_scopes(tree)]:
+            for node in _own(scope):
+                flags = []
+                if isinstance(node, ast.Call):
+                    if getattr(node.func, "id", getattr(node.func, "attr", None)) == "_ext_real":
+                        flags = node.args[1:2] + [k.value for k in node.keywords if k.arg == "tie"]
+                    # setattr, object.__setattr__
+                    elif (len(node.args) > 2 and isinstance(node.args[1], ast.Constant)
+                          and node.args[1].value == "tie_sensitive"):
+                        flags = node.args[2:3]
+                elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)) and node.value:
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    if any(getattr(t, "attr", None) == "tie_sensitive"
+                           for target in targets for t in ast.walk(target)):
+                        flags = [node.value]
+                writers.update((module, name, ast.unparse(flag)) for flag in flags
+                               if not (isinstance(flag, ast.Constant) and flag.value is False))
+    return writers
 
 
 def test_every_tie_flag_comes_from_tie_sensitive():
-    setters = _tie_setters(_trees())
-    # bregman's one branch rule, which the nested-support KLs of statdiv share.
-    assert setters == {("bregman", "_branch")}
-    kernels = _functions(_trees()["bregman"])
+    # ExtReal(value) passes False; the branch rule, which the nested-support KLs
+    # of statdiv share, passes its tie, and _ext_real stores the flag it is given.
+    trees = _trees()
+    assert _tie_writers(trees) == {("bregman", "_branch", "tie"), ("core", "_ext_real", "tie")}
+    kernels = _functions(trees["bregman"])
+    assert [ast.unparse(node) for node in ast.walk(kernels["_branch"])
+            if isinstance(node, ast.Assign) and "tie" in map(ast.unparse, node.targets)
+            ] == ["tie = _tie_sensitive(qt, qtp)"]
     for name in ("_qcvx_bregman", "_delta_averaged_qcvx_bregman", "_extended_bregman"):
         calls = {getattr(node.func, "id", None) for node in ast.walk(kernels[name])
                  if isinstance(node, ast.Call)}
         assert "_branch" in calls, name
 
 
-# Each way to hand out or store a flag that is not a _tie_sensitive result.
+# Each way to hand out or store a flag that is not the branch rule's.
 UNCHECKED_FLAGS = [
     "def f(x):\n    x.tie_sensitive = True",
     "def f(x, a, b):\n    x.tie_sensitive = a < b",
@@ -947,24 +923,24 @@ UNCHECKED_FLAGS = [
     "def f(x, t):\n    setattr(x, 'tie_sensitive', t)",
     "def f(v):\n    return _ext_real(v, True)",
     "def f(v, t):\n    return core._ext_real(v, tie=t)",
-    "def f(v):\n    return ExtReal(v, tie_sensitive=1)",
-    "X = ExtReal(1.0, True)",
-    "F = lambda v: _ext_real(v, False)",
-    "class C:\n    def m(self, v):\n        return ExtReal(v, True)",
-    "def f(v, a, b):\n    tie = _tie_sensitive(a, b)\n    def g():\n        return ExtReal(v, tie)",
+    "X = _ext_real(1.0, True)",
+    "F = lambda v: _ext_real(v, 0)",
+    "class C:\n    def m(self, v):\n        return _ext_real(v, True)",
+    "def f(v, a, b):\n    tie = _tie_sensitive(a, b)\n"
+    "    def g():\n        return _ext_real(v, tie)",
 ]
 
 
 @pytest.mark.parametrize("source", UNCHECKED_FLAGS)
 def test_the_tie_flag_guard_sees_every_setter(source):
-    with pytest.raises(AssertionError):
-        _tie_setters({"m": ast.parse(source)})
+    assert _tie_writers({"m": ast.parse(source)})
 
 
 def test_the_tie_flag_guard_counts_a_computed_flag_in_a_slot():
     source = ("def f(v, a, b):\n    tie = _tie_sensitive(a, b)\n"
-              "    r = float.__new__(ExtReal, v)\n    r.tie_sensitive = tie")
-    assert _tie_setters({"m": ast.parse(source)}) == {("m", "f")}
+              "    r = float.__new__(ExtReal, v)\n    r.tie_sensitive = tie\n"
+              "    s = _ext_real(v, False)\n    s.tie_sensitive = False")
+    assert _tie_writers({"m": ast.parse(source)}) == {("m", "f", "tie")}
 
 
 def _profiled(call):
@@ -1097,7 +1073,7 @@ def test_the_fork_guard_sees_a_new_fork(source):
 @pytest.mark.parametrize("t, tp", [((1.5,), (2.0,)), ((2.0,), (1.5,))],
                          ids=["finite", "infinite"])
 def test_a_branch_value_is_built_without_the_type_call(t, tp):
-    # _ext_real costs half the type call ExtReal(v, tie), and the conditional
+    # _ext_real costs half the type call ExtReal(v), and the conditional
     # in _tie_sensitive less than the max builtin.
     codes, builtins = _profiled(lambda: _qcvx_bregman(
         LOG, core._gradient, t, tp, math.log(t[0]), math.log(tp[0])))

@@ -15,6 +15,7 @@ import warnings
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from corpora import catalog
 from corpora.catalog import TWO_D, generators
 from pins import eval_argv, library_call, run_cli
 from qcdiv import cli
@@ -38,8 +39,7 @@ IN_RANGE = {
 }
 EDGE = [0.0, -0.0, 1.0, 5e-324, -1.0, 1e300, -1e300, 1.7976931348623157e308, 2.0**1023,
         math.nan, math.inf, -math.inf]
-MEANS = ["arithmetic", "max", "min", "power:2", "power:-1", "power:0", "qa:log", "qa:sqrt",
-         "power:nan", "power:inf", "power:-inf", "power:1e300"]
+MEANS = [*catalog.MEANS, "power:nan", "power:inf", "power:-inf", "power:1e300"]
 POINT_EDGE = [0.0, -0.0, 5e-324, 1e-300, 1.0, 1e154, 1e308, -1e308, 1.7976931348623157e308,
               math.nan, math.inf, -math.inf]
 

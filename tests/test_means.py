@@ -5,7 +5,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pins
@@ -527,6 +527,24 @@ class TestRPowerBregman:
         with pytest.raises(RangeError) as raised:
             r_power_bregman(cubic, 1.0, 1.0, 5.6e102)
         assert str(raised.value) == str(expected.value) == "the linear term leaves the floats: -inf"
+
+
+# The 1-D sweep generators but neg-gauss, whose values r_power_bregman refuses.
+POSITIVE_SWEEP = [c for c in sweep_catalog()
+                  if c.generator.dim == 1 and c.generator.name != "neg-gauss"]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(case=st.sampled_from(POSITIVE_SWEEP), seed=st.integers(0, 2**32), tie=st.integers(0, 9))
+def test_r_power_bregman_at_r_inf_is_qcvx_bregman(case, seed, tie):
+    # inf * log F(theta) - inf * log F(theta_p) is NaN; r = inf takes its limit
+    # on both branches, and at a tie (one draw in ten, tie == 0) the finite one.
+    F, rng = case.generator, random.Random(seed)
+    t = sample_point(rng, case.box)
+    tp = t if tie == 0 else sample_point(rng, case.box)
+    assume(F(t) > 0.0 and F(tp) > 0.0)
+    assert (float.hex(r_power_bregman(F, math.inf, t[0], tp[0]))
+            == float.hex(qcvx_bregman(F, t, tp)))
 
 
 NAN = float("nan")
